@@ -1,0 +1,10 @@
+"""Import path for the benchmark's self-tests: the benchmark modules and
+the program under ``src/``, as ``run.py`` sets them up."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent.parent / "src", HERE.parent):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
