@@ -9,10 +9,12 @@ scattered through the executor:
 
 - :class:`SimulationBackend` is the protocol — a capability query
   (:meth:`~SimulationBackend.supports`) plus
-  :meth:`~SimulationBackend.simulate`, which returns per-job reports,
-  the shard makespan and the super-job count, or ``None`` to decline a
-  shard it only discovers to be ineligible while flattening it (e.g. a
-  zero-duration task under a degenerate cost model).
+  :meth:`~SimulationBackend.simulate`, which returns per-job completion
+  times, the shard makespan and the super-job count, or ``None`` to
+  decline a shard it only discovers to be ineligible while flattening
+  it (e.g. a zero-duration task under a degenerate cost model).  The
+  executor builds every per-job report from its super-job template,
+  so no backend touches a report.
 - Four backends ship registered, in fallback-preference order:
 
   =================  ==================================================
@@ -60,6 +62,13 @@ executor quotes it in the forced-backend error so callers learn *why*
 (non-chain shape, zero-duration task, cross-signature interleaving,
 ...) instead of getting a bare refusal.
 
+The executor groups a batch into super-jobs once per call and hands
+each shard over as a :class:`ShardJobs`: the per-job list every backend
+accepts, carrying that grouping along, so no backend regroups the shard
+job by job.  ``supports`` and ``unsupported_reason`` are asked about one
+representative job per super-job; both stay callable with a plain
+per-job list, and so does ``simulate``.
+
 Fault injection (:mod:`repro.core.faults`) extends the same contract:
 a shard whose lanes carry fault-plan events is declined by *every*
 replay backend with :data:`FAULTED_SHARD_REASON` — the replays model
@@ -76,7 +85,6 @@ all four backends.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
@@ -84,13 +92,14 @@ from repro.hw.engine import replay_chain_batch, replay_dag_batch
 from repro.hw.vector_replay import replay_vector_batch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.executor import ExecutionReport, PipelineExecutor
+    from repro.core.executor import PipelineExecutor
     from repro.core.pipeline import Pipeline
     from repro.core.scheduler import Schedule
 
-#: What ``simulate`` hands back: per-job reports in shard order, the
-#: shard makespan, and the number of signature-coalesced super-jobs.
-ShardResult = tuple[list["ExecutionReport"], float, int]
+#: What ``simulate`` hands back: per-job completion times in shard
+#: order, the shard makespan, and the number of signature-coalesced
+#: super-jobs.
+ShardResult = tuple[list[float], float, int]
 
 
 @runtime_checkable
@@ -108,7 +117,11 @@ class SimulationBackend(Protocol):
         shard_jobs: list[tuple["Pipeline", "Schedule"]],
     ) -> bool:
         """Cheap structural capability check (shape only — a backend may
-        still decline in :meth:`simulate`)."""
+        still decline in :meth:`simulate`).  The executor asks it about
+        one representative job per super-job of the shard, so the
+        answer must depend only on which distinct (pipeline, schedule)
+        pairs the shard holds, never on how many replicas each has; it
+        stays callable with a plain per-job list."""
         ...
 
     def simulate(
@@ -120,7 +133,10 @@ class SimulationBackend(Protocol):
     ) -> ShardResult | None:
         """Time the shard, or return ``None`` to decline it late.
 
-        A backend that simulates the shard must also append every
+        ``shard_jobs`` is the per-job list — a :class:`ShardJobs` from
+        the executor, which carries the super-job grouping
+        (:func:`superjob_groups`), or any plain list of pairs.  A
+        backend that simulates the shard must also append every
         resource occupancy it grants — ``(start, end)`` in grant order
         — to ``lane_log`` under the lane's
         :func:`repro.core.executor.lane_name`; the intervals must be
@@ -131,25 +147,46 @@ class SimulationBackend(Protocol):
         ...
 
 
-def _superjob_groups(
-    shard_jobs: list,
-) -> tuple[list[list[int]], list[int]]:
-    """Group shard positions into super-jobs by pipeline/schedule object
-    identity (what the framework's signature caches hand out for
-    duplicate jobs).  Returns the member lists per group and each
-    position's group index."""
+class ShardJobs(list):
+    """A contention shard's per-job ``(pipeline, schedule)`` pairs plus
+    their super-job grouping, computed once per call by the executor:
+    ``representatives`` holds one pair per super-job in first-appearance
+    order and ``member_group[i]`` is job ``i``'s super-job."""
+
+    __slots__ = ("member_group", "representatives")
+
+    def __init__(self, jobs, representatives, member_group) -> None:
+        super().__init__(jobs)
+        self.representatives = representatives
+        self.member_group = member_group
+
+
+def superjob_groups(shard_jobs) -> tuple[list, list[int]]:
+    """Group jobs into super-jobs by pipeline/schedule object identity
+    (what the framework's per-call table hands out for duplicate jobs).
+    Returns one representative pair per group, in first-appearance
+    order, and each position's group index.  A :class:`ShardJobs`
+    answers from its stored grouping.
+
+    Duplicates that share one pair object are grouped at C speed: the
+    Python-level loop runs once per distinct pair object, not per
+    job."""
+    if isinstance(shard_jobs, ShardJobs):
+        return shard_jobs.representatives, shard_jobs.member_group
+    # The list pins every pair object, so its id is stable for the call.
+    jobs = list(shard_jobs)
     group_index: dict[tuple[int, int], int] = {}
-    group_members: list[list[int]] = []
-    member_group: list[int] = []
-    for position, (pipeline, schedule) in enumerate(shard_jobs):
+    representatives: list = []
+    group_of_pair: dict[int, int] = {}
+    for pair_id, job in dict(zip(map(id, jobs), jobs)).items():
+        pipeline, schedule = job
         key = (id(pipeline), id(schedule))
         group = group_index.get(key)
         if group is None:
-            group = group_index[key] = len(group_members)
-            group_members.append([])
-        group_members[group].append(position)
-        member_group.append(group)
-    return group_members, member_group
+            group = group_index[key] = len(representatives)
+            representatives.append(job)
+        group_of_pair[pair_id] = group
+    return representatives, list(map(group_of_pair.__getitem__, map(id, jobs)))
 
 
 def _replay_shard(
@@ -160,44 +197,37 @@ def _replay_shard(
     replay,
     lane_log,
 ) -> ShardResult | None:
-    """The shared replay scaffold both slim backends run: coalesce the
-    shard into super-jobs, ``flatten`` each group once into its replay
-    input (returning ``(None, overhead)`` to decline the whole shard,
-    e.g. on a zero-duration task), ``replay`` the per-replica input
-    lists, rebuild per-job reports from the group templates, and file
-    the replay's per-resource occupancy intervals into ``lane_log``
-    under the interned resources' lane names."""
-    group_members, member_group = _superjob_groups(shard_jobs)
+    """The shared replay scaffold both slim backends run: flatten each
+    super-job once into its replay input (``flatten`` returns ``None``
+    to decline the whole shard, e.g. on a zero-duration task),
+    ``replay`` the per-replica input lists, and file the replay's
+    per-resource occupancy intervals into ``lane_log`` under the
+    interned resources' lane names."""
+    representatives, member_group = superjob_groups(shard_jobs)
     resource_ids: dict[object, int] = {}
     group_inputs: list = []
-    group_template: list = []
-    for members in group_members:
-        pipeline, schedule = shard_jobs[members[0]]
-        flattened, overhead_total = flatten(
-            executor, pipeline, schedule, resource_ids
-        )
+    for pipeline, schedule in representatives:
+        flattened = flatten(executor, pipeline, schedule, resource_ids)
         if flattened is None:  # degenerate zero-duration task
             return None
         group_inputs.append(flattened)
-        group_template.append(
-            executor._job_report(pipeline, schedule, overhead_total, 0.0)
-        )
-    n = len(shard_jobs)
     finish, makespan, occupancy = replay(
-        [group_inputs[group] for group in member_group],
-        [0.0] * n if shard_arrivals is None else shard_arrivals,
+        list(map(group_inputs.__getitem__, member_group)),
+        [0.0] * len(member_group) if shard_arrivals is None else shard_arrivals,
         len(resource_ids),
     )
+    _log_occupancy(resource_ids, occupancy, lane_log)
+    return finish, makespan, len(representatives)
+
+
+def _log_occupancy(resource_ids, occupancy, lane_log) -> None:
+    """File a replay's per-resource occupancy intervals under the
+    interned resources' lane names."""
     from repro.core.executor import lane_name
 
     for key, index in resource_ids.items():
         if occupancy[index]:
             lane_log.setdefault(lane_name(key), []).extend(occupancy[index])
-    reports = [
-        replace(group_template[member_group[position]], total_time=t)
-        for position, t in enumerate(finish)
-    ]
-    return reports, makespan, len(group_members)
 
 
 class EngineBackend:
@@ -217,10 +247,10 @@ class EngineBackend:
         def record(lane, _label, start, end):
             lane_log.setdefault(lane, []).append((start, end))
 
-        reports, makespan = executor._execute_batch_engine(
+        finish, makespan = executor._execute_batch_engine(
             shard_jobs, range(len(shard_jobs)), record, shard_arrivals
         )
-        return reports, makespan, 0
+        return finish, makespan, 0
 
 
 #: Why the slim replays decline degenerate shards — quoted verbatim in
@@ -334,12 +364,10 @@ class DagReplayBackend:
         program: per-stage task lists
         (:meth:`~repro.core.executor.PipelineExecutor._flatten_stage`,
         the same pricing/interning walk the chain replay uses) plus
-        predecessor indices, all in topological order.  Returns
-        ``(None, overhead)`` when any duration is non-positive: the
-        replay's banded tie-handling assumes time strictly advances per
-        occupancy, so zero-cost tasks fall back to the generator
-        engine."""
-        overhead_total = executor._eq1_overhead(pipeline, schedule)
+        predecessor indices, all in topological order.  Returns ``None``
+        when any duration is non-positive: the replay's banded
+        tie-handling assumes time strictly advances per occupancy, so
+        zero-cost tasks fall back to the generator engine."""
         topo = pipeline.topological_order
         position_of = {name: i for i, name in enumerate(topo)}
         stage_tasks: list[list[tuple[int, float]]] = []
@@ -349,12 +377,12 @@ class DagReplayBackend:
                 pipeline, schedule, name, resource_ids
             )
             if any(duration <= 0.0 for _res, duration in tasks):
-                return None, overhead_total
+                return None
             stage_tasks.append(tasks)
             stage_preds.append(
                 tuple(position_of[p] for p in pipeline.predecessors(name))
             )
-        return (stage_tasks, stage_preds), overhead_total
+        return stage_tasks, stage_preds
 
     def unsupported_reason(self, executor, shard_jobs) -> str:
         return _ZERO_DURATION_REASON
@@ -378,49 +406,41 @@ class VectorReplayBackend:
     name = "vector_replay"
 
     def supports(self, executor, shard_jobs) -> bool:
-        group_members, _ = _superjob_groups(shard_jobs)
-        return len(group_members) == 1
+        representatives, _ = superjob_groups(shard_jobs)
+        return len(representatives) == 1
 
     def simulate(self, executor, shard_jobs, shard_arrivals, lane_log):
-        if not self.supports(executor, shard_jobs):
+        representatives, member_group = superjob_groups(shard_jobs)
+        if len(representatives) != 1:
             return None
-        pipeline, schedule = shard_jobs[0]
+        pipeline, schedule = representatives[0]
         resource_ids: dict[object, int] = {}
-        program, overhead_total = DagReplayBackend._dag_program(
+        program = DagReplayBackend._dag_program(
             executor, pipeline, schedule, resource_ids
         )
         if program is None:  # degenerate zero-duration task
             return None
-        n = len(shard_jobs)
         result = replay_vector_batch(
             program,
-            [0.0] * n if shard_arrivals is None else shard_arrivals,
+            [0.0] * len(member_group)
+            if shard_arrivals is None
+            else shard_arrivals,
             len(resource_ids),
         )
         if result is None:  # wave order unprovable: tie/interleaving
             return None
         finish, makespan, occupancy = result
-        from repro.core.executor import lane_name
-
-        for key, index in resource_ids.items():
-            if occupancy[index]:
-                lane_log.setdefault(lane_name(key), []).extend(
-                    occupancy[index]
-                )
-        template = executor._job_report(
-            pipeline, schedule, overhead_total, 0.0
-        )
-        reports = [replace(template, total_time=t) for t in finish]
-        return reports, makespan, 1
+        _log_occupancy(resource_ids, occupancy, lane_log)
+        return finish, makespan, 1
 
     def unsupported_reason(self, executor, shard_jobs) -> str:
-        group_members, _ = _superjob_groups(shard_jobs)
-        if len(group_members) != 1:
+        representatives, _ = superjob_groups(shard_jobs)
+        if len(representatives) != 1:
             return CROSS_SIGNATURE_REASON_TEMPLATE.format(
-                count=len(group_members)
+                count=len(representatives)
             )
-        pipeline, schedule = shard_jobs[0]
-        program, _overhead = DagReplayBackend._dag_program(
+        pipeline, schedule = representatives[0]
+        program = DagReplayBackend._dag_program(
             executor, pipeline, schedule, {}
         )
         if program is None:

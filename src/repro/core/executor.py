@@ -317,20 +317,22 @@ class BackendTuner:
     def order(
         self,
         executor: "PipelineExecutor",
-        shard_jobs: list,
+        n_jobs: int,
+        representatives: list,
         candidates: tuple,
     ) -> tuple:
-        """Reorder one shard's backend walk (see class docs).  The walk
-        still checks ``supports``/declines downstream, so reordering
-        can never change *whether* a shard simulates — only which
-        bit-identical backend does the work."""
-        cells = self._samples.get(self.bucket(len(shard_jobs)), {})
+        """Reorder the backend walk of one ``n_jobs``-job shard, given
+        one representative job per super-job (see class docs).  The
+        walk still checks ``supports``/declines downstream, so
+        reordering can never change *whether* a shard simulates — only
+        which bit-identical backend does the work."""
+        cells = self._samples.get(self.bucket(n_jobs), {})
         for candidate in candidates:
             if candidate.name == _ENGINE_BACKEND:
                 continue
             if candidate.name in cells:
                 continue
-            if candidate.supports(executor, shard_jobs):
+            if candidate.supports(executor, representatives):
                 return (candidate,) + tuple(
                     c for c in candidates if c is not candidate
                 )
@@ -556,18 +558,24 @@ class PipelineExecutor:
         contention between the released jobs exactly as before.
 
         Scale-out fast path (results bit-identical to the plain shared
-        engine, cross-checked in tests):
+        engine, cross-checked in tests), columnar over *templates*: one
+        pass groups the jobs by (pipeline, schedule) object identity
+        (:func:`repro.core.backends.superjob_groups`; the framework
+        hands duplicates one shared pair), and shard features, backend
+        support and report fields are derived once per template.
 
         - ``shard=True`` partitions the batch by contention — jobs whose
           placements touch disjoint device/link sets share no resources,
           hence no events, so each partition runs on its own simulation;
-        - ``coalesce=True`` folds jobs with identical pipeline/schedule
-          objects (what the framework's signature caches hand out for
-          duplicate jobs) into weighted super-jobs and hands each shard
-          to the first registered simulation backend
-          (:mod:`repro.core.backends`) that supports it: the slim chain
-          FIFO replay, the DAG replay (join counters on fan-in stages),
-          or the generator engine as the universal fallback.
+        - ``coalesce=True`` folds each shard's templates into weighted
+          super-jobs and hands the shard to the first registered
+          simulation backend (:mod:`repro.core.backends`) that supports
+          it — asked about one representative job per super-job: the
+          slim chain FIFO replay, the DAG replay (join counters on
+          fan-in stages), or the generator engine as the universal
+          fallback.  Backends return completion times; every job's
+          :class:`ExecutionReport` is then built eagerly from its
+          template's shared fields.
 
         ``backend`` names one registered backend to force for every
         shard (the serving benchmark's A/B switch); a forced backend
@@ -622,6 +630,7 @@ class PipelineExecutor:
                 "coalesce=False pins the uncollapsed engine path; it "
                 f"cannot be combined with backend={backend!r}"
             )
+        representatives, job_template = _backends.superjob_groups(jobs)
         lane_log: dict[str, list[tuple[float, float]]] = {}
         if observer is not None:
             if forced is not None and forced.name != _ENGINE_BACKEND:
@@ -636,7 +645,7 @@ class PipelineExecutor:
 
             wall_start = perf_counter()
             observer_failures: list = []
-            job_reports, makespan = self._execute_batch_engine(
+            finish, makespan = self._execute_batch_engine(
                 jobs,
                 range(n),
                 recording,
@@ -646,18 +655,17 @@ class PipelineExecutor:
             )
             # Observed wall time includes the caller's observer work,
             # so it is reported but never fed to a tuner.
-            timing = ShardTiming(
-                backend=_ENGINE_BACKEND,
-                wall_seconds=perf_counter() - wall_start,
-                n_jobs=n,
-                n_superjobs=0,
-                n_stages=self._shard_stage_count(jobs),
-                is_chain=all(
-                    self._is_single_chain(p) for p, _s in jobs
-                ),
+            timing = self._shard_timing(
+                _ENGINE_BACKEND,
+                perf_counter() - wall_start,
+                n,
+                0,
+                representatives,
             )
             return BatchExecutionReport(
-                job_reports=tuple(job_reports),
+                job_reports=self._job_reports(
+                    representatives, job_template, finish
+                ),
                 makespan=makespan,
                 arrivals=None if arrivals is None else tuple(arrivals),
                 backend_jobs={_ENGINE_BACKEND: n},
@@ -667,25 +675,38 @@ class PipelineExecutor:
             )
 
         shards = (
-            self._contention_shards(jobs) if shard else [list(range(n))]
+            self._contention_shards(representatives, job_template)
+            if shard
+            else [(list(range(len(representatives))), range(n))]
         )
-        reports: list[ExecutionReport | None] = [None] * n
+        finish = [0.0] * n if len(shards) > 1 else None
         makespan = 0.0
         n_superjobs = 0
         backend_jobs: dict[str, int] = {}
         timings: list[ShardTiming] = []
         failures: list = []
-        for indices in shards:
-            shard_jobs = [jobs[i] for i in indices]
-            shard_arrivals = (
-                None if arrivals is None else [arrivals[i] for i in indices]
-            )
+        for template_ids, indices in shards:
+            if finish is None:  # one shard: the whole batch, in order
+                shard_jobs = _backends.ShardJobs(
+                    jobs, representatives, job_template
+                )
+                shard_arrivals = arrivals
+            else:
+                group = {t: g for g, t in enumerate(template_ids)}
+                shard_jobs = _backends.ShardJobs(
+                    [jobs[i] for i in indices],
+                    [representatives[t] for t in template_ids],
+                    [group[job_template[i]] for i in indices],
+                )
+                shard_arrivals = (
+                    None if arrivals is None else [arrivals[i] for i in indices]
+                )
             faulted = faults is not None and faults.affects(
-                self._shard_lane_names(shard_jobs)
+                self._shard_lane_names(shard_jobs.representatives)
             )
             wall_start = perf_counter()
             if faulted:
-                chosen, shard_reports, shard_makespan, shard_groups = (
+                chosen, shard_finish, shard_makespan, shard_groups = (
                     self._simulate_faulted_shard(
                         shard_jobs,
                         indices,
@@ -697,7 +718,7 @@ class PipelineExecutor:
                     )
                 )
             else:
-                chosen, shard_reports, shard_makespan, shard_groups = (
+                chosen, shard_finish, shard_makespan, shard_groups = (
                     self._simulate_shard(
                         shard_jobs,
                         shard_arrivals,
@@ -711,25 +732,27 @@ class PipelineExecutor:
             if tuner is not None and not faulted:
                 tuner.record(len(indices), chosen, wall_seconds)
             timings.append(
-                ShardTiming(
-                    backend=chosen,
-                    wall_seconds=wall_seconds,
-                    n_jobs=len(indices),
-                    n_superjobs=shard_groups,
-                    n_stages=self._shard_stage_count(shard_jobs),
-                    is_chain=all(
-                        self._is_single_chain(p) for p, _s in shard_jobs
-                    ),
+                self._shard_timing(
+                    chosen,
+                    wall_seconds,
+                    len(indices),
+                    shard_groups,
+                    shard_jobs.representatives,
                 )
             )
             n_superjobs += shard_groups
             backend_jobs[chosen] = backend_jobs.get(chosen, 0) + len(indices)
-            for index, report in zip(indices, shard_reports):
-                reports[index] = report
+            if finish is None:
+                finish = shard_finish
+            else:
+                for index, completion in zip(indices, shard_finish):
+                    finish[index] = completion
             if shard_makespan > makespan:
                 makespan = shard_makespan
         return BatchExecutionReport(
-            job_reports=tuple(reports),
+            job_reports=self._job_reports(
+                representatives, job_template, finish
+            ),
             makespan=makespan,
             arrivals=None if arrivals is None else tuple(arrivals),
             n_shards=len(shards),
@@ -740,27 +763,68 @@ class PipelineExecutor:
             failures=tuple(failures),
         )
 
+    def _shard_timing(
+        self,
+        backend: str,
+        wall_seconds: float,
+        n_jobs: int,
+        n_superjobs: int,
+        representatives: Sequence[tuple[Pipeline, Schedule]],
+    ) -> ShardTiming:
+        """One shard's timing row, its features from one representative
+        job per template."""
+        is_chain = all(self._is_single_chain(p) for p, _s in representatives)
+        stages = self._shard_stage_count(representatives)
+        return ShardTiming(
+            backend, wall_seconds, n_jobs, n_superjobs, stages, is_chain
+        )
+
+    def _job_reports(
+        self,
+        representatives: Sequence[tuple[Pipeline, Schedule]],
+        job_template: Sequence[int],
+        finish: Sequence[float],
+    ) -> tuple[ExecutionReport, ...]:
+        """Every job's report: its template's fields, derived once per
+        template and shared (never copied) by its replicas, plus the
+        job's own completion time."""
+        templates = [
+            self._job_report(p, s, self._eq1_overhead(p, s), 0.0)
+            for p, s in representatives
+        ]
+        fields = [
+            (t.phase_seconds, t.phase_times, t.scheduling_overhead, t.assignments)
+            for t in templates
+        ]
+        report = ExecutionReport
+        return tuple(
+            [
+                report(phases, times, overhead, total, assignments)
+                for (phases, times, overhead, assignments), total in zip(
+                    map(fields.__getitem__, job_template), finish
+                )
+            ]
+        )
+
     def _shard_lane_names(
-        self, shard_jobs: Sequence[tuple[Pipeline, Schedule]]
+        self, representatives: Sequence[tuple[Pipeline, Schedule]]
     ) -> set[str]:
         """All device/wire lane names the shard's schedules can occupy."""
         lanes: set[str] = set()
-        for schedule in {
-            id(schedule): schedule for _pipeline, schedule in shard_jobs
-        }.values():
+        for _pipeline, schedule in representatives:
             lanes.update(self.schedule_lanes(schedule))
         return lanes
 
     def _simulate_faulted_shard(
         self,
-        shard_jobs: Sequence[tuple[Pipeline, Schedule]],
+        shard_jobs: "_backends.ShardJobs",
         indices: Sequence[int],
         shard_arrivals: Sequence[float] | None,
         forced,
         lane_log: dict[str, list[tuple[float, float]]],
         faults: "FaultPlan",
         failures: list,
-    ) -> tuple[str, list[ExecutionReport], float, int]:
+    ) -> tuple[str, list[float], float, int]:
         """Simulate a shard whose lanes carry fault-plan events.
 
         Only the fault-aware generator engine understands outage and
@@ -780,7 +844,9 @@ class PipelineExecutor:
         if forced is not None and forced.name != _ENGINE_BACKEND:
             reason = (
                 _backends.FAULTED_SHARD_REASON
-                if faults.affects_lethally(self._shard_lane_names(shard_jobs))
+                if faults.affects_lethally(
+                    self._shard_lane_names(shard_jobs.representatives)
+                )
                 else _backends.SLOWDOWN_SHARD_REASON
             )
             raise SimulationError(
@@ -793,7 +859,7 @@ class PipelineExecutor:
         def record(lane, _label, start, end):
             lane_log.setdefault(lane, []).append((start, end))
 
-        shard_reports, shard_makespan = self._execute_batch_engine(
+        shard_finish, shard_makespan = self._execute_batch_engine(
             shard_jobs,
             list(indices),
             record,
@@ -801,7 +867,7 @@ class PipelineExecutor:
             fault_plan=faults,
             failures=failures,
         )
-        return _ENGINE_BACKEND, shard_reports, shard_makespan, 0
+        return _ENGINE_BACKEND, shard_finish, shard_makespan, 0
 
     @staticmethod
     def _freeze_lanes(
@@ -811,13 +877,13 @@ class PipelineExecutor:
 
     @staticmethod
     def _shard_stage_count(
-        shard_jobs: Sequence[tuple[Pipeline, Schedule]]
+        representatives: Sequence[tuple[Pipeline, Schedule]]
     ) -> int:
         """Total stages across the shard's *distinct* pipeline objects
         (replicas coalesce by identity, so a 16k-replica super-job
         counts its template once)."""
         distinct = {
-            id(pipeline): pipeline for pipeline, _schedule in shard_jobs
+            id(pipeline): pipeline for pipeline, _schedule in representatives
         }
         return sum(
             len(pipeline.stage_names) for pipeline in distinct.values()
@@ -828,18 +894,23 @@ class PipelineExecutor:
     # ------------------------------------------------------------------
     @staticmethod
     def _contention_shards(
-        jobs: Sequence[tuple[Pipeline, Schedule]]
-    ) -> list[list[int]]:
-        """Partition job indices into contention components.
+        representatives: Sequence[tuple[Pipeline, Schedule]],
+        job_template: Sequence[int],
+    ) -> list[tuple[list[int], Sequence[int]]]:
+        """Partition the batch into contention components, as
+        ``(template ids, job indices)`` per shard.
 
         Two jobs land in the same shard iff their placements share a
         device or a boundary wire (transitively).  Disjoint resource
         sets mean disjoint event graphs: no acquire of one shard can
         ever delay — or reorder a grant of — another, so running each
         shard on its own engine reproduces the shared engine's floats
-        exactly.  Shards preserve submission order.
+        exactly.  Resource sets are a pure function of the schedule, so
+        the union-find runs over the templates (numbered in order of
+        first appearance), and only a batch of several shards walks its
+        jobs once to split them.  Shards preserve submission order.
         """
-        parent = list(range(len(jobs)))
+        parent = list(range(len(representatives)))
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -847,40 +918,37 @@ class PipelineExecutor:
                 i = parent[i]
             return i
 
-        # Resource sets are a pure function of the schedule, so compute
-        # them once per distinct schedule object (duplicate jobs share
-        # the object through the framework's caches).
-        touched: dict[int, tuple] = {}
         owner: dict[object, int] = {}
-        for i, (_pipeline, schedule) in enumerate(jobs):
-            keys = touched.get(id(schedule))
-            if keys is None:
-                key_set: set = set(schedule.assignments.values())
-                for pair in schedule.crossing_pairs:
-                    key_set.add(frozenset(pair))
-                keys = touched[id(schedule)] = tuple(key_set)
+        for template, (_pipeline, schedule) in enumerate(representatives):
+            keys: set = set(schedule.assignments.values())
+            for pair in schedule.crossing_pairs:
+                keys.add(frozenset(pair))
             for key in keys:
-                claimant = owner.get(key)
-                if claimant is None:
-                    owner[key] = i
-                else:
-                    root_a, root_b = find(i), find(claimant)
-                    if root_a != root_b:
-                        parent[root_b] = root_a
-        shards: dict[int, list[int]] = {}
-        for i in range(len(jobs)):
-            shards.setdefault(find(i), []).append(i)
-        return list(shards.values())
+                claimant = owner.setdefault(key, template)
+                root_a, root_b = find(template), find(claimant)
+                if root_a != root_b:
+                    parent[root_b] = root_a
+        by_root: dict[int, list[int]] = {}
+        for template in range(len(representatives)):
+            by_root.setdefault(find(template), []).append(template)
+        shard_templates = list(by_root.values())
+        if len(shard_templates) == 1:
+            return [(shard_templates[0], range(len(job_template)))]
+        shard_of = {t: s for s, ts in enumerate(shard_templates) for t in ts}
+        indices: list[list[int]] = [[] for _ in shard_templates]
+        for i, template in enumerate(job_template):
+            indices[shard_of[template]].append(i)
+        return list(zip(shard_templates, indices))
 
     def _simulate_shard(
         self,
-        shard_jobs: list[tuple[Pipeline, Schedule]],
+        shard_jobs: "_backends.ShardJobs",
         shard_arrivals: list[float] | None,
         coalesce: bool,
         forced: "_backends.SimulationBackend | None",
         lane_log: dict[str, list[tuple[float, float]]],
         tuner: BackendTuner | None = None,
-    ) -> tuple[str, list[ExecutionReport], float, int]:
+    ) -> tuple[str, list[float], float, int]:
         """Time one contention shard through the backend layer.
 
         The default walk tries every registered backend in preference
@@ -895,31 +963,35 @@ class PipelineExecutor:
         backend's reason — when it cannot simulate the shard.
         ``lane_log`` collects the shard's per-lane occupancy intervals
         (shards touch disjoint resource sets, so the per-shard entries
-        never interleave).  Returns the chosen backend's name, the
-        per-job reports in shard order, the shard makespan, and the
-        super-job count.
+        never interleave).  ``supports``, the tuner and the refusal
+        reason see the shard's representative jobs, one per super-job.
+        Returns the chosen backend's name, the per-job completion times
+        in shard order, the shard makespan, and the super-job count.
         """
+        representatives = shard_jobs.representatives
         if forced is not None:
             candidates: tuple = (forced,)
         elif coalesce:
             candidates = _backends.iter_backends()
             if tuner is not None:
-                candidates = tuner.order(self, shard_jobs, candidates)
+                candidates = tuner.order(
+                    self, len(shard_jobs), representatives, candidates
+                )
         else:
             candidates = (_backends.get_backend(_ENGINE_BACKEND),)
         for candidate in candidates:
-            if not candidate.supports(self, shard_jobs):
+            if not candidate.supports(self, representatives):
                 continue
             result = candidate.simulate(
                 self, shard_jobs, shard_arrivals, lane_log
             )
             if result is not None:
-                reports, makespan, groups = result
-                return candidate.name, reports, makespan, groups
+                finish, makespan, groups = result
+                return candidate.name, finish, makespan, groups
         refused = candidates[-1]
         describe = getattr(refused, "unsupported_reason", None)
         reason = (
-            describe(self, shard_jobs)
+            describe(self, representatives)
             if describe is not None
             else "unsupported shape or zero-duration task"
         )
@@ -974,7 +1046,7 @@ class PipelineExecutor:
         pipeline: Pipeline,
         schedule: Schedule,
         resource_ids: dict[object, int],
-    ) -> tuple[list[tuple[int, float, int]] | None, float]:
+    ) -> list[tuple[int, float, int]] | None:
         """Flatten one single-chain job into FIFO-replay tasks.
 
         Tasks are ``(resource index, duration, entry_hop)`` in chain
@@ -982,15 +1054,12 @@ class PipelineExecutor:
         engine's same-instant cascade distance from the previous task's
         completion to this task's acquire (1 within a stage, 2 across a
         stage boundary; see :func:`repro.hw.engine.replay_chain_batch`).
-        The job total comes from :meth:`_eq1_overhead` (the one
-        scheduler-order summation).
 
-        Returns ``(None, overhead)`` when any duration is non-positive:
-        the replay's banded tie-handling assumes time strictly advances
-        per occupancy, so zero-cost tasks (possible only under degenerate
+        Returns ``None`` when any duration is non-positive: the replay's
+        banded tie-handling assumes time strictly advances per
+        occupancy, so zero-cost tasks (possible only under degenerate
         custom cost models) fall back to the generator engine.
         """
-        overhead_total = self._eq1_overhead(pipeline, schedule)
         tasks: list[tuple[int, float, int]] = []
         for name in pipeline.topological_order:
             stage_tasks = self._flatten_stage(
@@ -1004,8 +1073,8 @@ class PipelineExecutor:
             )
             tasks.append((device, duration, entry_hop))
         if any(duration <= 0.0 for _res, duration, _hop in tasks):
-            return None, overhead_total
-        return tasks, overhead_total
+            return None
+        return tasks
 
     def _execute_batch_engine(
         self,
@@ -1015,11 +1084,12 @@ class PipelineExecutor:
         shard_arrivals: Sequence[float] | None,
         fault_plan: "FaultPlan | None" = None,
         failures: list | None = None,
-    ) -> tuple[list[ExecutionReport], float]:
+    ) -> tuple[list[float], float]:
         """The uncollapsed path: every job of ``shard_jobs`` as stage
         processes on one shared engine (the pre-coalescing semantics,
         and the reference the fast paths are verified against).
-        ``labels`` carries the submission indices for trace prefixes.
+        Returns per-job completion times and the makespan.  ``labels``
+        carries the submission indices for trace prefixes.
 
         With a ``fault_plan``, each job gets a shared mutable fault
         state: the first task of the job hit by an outage window or a
@@ -1053,7 +1123,7 @@ class PipelineExecutor:
             if plan is None:
                 plan = self._transfer_plan(engine, links, pipeline, schedule)
                 plans[plan_key] = plan
-            processes, overhead_total = self._spawn_job(
+            processes, _overhead = self._spawn_job(
                 engine,
                 devices,
                 pipeline,
@@ -1068,14 +1138,9 @@ class PipelineExecutor:
                 fault_plan=fault_plan,
                 fault_state=None if states is None else states[position],
             )
-            spawned.append((pipeline, schedule, processes, overhead_total))
+            spawned.append(processes)
         makespan = engine.run()
-        job_reports = [
-            self._job_report(
-                pipeline, schedule, overhead_total, self._finish_time(processes)
-            )
-            for pipeline, schedule, processes, overhead_total in spawned
-        ]
+        finish = [self._finish_time(processes) for processes in spawned]
         if states is not None and failures is not None:
             for position, state in enumerate(states):
                 if state.failed_at is not None:
@@ -1088,7 +1153,7 @@ class PipelineExecutor:
                             completed_stages=tuple(sorted(state.completed)),
                         )
                     )
-        return job_reports, makespan
+        return finish, makespan
 
     @staticmethod
     def schedule_lanes(schedule: Schedule) -> tuple[str, ...]:

@@ -24,32 +24,28 @@ mode a DFT-as-a-service deployment runs in.  Passing ``arrivals``
 turns the batch into an open queue and the result additionally reports
 p50/p99 completion latency and per-job queueing delay.
 
-Serving fast path: every artifact the framework derives per job — the
-built pipeline, the cost-aware schedule, the SCA reports, and the
-standalone (solo) DES report — is a pure function of the job's
-content-addressed :class:`~repro.core.signature.JobSignature`, so the
-framework memoizes all four in bounded LRU caches
-(``cache_size`` entries each, eviction counted in ``cache_stats``).
-``run_many([512] * 256)`` schedules, analyzes and solo-times the
-512-atom job exactly once; the shared batch simulation itself is scaled
-out by the executor (signature-coalesced super-jobs, contention-sharded
-engines — bit-identical to the plain shared engine), and cold
-placements of never-seen sizes warm-start the exact DP from the nearest
-same-structure neighbor.  The caches live on the framework, compose
-across calls, and are dropped whenever
-:meth:`NdftFramework.register_target` changes the machine registry.
-``NdftFramework(memoize=False)`` is the escape hatch that re-derives
-everything per job — the serving benchmark
-(:mod:`repro.experiments.scale_serving`) uses it as the "before"
-measurement and asserts the results are identical either way.
+Serving fast path: the batch front end is columnar.  Each distinct
+batch entry is resolved once per call — built pipeline, cost-aware
+schedule, solo DES report, SCA reports — and every artifact is a pure
+function of the content-addressed
+:class:`~repro.core.signature.JobSignature`, memoized across calls in
+bounded LRU caches (``cache_size`` entries each; cold placements
+warm-start the exact DP from the nearest same-structure size).  So
+``run_many([512] * 256)`` derives the 512-atom job once, the executor
+simulates its replicas as one super-job, and only the reports are per
+job.  :meth:`NdftFramework.register_target` drops the caches;
+``NdftFramework(memoize=False)`` re-derives everything per job — the
+serving benchmark's (:mod:`repro.experiments.scale_serving`) "before"
+measurement, asserted identical.
 """
 
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from repro.core.arrivals import (
     AdmissionDecision,
@@ -135,6 +131,18 @@ class NdftRunResult:
 
     def breakdown(self) -> dict[str, float]:
         return self.report.breakdown()
+
+
+@dataclass(slots=True)
+class _Entry:
+    """One distinct batch entry, resolved once per call for all its jobs."""
+
+    problem: ProblemSize
+    pipeline: Pipeline
+    signature: JobSignature | None
+    schedule: Schedule
+    built: bool  # resolving it consulted the pipeline cache
+    solo: ExecutionReport | None = None
 
 
 @dataclass(frozen=True)
@@ -358,6 +366,10 @@ class NdftBatchResult:
         )
 
 
+_T = TypeVar("_T")
+_schedule_lanes = PipelineExecutor.schedule_lanes
+
+
 class NdftFramework:
     """NDFT on the Table III CPU-NDP system.
 
@@ -485,7 +497,14 @@ class NdftFramework:
     def cache_stats(self) -> dict[str, int]:
         """Per-cache hit/miss/eviction counters plus placement-DP
         warm-start telemetry (observability for the serving benchmark
-        and the memoization tests).  Counters survive cache clears."""
+        and the memoization tests).  Counters survive cache clears.
+
+        Duplicates count as hits: :meth:`run_many` resolves each
+        distinct entry once per call, and each further job counts one hit
+        on every cache its own lookup would consult (pipeline for sizes;
+        signature, schedule, solo; SCA once executed).  Only under
+        eviction (distinct entries overflowing ``cache_size``) can a
+        duplicate hit where a per-job lookup would miss; results agree."""
         stats: dict[str, int] = {}
         for kind, cache in (
             ("pipeline", self._pipeline_cache),
@@ -800,16 +819,7 @@ class NdftFramework:
         cannot alias, and registry changes clear the cache through
         :meth:`register_target`."""
         registry_fp, cost_fp = self.fingerprints()
-        if not self.memoize:
-            return job_signature(
-                pipeline,
-                self.policy,
-                self.scheduler,
-                self.cost_model,
-                registry_fp=registry_fp,
-                cost_fp=cost_fp,
-            )
-        entry = self._signature_cache.get(id(pipeline))
+        entry = self._signature_cache.get(id(pipeline)) if self.memoize else None
         if entry is not None and entry[0] is pipeline:
             return entry[1]
         signature = job_signature(
@@ -820,7 +830,8 @@ class NdftFramework:
             registry_fp=registry_fp,
             cost_fp=cost_fp,
         )
-        self._signature_cache.put(id(pipeline), (pipeline, signature))
+        if self.memoize:
+            self._signature_cache.put(id(pipeline), (pipeline, signature))
         return signature
 
     # ------------------------------------------------------------------
@@ -834,11 +845,17 @@ class NdftFramework:
     ) -> NdftRunResult:
         """Schedule + execute LR-TDDFT for Si_{n_atoms} on the CPU-NDP
         system and account its memory."""
-        problem, pipeline = self._resolve_job(n_atoms, problem, pipeline)
-        signature = self.job_signature(pipeline) if self.memoize else None
-        schedule = self._schedule_for(pipeline, signature)
-        report = self._solo_report(pipeline, schedule, signature)
-        return self._run_result(problem, pipeline, schedule, report)
+        if problem is None:
+            if pipeline is not None:
+                problem = pipeline.problem
+            elif n_atoms is not None:
+                problem = problem_size(n_atoms)
+            else:
+                raise ConfigError("pass n_atoms, problem or pipeline")
+        pipeline = pipeline or self._build_pipeline(problem, build_pipeline)
+        entry = self._entry(problem, pipeline, built=False)
+        entry.solo = self._solo_report(pipeline, entry.schedule, entry.signature)
+        return self._assemble([entry], [0], (entry.solo,))[0]
 
     # ------------------------------------------------------------------
     # Batched jobs
@@ -891,10 +908,10 @@ class NdftFramework:
         standard generator); the result then reports completion-latency
         percentiles and queueing delays.
 
-        With memoization on (the default), duplicate jobs in the batch
-        are deduplicated through the signature caches: each distinct
-        signature is built, scheduled, analyzed and solo-timed once, and
-        only the shared-machine simulation sees every submitted job.
+        The front end is columnar: each distinct entry (atom counts by
+        value, problems and pipelines by identity) is resolved once per
+        call into a table each job indexes; only the simulation and the
+        eager report and :class:`NdftRunResult` remain per job.
         ``coalesce``/``shard`` control the executor's scale-out fast
         path (signature-coalesced super-jobs, contention-sharded
         engines); ``backend`` forces one named simulation backend for
@@ -944,47 +961,24 @@ class NdftFramework:
                 "faults= (a FaultPlan) alongside it"
             )
         builder = pipeline_builder or build_pipeline
-        jobs = self._resolve_batch(batch, builder)
-
-        # Solo (dedicated-machine) makespans first: the admission
-        # controller's completion estimates need them, and they are
-        # pure per-signature derivations — computing them before or
-        # after the shared simulation changes nothing.
-        solo_times = tuple(
-            self._solo_report(pipeline, schedule, signature).total_time
-            for _p, pipeline, schedule, signature in jobs
-        )
+        entries, index = self._resolve_batch(batch, builder)
         admission_result = None
         if admission is not None:
-            jobs, arrivals, solo_times, admission_result = self._admit(
-                admission, jobs, arrivals, solo_times
+            index, arrivals, admission_result = self._admit(
+                admission, entries, index, arrivals
             )
-            if not jobs:  # everything shed: nothing to simulate
-                return NdftBatchResult(
-                    jobs=(),
-                    batch_report=BatchExecutionReport(
-                        job_reports=(),
-                        makespan=0.0,
-                        arrivals=(),
-                        n_shards=0,
-                        n_superjobs=0,
-                    ),
-                    solo_times=(),
-                    admission=admission_result,
-                    resilience=(
-                        None
-                        if faults is None
-                        else ResilienceReport(
-                            plan=faults, retry=retry or RetryPolicy()
-                        )
-                    ),
+            if not index:  # everything shed: nothing to simulate
+                empty = BatchExecutionReport((), 0.0, arrivals=(), n_shards=0)
+                resilience = None if faults is None else ResilienceReport(
+                    plan=faults, retry=retry or RetryPolicy()
                 )
+                return NdftBatchResult((), empty, (), admission_result, resilience)
 
         if faults is not None:
             return self._run_resilient(
-                jobs,
+                entries,
+                index,
                 arrivals,
-                solo_times,
                 faults,
                 retry or RetryPolicy(),
                 coalesce,
@@ -994,60 +988,84 @@ class NdftFramework:
             )
 
         batch_report = self.executor.execute_many(
-            [(pipeline, schedule) for _p, pipeline, schedule, _s in jobs],
+            _per_job([(e.pipeline, e.schedule) for e in entries], index),
             arrivals=arrivals,
             coalesce=coalesce,
             shard=shard,
             backend=backend,
             tuner=self._backend_tuner,
         )
-        for name, count in batch_report.backend_jobs.items():
-            self._backend_jobs[name] = self._backend_jobs.get(name, 0) + count
-        for name, wall in batch_report.backend_wall_seconds.items():
-            self._backend_wall[name] = (
-                self._backend_wall.get(name, 0.0) + wall
-            )
-        results = tuple(
-            self._run_result(problem, pipeline, schedule, report)
-            for (problem, pipeline, schedule, _s), report in zip(
-                jobs, batch_report.job_reports
-            )
-        )
+        self._record_backends(batch_report)
         return NdftBatchResult(
-            jobs=results,
+            jobs=self._assemble(entries, index, batch_report.job_reports),
             batch_report=batch_report,
-            solo_times=solo_times,
+            solo_times=_per_job([e.solo.total_time for e in entries], index),
             admission=admission_result,
         )
+
+    def _record_backends(self, report: BatchExecutionReport) -> None:
+        """Fold one simulation's per-backend counters into the stats."""
+        for name, count in report.backend_jobs.items():
+            self._backend_jobs[name] = self._backend_jobs.get(name, 0) + count
+        for name, wall in report.backend_wall_seconds.items():
+            self._backend_wall[name] = self._backend_wall.get(name, 0.0) + wall
 
     def _resolve_batch(
         self,
         batch: Sequence[int | ProblemSize | Pipeline],
         builder: Callable[[ProblemSize], Pipeline],
-    ) -> list[tuple[ProblemSize, Pipeline, Schedule, JobSignature | None]]:
-        """Resolve batch entries (atom counts, problems, pipelines) into
-        scheduled jobs, deduplicating through the signature caches when
-        memoization is on.  Shared by :meth:`run_many` and
+    ) -> tuple[list[_Entry], list[int]]:
+        """The per-call table: each distinct entry resolved once, in
+        order of first appearance (see :meth:`run_many`), and each
+        job's index into it; duplicates are credited as cache hits (see
+        :attr:`cache_stats`).  Shared by :meth:`run_many` and
         :meth:`job_estimates` so both see identical jobs."""
-        problems: dict[int, ProblemSize] = {}
-        jobs: list[
-            tuple[ProblemSize, Pipeline, Schedule, JobSignature | None]
-        ] = []
+        entries: list[_Entry] = []
+        index: list[int] = []
+        by_value: dict = {}
+        # Each id's object is pinned by its entry, so ids cannot recycle.
+        by_object: dict[int, int] = {}
         for entry in batch:
-            if isinstance(entry, Pipeline):
-                problem, pipeline = entry.problem, entry
-            elif isinstance(entry, ProblemSize):
-                problem, pipeline = entry, self._build_pipeline(entry, builder)
+            if isinstance(entry, (Pipeline, ProblemSize)):
+                seen, key = by_object, id(entry)
             else:
-                problem = problems.get(entry) if self.memoize else None
-                if problem is None:
-                    problem = problem_size(entry)
-                    problems[entry] = problem
-                pipeline = self._build_pipeline(problem, builder)
-            signature = self.job_signature(pipeline) if self.memoize else None
-            schedule = self._schedule_for(pipeline, signature)
-            jobs.append((problem, pipeline, schedule, signature))
-        return jobs
+                seen, key = by_value, entry
+            position = seen.get(key) if self.memoize else None
+            if position is None:
+                position = seen[key] = len(entries)
+                if isinstance(entry, Pipeline):
+                    entries.append(self._entry(entry.problem, entry, False))
+                else:
+                    problem = (
+                        entry if isinstance(entry, ProblemSize) else problem_size(entry)
+                    )
+                    pipeline = self._build_pipeline(problem, builder)
+                    entries.append(self._entry(problem, pipeline, True))
+            index.append(position)
+        # Solo runs after every placement, as its own phase (keeping each
+        # phase's working set hot is measurably faster on cold batches).
+        for e in entries:
+            e.solo = self._solo_report(e.pipeline, e.schedule, e.signature)
+        duplicates = len(index) - len(entries)
+        if duplicates:
+            counts = Counter(index).values()
+            self._pipeline_cache.hits += sum(
+                (count - 1) * e.built for e, count in zip(entries, counts)
+            )
+            for cache in (
+                self._signature_cache,
+                self._schedule_cache,
+                self._solo_report_cache,
+            ):
+                cache.hits += duplicates
+        return entries, index
+
+    def _entry(
+        self, problem: ProblemSize, pipeline: Pipeline, built: bool
+    ) -> _Entry:
+        signature = self.job_signature(pipeline) if self.memoize else None
+        schedule = self._schedule_for(pipeline, signature)
+        return _Entry(problem, pipeline, signature, schedule, built)
 
     def job_estimates(
         self,
@@ -1059,28 +1077,23 @@ class NdftFramework:
         each job's dedicated-machine DES makespan and the device/wire
         lane names its placement occupies.  The admission controller
         and the fleet router (:mod:`repro.fleet`) share exactly these
-        estimates, so routing and shedding predict with one model, and
-        every derivation rides the ordinary signature caches (a size
-        seen before costs a lookup)."""
+        estimates, so routing and shedding predict with one model; both
+        come once per entry of :meth:`run_many`'s per-call table, and
+        ride the signature caches (a size seen before costs a lookup)."""
         if not batch:
             raise ConfigError("job_estimates needs at least one job")
         builder = pipeline_builder or build_pipeline
-        jobs = self._resolve_batch(batch, builder)
-        solo_times = tuple(
-            self._solo_report(pipeline, schedule, signature).total_time
-            for _p, pipeline, schedule, signature in jobs
+        entries, index = self._resolve_batch(batch, builder)
+        return (
+            _per_job([e.solo.total_time for e in entries], index),
+            _per_job([_schedule_lanes(e.schedule) for e in entries], index),
         )
-        lanes = tuple(
-            PipelineExecutor.schedule_lanes(schedule)
-            for _p, _pipe, schedule, _s in jobs
-        )
-        return solo_times, lanes
 
     def _run_resilient(
         self,
-        jobs: list,
+        entries: list[_Entry],
+        index: list[int],
         arrivals: Sequence[float] | None,
-        solo_times: tuple[float, ...],
         faults: FaultPlan,
         retry: RetryPolicy,
         coalesce: bool,
@@ -1116,7 +1129,7 @@ class NdftFramework:
         schedule's stage times — surfaces as
         :attr:`ResilienceReport.work_saved_seconds`.
         """
-        n = len(jobs)
+        n = len(index)
         releases0 = (
             [0.0] * n if arrivals is None else [float(a) for a in arrivals]
         )
@@ -1136,15 +1149,20 @@ class NdftFramework:
         # residual's schedule and solo numbers persist across calls via
         # the ordinary content-derived signature caches.
         residuals: dict[tuple[int, tuple[str, ...]], tuple] = {}
+        # One shared (pipeline, schedule) pair per entry: plain runs hand
+        # it over, so the executor groups them at C speed.
+        pairs = [(e.pipeline, e.schedule) for e in entries]
 
         def resolve_run(job_index: int, release: float, frontier: tuple):
-            """The (pipeline, signature, schedule, exclusion, degraded?,
-            work_saved) for one run.  A non-empty ``frontier`` swaps in
-            the residual pipeline past the checkpointed stages; dead-at-
-            release targets are excluded iff the run's placement touches
-            one (a placement clear of every dead lane cannot suffer a
-            permanent failure, so re-solving would change nothing)."""
-            _problem, pipeline, schedule, signature = jobs[job_index]
+            """The ((pipeline, schedule), signature, exclusion,
+            degraded?, work_saved) for one run.  A non-empty
+            ``frontier`` swaps in the residual pipeline past the
+            checkpointed stages; dead-at-release targets are excluded
+            iff the run's placement touches one (a placement clear of
+            every dead lane cannot suffer a permanent failure, so
+            re-solving would change nothing)."""
+            pipeline, schedule = pair = pairs[index[job_index]]
+            signature = entries[index[job_index]].signature
             work_saved = 0.0
             if frontier:
                 base_times = schedule.stage_times
@@ -1169,9 +1187,10 @@ class NdftFramework:
                 p for p, death in dead_at.items() if death <= release
             )
             if not excl or not (excl & set(schedule.assignments.values())):
-                return pipeline, signature, schedule, frozenset(), False, work_saved
+                job = (pipeline, schedule) if frontier else pair
+                return job, signature, frozenset(), False, work_saved
             degraded = self._schedule_for(pipeline, signature, exclude=excl)
-            return pipeline, signature, degraded, excl, True, work_saved
+            return (pipeline, degraded), signature, excl, True, work_saved
 
         base_runs = [(i, 1, releases0[i], ()) for i in range(n)]
         runs = base_runs
@@ -1184,7 +1203,7 @@ class NdftFramework:
             run_meta = []
             for job_index, _attempt, release, frontier in runs:
                 resolved = resolve_run(job_index, release, frontier)
-                sim_jobs.append((resolved[0], resolved[2]))
+                sim_jobs.append(resolved[0])
                 run_meta.append(resolved)
             # The base round of a closed batch must be the exact no-plan
             # submission (arrivals=None, not explicit zeros): the empty-
@@ -1241,10 +1260,7 @@ class NdftFramework:
                 f"{max_rounds} rounds"
             )
 
-        for name, count in report.backend_jobs.items():
-            self._backend_jobs[name] = self._backend_jobs.get(name, 0) + count
-        for name, wall in report.backend_wall_seconds.items():
-            self._backend_wall[name] = self._backend_wall.get(name, 0.0) + wall
+        self._record_backends(report)
 
         # Outcomes: each job has at most one non-failed run (its last
         # attempt); every run of the converged round becomes an
@@ -1255,8 +1271,8 @@ class NdftFramework:
             runs
         ):
             failure = failed_runs.get(position)
-            degraded = run_meta[position][4]
-            work_saved = run_meta[position][5]
+            degraded = run_meta[position][3]
+            work_saved = run_meta[position][4]
             if failure is None:
                 completed[job_index] = position
             records.append(
@@ -1276,23 +1292,19 @@ class NdftFramework:
         abandoned = tuple(
             job_index for job_index in range(n) if job_index not in completed
         )
-        end_to_end: list[float | None] = []
-        for job_index in range(n):
-            position = completed.get(job_index)
-            if position is None:
-                end_to_end.append(None)
-            else:
-                end_to_end.append(
-                    report.job_reports[position].total_time
-                    - releases0[job_index]
-                )
+        end_to_end = tuple(
+            report.job_reports[completed[i]].total_time - releases0[i]
+            if i in completed
+            else None
+            for i in range(n)
+        )
         resilience = ResilienceReport(
             plan=faults,
             retry=retry,
             attempts=tuple(records),
             submitted=n,
             abandoned_jobs=abandoned,
-            end_to_end_latencies=tuple(end_to_end),
+            end_to_end_latencies=end_to_end,
             busy_span=report.busy_span,
         )
 
@@ -1320,30 +1332,24 @@ class NdftFramework:
             backend_timings=report.backend_timings,
             failures=report.failures,
         )
-        results = []
-        kept_solo = []
+        # A degraded or resumed run ran its own (pipeline, schedule), so
+        # it assembles from a one-run entry of its own.
+        run_entries = list(entries)
+        run_index = []
         for job_index in kept:
-            position = completed[job_index]
-            problem = jobs[job_index][0]
-            pipeline, signature, schedule, excl, degraded, _saved = run_meta[
-                position
-            ]
-            resumed = pipeline is not jobs[job_index][1]
-            if degraded or resumed:
-                excl_key = tuple(sorted(p.value for p in excl))
-                solo_key = (
-                    None if signature is None else (signature, excl_key)
-                )
-                solo = self._solo_report(
-                    pipeline, schedule, signature, cache_key=solo_key
-                ).total_time
-            else:
-                solo = solo_times[job_index]
-            kept_solo.append(solo)
-            results.append(
-                self._run_result(
-                    problem, pipeline, schedule, report.job_reports[position]
-                )
+            entry = entries[index[job_index]]
+            job, signature, excl, degraded, _saved = run_meta[completed[job_index]]
+            pipeline, schedule = job
+            if not degraded and pipeline is entry.pipeline:
+                run_index.append(index[job_index])
+                continue
+            excl_key = tuple(sorted(p.value for p in excl))
+            solo = self._solo_report(
+                pipeline, schedule, signature, cache_key=(signature, excl_key)
+            )
+            run_index.append(len(run_entries))
+            run_entries.append(
+                _Entry(entry.problem, pipeline, signature, schedule, False, solo)
             )
         if admission_result is not None and abandoned:
             # Abandoned jobs shift the surviving jobs' positions; the
@@ -1358,9 +1364,9 @@ class NdftFramework:
                 ),
             )
         return NdftBatchResult(
-            jobs=tuple(results),
+            jobs=self._assemble(run_entries, run_index, kept_reports),
             batch_report=batch_report,
-            solo_times=tuple(kept_solo),
+            solo_times=_per_job([e.solo.total_time for e in run_entries], run_index),
             admission=admission_result,
             resilience=resilience,
         )
@@ -1368,32 +1374,30 @@ class NdftFramework:
     def _admit(
         self,
         admission: AdmissionPolicy,
-        jobs: list,
+        entries: list[_Entry],
+        index: list[int],
         arrivals: Sequence[float] | None,
-        solo_times: tuple[float, ...],
-    ) -> tuple[list, list[float], tuple[float, ...], AdmissionResult]:
+    ) -> tuple[list[int], list[float], AdmissionResult]:
         """Run the admission controller over a resolved batch and
-        return the executed subset: jobs, (possibly deferred) releases,
-        solo times, and the full decision record."""
+        return the executed subset: table indices, (possibly deferred)
+        releases, and the full decision record.  Solo times, lanes and
+        labels are derived once per entry of the table."""
         if arrivals is None:
             raise ConfigError(
                 "admission control acts on an open queue: pass arrivals= "
                 "(e.g. poisson_arrivals) alongside admission="
             )
         arrivals = [float(offset) for offset in arrivals]
-        if len(arrivals) != len(jobs):
+        if len(arrivals) != len(index):
             raise ConfigError(
-                f"{len(jobs)} jobs but {len(arrivals)} arrival offsets"
+                f"{len(index)} jobs but {len(arrivals)} arrival offsets"
             )
         decisions = plan_admission(
             admission,
             arrivals,
-            solo_times,
-            [
-                PipelineExecutor.schedule_lanes(schedule)
-                for _p, _pipe, schedule, _s in jobs
-            ],
-            [problem.label for problem, _pipe, _s, _sig in jobs],
+            _per_job([e.solo.total_time for e in entries], index),
+            _per_job([_schedule_lanes(e.schedule) for e in entries], index),
+            _per_job([e.problem.label for e in entries], index),
         )
         executed = [
             i
@@ -1411,29 +1415,23 @@ class NdftFramework:
             counted_indices=counted,
         )
         return (
-            [jobs[i] for i in executed],
+            [index[i] for i in executed],
             [decisions[i].release for i in executed],
-            tuple(solo_times[i] for i in executed),
             admission_result,
         )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _resolve_job(
-        self,
-        n_atoms: int | None,
-        problem: ProblemSize | None,
-        pipeline: Pipeline | None,
-    ) -> tuple[ProblemSize, Pipeline]:
-        if problem is None:
-            if pipeline is not None:
-                problem = pipeline.problem
-            elif n_atoms is not None:
-                problem = problem_size(n_atoms)
-            else:
-                raise ConfigError("pass n_atoms, problem or pipeline")
-        return problem, pipeline or self._build_pipeline(problem, build_pipeline)
+    def _memo(self, cache: LruCache, key, derive: Callable[[], _T]) -> _T:
+        """``derive()``, memoized under ``key`` unless memoize is off or key is None."""
+        if not self.memoize or key is None:
+            return derive()
+        value = cache.get(key)
+        if value is None:
+            value = derive()
+            cache.put(key, value)
+        return value
 
     def _build_pipeline(
         self,
@@ -1443,14 +1441,9 @@ class NdftFramework:
         """Build (or reuse) the pipeline for one problem/builder pair.
         Sharing the built object also shares its cached structural hash,
         so duplicate batch entries hash once."""
-        if not self.memoize:
-            return builder(problem)
-        key = (problem, builder)
-        pipeline = self._pipeline_cache.get(key)
-        if pipeline is None:
-            pipeline = builder(problem)
-            self._pipeline_cache.put(key, pipeline)
-        return pipeline
+        return self._memo(
+            self._pipeline_cache, (problem, builder), lambda: builder(problem)
+        )
 
     def _schedule_for(
         self,
@@ -1563,55 +1556,62 @@ class NdftFramework:
         — the degraded-placement path keys solo reports by
         ``(signature, exclusion)`` so they never collide with the
         healthy schedule's numbers."""
-        if signature is None:
-            return self.executor.execute(pipeline, schedule)
-        key = signature if cache_key is None else cache_key
-        report = self._solo_report_cache.get(key)
-        if report is None:
-            report = self.executor.execute(pipeline, schedule)
-            self._solo_report_cache.put(key, report)
-        return report
+        return self._memo(
+            self._solo_report_cache,
+            signature if cache_key is None or signature is None else cache_key,
+            lambda: self.executor.execute(pipeline, schedule),
+        )
 
     def _sca_reports(self, pipeline: Pipeline) -> dict[str, ScaReport]:
         """SCA verdicts for every stage function.  Keyed by structural
         hash alone: the analyzer sees only the pipeline and the rooflines
         fixed at construction, never the target registry."""
-        if not self.memoize:
-            return self.sca.analyze_all(
-                [stage.function for stage in pipeline.stages]
-            )
-        key = pipeline.structural_hash
-        reports = self._sca_cache.get(key)
-        if reports is None:
-            reports = self.sca.analyze_all(
-                [stage.function for stage in pipeline.stages]
-            )
-            self._sca_cache.put(key, reports)
-        return reports
-
-    def _run_result(
-        self,
-        problem: ProblemSize,
-        pipeline: Pipeline,
-        schedule: Schedule,
-        report: ExecutionReport,
-    ) -> NdftRunResult:
-        sca_reports = self._sca_reports(pipeline)
-        footprints = None
-        if self.memoize:
-            footprints = self._footprint_cache.get(problem.n_atoms)
-        if footprints is None:
-            footprints = (
-                footprint_ndft(problem.n_atoms, NDP_RANKS, NDP_STACKS),
-                footprint_replicated(problem.n_atoms, NDP_RANKS),
-            )
-            if self.memoize:
-                self._footprint_cache.put(problem.n_atoms, footprints)
-        return NdftRunResult(
-            problem=problem,
-            schedule=schedule,
-            report=report,
-            sca_reports=sca_reports,
-            memory_footprint_gb=footprints[0],
-            replicated_footprint_gb=footprints[1],
+        return self._memo(
+            self._sca_cache,
+            pipeline.structural_hash if self.memoize else None,
+            lambda: self.sca.analyze_all([s.function for s in pipeline.stages]),
         )
+
+    def _footprints(self, n_atoms: int) -> tuple[float, float]:
+        """``(NDFT, replicated)`` memory footprints of one size."""
+        return self._memo(
+            self._footprint_cache,
+            n_atoms,
+            lambda: (
+                footprint_ndft(n_atoms, NDP_RANKS, NDP_STACKS),
+                footprint_replicated(n_atoms, NDP_RANKS),
+            ),
+        )
+
+    def _assemble(
+        self,
+        entries: list[_Entry],
+        index: list[int],
+        reports: Sequence[ExecutionReport],
+    ) -> tuple[NdftRunResult, ...]:
+        """Every executed job's :class:`NdftRunResult`, built eagerly from
+        its entry's fields and its own report.  SCA reports and footprints
+        resolve once per entry; its other jobs count as cache hits."""
+        fields = {}
+        for position, count in Counter(index).items():
+            entry = entries[position]
+            footprints = self._footprints(entry.problem.n_atoms)
+            sca_reports = self._sca_reports(entry.pipeline)
+            if self.memoize:
+                self._sca_cache.hits += count - 1
+                self._footprint_cache.hits += count - 1
+            fields[position] = (entry.problem, entry.schedule, sca_reports, *footprints)
+        result = NdftRunResult
+        return tuple(
+            [
+                result(problem, schedule, report, sca_reports, memory, replicated)
+                for (problem, schedule, sca_reports, memory, replicated), report
+                in zip(map(fields.__getitem__, index), reports)
+            ]
+        )
+
+
+def _per_job(values: list, index: list[int]) -> tuple:
+    """Spread per-entry ``values`` over the jobs, at C speed."""
+    return tuple(map(values.__getitem__, index))
+

@@ -176,9 +176,16 @@ def dominant_lane(lane_utilization: dict) -> str | None:
 
 def _shed_stats(result: NdftBatchResult) -> tuple[float, int, int]:
     """(shed rate, admitted count, shed count) of one measurement —
-    zeros/full-batch when admission was off."""
+    zeros/full-batch when admission was off.  The full batch is the
+    submitted count: under faults ``result.n_jobs`` counts only the
+    completed jobs, so abandoned ones would vanish from the admitted."""
     if result.admission is None:
-        return 0.0, result.n_jobs, 0
+        submitted = (
+            result.n_jobs
+            if result.resilience is None
+            else result.resilience.submitted
+        )
+        return 0.0, submitted, 0
     report = result.admission
     return report.shed_rate, report.admitted, report.shed
 

@@ -174,6 +174,35 @@ class TestFrameworkMemoization:
         batch = framework.run_many([512, 512])
         assert batch.solo_times == (solo, solo)
 
+    def test_duplicate_heavy_mixed_batch_counters_across_calls(self):
+        """Duplicates resolved once per call still count one hit per job
+        on every cache a per-job lookup consults: atom counts hit the
+        pipeline cache (``64`` and an equal ``ProblemSize`` share one
+        key), a repeated prebuilt pipeline hits the signature cache by
+        identity, and an equal-content distinct pipeline misses it but
+        hits the schedule cache.  Warm starts run only on schedule
+        misses, so duplicates never move them."""
+        framework = _fresh()
+        p64 = problem_size(64)
+        pipe = build_pipeline(problem_size(128))
+        batch = [64, 64, p64, p64, pipe, pipe, 512, 64, 512]
+        framework.run_many(batch)
+        stats = framework.cache_stats
+        assert (stats["pipeline_misses"], stats["pipeline_hits"]) == (2, 5)
+        assert (stats["signature_misses"], stats["signature_hits"]) == (3, 6)
+        for kind in ("schedule", "solo", "sca"):
+            assert (stats[f"{kind}_misses"], stats[f"{kind}_hits"]) == (3, 6)
+        assert (stats["warm_start_misses"], stats["warm_start_hits"]) == (1, 2)
+
+        twin = build_pipeline(problem_size(128))  # equal content, new id
+        framework.run_many([*batch, twin, twin])
+        stats = framework.cache_stats
+        assert (stats["pipeline_misses"], stats["pipeline_hits"]) == (2, 12)
+        assert (stats["signature_misses"], stats["signature_hits"]) == (4, 16)
+        for kind in ("schedule", "solo", "sca"):
+            assert (stats[f"{kind}_misses"], stats[f"{kind}_hits"]) == (3, 17)
+        assert (stats["warm_start_misses"], stats["warm_start_hits"]) == (1, 2)
+
     def test_kpoint_builder_keys_separately_from_chain(self):
         framework = _fresh()
         framework.run_many([64])
