@@ -111,9 +111,8 @@ def test_serving_sweep_emits_bench_json(tmp_path):
     assert payload["metadata"]["platform"]
     for point in payload["points"]:
         # Per-backend breakdown: the all-chain default mix rides the
-        # chain replay for every job (a fresh framework per repeat
-        # means the tuner is always in its explore step, which walks
-        # the static order).
+        # chain replay for every job (a multi-signature shard never
+        # tries vector_replay first, so it walks the registry order).
         assert point["backend_jobs"] == {"chain_replay": point["batch_size"]}
         # Per-backend wall breakdown: same keys, positive seconds.
         assert set(point["backend_wall_seconds"]) == {"chain_replay"}

@@ -42,19 +42,19 @@ scattered through the executor:
                      verified against.
   =================  ==================================================
 
-The static walk takes the first backend that supports the shard and
-does not decline it; results are bit-identical whichever backend runs
+The walk takes the first backend that supports the shard and does not
+decline it; results are bit-identical whichever backend runs
 (property-tested in ``tests/core/test_coalesce_shard.py``,
 ``tests/core/test_dag_replay.py`` and
-``tests/core/test_vector_replay.py``) — which is also why the
-framework's measured auto-tuner
-(:class:`repro.core.executor.BackendTuner`) may freely reorder the
-walk by observed wall time: ``vector_replay`` sits *after*
-``dag_replay`` in the static order, so it is reached by measurement
-(or by forcing), never by default on an unmeasured shard.  Any trace
-observer bypasses the registry entirely — trace consumers need the
-uncollapsed engine's exact event stream.  Additional backends (e.g. a
-C-accelerated calendar) plug in via :func:`register_backend`.
+``tests/core/test_vector_replay.py``), so the walk's order is purely a
+wall-clock choice.  :func:`selection_order` makes it from the shard's
+shape alone, the way the paper's Eq. 1 places a kernel from its own
+properties rather than from trial runs: large closed single-signature
+shards try ``vector_replay`` first, every other shard walks the
+registry order.  Any trace observer bypasses the registry entirely —
+trace consumers need the uncollapsed engine's exact event stream.
+Additional backends (e.g. a C-accelerated calendar) plug in via
+:func:`register_backend`.
 
 Backends may also expose ``unsupported_reason(executor, shard_jobs)``
 returning a human-readable reason a shard cannot be simulated — the
@@ -487,3 +487,32 @@ def get_backend(name: str) -> SimulationBackend:
 
 def iter_backends() -> tuple[SimulationBackend, ...]:
     return tuple(_REGISTRY.values())
+
+
+#: Smallest closed single-signature shard that tries ``vector_replay``
+#: first.  Its numpy set-up costs more than the event replays' per-job
+#: loop on small shards, so it sits between the sizes where
+#: ``vector_replay`` overtakes ``dag_replay`` (k-point) and
+#: ``chain_replay`` (chains); ``benchmarks/test_backend_rule.py`` keeps
+#: auto mode within 1.5x of the fastest backend on either side.
+VECTOR_MIN_JOBS = 64
+
+
+def selection_order(
+    n_jobs: int, n_superjobs: int, closed: bool
+) -> tuple[SimulationBackend, ...]:
+    """The order an unforced shard walks the registry in, from its
+    shape alone.
+
+    A closed shard (no arrivals) of at least :data:`VECTOR_MIN_JOBS`
+    jobs that coalesces into one super-job tries ``vector_replay``
+    first; every other shard walks the registry order, which reaches
+    ``vector_replay`` only after the event replays.  Open shards stay
+    off it because arrival spread interleaves replicas' waves, which it
+    declines on almost every open queue.  A late decline still falls
+    through to the rest of the walk."""
+    backends = iter_backends()
+    if closed and n_superjobs == 1 and n_jobs >= VECTOR_MIN_JOBS:
+        vector = _REGISTRY["vector_replay"]
+        return (vector,) + tuple(b for b in backends if b is not vector)
+    return backends

@@ -31,7 +31,6 @@ timing model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Sequence
@@ -111,19 +110,15 @@ class ShardTiming:
     ``backend`` is the registry name of the backend that actually timed
     the shard; ``wall_seconds`` is host (not virtual) time spent
     simulating it, measured around the whole backend walk including any
-    declined attempts.  The remaining fields are the shard features the
-    measured auto-tuner (:class:`BackendTuner`) buckets on and humans
-    debug with: job count, signature-coalesced super-job count (0 on
-    the uncollapsed engine path), total stage count across the shard's
-    distinct templates, and whether every job is a single chain.
+    declined attempts.  ``n_jobs`` and ``n_superjobs`` are the shard's
+    job count and signature-coalesced super-job count (0 on the
+    uncollapsed engine path).
     """
 
     backend: str
     wall_seconds: float
     n_jobs: int
     n_superjobs: int
-    n_stages: int
-    is_chain: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,9 +155,8 @@ class BatchExecutionReport:
     lane_occupancy: dict[str, tuple[tuple[float, float], ...]] = field(
         default_factory=dict
     )
-    #: Per-shard wall time and shard features, in shard order — the raw
-    #: observability the measured auto-tuner and ``serve-bench``'s
-    #: per-backend breakdown read.
+    #: Per-shard wall time and shard size, in shard order — the raw
+    #: observability ``serve-bench``'s per-backend breakdown reads.
     backend_timings: tuple[ShardTiming, ...] = ()
     #: Runs killed by fault-plan events (:class:`repro.core.faults.
     #: RunFailure`), in deterministic fault-event order; always empty
@@ -255,175 +249,6 @@ class BatchExecutionReport:
         :attr:`repro.core.framework.NdftBatchResult.serial_time` for the
         achievable one-job-at-a-time baseline."""
         return sum(report.serial_time for report in self.job_reports)
-
-
-class BackendTuner:
-    """Measured backend selection: a per-shard-size winner table.
-
-    Static preference order is a correctness fallback chain, not a
-    performance policy — it cannot know that a 16k-replica coalesced
-    shard belongs on ``vector_replay`` while a 2-job shard should stay
-    on the event replays.  Because every backend is bit-identical on
-    every shard it accepts, *routing is free to chase wall time*: the
-    tuner buckets shards by job-count magnitude
-    (``n_jobs.bit_length()``), accumulates observed wall seconds and
-    job counts per backend per bucket, and reorders each shard's
-    candidate walk:
-
-    - **explore** — the first non-engine candidate (static order) that
-      supports the shard but has no measurement in the bucket goes
-      first, so every eligible replay gets measured once per bucket;
-    - **exploit** — otherwise, measured candidates are tried in
-      ascending observed wall-seconds-per-job, unmeasured ones after
-      in static order.
-
-    The engine is never explored proactively (it is the guaranteed
-    fallback and the slowest path at scale), but engine runs that do
-    happen — forced, ``coalesce=False``, or decline fallbacks — are
-    recorded, so buckets where the engine genuinely wins (tiny shards,
-    where replay flattening dominates) route back to it.
-
-    The table is host-performance state, not simulation state: it
-    changes which backend runs, never what any backend returns.  The
-    framework persists it alongside the derivation caches
-    (:meth:`repro.core.framework.NdftFramework.save_caches`) so a
-    warmed service skips re-exploration.
-    """
-
-    __slots__ = ("_samples",)
-
-    def __init__(self) -> None:
-        #: bucket -> backend name -> [wall seconds total, jobs total].
-        self._samples: dict[int, dict[str, list[float]]] = {}
-
-    @staticmethod
-    def bucket(n_jobs: int) -> int:
-        """Shard-size bucket: job-count magnitude (1-2 jobs -> 1-2,
-        3-4 -> 3, ..., 32769-65536 -> 17)."""
-        return n_jobs.bit_length()
-
-    def record(
-        self, n_jobs: int, backend: str, wall_seconds: float
-    ) -> None:
-        """Fold one shard's measured wall time into its size bucket."""
-        cells = self._samples.setdefault(self.bucket(n_jobs), {})
-        cell = cells.get(backend)
-        if cell is None:
-            cells[backend] = [wall_seconds, float(n_jobs)]
-        else:
-            cell[0] += wall_seconds
-            cell[1] += n_jobs
-
-    def order(
-        self,
-        executor: "PipelineExecutor",
-        n_jobs: int,
-        representatives: list,
-        candidates: tuple,
-    ) -> tuple:
-        """Reorder the backend walk of one ``n_jobs``-job shard, given
-        one representative job per super-job (see class docs).  The
-        walk still checks ``supports``/declines downstream, so
-        reordering can never change *whether* a shard simulates — only
-        which bit-identical backend does the work."""
-        cells = self._samples.get(self.bucket(n_jobs), {})
-        for candidate in candidates:
-            if candidate.name == _ENGINE_BACKEND:
-                continue
-            if candidate.name in cells:
-                continue
-            if candidate.supports(executor, representatives):
-                return (candidate,) + tuple(
-                    c for c in candidates if c is not candidate
-                )
-        measured = sorted(
-            (c for c in candidates if c.name in cells),
-            key=lambda c: cells[c.name][0] / cells[c.name][1],
-        )
-        unmeasured = [c for c in candidates if c.name not in cells]
-        return tuple(measured) + tuple(unmeasured)
-
-    def snapshot(self) -> list[tuple[int, str, float, float]]:
-        """The table as plain rows ``(bucket, backend, wall, jobs)`` —
-        what the framework's cache snapshot stores."""
-        return [
-            (bucket, name, cell[0], cell[1])
-            for bucket, cells in sorted(self._samples.items())
-            for name, cell in sorted(cells.items())
-        ]
-
-    def merge(self, rows) -> int:
-        """Fold snapshot rows into the table (adding to any live
-        measurements); returns the number of rows folded.  Rows naming
-        backends no longer registered are skipped — the fingerprint
-        scheme guards model drift, the registry guards its own.
-        Malformed rows are skipped too: a NaN, negative, or non-finite
-        wall-seconds entry (or a non-positive job count) from a corrupt
-        snapshot would otherwise poison the winner table forever, since
-        ``wall_per_job`` averages persist across sessions."""
-        count = 0
-        registered = set(_backends.backend_names())
-        for row in rows:
-            try:
-                bucket, name, wall, jobs = row
-                bucket = int(bucket)
-                wall = float(wall)
-                jobs = float(jobs)
-            except (TypeError, ValueError):
-                continue
-            if name not in registered:
-                continue
-            if not (math.isfinite(wall) and wall >= 0.0):
-                continue
-            if not (math.isfinite(jobs) and jobs > 0.0):
-                continue
-            cells = self._samples.setdefault(bucket, {})
-            cell = cells.get(name)
-            if cell is None:
-                cells[name] = [wall, jobs]
-            else:
-                cell[0] += wall
-                cell[1] += jobs
-            count += 1
-        return count
-
-    def union(self, rows) -> int:
-        """Fold snapshot rows into the table *only where the cell is
-        absent*; returns the number of rows adopted.  This is the
-        fleet merge-back primitive: a worker's snapshot contains the
-        parent's own measurements plus whatever the worker observed, so
-        :meth:`merge`'s additive fold would double-count the shared
-        wall seconds on every round trip.  Union-if-absent is
-        idempotent — re-merging the same snapshot adopts nothing — at
-        the cost of ignoring refinements to cells the parent already
-        measured (acceptable: any measurement routes correctly, and
-        the parent's own cells keep accumulating live).  Row vetting
-        matches :meth:`merge` exactly."""
-        count = 0
-        registered = set(_backends.backend_names())
-        for row in rows:
-            try:
-                bucket, name, wall, jobs = row
-                bucket = int(bucket)
-                wall = float(wall)
-                jobs = float(jobs)
-            except (TypeError, ValueError):
-                continue
-            if name not in registered:
-                continue
-            if not (math.isfinite(wall) and wall >= 0.0):
-                continue
-            if not (math.isfinite(jobs) and jobs > 0.0):
-                continue
-            cells = self._samples.setdefault(bucket, {})
-            if name in cells:
-                continue
-            cells[name] = [wall, jobs]
-            count += 1
-        return count
-
-    def clear(self) -> None:
-        self._samples.clear()
 
 
 class _RunFaultState:
@@ -546,7 +371,6 @@ class PipelineExecutor:
         coalesce: bool = True,
         shard: bool = True,
         backend: str | None = None,
-        tuner: BackendTuner | None = None,
         faults: "FaultPlan | None" = None,
     ) -> BatchExecutionReport:
         """Execute every (pipeline, schedule) job concurrently on one
@@ -568,14 +392,16 @@ class PipelineExecutor:
           placements touch disjoint device/link sets share no resources,
           hence no events, so each partition runs on its own simulation;
         - ``coalesce=True`` folds each shard's templates into weighted
-          super-jobs and hands the shard to the first registered
-          simulation backend (:mod:`repro.core.backends`) that supports
-          it — asked about one representative job per super-job: the
-          slim chain FIFO replay, the DAG replay (join counters on
-          fan-in stages), or the generator engine as the universal
-          fallback.  Backends return completion times; every job's
-          :class:`ExecutionReport` is then built eagerly from its
-          template's shared fields.
+          super-jobs and hands the shard to the first simulation
+          backend (:mod:`repro.core.backends`) that supports it — asked
+          about one representative job per super-job — walking the
+          order :func:`repro.core.backends.selection_order` derives
+          from the shard's shape: the slim chain FIFO replay, the DAG
+          replay (join counters on fan-in stages), the numpy wave
+          replay (first, for large closed single-signature shards), or
+          the generator engine as the universal fallback.  Backends
+          return completion times; every job's :class:`ExecutionReport`
+          is then built eagerly from its template's shared fields.
 
         ``backend`` names one registered backend to force for every
         shard (the serving benchmark's A/B switch); a forced backend
@@ -586,14 +412,10 @@ class PipelineExecutor:
         non-engine backend (which coalesces by construction) is a
         contradiction and raises too.
 
-        ``tuner`` switches the per-shard backend walk from static
-        preference order to the :class:`BackendTuner`'s measured
-        ordering, and feeds each shard's wall time back into its
-        table.  Results are bit-identical either way (every backend
-        reproduces the engine's floats on every shard it accepts) —
-        only wall time moves.  Per-shard wall time and shard features
-        land in :attr:`BatchExecutionReport.backend_timings` whether or
-        not a tuner is supplied.
+        Results are bit-identical whichever backend simulates (every
+        backend reproduces the engine's floats on every shard it
+        accepts) — only wall time moves.  Per-shard wall time lands in
+        :attr:`BatchExecutionReport.backend_timings`.
 
         Passing any ``observer`` forces the uncollapsed, unsharded DES:
         trace consumers see the exact event stream of one shared engine.
@@ -605,8 +427,7 @@ class PipelineExecutor:
         an outage or permanent failure land in
         :attr:`BatchExecutionReport.failures`, and unaffected shards take
         the exact unmodified code path — an *empty* plan is bit-identical
-        to no plan for every backend.  Fault-shard wall times are never
-        fed to the tuner (the faulted workload is not the healthy one).
+        to no plan for every backend.
         """
         if not jobs:
             raise SimulationError("execute_many needs at least one job")
@@ -653,14 +474,9 @@ class PipelineExecutor:
                 fault_plan=faults,
                 failures=observer_failures,
             )
-            # Observed wall time includes the caller's observer work,
-            # so it is reported but never fed to a tuner.
-            timing = self._shard_timing(
-                _ENGINE_BACKEND,
-                perf_counter() - wall_start,
-                n,
-                0,
-                representatives,
+            # The wall time includes the caller's observer work.
+            timing = ShardTiming(
+                _ENGINE_BACKEND, perf_counter() - wall_start, n, 0
             )
             return BatchExecutionReport(
                 job_reports=self._job_reports(
@@ -725,19 +541,14 @@ class PipelineExecutor:
                         coalesce,
                         forced,
                         lane_log,
-                        tuner,
                     )
                 )
-            wall_seconds = perf_counter() - wall_start
-            if tuner is not None and not faulted:
-                tuner.record(len(indices), chosen, wall_seconds)
             timings.append(
-                self._shard_timing(
+                ShardTiming(
                     chosen,
-                    wall_seconds,
+                    perf_counter() - wall_start,
                     len(indices),
                     shard_groups,
-                    shard_jobs.representatives,
                 )
             )
             n_superjobs += shard_groups
@@ -761,22 +572,6 @@ class PipelineExecutor:
             lane_occupancy=self._freeze_lanes(lane_log),
             backend_timings=tuple(timings),
             failures=tuple(failures),
-        )
-
-    def _shard_timing(
-        self,
-        backend: str,
-        wall_seconds: float,
-        n_jobs: int,
-        n_superjobs: int,
-        representatives: Sequence[tuple[Pipeline, Schedule]],
-    ) -> ShardTiming:
-        """One shard's timing row, its features from one representative
-        job per template."""
-        is_chain = all(self._is_single_chain(p) for p, _s in representatives)
-        stages = self._shard_stage_count(representatives)
-        return ShardTiming(
-            backend, wall_seconds, n_jobs, n_superjobs, stages, is_chain
         )
 
     def _job_reports(
@@ -875,20 +670,6 @@ class PipelineExecutor:
     ) -> dict[str, tuple[tuple[float, float], ...]]:
         return {lane: tuple(ivs) for lane, ivs in lane_log.items()}
 
-    @staticmethod
-    def _shard_stage_count(
-        representatives: Sequence[tuple[Pipeline, Schedule]]
-    ) -> int:
-        """Total stages across the shard's *distinct* pipeline objects
-        (replicas coalesce by identity, so a 16k-replica super-job
-        counts its template once)."""
-        distinct = {
-            id(pipeline): pipeline for pipeline, _schedule in representatives
-        }
-        return sum(
-            len(pipeline.stage_names) for pipeline in distinct.values()
-        )
-
     # ------------------------------------------------------------------
     # Batch internals: sharding, coalescing, the engine path
     # ------------------------------------------------------------------
@@ -947,24 +728,21 @@ class PipelineExecutor:
         coalesce: bool,
         forced: "_backends.SimulationBackend | None",
         lane_log: dict[str, list[tuple[float, float]]],
-        tuner: BackendTuner | None = None,
     ) -> tuple[str, list[float], float, int]:
         """Time one contention shard through the backend layer.
 
-        The default walk tries every registered backend in preference
-        order (chain replay, DAG replay, vector replay, engine) and
-        takes the first that supports the shard and does not decline
-        it; the engine backend supports everything, so the walk always
-        terminates.  ``tuner`` reorders that walk by measured wall time
-        (see :class:`BackendTuner`) — legal because every backend is
-        bit-identical on every shard it accepts.  ``coalesce=False``
+        The default walk tries every registered backend in the order
+        :func:`repro.core.backends.selection_order` derives from the
+        shard's shape and takes the first that supports the shard and
+        does not decline it; the engine backend supports everything, so
+        the walk always terminates.  ``coalesce=False``
         pins the engine (the uncollapsed reference semantics);
         ``forced`` pins one named backend and raises — naming the
         backend's reason — when it cannot simulate the shard.
         ``lane_log`` collects the shard's per-lane occupancy intervals
         (shards touch disjoint resource sets, so the per-shard entries
-        never interleave).  ``supports``, the tuner and the refusal
-        reason see the shard's representative jobs, one per super-job.
+        never interleave).  ``supports`` and the refusal reason see the
+        shard's representative jobs, one per super-job.
         Returns the chosen backend's name, the per-job completion times
         in shard order, the shard makespan, and the super-job count.
         """
@@ -972,11 +750,9 @@ class PipelineExecutor:
         if forced is not None:
             candidates: tuple = (forced,)
         elif coalesce:
-            candidates = _backends.iter_backends()
-            if tuner is not None:
-                candidates = tuner.order(
-                    self, len(shard_jobs), representatives, candidates
-                )
+            candidates = _backends.selection_order(
+                len(shard_jobs), len(representatives), shard_arrivals is None
+            )
         else:
             candidates = (_backends.get_backend(_ENGINE_BACKEND),)
         for candidate in candidates:

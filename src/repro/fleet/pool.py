@@ -18,8 +18,8 @@ The shared-snapshot lifecycle per ``serve`` call:
    its own learned snapshot;
 3. the parent **merges back**
    (:meth:`~repro.core.framework.NdftFramework.merge_caches`): cache
-   entries and tuner cells it has never seen are unioned in, so the
-   fleet warms monotonically across runs; with ``snapshot_path=`` the
+   entries it has never seen are unioned in, so the fleet warms
+   monotonically across runs; with ``snapshot_path=`` the
    merged state also persists across pool lifetimes.
 
 Determinism contract: the routing plan and every virtual-time number in

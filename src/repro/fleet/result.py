@@ -60,8 +60,8 @@ class FleetResult:
     worker repeated the identical simulation inside the measured wall
     (sustained-serving measurement — results are bit-identical across
     rounds, only the wall accumulates).  ``merged_entries`` counts the
-    never-seen cache entries and tuner cells the post-run merge-back
-    folded from the workers into the shared snapshot."""
+    never-seen cache entries the post-run merge-back folded from the
+    workers into the shared snapshot."""
 
     plan: RoutingPlan
     arrivals: tuple[float, ...] | None

@@ -132,7 +132,7 @@ class TestDeterminismRule:
         assert run_rule(DeterminismRule(config), good) == []
 
     def test_allowlisted_site_passes(self, config):
-        # BackendTuner's wall measurement is sanctioned in the config.
+        # The executor's per-shard wall timing is sanctioned in the config.
         good = make_module(
             "repro.core.executor",
             "from time import perf_counter\nT = perf_counter()\n",

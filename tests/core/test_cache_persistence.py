@@ -2,6 +2,8 @@
 fingerprint, refusing mismatches — the serving deployment's warm restart.
 """
 
+import pickle
+
 import pytest
 
 from repro.core.framework import NdftFramework
@@ -84,6 +86,55 @@ class TestSaveLoadRoundTrip:
         assert framework.cache_stats["schedule_misses"] == 1  # pre-save only
 
 
+class TestOlderSnapshotLayout:
+    """Format-1 snapshots written by earlier versions also carry a
+    ``backend_tuner`` table of measured rows next to the caches.  This
+    version neither reads nor writes it, and the format stays 1: older
+    loaders read that key with a default and newer ones ignore it, so
+    files stay compatible in both directions."""
+
+    ROWS = [
+        (11, "chain_replay", 0.5, 1024.0),
+        (11, "vector_replay", 0.25, 1024.0),
+        (11, "dag_replay", float("nan"), 1024.0),
+        (11, "chain_replay", "fast", 1024.0),
+        (11, "retired_backend", 0.5, 1024.0),
+    ]
+
+    def _older_snapshot(self, tmp_path):
+        """A snapshot in the older layout and its ``caches`` payload."""
+        saver = NdftFramework()
+        saver.run_many(SIZES)
+        path = saver.save_caches(tmp_path / "older.pkl")
+        payload = pickle.loads(path.read_bytes())
+        payload["backend_tuner"] = self.ROWS
+        path.write_bytes(pickle.dumps(payload))
+        return path, payload["caches"]
+
+    def test_load_takes_exactly_the_cache_entries(self, tmp_path):
+        path, caches = self._older_snapshot(tmp_path)
+        entries = sum(len(items) for items in caches.values())
+        assert NdftFramework().load_caches(path) == entries
+
+    def test_merge_takes_exactly_the_cache_entries_once(self, tmp_path):
+        path, caches = self._older_snapshot(tmp_path)
+        # Merging counts warm-start sizes, not structure keys.
+        entries = sum(
+            len(items) for name, items in caches.items() if name != "warm_start"
+        ) + sum(len(sizes) for _key, sizes in caches["warm_start"])
+        receiver = NdftFramework()
+        assert receiver.merge_caches(path) == entries
+        assert receiver.merge_caches(path) == 0
+
+    def test_save_writes_no_backend_table(self, tmp_path):
+        framework = NdftFramework()
+        framework.run_many(SIZES)
+        path = framework.save_caches(tmp_path / "caches.pkl")
+        payload = pickle.loads(path.read_bytes())
+        assert set(payload) == {"format", "fingerprint", "caches"}
+        assert payload["format"] == NdftFramework.CACHE_SNAPSHOT_FORMAT == 1
+
+
 class TestFingerprintRefusal:
     def test_policy_mismatch_refused(self, tmp_path):
         saver = NdftFramework()
@@ -138,8 +189,6 @@ class TestFingerprintRefusal:
             gpu.load_caches(path)
 
     def test_garbage_file_refused(self, tmp_path):
-        import pickle
-
         path = tmp_path / "garbage.pkl"
         path.write_bytes(pickle.dumps({"something": "else"}))
         with pytest.raises(ConfigError, match="format"):

@@ -222,10 +222,8 @@ class TestEmptyPlanBitIdentity:
         arrivals = sorted(round(rng.random() * 2.0, 9) for _ in sizes)
         plain = framework.run_many(sizes, arrivals=arrivals)
         faulted = framework.run_many(sizes, arrivals=arrivals, faults=FaultPlan())
-        # Backend routing may rotate between consecutive calls (the
-        # shared tuner is still exploring) — the identity contract is on
-        # the simulated floats, which must not move at all.
         assert _identical_batches(plain.batch_report, faulted.batch_report)
+        assert plain.batch_report.backend_jobs == faulted.batch_report.backend_jobs
 
     def test_plan_on_untouched_lane_keeps_replay_backends(self, framework):
         """Fault events on a lane the batch never occupies leave every

@@ -1,4 +1,4 @@
-"""The vectorized wave-replay backend and measured backend auto-tuning.
+"""The vectorized wave-replay backend and per-shard backend timings.
 
 ``vector_replay`` (:mod:`repro.hw.vector_replay`, registered in
 :mod:`repro.core.backends`) computes a single-signature coalesced
@@ -8,19 +8,24 @@ PRs 3-5 established for the event-driven replays: bit-identical
 completion floats *and* bit-identical ``lane_occupancy`` intervals
 versus every other backend on any shard it accepts, a reasoned decline
 (never a silent approximation) on any shard it cannot prove, and a
-forced-unsupported error that names *why*.  The second half covers the
-measured :class:`repro.core.executor.BackendTuner`: per-shard wall
-timings on the batch report, explore/exploit routing, persistence via
-the framework cache snapshot, and — the key property — identical
-simulation results regardless of routing.
+forced-unsupported error that names *why*.  The second half covers
+per-shard wall timings on the batch report and the static shard-shape
+rule (:func:`repro.core.backends.selection_order`) that picks which
+backend an unforced shard tries first.
 """
 
 import random
 
 import pytest
 
-from repro.core.backends import backend_names, get_backend
-from repro.core.executor import BackendTuner, PipelineExecutor, ShardTiming
+from repro.core.arrivals import poisson_arrivals
+from repro.core.backends import (
+    VECTOR_MIN_JOBS,
+    VectorReplayBackend,
+    backend_names,
+    get_backend,
+)
+from repro.core.executor import PipelineExecutor, ShardTiming
 from repro.core.framework import NdftFramework
 from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
 from repro.dft.workload import problem_size
@@ -47,6 +52,29 @@ def _kpoint_builder(n_kpoints):
         return build_kpoint_pipeline(problem, n_kpoints)
 
     return build
+
+
+def _zero_duration_toy_jobs(count):
+    """An executor and ``count`` replicas of a toy fan-out DAG whose
+    middle stage has zero duration, which every replay declines."""
+    from tests.core.test_dag_replay import (
+        _round_cost_model,
+        _toy_dag,
+        _toy_schedule,
+    )
+    from repro.core.scheduler import Placement
+
+    cost_model = _round_cost_model()
+    pipeline = _toy_dag(
+        "z", ("a", "b", "c"), (("a", "b", 0.0), ("a", "c", 0.0))
+    )
+    schedule = _toy_schedule(
+        pipeline,
+        (Placement.CPU, Placement.CPU, Placement.NDP),
+        (1.0, 0.0, 1.0),
+        cost_model,
+    )
+    return PipelineExecutor(cost_model=cost_model), [(pipeline, schedule)] * count
 
 
 def _identical(a, b):
@@ -163,25 +191,7 @@ class TestForcedUnsupportedReasons:
             framework.executor.execute_many(jobs, backend="vector_replay")
 
     def test_zero_duration_reason(self):
-        from tests.core.test_dag_replay import (
-            _round_cost_model,
-            _toy_dag,
-            _toy_schedule,
-        )
-        from repro.core.scheduler import Placement
-
-        cost_model = _round_cost_model()
-        executor = PipelineExecutor(cost_model=cost_model)
-        pipeline = _toy_dag(
-            "z", ("a", "b", "c"), (("a", "b", 0.0), ("a", "c", 0.0))
-        )
-        schedule = _toy_schedule(
-            pipeline,
-            (Placement.CPU, Placement.CPU, Placement.NDP),
-            (1.0, 0.0, 1.0),
-            cost_model,
-        )
-        jobs = [(pipeline, schedule)] * 3
+        executor, jobs = _zero_duration_toy_jobs(3)
         with pytest.raises(
             SimulationError, match="non-positive duration"
         ):
@@ -263,8 +273,6 @@ class TestBackendTimings:
         assert timing.wall_seconds > 0.0
         assert timing.n_jobs == 5
         assert timing.n_superjobs == 1
-        assert timing.n_stages > 0
-        assert timing.is_chain is True
 
     def test_backend_wall_seconds_rolls_up_by_backend(self, framework):
         jobs = _jobs(framework, [(64, build_kpoint_pipeline)] * 4)
@@ -276,7 +284,6 @@ class TestBackendTimings:
             for t in report.backend_timings
             if t.backend == "dag_replay"
         )
-        assert report.backend_timings[0].is_chain is False
 
     def test_observer_path_reports_engine_timing(self, framework):
         jobs = _jobs(framework, [(64, build_pipeline)] * 3)
@@ -297,163 +304,70 @@ class TestBackendTimings:
         assert stats["engine_wall_seconds"] == 0.0
 
 
-class TestBackendTuner:
-    """Measured routing: explore-then-exploit per size bucket, forced
-    and fallback runs recorded, snapshot round-trip, and — the
-    contract that makes routing safe — identical results regardless of
-    which backend the table picks."""
+class TestSelectionRule:
+    """The static shard-shape rule
+    (:func:`repro.core.backends.selection_order`): only closed
+    single-signature shards of at least ``VECTOR_MIN_JOBS`` jobs try
+    ``vector_replay`` first; every other shard walks the registry
+    order, so an open queue never pays for ``vector_replay``'s
+    decline."""
 
-    def test_bucket_is_job_count_magnitude(self):
-        assert BackendTuner.bucket(1) == 1
-        assert BackendTuner.bucket(2) == 2
-        assert BackendTuner.bucket(1024) == 11
-        assert BackendTuner.bucket(65536) == 17
+    @staticmethod
+    def _count_vector_attempts(monkeypatch):
+        """Record every ``VectorReplayBackend.simulate`` result."""
+        attempts = []
+        simulate = VectorReplayBackend.simulate
 
-    def test_exploit_routes_to_measured_winner(self, framework):
-        """With dag_replay measured as slow and vector_replay as fast
-        in the shard's bucket, the tuner routes the shard to
-        vector_replay — and the results match the untuned run
-        bit for bit."""
-        jobs = _jobs(framework, [(64, build_kpoint_pipeline)] * 32)
-        bucket = BackendTuner.bucket(len(jobs))
-        tuner = BackendTuner()
-        tuner.merge(
-            [
-                (bucket, "dag_replay", 10.0, 32.0),
-                (bucket, "vector_replay", 0.001, 32.0),
-                (bucket, "chain_replay", 0.5, 32.0),
-            ]
+        def counting(self, *args):
+            result = simulate(self, *args)
+            attempts.append(result)
+            return result
+
+        monkeypatch.setattr(VectorReplayBackend, "simulate", counting)
+        return attempts
+
+    @pytest.mark.parametrize(
+        "builder", [build_pipeline, build_kpoint_pipeline]
+    )
+    def test_open_single_size_queue_never_tries_vector_replay(
+        self, monkeypatch, builder
+    ):
+        attempts = self._count_vector_attempts(monkeypatch)
+        framework = NdftFramework()
+        arrivals = poisson_arrivals(1024, 3.0, seed=11)
+        for _ in range(5):
+            result = framework.run_many(
+                [512] * 1024, pipeline_builder=builder, arrivals=arrivals
+            )
+            assert "vector_replay" not in result.batch_report.backend_jobs
+        assert attempts == []
+
+    @pytest.mark.parametrize(
+        ("builder", "event_replay"),
+        [(build_pipeline, "chain_replay"), (build_kpoint_pipeline, "dag_replay")],
+    )
+    def test_closed_batch_threshold(self, builder, event_replay):
+        framework = NdftFramework()
+        below = framework.run_many(
+            [512] * (VECTOR_MIN_JOBS - 1), pipeline_builder=builder
         )
-        tuned = framework.executor.execute_many(jobs, tuner=tuner)
-        assert tuned.backend_jobs == {"vector_replay": 32}
-        untuned = framework.executor.execute_many(jobs)
-        assert untuned.backend_jobs == {"dag_replay": 32}
-        assert _identical(tuned, untuned)
-
-    def test_explore_measures_each_replay_once_per_bucket(self, framework):
-        """Fresh table: consecutive identical shards walk through the
-        unmeasured replays (static order) before exploiting, and every
-        run stays bit-identical."""
-        jobs = _jobs(framework, [(64, build_pipeline)] * 16)
-        tuner = BackendTuner()
-        reference = framework.executor.execute_many(jobs)
-        seen = []
-        for _ in range(3):
-            report = framework.executor.execute_many(jobs, tuner=tuner)
-            assert _identical(report, reference)
-            (name,) = report.backend_jobs
-            seen.append(name)
-        assert set(seen) == {"chain_replay", "dag_replay", "vector_replay"}
-        bucket = BackendTuner.bucket(len(jobs))
-        measured = {
-            name for b, name, _w, _j in tuner.snapshot() if b == bucket
+        assert below.batch_report.backend_jobs == {
+            event_replay: VECTOR_MIN_JOBS - 1
         }
-        assert measured == {"chain_replay", "dag_replay", "vector_replay"}
+        at = framework.run_many([512] * VECTOR_MIN_JOBS, pipeline_builder=builder)
+        assert at.batch_report.backend_jobs == {"vector_replay": VECTOR_MIN_JOBS}
 
-    def test_forced_engine_run_is_recorded(self, framework):
-        jobs = _jobs(framework, [(64, build_pipeline)] * 4)
-        tuner = BackendTuner()
-        framework.executor.execute_many(jobs, backend="engine", tuner=tuner)
-        rows = tuner.snapshot()
-        assert [(name, jobs_total) for _b, name, _w, jobs_total in rows] == [
-            ("engine", 4.0)
-        ]
-
-    def test_snapshot_merge_clear_roundtrip(self):
-        tuner = BackendTuner()
-        tuner.record(16, "vector_replay", 0.25)
-        tuner.record(16, "vector_replay", 0.75)
-        tuner.record(3, "engine", 0.5)
-        rows = tuner.snapshot()
-        assert rows == [
-            (2, "engine", 0.5, 3.0),
-            (5, "vector_replay", 1.0, 32.0),
-        ]
-        other = BackendTuner()
-        assert other.merge(rows) == 2
-        assert other.snapshot() == rows
-        # Stale rows for unregistered backends are skipped, not kept.
-        assert other.merge([(4, "retired_backend", 1.0, 8.0)]) == 0
-        assert other.snapshot() == rows
-        other.clear()
-        assert other.snapshot() == []
-
-    def test_merge_skips_malformed_rows(self):
-        """A corrupt snapshot row (NaN/negative/infinite wall, zero or
-        negative job count, wrong arity, non-numeric fields) is skipped
-        instead of poisoning the persistent winner table."""
-        import math
-
-        bad_rows = [
-            (5, "vector_replay", math.nan, 32.0),
-            (5, "vector_replay", -1.0, 32.0),
-            (5, "vector_replay", math.inf, 32.0),
-            (5, "vector_replay", 1.0, 0.0),
-            (5, "vector_replay", 1.0, -4.0),
-            (5, "vector_replay", 1.0, math.nan),
-            (5, "vector_replay", 1.0),  # wrong arity
-            (5, "vector_replay", "fast", 32.0),  # non-numeric wall
-            ("bucket", "vector_replay", 1.0, 32.0),  # non-numeric bucket
-            (5, "retired_backend", 1.0, 32.0),  # unregistered name
-        ]
-        tuner = BackendTuner()
-        assert tuner.merge(bad_rows) == 0
-        assert tuner.snapshot() == []
-        # Valid rows interleaved with garbage still fold, and a
-        # zero-wall row (timer resolution) remains legal.
-        mixed = [
-            (5, "vector_replay", 1.0, 32.0),
-            (5, "vector_replay", math.nan, 32.0),
-            (5, "chain_replay", 0.0, 16.0),
-        ]
-        assert tuner.merge(mixed) == 2
-        assert tuner.snapshot() == [
-            (5, "chain_replay", 0.0, 16.0),
-            (5, "vector_replay", 1.0, 32.0),
-        ]
-
-    def test_framework_persists_tuner_across_save_load(self, tmp_path):
-        first = NdftFramework()
-        first.run_many([64, 128, 512])
-        rows = first._backend_tuner.snapshot()
-        assert rows  # run_many measured at least one shard
-        path = first.save_caches(tmp_path / "caches.json")
-        second = NdftFramework()
-        assert second._backend_tuner.snapshot() == []
-        second.load_caches(path)
-        assert second._backend_tuner.snapshot() == rows
-
-    def test_routing_never_changes_results(self):
-        """The auto-tuning determinism contract: two frameworks — one
-        cold, one with a deliberately skewed warmed winner table —
-        produce identical batch results for the same workload."""
-        sizes = [64, 128] * 12
-        cold = NdftFramework()
-        cold_result = cold.run_many(sizes)
-        warmed = NdftFramework()
-        warmed._backend_tuner.merge(
-            [
-                (BackendTuner.bucket(len(sizes)), "dag_replay", 0.0001, 24.0),
-                (BackendTuner.bucket(len(sizes)), "chain_replay", 99.0, 24.0),
-                (
-                    BackendTuner.bucket(len(sizes)),
-                    "vector_replay",
-                    50.0,
-                    24.0,
-                ),
-            ]
-        )
-        warmed_result = warmed.run_many(sizes)
-        assert cold_result.makespan == warmed_result.makespan
-        assert cold_result.solo_times == warmed_result.solo_times
-        assert (
-            cold_result.batch_report.job_reports
-            == warmed_result.batch_report.job_reports
-        )
-        assert (
-            cold_result.batch_report.lane_occupancy
-            == warmed_result.batch_report.lane_occupancy
-        )
+    def test_late_decline_falls_through_to_engine(self, monkeypatch):
+        """64 replicas of a zero-duration toy DAG: ``vector_replay`` is
+        tried first and declines late, ``chain_replay`` refuses the
+        non-chain shape and ``dag_replay`` declines, so the engine
+        simulates it — bit-identically to the uncollapsed path."""
+        attempts = self._count_vector_attempts(monkeypatch)
+        executor, jobs = _zero_duration_toy_jobs(VECTOR_MIN_JOBS)
+        auto = executor.execute_many(jobs)
+        assert attempts == [None]
+        assert auto.backend_jobs == {"engine": VECTOR_MIN_JOBS}
+        assert _identical(auto, executor.execute_many(jobs, coalesce=False))
 
 
 class TestRegistryOrder:
