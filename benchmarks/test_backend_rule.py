@@ -11,9 +11,9 @@ auto mode must stay within :data:`SLACK` of the fastest non-engine
 backend that accepts the shard.
 
 The grid stays clear of the measured crossovers (on a 2-CPU Intel Xeon
-host, ``vector_replay`` overtakes ``dag_replay`` at 24-48 replicas and
-``chain_replay`` at 96-256): 16 replicas below both, 256 and 2 048 at
-or above them, plus an open Poisson queue of 2 048, which
+host, ``vector_replay`` overtakes ``dag_replay`` at 64-96 k-point
+replicas and at 64-128 chain replicas): 16 replicas below both, 256 and
+2 048 at or above them, plus an open Poisson queue of 2 048, which
 ``vector_replay`` declines.  Replicas share one (pipeline, schedule)
 pair through the framework caches, as duplicate jobs do in
 ``run_many``.

@@ -19,9 +19,10 @@
   out through signature-coalesced super-jobs and contention-sharded
   simulations (bit-identical to the plain shared engine).
 - :mod:`repro.core.backends` — the simulation-backend layer the executor
-  selects from per contention shard: the chain FIFO replay, the DAG
-  replay (join counters on fan-in stages) and the generator engine
-  fallback, all bit-identical and pluggable via ``register_backend``.
+  selects from per contention shard: the DAG FIFO replay (one cursor
+  per replica segment, join counters on fan-in stages), the numpy wave
+  replay and the generator engine fallback, all bit-identical and
+  pluggable via ``register_backend``.
 - :mod:`repro.core.arrivals` — arrival processes (seeded Poisson),
   latency percentiles and the SLO-driven admission policy
   (shed/deprioritize) for the open-queue serving model.

@@ -15,19 +15,18 @@ scattered through the executor:
   it (e.g. a zero-duration task under a degenerate cost model).  The
   executor builds every per-job report from its super-job template,
   so no backend touches a report.
-- Four backends ship registered, in fallback-preference order:
+- Three backends ship registered, in fallback-preference order:
 
   =================  ==================================================
   name               simulates
   =================  ==================================================
-  ``chain_replay``   all-single-chain shards via
-                     :func:`repro.hw.engine.replay_chain_batch` — one
-                     cursor per job, the leanest event loop.
-  ``dag_replay``     any DAG shard via
-                     :func:`repro.hw.engine.replay_dag_batch` — per-
-                     replica join counters on fan-in stages, so k-point
-                     and other branching pipelines still get the
-                     one-event-per-occupancy replay.
+  ``dag_replay``     any shard via
+                     :func:`repro.hw.engine.replay_dag_batch` — one
+                     cursor per replica *segment* (a run of stages
+                     joined by single-successor -> single-predecessor
+                     edges: a whole chain job is one segment) and
+                     per-replica join counters on fan-in stages, one
+                     calendar event per occupancy.
   ``vector_replay``  single-signature (fully coalesced) shards via
                      :func:`repro.hw.vector_replay.replay_vector_batch`
                      — the whole grant/finish timetable as numpy
@@ -59,8 +58,8 @@ Additional backends (e.g. a C-accelerated calendar) plug in via
 Backends may also expose ``unsupported_reason(executor, shard_jobs)``
 returning a human-readable reason a shard cannot be simulated — the
 executor quotes it in the forced-backend error so callers learn *why*
-(non-chain shape, zero-duration task, cross-signature interleaving,
-...) instead of getting a bare refusal.
+(zero-duration task, cross-signature interleaving, ...) instead of
+getting a bare refusal.
 
 The executor groups a batch into super-jobs once per call and hands
 each shard over as a :class:`ShardJobs`: the per-job list every backend
@@ -80,7 +79,7 @@ times break the FIFO hop-cascade equivalence the replays rest on, so
 they must not approximate those either.  Affected shards always run on
 the fault-aware generator engine path; an *empty* fault plan never
 triggers either decline, so it stays bit-identical to no plan across
-all four backends.
+all three backends.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
-from repro.hw.engine import replay_chain_batch, replay_dag_batch
+from repro.hw.engine import replay_dag_batch
 from repro.hw.vector_replay import replay_vector_batch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -189,37 +188,6 @@ def superjob_groups(shard_jobs) -> tuple[list, list[int]]:
     return representatives, list(map(group_of_pair.__getitem__, map(id, jobs)))
 
 
-def _replay_shard(
-    executor,
-    shard_jobs,
-    shard_arrivals,
-    flatten,
-    replay,
-    lane_log,
-) -> ShardResult | None:
-    """The shared replay scaffold both slim backends run: flatten each
-    super-job once into its replay input (``flatten`` returns ``None``
-    to decline the whole shard, e.g. on a zero-duration task),
-    ``replay`` the per-replica input lists, and file the replay's
-    per-resource occupancy intervals into ``lane_log`` under the
-    interned resources' lane names."""
-    representatives, member_group = superjob_groups(shard_jobs)
-    resource_ids: dict[object, int] = {}
-    group_inputs: list = []
-    for pipeline, schedule in representatives:
-        flattened = flatten(executor, pipeline, schedule, resource_ids)
-        if flattened is None:  # degenerate zero-duration task
-            return None
-        group_inputs.append(flattened)
-    finish, makespan, occupancy = replay(
-        list(map(group_inputs.__getitem__, member_group)),
-        [0.0] * len(member_group) if shard_arrivals is None else shard_arrivals,
-        len(resource_ids),
-    )
-    _log_occupancy(resource_ids, occupancy, lane_log)
-    return finish, makespan, len(representatives)
-
-
 def _log_occupancy(resource_ids, occupancy, lane_log) -> None:
     """File a replay's per-resource occupancy intervals under the
     interned resources' lane names."""
@@ -284,13 +252,6 @@ SLOWDOWN_SHARD_REASON = (
 )
 
 
-#: Why ``chain_replay`` declines shards with branching pipelines —
-#: quoted verbatim in the forced-backend error.
-NON_CHAIN_SHARD_REASON = (
-    "the shard contains a non-chain pipeline and "
-    "chain_replay only handles all-single-chain shards"
-)
-
 #: Why ``vector_replay`` declines multi-signature shards — formatted
 #: with the shard's super-job count and quoted verbatim in the
 #: forced-backend error.
@@ -311,37 +272,11 @@ UNPROVABLE_TIE_REASON = (
 )
 
 
-class ChainReplayBackend:
-    """Slim FIFO replay for shards of single connected chains."""
-
-    name = "chain_replay"
-
-    def supports(self, executor, shard_jobs) -> bool:
-        return all(
-            executor._is_single_chain(pipeline)
-            for pipeline, _schedule in shard_jobs
-        )
-
-    def simulate(self, executor, shard_jobs, shard_arrivals, lane_log):
-        return _replay_shard(
-            executor,
-            shard_jobs,
-            shard_arrivals,
-            flatten=lambda ex, p, s, ids: ex._chain_tasks(p, s, ids),
-            replay=replay_chain_batch,
-            lane_log=lane_log,
-        )
-
-    def unsupported_reason(self, executor, shard_jobs) -> str:
-        if not self.supports(executor, shard_jobs):
-            return NON_CHAIN_SHARD_REASON
-        return _ZERO_DURATION_REASON
-
-
 class DagReplayBackend:
-    """Slim FIFO replay for arbitrary DAG shards: per-replica join
-    counters on the fan-in stages keep branching pipelines (k-point
-    DAGs, super-job replicas) on the one-event-per-occupancy loop."""
+    """Slim FIFO replay for any shard: one cursor per replica segment
+    (a chain job is one segment) and per-replica join counters on the
+    fan-in stages keep chains, branching pipelines (k-point DAGs) and
+    super-job replicas on the one-event-per-occupancy loop."""
 
     name = "dag_replay"
 
@@ -349,23 +284,35 @@ class DagReplayBackend:
         return True
 
     def simulate(self, executor, shard_jobs, shard_arrivals, lane_log):
-        return _replay_shard(
-            executor,
-            shard_jobs,
-            shard_arrivals,
-            flatten=self._dag_program,
-            replay=replay_dag_batch,
-            lane_log=lane_log,
+        # Flatten each super-job once; its replicas share the program.
+        representatives, member_group = superjob_groups(shard_jobs)
+        resource_ids: dict[object, int] = {}
+        programs: list = []
+        for pipeline, schedule in representatives:
+            program = self._dag_program(
+                executor, pipeline, schedule, resource_ids
+            )
+            if program is None:  # degenerate zero-duration task
+                return None
+            programs.append(program)
+        finish, makespan, occupancy = replay_dag_batch(
+            programs,
+            member_group,
+            [0.0] * len(member_group)
+            if shard_arrivals is None
+            else shard_arrivals,
+            len(resource_ids),
         )
+        _log_occupancy(resource_ids, occupancy, lane_log)
+        return finish, makespan, len(representatives)
 
     @staticmethod
     def _dag_program(executor, pipeline, schedule, resource_ids):
         """Flatten one job into a :func:`repro.hw.engine.replay_dag_batch`
         program: per-stage task lists
-        (:meth:`~repro.core.executor.PipelineExecutor._flatten_stage`,
-        the same pricing/interning walk the chain replay uses) plus
-        predecessor indices, all in topological order.  Returns ``None``
-        when any duration is non-positive: the replay's banded
+        (:meth:`~repro.core.executor.PipelineExecutor._flatten_stage`)
+        plus predecessor indices, all in topological order.  Returns
+        ``None`` when any duration is non-positive: the replay's banded
         tie-handling assumes time strictly advances per occupancy, so
         zero-cost tasks fall back to the generator engine."""
         topo = pipeline.topological_order
@@ -464,7 +411,6 @@ def register_backend(backend: SimulationBackend) -> None:
         _REGISTRY[backend.name] = backend
 
 
-register_backend(ChainReplayBackend())
 register_backend(DagReplayBackend())
 register_backend(VectorReplayBackend())
 register_backend(EngineBackend())
@@ -490,12 +436,12 @@ def iter_backends() -> tuple[SimulationBackend, ...]:
 
 
 #: Smallest closed single-signature shard that tries ``vector_replay``
-#: first.  Its numpy set-up costs more than the event replays' per-job
+#: first.  Its numpy set-up costs more than ``dag_replay``'s per-job
 #: loop on small shards, so it sits between the sizes where
-#: ``vector_replay`` overtakes ``dag_replay`` (k-point) and
-#: ``chain_replay`` (chains); ``benchmarks/test_backend_rule.py`` keeps
-#: auto mode within 1.5x of the fastest backend on either side.
-VECTOR_MIN_JOBS = 64
+#: ``vector_replay`` overtakes ``dag_replay`` on k-point DAGs and on
+#: chains; ``benchmarks/test_backend_rule.py`` keeps auto mode within
+#: 1.5x of the fastest backend on either side.
+VECTOR_MIN_JOBS = 96
 
 
 def selection_order(
@@ -507,7 +453,7 @@ def selection_order(
     A closed shard (no arrivals) of at least :data:`VECTOR_MIN_JOBS`
     jobs that coalesces into one super-job tries ``vector_replay``
     first; every other shard walks the registry order, which reaches
-    ``vector_replay`` only after the event replays.  Open shards stay
+    ``vector_replay`` only after ``dag_replay``.  Open shards stay
     off it because arrival spread interleaves replicas' waves, which it
     declines on almost every open queue.  A late decline still falls
     through to the rest of the walk."""

@@ -396,12 +396,13 @@ class PipelineExecutor:
           backend (:mod:`repro.core.backends`) that supports it — asked
           about one representative job per super-job — walking the
           order :func:`repro.core.backends.selection_order` derives
-          from the shard's shape: the slim chain FIFO replay, the DAG
-          replay (join counters on fan-in stages), the numpy wave
-          replay (first, for large closed single-signature shards), or
-          the generator engine as the universal fallback.  Backends
-          return completion times; every job's :class:`ExecutionReport`
-          is then built eagerly from its template's shared fields.
+          from the shard's shape: the DAG FIFO replay (one cursor per
+          replica segment, join counters on fan-in stages), the numpy
+          wave replay (first, for large closed single-signature
+          shards), or the generator engine as the universal fallback.
+          Backends return completion times; every job's
+          :class:`ExecutionReport` is then built eagerly from its
+          template's shared fields.
 
         ``backend`` names one registered backend to force for every
         shard (the serving benchmark's A/B switch); a forced backend
@@ -792,7 +793,7 @@ class PipelineExecutor:
         (placement-pair frozensets) shard-wide, so replicas and distinct
         groups contend on the same indices.  The single pricing/interning
         walk both replay backends flatten through — change boundary
-        pricing here and the chain replay, the DAG replay and the engine
+        pricing here and the DAG replay, the wave replay and the engine
         (via :meth:`_eq1_overhead`'s cross-check) stay in lockstep."""
         placement = schedule.assignments[name]
         tasks: list[tuple[int, float]] = []
@@ -815,41 +816,6 @@ class PipelineExecutor:
         if device is None:
             device = resource_ids[placement] = len(resource_ids)
         tasks.append((device, schedule.stage_times[name].total))
-        return tasks
-
-    def _chain_tasks(
-        self,
-        pipeline: Pipeline,
-        schedule: Schedule,
-        resource_ids: dict[object, int],
-    ) -> list[tuple[int, float, int]] | None:
-        """Flatten one single-chain job into FIFO-replay tasks.
-
-        Tasks are ``(resource index, duration, entry_hop)`` in chain
-        order (:meth:`_flatten_stage` per stage).  ``entry_hop`` is the
-        engine's same-instant cascade distance from the previous task's
-        completion to this task's acquire (1 within a stage, 2 across a
-        stage boundary; see :func:`repro.hw.engine.replay_chain_batch`).
-
-        Returns ``None`` when any duration is non-positive: the replay's
-        banded tie-handling assumes time strictly advances per
-        occupancy, so zero-cost tasks (possible only under degenerate
-        custom cost models) fall back to the generator engine.
-        """
-        tasks: list[tuple[int, float, int]] = []
-        for name in pipeline.topological_order:
-            stage_tasks = self._flatten_stage(
-                pipeline, schedule, name, resource_ids
-            )
-            for wire, cost in stage_tasks[:-1]:
-                tasks.append((wire, cost, 2))
-            device, duration = stage_tasks[-1]
-            entry_hop = (
-                1 if len(stage_tasks) > 1 else (2 if tasks else 0)
-            )
-            tasks.append((device, duration, entry_hop))
-        if any(duration <= 0.0 for _res, duration, _hop in tasks):
-            return None
         return tasks
 
     def _execute_batch_engine(

@@ -32,7 +32,7 @@ Plans are plain data and deterministic: the same plan (or the same
 ``seed`` via the drawing helpers) always yields the same failure set,
 retry schedule, and final report.  An *empty* plan is contractually
 bit-identical to passing no plan at all — the executor never enters the
-fault-aware code path, so all four simulation backends keep producing
+fault-aware code path, so all three simulation backends keep producing
 the exact same floats.
 
 :class:`RetryPolicy` governs what happens after a failure: a failed job

@@ -44,6 +44,7 @@ from __future__ import annotations
 import pickle
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -83,7 +84,7 @@ from repro.core.signature import (
     structure_signature,
     target_registry_fingerprint,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.dft.workload import ProblemSize, problem_size
 from repro.hw.config import SystemConfig, gpu_baseline_config, ndft_system_config
 from repro.hw.cpu import CpuModel
@@ -196,6 +197,40 @@ class AdmissionResult:
         )
 
 
+def queueing_delays(
+    latencies: Sequence[float],
+    solo_times: Sequence[float],
+    releases: Sequence[float] | None = None,
+) -> tuple[float, ...]:
+    """How much longer each job took than it would have alone — time
+    spent waiting for contended devices and wires — paired by position.
+    ``releases`` are the jobs' release times (``None``: all at t=0).
+
+    An uncontended job's ``latency - solo`` is float cancellation, not
+    delay.  The simulation computes every task's end at absolute
+    virtual time, rounding by up to half an ulp of that time, while the
+    solo time sums the same durations from t=0: the residue grows with
+    the solo time and with the completion's magnitude (about 1e-7 s for
+    a release at an epoch timestamp).  A delay within ``1e-9 * max(1,
+    solo) + 1e-12 * completion`` of zero is therefore 0.0.  A job never
+    finishes faster than alone, so anything more negative raises
+    :class:`SimulationError`: it would be a real bug."""
+    if releases is None:
+        releases = repeat(0.0)
+    delays = []
+    for latency, solo, release in zip(latencies, solo_times, releases):
+        delay = latency - solo
+        if abs(delay) <= 1e-9 * max(1.0, solo) + 1e-12 * (release + latency):
+            delay = 0.0
+        elif delay < 0.0:
+            raise SimulationError(
+                f"a job took {latency!r} s, {-delay!r} s less than its "
+                f"solo time {solo!r} s"
+            )
+        delays.append(delay)
+    return tuple(delays)
+
+
 @dataclass(frozen=True)
 class NdftBatchResult:
     """A batch of jobs executed concurrently on one shared machine.
@@ -291,11 +326,9 @@ class NdftBatchResult:
 
     @property
     def queueing_delays(self) -> tuple[float, ...]:
-        """How much longer each job took than it would have alone —
-        time spent waiting for contended devices and wires."""
-        return tuple(
-            latency - solo
-            for latency, solo in zip(self.completion_latencies, self.solo_times)
+        """Per-job :func:`queueing_delays`, in submission order."""
+        return queueing_delays(
+            self.completion_latencies, self.solo_times, self.arrivals
         )
 
     @property

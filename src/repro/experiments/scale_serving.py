@@ -24,10 +24,10 @@ around.  This driver measures exactly that:
   record the p50/p99 completion latency and mean queueing delay — the
   serving-model metrics;
 - record the per-point simulation-backend breakdown (who actually timed
-  the batch — chain replay, DAG replay, wave replay or the generator
-  engine; see :mod:`repro.core.backends`) and the per-backend wall
-  seconds (``backend_wall_seconds``), with ``--backend`` forcing one
-  backend for every measurement (the replay-vs-engine A/B switch);
+  the batch — DAG replay, wave replay or the generator engine; see
+  :mod:`repro.core.backends`) and the per-backend wall seconds
+  (``backend_wall_seconds``), with ``--backend`` forcing one backend
+  for every measurement (the replay-vs-engine A/B switch);
 - optionally sweep offered load (``--arrival-sweep``): the same mix at
   each rate of a grid, recording the latency-vs-load curve, per-point
   per-lane utilization (which device or wire the load saturates), the
@@ -57,7 +57,7 @@ from typing import Sequence
 
 from repro.core.arrivals import AdmissionPolicy, poisson_arrivals
 from repro.core.faults import FaultPlan, RetryPolicy
-from repro.core.framework import NdftBatchResult, NdftFramework
+from repro.core.framework import NdftBatchResult, NdftFramework, queueing_delays
 from repro.fleet import FleetResult, WorkerPool
 
 #: Default batch-size sweep (jobs per ``run_many`` call).  The top end
@@ -825,11 +825,11 @@ def run_fleet_bench(
                     backend=backend,
                 )
                 solo_times, _lanes = pool.framework.job_estimates(sizes)
-                latencies = open_result.completion_latencies
-                queueing = sum(
-                    latency - solo
-                    for latency, solo in zip(latencies, solo_times)
-                ) / len(latencies)
+                delays = queueing_delays(
+                    open_result.completion_latencies,
+                    solo_times,
+                    open_result.arrivals,
+                )
                 arrival = ArrivalPoint(
                     rate=arrival_rate,
                     seed=arrival_seed,
@@ -837,7 +837,7 @@ def run_fleet_bench(
                     makespan=open_result.makespan,
                     p50_latency=open_result.p50_latency,
                     p99_latency=open_result.p99_latency,
-                    mean_queueing_delay=queueing,
+                    mean_queueing_delay=sum(delays) / len(delays),
                     lane_utilization=dict(open_result.lane_utilization),
                     admitted=open_result.n_jobs,
                 )

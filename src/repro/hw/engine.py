@@ -37,6 +37,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from itertools import accumulate, chain, repeat
 from typing import Generator
 
 from repro.errors import SimulationError
@@ -283,7 +284,7 @@ class Engine:
 
 
 # ---------------------------------------------------------------------------
-# Array-based event calendar (shared by the slim replays)
+# Array-based event calendar (used by the batch replay)
 # ---------------------------------------------------------------------------
 
 
@@ -299,15 +300,15 @@ class EventCalendar:
     on the second element *is* the engine's FIFO seq contract — no
     separate tie key is stored or compared.
 
-    Replay loops know their exact event count up front (one arrival
-    event per released entity plus exactly one completion per task), so
-    the payload array is sized once and never reallocates; :meth:`push`
+    The replay knows its exact event count up front (one release event
+    per entry segment plus exactly one completion per task), so the
+    payload array is sized once and never reallocates; :meth:`push`
     still grows it on demand for open-ended consumers.
 
-    The hot loops in :func:`replay_chain_batch` / :func:`replay_dag_batch`
-    operate on :attr:`heap` / :attr:`payload` directly (bound to locals)
-    rather than through these methods — the methods are the documented
-    API for tests and lighter consumers.
+    The hot loop in :func:`replay_dag_batch` operates on :attr:`heap` /
+    :attr:`payload` directly (bound to locals) rather than through these
+    methods — the methods are the documented API for tests and lighter
+    consumers.
     """
 
     __slots__ = ("heap", "payload", "seq")
@@ -359,232 +360,36 @@ class EventCalendar:
 
 
 # ---------------------------------------------------------------------------
-# Batch FIFO replays (the scale-out serving fast path)
+# Batch FIFO replay (the scale-out serving fast path)
 # ---------------------------------------------------------------------------
 #
 # A batch of scheduled jobs exercises none of the engine's generality:
 # every job is a fixed set of (resource, duration) tasks whose order is
 # known, so the generator machinery (one process per stage, command
 # objects per yield, 4-6 heap events per stage) only re-derives what
-# FIFO semantics already determine.  The replays below compute the *same
-# floats* the engine would — every occupancy start is either the task's
-# own ready time or the previous holder's release time, and grants are
-# FIFO with same-time ties broken by arrival order — with one calendar
-# event per occupancy instead of the engine's per-yield event storm.
-# :func:`replay_chain_batch` handles single-chain jobs with a per-job
-# cursor; :func:`replay_dag_batch` generalizes to branching pipelines
-# with per-replica join counters on the fan-in stages.  The simulation
-# backends (:mod:`repro.core.backends`) cross-check the equivalence in
-# tests and fall back to the full engine for any attached observer or
-# zero-duration task.
-
-
-#: Hop-queue actions (see :func:`replay_chain_batch`): START allocates a
-#: completion event for an occupancy granted this instant; ACQUIRE
-#: requests the job's current task's resource.
-_START = 0
-_ACQUIRE = 1
-
-
-def replay_chain_batch(
-    job_tasks: "list",
-    arrivals: "list[float]",
-    n_resources: int,
-) -> tuple[list[float], float, list[list[tuple[float, float]]]]:
-    """FIFO replay of a batch of single-chain jobs on shared resources.
-
-    ``job_tasks[j]`` is job ``j``'s task list — ``(resource_index,
-    duration, entry_hop)`` triples in chain order (boundary transfers
-    interleaved with device occupancies); ``arrivals[j]`` is its release
-    time.  Resources are capacity-1 and FIFO, exactly like
-    :class:`Resource`, and every duration must be positive (the caller
-    guarantees it).  Returns the per-job completion times, the makespan
-    (the last completion), and per-resource occupancy intervals —
-    ``occupancy[r]`` is resource ``r``'s ``(start, end)`` list in grant
-    order, where ``end`` is the exact float pushed as the completion
-    event (``start + duration``) — all bit-identical to spawning one
-    engine process per stage (on a capacity-1 resource the grant order
-    *is* the completion order, so the interval lists line up with the
-    engine's occupancy stream entry for entry).
-
-    Event discipline mirrors the engine's ordering contract exactly,
-    including same-instant ties.  One heap entry per occupancy, pushed
-    in the order the engine allocates the matching timeout's ``seq``.
-    At each instant the engine drains a *cascade* of same-time events:
-    completions resume first (in occupancy-start order), and a finishing
-    process reaches its next ``acquire`` only after a number of
-    intermediate events that depends on the transition — resuming
-    mid-stage from a transfer takes one hop (release, then the acquire
-    on the re-push), while crossing a stage boundary takes two (release,
-    StopIteration + watcher wake-up, then the successor's acquire).
-    ``entry_hop`` records that distance (0 for a job's very first task,
-    requested directly at its release event; 1 within a stage; 2 across
-    stages), and the replay processes each instant in banded hops —
-    completions and arrivals, then hop-1 actions, then hop-2, ... — with
-    grants scheduled ahead of the releasing job's own next request, so
-    same-time contention resolves grant-for-grant like the engine.
-
-    Even a batch of *identical* replicas is not the textbook pipelined
-    flow shop: when consecutive stages share a device, a replica's
-    next-stage request enqueues behind every replica already waiting, so
-    service proceeds in stage waves (all stage-0 occupancies, then the
-    stage-1s, ...).  That grant order is emergent — which is why the
-    super-job fast path replays FIFO instead of using a closed form.
-    """
-    n = len(job_tasks)
-    if len(arrivals) != n:
-        raise SimulationError(
-            f"{n} jobs but {len(arrivals)} arrival times"
-        )
-    # Exact event budget: one release event per job plus one completion
-    # per task — the calendar's payload array never reallocates.
-    calendar = EventCalendar(n + sum(len(tasks) for tasks in job_tasks))
-    # Initial release events ordered by (arrival, submission index): the
-    # engine spawns processes in submission order, so same-time releases
-    # request in submission order.
-    calendar.seed(sorted((arrivals[j], j) for j in range(n)))
-    heap = calendar.heap
-    payload = calendar.payload
-    seq = calendar.seq
-    busy = [False] * n_resources
-    waiters: list[deque[int]] = [deque() for _ in range(n_resources)]
-    occupancy: list[list[tuple[float, float]]] = [
-        [] for _ in range(n_resources)
-    ]
-    cursor = [0] * n  # index of the task currently requested/running
-    started = [False] * n  # False until the arrival event is consumed
-    completions = [0.0] * n
-    makespan = 0.0
-    pop = heapq.heappop
-    push = heapq.heappush
-    while heap:
-        time, first_eid = pop(heap)
-        first_job = payload[first_eid]
-        if not heap or heap[0][0] != time:
-            # Tie-free instant — the overwhelmingly common case with
-            # real (float) durations.  No other event shares the
-            # cascade, so grant and next-request resolve inline; the
-            # push order (grant's occupancy first, then this job's, if
-            # any) matches the banded cascade's seq allocation exactly.
-            job = first_job
-            tasks = job_tasks[job]
-            index = cursor[job]
-            if started[job]:
-                resource = tasks[index][0]
-                queue = waiters[resource]
-                if queue:
-                    waiter = queue.popleft()
-                    payload[seq] = waiter
-                    end = time + job_tasks[waiter][cursor[waiter]][1]
-                    occupancy[resource].append((time, end))
-                    push(heap, (end, seq))
-                    seq += 1
-                else:
-                    busy[resource] = False
-                index += 1
-                cursor[job] = index
-                if index == len(tasks):
-                    completions[job] = time
-                    if time > makespan:
-                        makespan = time
-                    continue
-            else:
-                started[job] = True
-            resource, duration = tasks[index][0], tasks[index][1]
-            if busy[resource]:
-                waiters[resource].append(job)
-            else:
-                busy[resource] = True
-                payload[seq] = job
-                end = time + duration
-                occupancy[resource].append((time, end))
-                push(heap, (end, seq))
-                seq += 1
-            continue
-        # Same-instant collision: banded cascade emulation.
-        band = [first_job]
-        while heap and heap[0][0] == time:
-            band.append(payload[pop(heap)[1]])
-        hop_now: list[tuple[int, int]] = []
-        hop_next: list[tuple[int, int]] = []
-        # Band 0: every event at this instant, in start/arrival order.
-        for job in band:
-            tasks = job_tasks[job]
-            index = cursor[job]
-            if started[job]:
-                # Completion: release the resource, handing it to the
-                # longest waiter (FIFO) before this job's own next
-                # request — the engine grants at release, ahead of the
-                # finisher's resume cascade.
-                resource = tasks[index][0]
-                queue = waiters[resource]
-                if queue:
-                    hop_now.append((_START, queue.popleft()))
-                else:
-                    busy[resource] = False
-                index += 1
-                cursor[job] = index
-                if index == len(tasks):
-                    completions[job] = time
-                    if time > makespan:
-                        makespan = time
-                    continue
-                if tasks[index][2] == 1:
-                    hop_now.append((_ACQUIRE, job))
-                else:
-                    hop_next.append((_ACQUIRE, job))
-            else:
-                # Release event: the first task is requested directly at
-                # this pop (the engine handles the entry acquire inline).
-                started[job] = True
-                resource = tasks[index][0]
-                if busy[resource]:
-                    waiters[resource].append(job)
-                else:
-                    busy[resource] = True
-                    hop_now.append((_START, job))
-        # Hop bands: grants/acquires ripple outward exactly one cascade
-        # step per band.  A successful ACQUIRE's occupancy event is
-        # allocated one hop later (the engine's resume-then-timeout),
-        # keeping completion-event order identical to engine seq order.
-        while hop_now or hop_next:
-            upcoming = hop_next
-            hop_next = []
-            for action, job in hop_now:
-                if action == _START:
-                    payload[seq] = job
-                    resource, duration = (
-                        job_tasks[job][cursor[job]][0],
-                        job_tasks[job][cursor[job]][1],
-                    )
-                    end = time + duration
-                    occupancy[resource].append((time, end))
-                    push(heap, (end, seq))
-                    seq += 1
-                else:
-                    resource = job_tasks[job][cursor[job]][0]
-                    if busy[resource]:
-                        waiters[resource].append(job)
-                    else:
-                        busy[resource] = True
-                        upcoming.append((_START, job))
-            hop_now = upcoming
-    return completions, makespan, occupancy
-
-
-# ---------------------------------------------------------------------------
-# DAG-batch FIFO replay
-# ---------------------------------------------------------------------------
+# FIFO semantics already determine.  :func:`replay_dag_batch` computes
+# the *same floats* the engine would — every occupancy start is either
+# the task's own ready time or the previous holder's release time, and
+# grants are FIFO with same-time ties broken by arrival order — with one
+# calendar event per occupancy instead of the engine's per-yield event
+# storm.  It walks one cursor per replica *segment*: a run of stages
+# joined by single-successor -> single-predecessor edges, which a chain
+# job is end to end, with per-replica join counters on the fan-in
+# stages.  The simulation backends (:mod:`repro.core.backends`)
+# cross-check the equivalence in tests and fall back to the full engine
+# for any attached observer or zero-duration task.
 #
-# Hop-band action codes (see :func:`replay_dag_batch`), packed with the
-# replica-stage index as ``(rs << 2) | code`` so the cascade bands hold
-# plain ints instead of per-action tuples:
+# Hop-band action codes, packed with the replica-segment index as
+# ``(rs << 2) | code`` so the cascade bands hold plain ints instead of
+# per-action tuples:
 #
 # - START:   allocate the completion event for an occupancy granted one
 #            band earlier (the engine's resume-then-timeout).
-# - ACQUIRE: request the replica-stage's current task's resource.
-# - NOTIFY:  the stage process's StopIteration — mark it finished and
-#            wake its watchers one band later.
+# - ACQUIRE: request the replica-segment's current task's resource.
+# - NOTIFY:  a stage process's StopIteration.  At a compacted stage
+#            boundary its only watcher is the segment's next stage,
+#            which ACQUIREs one band later; at a segment end, mark it
+#            finished and wake its watchers one band later.
 # - WAIT:    one step of a stage's predecessor wait loop (the engine's
 #            ``yield predecessor``): consume one predecessor per band,
 #            park on the first unfinished one, or fall through to the
@@ -595,88 +400,157 @@ _A_NOTIFY = 2
 _A_WAIT = 3
 
 
+def _segments(program) -> tuple:
+    """Compact one ``(stage_tasks, stage_preds)`` program into segments.
+
+    A stage whose only predecessor has it as its only successor extends
+    that predecessor's segment; every other stage heads a new one, so
+    segments are numbered in the topological order of their heads — the
+    engine's spawn order.  Every predecessor of a head ends its own
+    segment, so only a segment end can have watchers.
+
+    Segment tasks are ``(resource_index, duration, hop)`` triples.
+    ``hop`` is the engine's same-instant cascade distance from the
+    previous task's completion to this task's acquire: 1 within a stage
+    (release, then the acquire on the re-push), 2 across a compacted
+    stage boundary (release, then StopIteration waking the next stage,
+    then its acquire).  A head's first task is requested at its release
+    event or its last predecessor wait instead, so its hop is unused.
+
+    Predecessors and initial watchers are stored as offsets from the
+    segment's own index, so every replica of the program shares them.
+    Returns ``(tasks, preds, watchers, heads, n_tasks)``: per-segment
+    task lists, predecessor offsets (in-edge order), initial watcher
+    offsets (registration order: a head parks on its first
+    predecessor), the entry segments, and the program's task count."""
+    stage_tasks, stage_preds = program
+    fan_out = [0] * len(stage_tasks)
+    for preds in stage_preds:
+        for p in preds:
+            fan_out[p] += 1
+    seg_of: list[int] = []
+    tasks: list[list[tuple[int, float, int]]] = []
+    preds_of: list[tuple[int, ...]] = []
+    for stage, preds in enumerate(stage_preds):
+        if len(preds) == 1 and fan_out[preds[0]] == 1:
+            seg = seg_of[preds[0]]
+            hop = 2
+        else:
+            seg = len(tasks)
+            tasks.append([])
+            preds_of.append(tuple(seg_of[p] - seg for p in preds))
+            hop = 0
+        seg_of.append(seg)
+        segment = tasks[seg]
+        for resource, duration in stage_tasks[stage]:
+            segment.append((resource, duration, hop))
+            hop = 1
+    watchers: list[tuple[int, ...]] = [()] * len(tasks)
+    for seg, preds in enumerate(preds_of):
+        if preds:
+            watchers[seg + preds[0]] += (-preds[0],)
+    heads = tuple(seg for seg, preds in enumerate(preds_of) if not preds)
+    return tasks, preds_of, watchers, heads, sum(map(len, tasks))
+
+
 def replay_dag_batch(
-    job_programs: "list",
+    programs: "list",
+    job_program: "list[int]",
     arrivals: "list[float]",
     n_resources: int,
 ) -> tuple[list[float], float, list[list[tuple[float, float]]]]:
     """FIFO replay of a batch of DAG-shaped jobs on shared resources.
 
-    ``job_programs[j]`` describes job ``j`` as ``(stage_tasks,
-    stage_preds)`` with stages indexed in topological order:
-    ``stage_tasks[s]`` is stage ``s``'s task list — ``(resource_index,
-    duration)`` pairs in execution order (boundary transfers in in-edge
-    order, then the device occupancy) — and ``stage_preds[s]`` its
-    predecessor stage indices in in-edge order.  ``arrivals[j]`` is the
-    job's release time.  Resources are capacity-1 and FIFO, exactly like
-    :class:`Resource`, and every duration must be positive (the caller
-    guarantees it).  Returns per-job completion times, the makespan,
-    and per-resource occupancy intervals in grant order (the same
-    ``(start, start + duration)`` floats as
-    :func:`replay_chain_batch`'s), bit-identical to spawning one engine
-    process per stage.
+    Job ``j`` runs ``programs[job_program[j]]``, released at
+    ``arrivals[j]``.  A program is ``(stage_tasks, stage_preds)`` with
+    stages indexed in topological order: ``stage_tasks[s]`` is stage
+    ``s``'s task list — ``(resource_index, duration)`` pairs in
+    execution order (boundary transfers in in-edge order, then the
+    device occupancy) — and ``stage_preds[s]`` its predecessor stage
+    indices in in-edge order.  Each program is compiled into segments
+    (:func:`_segments`) once, however many jobs run it.  Resources are
+    capacity-1 and FIFO, exactly like :class:`Resource`, and every
+    duration must be positive (the caller guarantees it).  Returns
+    per-job completion times, the makespan (the last completion), and
+    per-resource occupancy intervals — ``occupancy[r]`` is resource
+    ``r``'s ``(start, end)`` list in grant order, where ``end`` is the
+    exact float pushed as the completion event (``start + duration``)
+    — all bit-identical to spawning one engine process per stage (on a
+    capacity-1 resource the grant order *is* the completion order, so
+    the interval lists line up with the engine's occupancy stream entry
+    for entry).
 
-    This generalizes :func:`replay_chain_batch` from one cursor per job
-    to one cursor per *replica-stage* plus a join counter
-    (``wait_index``) per fan-in: a stage requests its first task only
-    after every predecessor stage of its own replica has finished, which
-    is exactly the ``yield predecessor`` wait chain the engine's stage
-    processes perform.  The calendar still carries one event per
-    occupancy (plus one release event per entry stage); everything else
-    — releases, grants, StopIteration fan-out wake-ups, finished-
-    predecessor skips — is zero-duration and resolves inside the
-    same-instant cascade.
+    The replay keeps one cursor per *replica-segment* plus a join
+    counter (``wait_index``) per fan-in: a segment head requests its
+    first task only after every predecessor segment of its own replica
+    has finished, which is exactly the ``yield predecessor`` wait chain
+    the engine's stage processes perform.  The calendar carries one
+    event per occupancy (plus one release event per entry segment);
+    everything else — releases, grants, StopIteration fan-out wake-ups,
+    finished-predecessor skips — is zero-duration and resolves inside
+    the same-instant cascade.
 
-    Every instant is processed in *hop bands* mirroring the engine's seq
-    allocation order (the same argument as the chain replay's banded
-    emulation, extended with two DAG-only transitions): a completion
-    releases its resource and grants the longest waiter in the next band
-    ahead of its own follow-up; a stage's last completion reaches
+    Event discipline mirrors the engine's ordering contract exactly,
+    including same-instant ties.  At each instant the engine drains a
+    *cascade* of same-time events in seq order, and the replay processes
+    it in *hop bands*: every calendar event (completions in occupancy-
+    start order, releases), then each band's follow-ups one engine
+    cascade step later.  A completion releases its resource and grants
+    the longest waiter in the next band ahead of its own follow-up; the
+    next task of its segment is requested ``hop`` bands later (see
+    :func:`_segments`); a segment's last completion reaches
     StopIteration one band later (NOTIFY) and wakes its watchers one
     band after that, in watcher-registration order; each additional
-    already-finished predecessor a woken stage skips over costs one more
+    already-finished predecessor a woken head skips over costs one more
     band (the engine re-pushes the process per ``yield``).  Same-time
     completions therefore grant, wake and re-request in exactly the
     order the generator engine's monotonic seq would produce.
+
+    Even a batch of *identical* replicas is not the textbook pipelined
+    flow shop: when consecutive stages share a device, a replica's
+    next-stage request enqueues behind every replica already waiting, so
+    service proceeds in stage waves (all stage-0 occupancies, then the
+    stage-1s, ...).  That grant order is emergent — which is why the
+    super-job fast path replays FIFO instead of using a closed form.
     """
-    n = len(job_programs)
+    n = len(job_program)
     if len(arrivals) != n:
         raise SimulationError(
             f"{n} jobs but {len(arrivals)} arrival times"
         )
     # ------------------------------------------------------------------
-    # Flatten (replica, stage) into rs indices.  The engine spawns one
-    # process per stage, jobs in submission order and stages in topo
-    # order; at t=0 every non-entry stage parks on its *first*
-    # predecessor, so the initial watcher lists are a pure function of
-    # the programs, registered here in that same spawn order.
+    # Lay the replicas' segments out as rs indices, jobs in submission
+    # order and segments in head order — the engine's spawn order.  The
+    # per-replica arrays are concatenations of per-program data, built
+    # at C speed; at t=0 every non-entry head parks on its *first*
+    # predecessor, so the initial watcher lists come from the programs.
+    # Entry releases are sorted by (arrival, rs): rs order is the spawn
+    # order the engine allocates the release timeouts' seqs in.
     # ------------------------------------------------------------------
-    rs_tasks: list = []  # task list per replica-stage
-    rs_preds: list = []  # rs indices of predecessors, in-edge order
-    rs_job: list[int] = []
-    entry_events: list[tuple[float, int]] = []
-    remaining = [0] * n  # unfinished stage count per job
-    n_tasks_total = 0
-    for j, (stage_tasks, stage_preds) in enumerate(job_programs):
-        job_base = len(rs_tasks)
-        release = arrivals[j]
-        remaining[j] = len(stage_tasks)
-        for s, tasks in enumerate(stage_tasks):
-            rs_tasks.append(tasks)
-            preds = stage_preds[s]
-            rs_preds.append(tuple(job_base + p for p in preds))
-            rs_job.append(j)
-            n_tasks_total += len(tasks)
-            if not preds:
-                entry_events.append((release, job_base + s))
+    compiled = [_segments(program) for program in programs]
+    tasks_of, preds_of, watchers_of, heads_of, n_tasks_of = (
+        [columns[i] for columns in compiled] for i in range(5)
+    )
+    job_tasks = list(map(tasks_of.__getitem__, job_program))
+    rs_tasks = list(chain.from_iterable(job_tasks))
+    rs_preds = list(chain.from_iterable(map(preds_of.__getitem__, job_program)))
+    watchers = list(
+        chain.from_iterable(map(watchers_of.__getitem__, job_program))
+    )
+    remaining = list(map(len, job_tasks))  # unfinished segments per job
+    rs_job = list(chain.from_iterable(map(repeat, range(n), remaining)))
+    entry_events = [
+        (release, base + head)
+        for release, base, heads in zip(
+            arrivals,
+            accumulate(remaining, initial=0),
+            map(heads_of.__getitem__, job_program),
+        )
+        for head in heads
+    ]
+    entry_events.sort()
     total = len(rs_tasks)
-    watchers: list[list[int]] = [[] for _ in range(total)]
-    for rs in range(total):
-        preds = rs_preds[rs]
-        if preds:
-            watchers[preds[0]].append(rs)
-
-    cursor = [0] * total  # index of the stage's requested/running task
+    cursor = [0] * total  # index of the segment's requested/running task
     wait_index = [0] * total  # predecessor currently being waited on
     started = [False] * total  # False until the first task is requested
     stage_done = [False] * total
@@ -688,12 +562,11 @@ def replay_dag_batch(
     completions = [0.0] * n
     makespan = 0.0
 
-    # Exact event budget: one release event per entry stage plus one
-    # completion per task.  Entry releases are sorted by (arrival, rs) —
-    # rs order is (job, topo) order, matching the seq order the engine
-    # allocates the release timeouts in at spawn time.
-    entry_events.sort()
-    calendar = EventCalendar(len(entry_events) + n_tasks_total)
+    # Exact event budget: one release event per entry segment plus one
+    # completion per task — the payload array never reallocates.
+    calendar = EventCalendar(
+        len(entry_events) + sum(map(n_tasks_of.__getitem__, job_program))
+    )
     calendar.seed(entry_events)
     heap = calendar.heap
     payload = calendar.payload
@@ -706,14 +579,15 @@ def replay_dag_batch(
         rs = payload[eid]
         if not heap or heap[0][0] != time:
             # Tie-free instant — the overwhelmingly common case with
-            # real (float) durations.  Grant, cursor advance and
-            # next-request resolve inline; the push order (grant's
-            # occupancy first, then this stage's next, if any) matches
-            # the banded cascade's seq allocation exactly.  Only a
-            # stage end with parked watchers enters the hop bands: the
-            # relative order in which same-instant watchers reach their
-            # acquires depends on how many finished predecessors each
-            # skips, which is precisely what the bands emulate.
+            # real (float) durations.  No other event shares the
+            # cascade, so grant, cursor advance and next-request resolve
+            # inline, whatever the hop; the push order (grant's
+            # occupancy first, then this segment's next, if any)
+            # matches the banded cascade's seq allocation exactly.  Only
+            # a segment end with parked watchers enters the hop bands:
+            # the relative order in which same-instant watchers reach
+            # their acquires depends on how many finished predecessors
+            # each skips, which is precisely what the bands emulate.
             tasks = rs_tasks[rs]
             if started[rs]:
                 index = cursor[rs]
@@ -752,8 +626,8 @@ def replay_dag_batch(
                 parked = watchers[rs]
                 if not parked:
                     continue
-                watchers[rs] = []
-                cur = [(watcher << 2) | _A_WAIT for watcher in parked]
+                watchers[rs] = ()
+                cur = [((rs + offset) << 2) | _A_WAIT for offset in parked]
             else:
                 started[rs] = True
                 resource = tasks[0][0]
@@ -774,7 +648,7 @@ def replay_dag_batch(
                 band.append(payload[pop(heap)[1]])
             # Band 0: every calendar event at this instant in seq order.
             # Completions release first (grant ahead of the finisher's
-            # own cascade); release events request their entry stage's
+            # own cascade); release events request their entry segment's
             # first task at this pop, like the engine's post-timeout
             # resume.
             nxt: list[int] = []
@@ -790,7 +664,7 @@ def replay_dag_batch(
                         busy[resource] = False
                     index += 1
                     cursor[rs] = index
-                    if index < len(tasks):
+                    if index < len(tasks) and tasks[index][2] == 1:
                         nxt.append((rs << 2) | _A_ACQUIRE)
                     else:
                         nxt.append((rs << 2) | _A_NOTIFY)
@@ -804,7 +678,7 @@ def replay_dag_batch(
                         nxt.append((rs << 2) | _A_START)
             cur = nxt
         # Hop bands: actions ripple outward exactly one engine cascade
-        # step per band (see the module comment above the action codes).
+        # step per band (see the comment above the action codes).
         while cur:
             nxt = []
             for action in cur:
@@ -812,7 +686,7 @@ def replay_dag_batch(
                 rs = action >> 2
                 if code == _A_START:
                     payload[seq] = rs
-                    resource, duration = rs_tasks[rs][cursor[rs]]
+                    resource, duration, _hop = rs_tasks[rs][cursor[rs]]
                     end = time + duration
                     occupancy[resource].append((time, end))
                     push(heap, (end, seq))
@@ -825,6 +699,10 @@ def replay_dag_batch(
                         busy[resource] = True
                         nxt.append((rs << 2) | _A_START)
                 elif code == _A_NOTIFY:
+                    if cursor[rs] < len(rs_tasks[rs]):
+                        # A compacted stage boundary.
+                        nxt.append((rs << 2) | _A_ACQUIRE)
+                        continue
                     stage_done[rs] = True
                     job = rs_job[rs]
                     remaining[job] -= 1
@@ -834,19 +712,19 @@ def replay_dag_batch(
                             makespan = time
                     parked = watchers[rs]
                     if parked:
-                        for watcher in parked:
-                            nxt.append((watcher << 2) | _A_WAIT)
-                        watchers[rs] = []
+                        for offset in parked:
+                            nxt.append(((rs + offset) << 2) | _A_WAIT)
+                        watchers[rs] = ()
                 else:  # _A_WAIT: one predecessor-loop step
                     preds = rs_preds[rs]
                     index = wait_index[rs] + 1
                     wait_index[rs] = index
                     if index < len(preds):
-                        pred = preds[index]
+                        pred = rs + preds[index]
                         if stage_done[pred]:
                             nxt.append((rs << 2) | _A_WAIT)
                         else:
-                            watchers[pred].append(rs)
+                            watchers[pred] += (rs - pred,)
                     else:
                         # All joins satisfied: request the first task at
                         # this pop (the engine falls straight through to

@@ -4,9 +4,11 @@ The serving fast path (signature-coalesced super-jobs replayed FIFO,
 contention-sharded engines) is an optimization, never an approximation:
 every per-job report and the makespan must match the uncollapsed,
 unsharded generator DES bit for bit — property-checked here over random
-chain/DAG batches, with and without arrival processes.  Any observer
-forces the uncollapsed DES, which is also how the reference results are
-obtained.
+chain/DAG batches, with and without arrival processes.  Chains run on
+the DAG replay as one segment per job, so the exact-time tie storms on
+hand-built chains below pin its compacted stage boundaries.  Any
+observer forces the uncollapsed DES, which is also how the reference
+results are obtained.
 """
 
 import random
@@ -14,7 +16,7 @@ import random
 import pytest
 
 from repro.core.arrivals import percentile, poisson_arrivals
-from repro.core.framework import NdftFramework
+from repro.core.framework import NdftFramework, queueing_delays
 from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
 from repro.core.scheduler import SchedulingPolicy
 from repro.dft.workload import problem_size
@@ -333,13 +335,43 @@ class TestArrivals:
             assert job.report.total_time >= arrival
         assert batch.p50_latency <= batch.p99_latency
         assert batch.p99_latency <= max(batch.completion_latencies)
-        # Queueing delay is latency minus the unloaded solo time (zero
-        # up to float association for uncontended jobs).
-        for delay, latency, solo in zip(
-            batch.queueing_delays, batch.completion_latencies, batch.solo_times
+        # Queueing delay is latency minus the unloaded solo time, and
+        # exactly zero where that difference is float cancellation.
+        for delay, latency, solo, arrival in zip(
+            batch.queueing_delays,
+            batch.completion_latencies,
+            batch.solo_times,
+            arrivals,
         ):
-            assert delay == latency - solo
-            assert delay >= -1e-9 * max(1.0, solo)
+            slack = 1e-9 * max(1.0, solo) + 1e-12 * (arrival + latency)
+            if abs(latency - solo) <= slack:
+                assert delay == 0.0
+            else:
+                assert delay == latency - solo
+            assert delay >= 0.0
+
+    @pytest.mark.parametrize("start", [0.0, 1e7, 1.7e9])
+    def test_spaced_arrivals_have_exactly_zero_queueing_delay(
+        self, framework, start
+    ):
+        """Arrivals far apart leave every job uncontended, so each delay
+        is exactly 0.0, not the residue of latency - solo: ~1e-12 s near
+        t=0, and far from it an ulp of the absolute time per task end
+        (~1e-9 s at 1e7 s, ~1e-7 s at an epoch timestamp), which must
+        not raise either."""
+        sizes = [64, 512, 1024, 128, 64, 512]
+        arrivals = [start + i * 1e4 for i in range(len(sizes))]
+        batch = framework.run_many(sizes, arrivals=arrivals)
+        assert batch.queueing_delays == (0.0,) * len(sizes)
+        assert batch.mean_queueing_delay == 0.0
+
+    def test_job_faster_than_solo_raises(self):
+        assert queueing_delays([1.0 - 1e-12, 2.5], [1.0, 2.0]) == (0.0, 0.5)
+        assert queueing_delays([0.5 - 1e-7], [0.5], [1.7e9]) == (0.0,)
+        with pytest.raises(SimulationError, match="less than its solo time"):
+            queueing_delays([0.5], [1.0])
+        with pytest.raises(SimulationError, match="less than its solo time"):
+            queueing_delays([0.5 - 1e-7], [0.5], [1e3])
 
     def test_zero_arrivals_match_closed_batch(self):
         sizes = [64, 512, 64, 1024]

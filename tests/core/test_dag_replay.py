@@ -3,11 +3,11 @@
 The DAG replay (:func:`repro.hw.engine.replay_dag_batch`, selected by
 the ``dag_replay`` backend) must reproduce the generator engine's floats
 bit for bit on *branching* pipelines — k-point DAGs, random synthetic
-DAGs, constructed exact-time tie storms on fan-in joins — the same way
-``tests/core/test_coalesce_shard.py`` pins the chain replay.  This file
-also covers the backend registry semantics: selection order, forced
-backends, observer and zero-duration fallbacks, and the framework's
-``backend_stats`` counters.
+DAGs, constructed exact-time tie storms on fan-in joins and on compacted
+single-predecessor segments — as ``tests/core/test_coalesce_shard.py``
+pins it on chains.  This file also covers the backend registry
+semantics: selection order, forced backends, observer and zero-duration
+fallbacks, and the framework's ``backend_stats`` counters.
 """
 
 import random
@@ -102,8 +102,8 @@ class TestDagReplayEquivalence:
         assert fast.job_reports == slow.job_reports
 
     def test_mixed_chain_and_dag_shard_takes_dag_replay(self, framework):
-        """A shard mixing chains with one DAG cannot use the chain
-        replay, but no longer forces the engine either."""
+        """A shard mixing chains with one DAG runs on the DAG replay,
+        not the engine."""
         jobs = _jobs(
             framework,
             [(64, build_pipeline), (64, build_kpoint_pipeline)] * 3,
@@ -308,6 +308,75 @@ class TestExactTimeTiesOnFanIn:
             assert fast.makespan == slow.makespan
 
 
+def _random_toy_job(rng, label, cost_model):
+    """A random toy chain or DAG with round-number durations and edge
+    bytes and random CPU/NDP placements: single-predecessor runs compact
+    into replay segments, and a placement change on one of their
+    boundaries puts a wire transfer at the head of the compacted stage.
+    DAG stages draw 0-2 predecessors (0 adds an entry stage)."""
+    n_stages = rng.randint(2, 6)
+    if rng.random() < 0.5:
+        edge_spec = [(i - 1, i) for i in range(1, n_stages)]
+    else:
+        edge_spec = [
+            (p, i)
+            for i in range(1, n_stages)
+            for p in rng.sample(range(i), min(i, rng.choice((0, 1, 1, 2))))
+        ]
+    pipeline = _toy_dag(
+        label,
+        tuple(str(i) for i in range(n_stages)),
+        tuple(
+            (str(src), str(dst), rng.choice((0.0, 0.25, 0.5)))
+            for src, dst in edge_spec
+        ),
+    )
+    schedule = _toy_schedule(
+        pipeline,
+        [rng.choice((Placement.CPU, Placement.NDP)) for _ in range(n_stages)],
+        [rng.choice((0.5, 1.0, 1.5, 2.0)) for _ in range(n_stages)],
+        cost_model,
+    )
+    return pipeline, schedule
+
+
+class TestCompactedSegmentTieStorms:
+    """The DAG replay runs each single-successor -> single-predecessor
+    run of stages as one segment.  Round-number durations make almost
+    every completion collide with others, so a compacted boundary's
+    re-request must land in exactly the band the engine's StopIteration
+    and wake-up would put it in."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_tie_storm_shards_match_engine(self, seed):
+        rng = random.Random(seed)
+        cost_model = _round_cost_model()
+        executor = PipelineExecutor(cost_model=cost_model)
+        for shard in range(20):
+            templates = [
+                _random_toy_job(rng, f"t{shard}_{k}_", cost_model)
+                for k in range(rng.randint(1, 4))
+            ]
+            jobs = [
+                job for job in templates for _ in range(rng.randint(1, 6))
+            ]
+            rng.shuffle(jobs)
+            round_arrivals = [rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in jobs]
+            for arrivals in (None, round_arrivals):
+                fast = executor.execute_many(
+                    jobs, arrivals=arrivals, backend="dag_replay"
+                )
+                slow = executor.execute_many(
+                    jobs, arrivals=arrivals, coalesce=False, shard=False
+                )
+                engine = executor.execute_many(
+                    jobs, arrivals=arrivals, backend="engine"
+                )
+                assert fast.job_reports == slow.job_reports
+                assert fast.makespan == slow.makespan
+                assert fast.lane_occupancy == engine.lane_occupancy
+
+
 class TestLaneOccupancyEquivalence:
     """Per-lane busy accounting is part of the backend contract: every
     backend must record the *same* occupancy intervals — the engine's
@@ -316,8 +385,9 @@ class TestLaneOccupancyEquivalence:
 
     @pytest.mark.parametrize("seed", [20, 21, 22, 23])
     def test_chain_batches_identical_across_all_backends(self, framework, seed):
-        """Random chain batches support every backend, so all three can
-        be compared pairwise on the same shard."""
+        """Random mixed-size chain batches: auto mode runs them on the
+        DAG replay (one segment per job), and the engine must record
+        the same intervals."""
         rng = random.Random(seed)
         entries = [
             (rng.choice(SIZES), build_pipeline)
@@ -327,18 +397,13 @@ class TestLaneOccupancyEquivalence:
         arrivals = None
         if seed % 2:
             arrivals = [round(rng.random() * 5, 3) for _ in jobs]
-        chain = framework.executor.execute_many(jobs, arrivals=arrivals)
-        dag = framework.executor.execute_many(
-            jobs, arrivals=arrivals, backend="dag_replay"
-        )
+        dag = framework.executor.execute_many(jobs, arrivals=arrivals)
         engine = framework.executor.execute_many(
             jobs, arrivals=arrivals, backend="engine"
         )
-        assert chain.backend_jobs == {"chain_replay": len(jobs)}
         assert dag.backend_jobs == {"dag_replay": len(jobs)}
-        assert chain.lane_occupancy == dag.lane_occupancy
-        assert chain.lane_occupancy == engine.lane_occupancy
-        assert chain.lane_occupancy  # the accounting is actually on
+        assert dag.lane_occupancy == engine.lane_occupancy
+        assert dag.lane_occupancy  # the accounting is actually on
 
     @pytest.mark.parametrize("seed", [30, 31, 32, 33])
     def test_kpoint_batches_identical_dag_vs_engine(self, framework, seed):
@@ -450,9 +515,7 @@ class TestBackendFallbacks:
 
 class TestBackendRegistry:
     def test_registry_order_prefers_replays(self):
-        names = backend_names()
-        assert names[-1] == "engine"
-        assert names.index("chain_replay") < names.index("dag_replay")
+        assert backend_names() == ("dag_replay", "vector_replay", "engine")
 
     def test_unknown_backend_rejected(self, framework):
         jobs = _jobs(framework, [(64, build_pipeline)])
@@ -470,11 +533,6 @@ class TestBackendRegistry:
         assert auto.job_reports == forced.job_reports
         assert auto.makespan == forced.makespan
 
-    def test_forced_chain_replay_rejects_dag_shard(self, framework):
-        jobs = _jobs(framework, [(64, build_kpoint_pipeline)] * 2)
-        with pytest.raises(SimulationError):
-            framework.executor.execute_many(jobs, backend="chain_replay")
-
     def test_forced_nonengine_backend_rejects_observer(self, framework):
         jobs = _jobs(framework, [(64, build_pipeline)] * 2)
         with pytest.raises(SimulationError):
@@ -488,7 +546,7 @@ class TestBackendRegistry:
         jobs = _jobs(framework, [(64, build_pipeline)] * 2)
         with pytest.raises(SimulationError):
             framework.executor.execute_many(
-                jobs, backend="chain_replay", coalesce=False
+                jobs, backend="dag_replay", coalesce=False
             )
         # Forcing the engine is consistent with coalesce=False.
         report = framework.executor.execute_many(
@@ -502,12 +560,12 @@ class TestBackendRegistry:
         assert set(backend_names()) <= set(stats)
         assert all(count == 0 for count in stats.values())
         framework.run_many([64, 128, 512])
+        assert framework.backend_stats["dag_replay"] == 3
         framework.run_many(
             [64, 128], pipeline_builder=build_kpoint_pipeline
         )
         stats = framework.backend_stats
-        assert stats["chain_replay"] == 3
-        assert stats["dag_replay"] == 2
+        assert stats["dag_replay"] == 5
         assert stats["engine"] == 0
         framework.run_many([64], backend="engine")
         assert framework.backend_stats["engine"] == 1

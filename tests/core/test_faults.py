@@ -199,7 +199,7 @@ class TestEmptyPlanBitIdentity:
     every backend on its normal path and reproduce the exact floats."""
 
     @pytest.mark.parametrize(
-        "backend", ["chain_replay", "dag_replay", "vector_replay", "engine"]
+        "backend", ["dag_replay", "vector_replay", "engine"]
     )
     def test_forced_backends_identical(self, framework, backend):
         # Single-signature coalesced chain batch: the one shard shape
@@ -403,7 +403,7 @@ class TestGuards:
     def test_forced_replay_backend_declines_faulted_shard(self, framework):
         jobs = _jobs(framework, [64] * 4)
         plan = FaultPlan(outages=(("ndp", 0.0, 1.0),))
-        for backend in ("chain_replay", "dag_replay", "vector_replay"):
+        for backend in ("dag_replay", "vector_replay"):
             with pytest.raises(SimulationError) as excinfo:
                 framework.executor.execute_many(jobs, backend=backend, faults=plan)
             assert FAULTED_SHARD_REASON in str(excinfo.value)

@@ -45,7 +45,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.hw.engine import inflate_service, resolve_degraded_service
 
 SIZES = [64, 128, 512, 1024]
-BACKENDS = ["chain_replay", "dag_replay", "vector_replay", "engine"]
+BACKENDS = ["dag_replay", "vector_replay", "engine"]
 
 
 def _jobs(framework, entries):
@@ -303,7 +303,7 @@ class TestSlowdownEndToEnd:
             outages=(("ndp", 0.0, 1.0),),
             slowdowns=(("ndp", 2.0, 3.0, 2.0),),
         )
-        for backend in ("chain_replay", "dag_replay", "vector_replay"):
+        for backend in ("dag_replay", "vector_replay"):
             with pytest.raises(SimulationError) as excinfo:
                 framework.executor.execute_many(
                     jobs, backend=backend, faults=slow_only

@@ -106,7 +106,7 @@ class TestVectorReplayEquivalence:
         )
         assert vector.backend_jobs == {"vector_replay": count}
         assert vector.n_superjobs == 1
-        for other in ("chain_replay", "dag_replay", "engine"):
+        for other in ("dag_replay", "engine"):
             reference = framework.executor.execute_many(
                 jobs, arrivals=arrivals, backend=other
             )
@@ -201,13 +201,6 @@ class TestForcedUnsupportedReasons:
         ):
             executor.execute_many(jobs, backend="dag_replay")
 
-    def test_non_chain_reason(self, framework):
-        jobs = _jobs(framework, [(64, build_kpoint_pipeline)] * 2)
-        with pytest.raises(
-            SimulationError, match="non-chain pipeline"
-        ):
-            framework.executor.execute_many(jobs, backend="chain_replay")
-
     def test_tie_interleaving_reason(self, framework):
         jobs = _jobs(framework, [(64, build_pipeline)] * 40)
         arrivals = [round(i * 0.01, 4) for i in range(40)]
@@ -269,7 +262,7 @@ class TestBackendTimings:
         assert len(report.backend_timings) == report.n_shards == 1
         timing = report.backend_timings[0]
         assert isinstance(timing, ShardTiming)
-        assert timing.backend == "chain_replay"
+        assert timing.backend == "dag_replay"
         assert timing.wall_seconds > 0.0
         assert timing.n_jobs == 5
         assert timing.n_superjobs == 1
@@ -300,7 +293,7 @@ class TestBackendTimings:
             assert stats[f"{name}_wall_seconds"] == 0.0
         framework.run_many([64, 128, 512])
         stats = framework.backend_stats
-        assert stats["chain_replay_wall_seconds"] > 0.0
+        assert stats["dag_replay_wall_seconds"] > 0.0
         assert stats["engine_wall_seconds"] == 0.0
 
 
@@ -343,25 +336,24 @@ class TestSelectionRule:
         assert attempts == []
 
     @pytest.mark.parametrize(
-        ("builder", "event_replay"),
-        [(build_pipeline, "chain_replay"), (build_kpoint_pipeline, "dag_replay")],
+        "builder", [build_pipeline, build_kpoint_pipeline]
     )
-    def test_closed_batch_threshold(self, builder, event_replay):
+    def test_closed_batch_threshold(self, builder):
         framework = NdftFramework()
         below = framework.run_many(
             [512] * (VECTOR_MIN_JOBS - 1), pipeline_builder=builder
         )
         assert below.batch_report.backend_jobs == {
-            event_replay: VECTOR_MIN_JOBS - 1
+            "dag_replay": VECTOR_MIN_JOBS - 1
         }
         at = framework.run_many([512] * VECTOR_MIN_JOBS, pipeline_builder=builder)
         assert at.batch_report.backend_jobs == {"vector_replay": VECTOR_MIN_JOBS}
 
     def test_late_decline_falls_through_to_engine(self, monkeypatch):
-        """64 replicas of a zero-duration toy DAG: ``vector_replay`` is
-        tried first and declines late, ``chain_replay`` refuses the
-        non-chain shape and ``dag_replay`` declines, so the engine
-        simulates it — bit-identically to the uncollapsed path."""
+        """``VECTOR_MIN_JOBS`` replicas of a zero-duration toy DAG:
+        ``vector_replay`` is tried first and declines late, then
+        ``dag_replay`` declines, so the engine simulates it —
+        bit-identically to the uncollapsed path."""
         attempts = self._count_vector_attempts(monkeypatch)
         executor, jobs = _zero_duration_toy_jobs(VECTOR_MIN_JOBS)
         auto = executor.execute_many(jobs)
@@ -372,8 +364,4 @@ class TestSelectionRule:
 
 class TestRegistryOrder:
     def test_vector_replay_registered_after_dag_replay(self):
-        names = backend_names()
-        assert names[-1] == "engine"
-        assert names.index("chain_replay") < names.index("dag_replay")
-        assert names.index("dag_replay") < names.index("vector_replay")
-        assert "vector_replay" in names
+        assert backend_names() == ("dag_replay", "vector_replay", "engine")
