@@ -41,9 +41,9 @@ BATCHES = ((16, False), (256, False), (2048, False), (2048, True))
 def replicas(framework, builder, n_jobs):
     """``n_jobs`` replicas of the Si_512 job, sharing one pair."""
     pipeline = framework._build_pipeline(problem_size(512), builder)
-    schedule = framework._schedule_for(
+    schedule = framework._record_for(
         pipeline, framework.job_signature(pipeline)
-    )
+    ).schedule
     return [(pipeline, schedule)] * n_jobs
 
 

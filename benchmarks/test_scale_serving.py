@@ -17,11 +17,15 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 
 import pytest
 
+from repro.core.executor import PipelineExecutor
 from repro.core.framework import NdftFramework
 from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
+from repro.core.sca import StaticCodeAnalyzer
+from repro.core.scheduler import CostAwareScheduler
 from repro.dft.workload import problem_size
 from repro.experiments.scale_serving import (
     job_mix,
@@ -84,16 +88,32 @@ def test_fast_path_wall_clock_speedup(comparison):
     assert speedup >= 5.0
 
 
-def test_batch_work_is_deduplicated():
+def test_batch_work_is_deduplicated(monkeypatch):
     """256 jobs over 4 distinct signatures: exactly 4 schedules, 4 SCA
-    passes and 4 solo runs; everything else is a cache hit."""
+    passes and 4 solo runs, one lookup per distinct entry and none for
+    the duplicates."""
+    derived = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            derived[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(CostAwareScheduler, "schedule")
+    count(PipelineExecutor, "execute")
+    count(StaticCodeAnalyzer, "analyze_all")
     framework = NdftFramework()
     framework.run_many(job_mix(ACCEPTANCE_BATCH))
     stats = framework.cache_stats
     n_distinct = len(set(job_mix(ACCEPTANCE_BATCH)))
-    for kind in ("pipeline", "schedule", "solo", "sca"):
+    for kind in ("pipeline", "entry"):
         assert stats[f"{kind}_misses"] == n_distinct
-        assert stats[f"{kind}_hits"] == ACCEPTANCE_BATCH - n_distinct
+        assert stats[f"{kind}_hits"] == 0
+    assert derived == dict.fromkeys(("schedule", "execute", "analyze_all"), n_distinct)
 
 
 def test_serving_sweep_emits_bench_json(tmp_path):
@@ -138,9 +158,9 @@ def test_scaleout_batch_des_speedup():
         pipeline = framework._build_pipeline(
             problem_size(n_atoms), build_pipeline
         )
-        schedule = framework._schedule_for(
+        schedule = framework._record_for(
             pipeline, framework.job_signature(pipeline)
-        )
+        ).schedule
         jobs.append((pipeline, schedule))
 
     def best_of(callable_, repeats=3):
@@ -179,9 +199,9 @@ def test_dag_batch_replay_speedup():
         pipeline = framework._build_pipeline(
             problem_size(n_atoms), build_kpoint_pipeline
         )
-        schedule = framework._schedule_for(
+        schedule = framework._record_for(
             pipeline, framework.job_signature(pipeline)
-        )
+        ).schedule
         jobs.append((pipeline, schedule))
 
     def best_of(callable_, repeats=3):
@@ -221,9 +241,9 @@ def test_vector_replay_speedup():
     pipeline = framework._build_pipeline(
         problem_size(64), build_kpoint_pipeline
     )
-    schedule = framework._schedule_for(
+    schedule = framework._record_for(
         pipeline, framework.job_signature(pipeline)
-    )
+    ).schedule
     jobs = [(pipeline, schedule)] * 16384
 
     def best_of(callable_, repeats=3):
@@ -349,6 +369,6 @@ def test_cached_run_many_throughput(benchmark):
     the steady-state serving regime)."""
     framework = NdftFramework()
     sizes = job_mix(64)
-    framework.run_many(sizes)  # warm the signature caches
+    framework.run_many(sizes)  # warm the entry store
     result = benchmark(framework.run_many, sizes)
     assert result.n_jobs == 64

@@ -241,15 +241,6 @@ class BatchExecutionReport:
             )
         return totals
 
-    @property
-    def no_overlap_time(self) -> float:
-        """The fully-serialized bound: every stage of every job back to
-        back.  For branching jobs this exceeds what solo DES runs achieve
-        (they already overlap branches) — use
-        :attr:`repro.core.framework.NdftBatchResult.serial_time` for the
-        achievable one-job-at-a-time baseline."""
-        return sum(report.serial_time for report in self.job_reports)
-
 
 class _RunFaultState:
     """Shared mutable fault flag for one simulated run.
@@ -847,8 +838,8 @@ class PipelineExecutor:
         )
         links: dict[frozenset, Resource] = {}
         # Deduplicated batch setup: jobs sharing the same pipeline and
-        # schedule *objects* (what the framework's signature caches hand
-        # out for duplicate jobs) share one transfer plan instead of
+        # schedule *objects* (what the framework's entry store hands out
+        # for duplicate jobs) share one transfer plan instead of
         # re-pricing every boundary per copy.  Keyed by identity — the
         # ``jobs`` sequence keeps the objects alive for the whole call —
         # because value-equality would be as expensive as rebuilding.
@@ -914,15 +905,11 @@ class PipelineExecutor:
     def _device_resources(
         engine: Engine, schedules: Sequence[Schedule]
     ) -> dict[Placement, Resource]:
-        # Occupancy intervals reach the trace via the observer callback,
-        # never via Resource.usage_log, so sampling stays off.
         placements = sorted(
             {p for schedule in schedules for p in schedule.assignments.values()},
             key=lambda p: p.value,
         )
-        return {
-            p: engine.resource(1, str(p), log_usage=False) for p in placements
-        }
+        return {p: engine.resource(1, str(p)) for p in placements}
 
     def _transfer_plan(
         self,
@@ -951,7 +938,7 @@ class PipelineExecutor:
                 pair = frozenset((src_placement, dst_placement))
                 if pair not in links:
                     wire_name = "link:" + "-".join(sorted(p.value for p in pair))
-                    links[pair] = engine.resource(1, wire_name, log_usage=False)
+                    links[pair] = engine.resource(1, wire_name)
                 cost = self.cost_model.boundary_cost(
                     edge.nbytes, (src_placement, dst_placement)
                 )

@@ -28,12 +28,16 @@ Serving fast path: the batch front end is columnar.  Each distinct
 batch entry is resolved once per call — built pipeline, cost-aware
 schedule, solo DES report, SCA reports — and every artifact is a pure
 function of the content-addressed
-:class:`~repro.core.signature.JobSignature`, memoized across calls in
-bounded LRU caches (``cache_size`` entries each; cold placements
-warm-start the exact DP from the nearest same-structure size).  So
-``run_many([512] * 256)`` derives the 512-atom job once, the executor
-simulates its replicas as one super-job, and only the reports are per
-job.  :meth:`NdftFramework.register_target` drops the caches;
+:class:`~repro.core.signature.JobSignature`.  Three bounded LRU
+structures (``cache_size`` entries each) memoize them across calls: the
+``(problem, builder)`` pipeline cache; the entry store, one record per
+signature (or per signature and excluded targets, for a degraded
+placement) holding the schedule, the solo report and the SCA verdicts;
+and the warm-start index, from which cold placements seed the exact DP
+off the nearest same-structure size.  So ``run_many([512] * 256)``
+derives the 512-atom job once, the executor simulates its replicas as
+one super-job, and only the reports are per job.
+:meth:`NdftFramework.register_target` drops all three;
 ``NdftFramework(memoize=False)`` re-derives everything per job — the
 serving benchmark's (:mod:`repro.experiments.scale_serving`) "before"
 measurement, asserted identical.
@@ -42,11 +46,10 @@ measurement, asserted identical.
 from __future__ import annotations
 
 import pickle
-from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 from repro.core.arrivals import (
     AdmissionDecision,
@@ -134,15 +137,25 @@ class NdftRunResult:
 
 
 @dataclass(slots=True)
+class _Record:
+    """One entry-store value: what the framework derives for one job
+    signature, or for one degraded placement of it.  A store miss
+    places the job; the solo report and the SCA verdicts are filled in
+    when a call first needs them."""
+
+    schedule: Schedule
+    solo: ExecutionReport | None = None
+    sca: dict[str, ScaReport] | None = None
+
+
+@dataclass(slots=True)
 class _Entry:
     """One distinct batch entry, resolved once per call for all its jobs."""
 
     problem: ProblemSize
     pipeline: Pipeline
     signature: JobSignature | None
-    schedule: Schedule
-    built: bool  # resolving it consulted the pipeline cache
-    solo: ExecutionReport | None = None
+    record: _Record
 
 
 @dataclass(frozen=True)
@@ -398,7 +411,6 @@ class NdftBatchResult:
         )
 
 
-_T = TypeVar("_T")
 _schedule_lanes = PipelineExecutor.schedule_lanes
 
 
@@ -411,7 +423,7 @@ class NdftFramework:
     two-sided system (and its published numbers) intact.
     """
 
-    #: Default bound on every signature cache: ample for realistic size
+    #: Default bound on each memo structure: ample for realistic size
     #: mixes, finite under adversarial variety (each entry is small, but
     #: a public service should not grow state per unique request).
     DEFAULT_CACHE_SIZE = 1024
@@ -426,41 +438,38 @@ class NdftFramework:
     ):
         self.system = system or ndft_system_config()
         self.policy = policy
-        #: Serving fast path: memoize pipelines/schedules/SCA/solo reports
-        #: by content-addressed job signature.  ``False`` re-derives
+        #: Serving fast path: memoize pipelines and each signature's
+        #: schedule, solo report and SCA verdicts.  ``False`` re-derives
         #: everything per job (the benchmark's uncached baseline).
         self.memoize = memoize
-        #: LRU bound per cache (``None`` = unbounded).  Eviction is a
-        #: capacity decision only: evicted entries are re-derived with
-        #: identical values on the next miss.
+        #: LRU bound per memo structure (``None`` = unbounded).  Eviction
+        #: is a capacity decision only: evicted entries are re-derived
+        #: with identical values on the next miss.
+        if cache_size is not None and cache_size < 1:
+            raise ConfigError(
+                f"cache_size must be >= 1 or None, got {cache_size}"
+            )
         self.cache_size = cache_size
+        #: ``(problem, builder)`` -> built pipeline.  Duplicate sizes
+        #: share one object, so they also share its structural hash.
         self._pipeline_cache = LruCache(cache_size)
-        self._schedule_cache = LruCache(cache_size)
-        self._solo_report_cache = LruCache(cache_size)
-        self._sca_cache = LruCache(cache_size)
-        #: Minted signatures keyed by pipeline object identity (the value
-        #: pins the pipeline so a recycled ``id`` can never alias): batch
-        #: entries resolved through ``_pipeline_cache`` share one object,
-        #: so duplicate jobs skip re-fingerprinting the registry per job.
-        self._signature_cache = LruCache(cache_size)
+        #: The entry store: ``JobSignature`` (or ``(signature,
+        #: excluded targets)`` for a degraded placement) -> :class:`_Record`.
+        self._store = LruCache(cache_size)
         #: Warm-start index for the placement DP: structure signature ->
-        #: {n_atoms: assignments}.  Consulted on schedule-cache misses to
-        #: seed the branch-and-bound bound from the nearest same-shape
-        #: size; never consulted for results.  Bounded like the caches
-        #: (LRU over structures, FIFO cap on sizes per structure) so
+        #: {n_atoms: assignments}.  Consulted on store misses to seed the
+        #: branch-and-bound bound from the nearest same-shape size; never
+        #: consulted for results.  Bounded like the other structures (LRU
+        #: over structures, FIFO cap on sizes per structure) so
         #: adversarial variety cannot grow it without limit.
-        self._warm_start_index: LruCache = LruCache(cache_size)
+        self._warm_start_index = LruCache(cache_size)
         self._warm_start_hits = 0
         self._warm_start_misses = 0
-        #: Memory footprints are pure functions of the size (and fixed
-        #: NDP geometry) — computed once per distinct n_atoms, not per
-        #: batch member; bounded for the same reason as the caches.
-        self._footprint_cache: LruCache = LruCache(cache_size)
         #: Memoized ``(registry, cost model)`` fingerprint pair and the
         #: fault-lane catalog: pure functions of the target registry,
         #: recomputed only after ``register_target`` invalidates them
-        #: (``None`` = not yet derived).  Unlike the LRU caches these are
-        #: kept even under ``memoize=False`` — they are identity digests,
+        #: (``None`` = not yet derived).  Unlike the memo structures these
+        #: are kept even under ``memoize=False`` — they are identity digests,
         #: not derived results, so staleness is the only hazard and
         #: ``clear_caches`` drops them with everything else.
         self._fingerprints: tuple[tuple, tuple] | None = None
@@ -523,23 +532,21 @@ class NdftFramework:
 
     @property
     def cache_stats(self) -> dict[str, int]:
-        """Per-cache hit/miss/eviction counters plus placement-DP
-        warm-start telemetry (observability for the serving benchmark
-        and the memoization tests).  Counters survive cache clears.
+        """Hit/miss/eviction counters of the pipeline cache and the entry
+        store, plus placement-DP warm-start telemetry (observability for
+        the serving benchmark and the memoization tests).  Counters
+        survive cache clears.
 
-        Duplicates count as hits: :meth:`run_many` resolves each
-        distinct entry once per call, and each further job counts one hit
-        on every cache its own lookup would consult (pipeline for sizes;
-        signature, schedule, solo; SCA once executed).  Only under
-        eviction (distinct entries overflowing ``cache_size``) can a
-        duplicate hit where a per-job lookup would miss; results agree."""
+        They count real lookups: :meth:`run_many` resolves each distinct
+        entry of a call once, so a duplicate job is no lookup.  An entry
+        given as a size looks up the pipeline cache; every entry looks
+        up the store, and so does each residual pipeline or degraded
+        placement a fault plan makes; warm starts are consulted on store
+        misses only."""
         stats: dict[str, int] = {}
         for kind, cache in (
             ("pipeline", self._pipeline_cache),
-            ("schedule", self._schedule_cache),
-            ("solo", self._solo_report_cache),
-            ("sca", self._sca_cache),
-            ("signature", self._signature_cache),
+            ("entry", self._store),
         ):
             stats[f"{kind}_hits"] = cache.hits
             stats[f"{kind}_misses"] = cache.misses
@@ -573,8 +580,8 @@ class NdftFramework:
         self, placement: Placement, machine: ExecutionTarget
     ) -> None:
         """Add (or replace) an execution target and invalidate every
-        memoized artifact: schedules, solo reports and built pipelines
-        minted against the old registry must not survive it.
+        memoized artifact: store records and built pipelines minted
+        against the old registry must not survive it.
 
         Link pricing caveat: the cost model's per-pair ``device_links``
         are fixed at construction, so boundaries to a machine registered
@@ -587,17 +594,12 @@ class NdftFramework:
         self.clear_caches()
 
     def clear_caches(self) -> None:
-        """Drop every memoized pipeline/schedule/SCA/solo-report entry,
-        minted signature, warm-start placement, and the memoized
-        registry/cost-model fingerprints and fault-lane catalog
-        (hit/miss/eviction counters are preserved)."""
+        """Drop every built pipeline, store record and warm-start
+        placement, and the memoized registry/cost-model fingerprints and
+        fault-lane catalog (hit/miss/eviction counters are preserved)."""
         self._pipeline_cache.clear()
-        self._schedule_cache.clear()
-        self._solo_report_cache.clear()
-        self._sca_cache.clear()
-        self._signature_cache.clear()
+        self._store.clear()
         self._warm_start_index.clear()
-        self._footprint_cache.clear()
         self._fingerprints = None
         self._fault_lanes = None
 
@@ -620,8 +622,7 @@ class NdftFramework:
     #: changes so stale files are refused instead of misread.  Loaders
     #: read only the keys they know, so an optional key that one
     #: version writes and another omits needs no bump.
-    CACHE_SNAPSHOT_FORMAT = 1
-
+    CACHE_SNAPSHOT_FORMAT = 2
 
     def cache_fingerprint(self) -> tuple:
         """The identity the persisted caches are sound under: policy,
@@ -659,35 +660,19 @@ class NdftFramework:
                 "fingerprint, so snapshot soundness cannot be checked"
             )
 
-    def _snapshot_caches(self) -> dict[str, LruCache]:
-        """The caches a snapshot persists (save and load both iterate
-        this one mapping): exactly the derivation work worth saving
-        across processes — the placement DP, the SCA pass, the solo DES
-        run, the warm-start index, the footprint closed forms.  The
-        pipeline and signature caches stay out deliberately: their keys
-        embed builder callables and object ids, which do not survive a
-        process boundary, and rebuilding a pipeline is cheap."""
-        return {
-            "schedule": self._schedule_cache,
-            "solo": self._solo_report_cache,
-            "sca": self._sca_cache,
-            "warm_start": self._warm_start_index,
-            "footprint": self._footprint_cache,
-        }
-
     def save_caches(self, path: Path | str) -> Path:
-        """Snapshot the signature-keyed caches to ``path`` so a restarted
-        serving process can :meth:`load_caches` instead of re-deriving
-        its working set cold.  The snapshot embeds
-        :meth:`cache_fingerprint`; loading refuses a mismatch."""
+        """Snapshot the entry store and the warm-start index to ``path``
+        so a restarted serving process can :meth:`load_caches` instead
+        of re-deriving its working set cold.  The pipeline cache stays
+        out: its keys embed builder callables, and rebuilding a pipeline
+        is cheap.  The snapshot embeds :meth:`cache_fingerprint`;
+        loading refuses a mismatch."""
         self._check_snapshot_registry("save")
         payload = {
             "format": self.CACHE_SNAPSHOT_FORMAT,
             "fingerprint": self.cache_fingerprint(),
-            "caches": {
-                name: cache.items()
-                for name, cache in self._snapshot_caches().items()
-            },
+            "entries": self._store.items(),
+            "warm_start": self._warm_start_index.items(),
         }
         path = Path(path)
         with path.open("wb") as handle:
@@ -695,20 +680,22 @@ class NdftFramework:
         return path
 
     def load_caches(self, path: Path | str) -> int:
-        """Merge a :meth:`save_caches` snapshot into this framework's
-        caches and return the number of entries loaded.
+        """Warm start: union a :meth:`save_caches` snapshot into the
+        entry store and the warm-start index, and return how much it
+        added — one per record under a key this framework does not
+        hold, per solo report or SCA verdict missing from a record it
+        holds, and per warm-start size missing from a structure (up to
+        the per-structure cap).  Nothing held is overwritten: equal keys
+        prove equal values, and locally learned warm-start sizes
+        survive.  Records land via normal puts, so LRU bounds and
+        eviction counters apply.
 
         Soundness gate: the snapshot's fingerprint (policy + target
         registry + cost model) must equal this framework's — memoized
         schedules and reports are only valid under the exact machine
         parameters they were derived with, so a mismatch raises
         :class:`~repro.errors.ConfigError` rather than serving stale
-        numbers.  Entries land via normal puts (LRU bounds and eviction
-        counters apply); signature-keyed entries under equal keys are
-        overwritten with provably identical values, while warm-start
-        index entries — whose per-structure size maps are workload-
-        history-dependent — are *merged*, snapshot sizes under already-
-        known ones, so locally learned hints survive the load.
+        numbers.  So does a file of another snapshot format.
 
         Trust caveat: the snapshot is a pickle, deserialized *before*
         the format/fingerprint checks can reject it — loading executes
@@ -718,38 +705,52 @@ class NdftFramework:
         corrupt file (half-written snapshot, disk error) raises
         :class:`~repro.errors.ConfigError` like every other rejected
         snapshot, never a raw ``EOFError``/``UnpicklingError``."""
-        payload = self._read_snapshot(path, "load")
-        loaded = 0
-        for name, cache in self._snapshot_caches().items():
-            for key, value in payload["caches"].get(name, ()):
-                if name == "warm_start":
-                    existing = cache.peek(key)
-                    if existing is not None:
-                        existing.update(
-                            (size, placements)
-                            for size, placements in value.items()
-                            if size not in existing
-                        )
-                    else:
-                        existing = dict(value)
-                        cache.put(key, existing)
-                    # Re-apply _remember_placement's per-structure FIFO
-                    # cap: a snapshot from a roomier framework must not
-                    # grow a bounded one's index past its own bound.
-                    if self.cache_size is not None:
-                        while len(existing) > self.cache_size:
-                            del existing[next(iter(existing))]
-                    loaded += 1
+        return self._absorb(path, "load")
+
+    def merge_caches(self, path: Path | str) -> int:
+        """Fleet merge-back: the same union and count as
+        :meth:`load_caches`, under the same refusal rules, for a
+        worker's snapshot.  It holds everything the parent shipped plus
+        whatever the worker derived, so the parent gains only what it
+        lacked, and merging the same snapshot twice adds 0 the second
+        time (up to LRU capacity pressure)."""
+        return self._absorb(path, "merge")
+
+    def _absorb(self, path: Path | str, action: str) -> int:
+        """The one snapshot-absorb path behind :meth:`load_caches` and
+        :meth:`merge_caches`."""
+        payload = self._read_snapshot(path, action)
+        added = 0
+        for key, record in payload["entries"]:
+            held = self._store.peek(key)
+            if held is None:
+                self._store.put(key, record)
+                added += 1
+                continue
+            if held.solo is None and record.solo is not None:
+                held.solo = record.solo
+                added += 1
+            if held.sca is None and record.sca is not None:
+                held.sca = record.sca
+                added += 1
+        for key, sizes in payload["warm_start"]:
+            neighbors = self._warm_start_index.peek(key)
+            if neighbors is None:
+                neighbors = {}
+                self._warm_start_index.put(key, neighbors)
+            for size, placements in sizes.items():
+                if size in neighbors:
                     continue
-                cache.put(key, value)
-                loaded += 1
-        return loaded
+                if self.cache_size is not None and len(neighbors) >= self.cache_size:
+                    break  # respect _remember_placement's FIFO cap
+                neighbors[size] = placements
+                added += 1
+        return added
 
     def _read_snapshot(self, path: Path | str, action: str) -> dict:
         """Read and vet a :meth:`save_caches` payload: registry still
         pristine, readable pickle, known format, matching
-        :meth:`cache_fingerprint`.  Shared by :meth:`load_caches` and
-        :meth:`merge_caches` so both enforce identical refusal rules."""
+        :meth:`cache_fingerprint`."""
         self._check_snapshot_registry(action)
         path = Path(path)
         try:
@@ -760,13 +761,12 @@ class NdftFramework:
                 f"{path} is not a readable cache snapshot (truncated or "
                 f"corrupt pickle: {exc})"
             ) from exc
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != self.CACHE_SNAPSHOT_FORMAT
-        ):
+        found = payload.get("format") if isinstance(payload, dict) else None
+        if found != self.CACHE_SNAPSHOT_FORMAT:
             raise ConfigError(
                 f"{path} is not a cache snapshot this version understands "
-                f"(expected format {self.CACHE_SNAPSHOT_FORMAT})"
+                f"(format {found!r}, expected format "
+                f"{self.CACHE_SNAPSHOT_FORMAT})"
             )
         fingerprint = self.cache_fingerprint()
         if payload.get("fingerprint") != fingerprint:
@@ -778,64 +778,14 @@ class NdftFramework:
             )
         return payload
 
-    def merge_caches(self, path: Path | str) -> int:
-        """Fleet merge-back: union a worker's snapshot into this
-        framework's caches, counting only *never-seen* entries.
-
-        :meth:`load_caches` is the warm-start direction (overwrite-equal
-        semantics are fine because equal keys prove equal values); this
-        is the reverse direction — a fleet parent folding what each
-        worker replica learned back into the shared snapshot — and it
-        must be *idempotent*: a worker's snapshot contains everything
-        the parent shipped plus whatever the worker derived, so the
-        parent skips keys it already holds, adds only the novel
-        schedules/solo/SCA/footprint entries and warm-start sizes.
-        Merging the same snapshot twice therefore reports 0 new entries
-        the second time (up to LRU capacity pressure).  The same
-        refusal rules as loading apply: format, fingerprint, pristine
-        registry."""
-        payload = self._read_snapshot(path, "merge")
-        merged = 0
-        for name, cache in self._snapshot_caches().items():
-            for key, value in payload["caches"].get(name, ()):
-                if name == "warm_start":
-                    existing = cache.peek(key)
-                    if existing is None:
-                        existing = {}
-                        cache.put(key, existing)
-                    for size, placements in value.items():
-                        if size in existing:
-                            continue
-                        if (
-                            self.cache_size is not None
-                            and len(existing) >= self.cache_size
-                        ):
-                            break  # respect the per-structure FIFO cap
-                        existing[size] = placements
-                        merged += 1
-                    continue
-                if key in cache:
-                    continue
-                cache.put(key, value)
-                merged += 1
-        return merged
-
     def job_signature(self, pipeline: Pipeline) -> JobSignature:
         """The content-addressed key this framework memoizes ``pipeline``
         under (problem + structure + policy + targets + cost model).
-
         Minting reuses the framework's memoized :meth:`fingerprints`
-        (derived once per registry version), and with memoization on the
-        signature itself is cached by pipeline object identity (entries
-        resolved through the pipeline cache share one object); the
-        cached pipeline is pinned in the value, so a recycled ``id``
-        cannot alias, and registry changes clear the cache through
-        :meth:`register_target`."""
+        (derived once per registry version) and the pipeline's cached
+        structural hash, so it costs about as much as a cache lookup."""
         registry_fp, cost_fp = self.fingerprints()
-        entry = self._signature_cache.get(id(pipeline)) if self.memoize else None
-        if entry is not None and entry[0] is pipeline:
-            return entry[1]
-        signature = job_signature(
+        return job_signature(
             pipeline,
             self.policy,
             self.scheduler,
@@ -843,9 +793,6 @@ class NdftFramework:
             registry_fp=registry_fp,
             cost_fp=cost_fp,
         )
-        if self.memoize:
-            self._signature_cache.put(id(pipeline), (pipeline, signature))
-        return signature
 
     # ------------------------------------------------------------------
     # Single job
@@ -866,9 +813,9 @@ class NdftFramework:
             else:
                 raise ConfigError("pass n_atoms, problem or pipeline")
         pipeline = pipeline or self._build_pipeline(problem, build_pipeline)
-        entry = self._entry(problem, pipeline, built=False)
-        entry.solo = self._solo_report(pipeline, entry.schedule, entry.signature)
-        return self._assemble([entry], [0], (entry.solo,))[0]
+        entry = self._entry(problem, pipeline)
+        self._fill_solo([entry])
+        return self._assemble([entry], [0], (entry.record.solo,))[0]
 
     # ------------------------------------------------------------------
     # Batched jobs
@@ -998,7 +945,7 @@ class NdftFramework:
             )
 
         batch_report = self.executor.execute_many(
-            _per_job([(e.pipeline, e.schedule) for e in entries], index),
+            _per_job([(e.pipeline, e.record.schedule) for e in entries], index),
             arrivals=arrivals,
             coalesce=coalesce,
             shard=shard,
@@ -1008,7 +955,7 @@ class NdftFramework:
         return NdftBatchResult(
             jobs=self._assemble(entries, index, batch_report.job_reports),
             batch_report=batch_report,
-            solo_times=_per_job([e.solo.total_time for e in entries], index),
+            solo_times=_solo_times(entries, index),
             admission=admission_result,
         )
 
@@ -1026,8 +973,7 @@ class NdftFramework:
     ) -> tuple[list[_Entry], list[int]]:
         """The per-call table: each distinct entry resolved once, in
         order of first appearance (see :meth:`run_many`), and each
-        job's index into it; duplicates are credited as cache hits (see
-        :attr:`cache_stats`).  Shared by :meth:`run_many` and
+        job's index into it.  Shared by :meth:`run_many` and
         :meth:`job_estimates` so both see identical jobs."""
         entries: list[_Entry] = []
         index: list[int] = []
@@ -1043,38 +989,32 @@ class NdftFramework:
             if position is None:
                 position = seen[key] = len(entries)
                 if isinstance(entry, Pipeline):
-                    entries.append(self._entry(entry.problem, entry, False))
+                    entries.append(self._entry(entry.problem, entry))
                 else:
                     problem = (
                         entry if isinstance(entry, ProblemSize) else problem_size(entry)
                     )
                     pipeline = self._build_pipeline(problem, builder)
-                    entries.append(self._entry(problem, pipeline, True))
+                    entries.append(self._entry(problem, pipeline))
             index.append(position)
         # Solo runs after every placement, as its own phase (keeping each
         # phase's working set hot is measurably faster on cold batches).
-        for e in entries:
-            e.solo = self._solo_report(e.pipeline, e.schedule, e.signature)
-        duplicates = len(index) - len(entries)
-        if duplicates:
-            counts = Counter(index).values()
-            self._pipeline_cache.hits += sum(
-                (count - 1) * e.built for e, count in zip(entries, counts)
-            )
-            for cache in (
-                self._signature_cache,
-                self._schedule_cache,
-                self._solo_report_cache,
-            ):
-                cache.hits += duplicates
+        self._fill_solo(entries)
         return entries, index
 
-    def _entry(
-        self, problem: ProblemSize, pipeline: Pipeline, built: bool
-    ) -> _Entry:
+    def _entry(self, problem: ProblemSize, pipeline: Pipeline) -> _Entry:
         signature = self.job_signature(pipeline) if self.memoize else None
-        schedule = self._schedule_for(pipeline, signature)
-        return _Entry(problem, pipeline, signature, schedule, built)
+        return _Entry(
+            problem, pipeline, signature, self._record_for(pipeline, signature)
+        )
+
+    def _fill_solo(self, entries: list[_Entry]) -> None:
+        """Give each entry's record its standalone (dedicated-machine)
+        DES report, run once per record."""
+        for e in entries:
+            record = e.record
+            if record.solo is None:
+                record.solo = self.executor.execute(e.pipeline, record.schedule)
 
     def job_estimates(
         self,
@@ -1088,14 +1028,14 @@ class NdftFramework:
         and the fleet router (:mod:`repro.fleet`) share exactly these
         estimates, so routing and shedding predict with one model; both
         come once per entry of :meth:`run_many`'s per-call table, and
-        ride the signature caches (a size seen before costs a lookup)."""
+        ride the entry store (a size seen before costs a lookup)."""
         if not batch:
             raise ConfigError("job_estimates needs at least one job")
         builder = pipeline_builder or build_pipeline
         entries, index = self._resolve_batch(batch, builder)
         return (
-            _per_job([e.solo.total_time for e in entries], index),
-            _per_job([_schedule_lanes(e.schedule) for e in entries], index),
+            _solo_times(entries, index),
+            _per_job([_schedule_lanes(e.record.schedule) for e in entries], index),
         )
 
     def _run_resilient(
@@ -1125,15 +1065,15 @@ class NdftFramework:
         Runs released at-or-after a lane's permanent death whose base
         placement touches the dead target are re-placed through the
         exact DP with every dead-at-release target excluded
-        (:meth:`_schedule_for` with ``exclude=``), reusing the degraded
-        schedule across runs via the composite cache keys.
+        (:meth:`_record_for` with ``exclude=``), reusing the degraded
+        record across runs via its ``(signature, exclusion)`` store key.
 
         Under ``retry.checkpoint`` a failed run's completed-stage
         frontier rides along with its retry, which re-enters as the
         *residual* pipeline (:meth:`Pipeline.residual`): the suffix past
         the frontier, scheduled through the same exact DP under its own
-        content-derived signature, so residual and full schedules
-        coexist in every cache.  Frontiers accumulate across attempts,
+        content-derived signature, so residual and full records coexist
+        in the store.  Frontiers accumulate across attempts,
         and each resumed attempt's skipped work — valued at the base
         schedule's stage times — surfaces as
         :attr:`ResilienceReport.work_saved_seconds`.
@@ -1153,28 +1093,29 @@ class NdftFramework:
                 ) from exc
             dead_at[placement] = death
 
-        # Residual (pipeline, signature, schedule) per checkpoint
-        # frontier, built once per (job, frontier) within this call; the
-        # residual's schedule and solo numbers persist across calls via
-        # the ordinary content-derived signature caches.
+        # Residual (pipeline, signature, record) per checkpoint frontier,
+        # built once per (job, frontier) within this call; the residual's
+        # record persists across calls in the store under its own
+        # content-derived signature.
         residuals: dict[tuple[int, tuple[str, ...]], tuple] = {}
         # One shared (pipeline, schedule) pair per entry: plain runs hand
         # it over, so the executor groups them at C speed.
-        pairs = [(e.pipeline, e.schedule) for e in entries]
+        pairs = [(e.pipeline, e.record.schedule) for e in entries]
 
         def resolve_run(job_index: int, release: float, frontier: tuple):
-            """The ((pipeline, schedule), signature, exclusion,
-            degraded?, work_saved) for one run.  A non-empty
-            ``frontier`` swaps in the residual pipeline past the
-            checkpointed stages; dead-at-release targets are excluded
-            iff the run's placement touches one (a placement clear of
-            every dead lane cannot suffer a permanent failure, so
-            re-solving would change nothing)."""
-            pipeline, schedule = pair = pairs[index[job_index]]
-            signature = entries[index[job_index]].signature
+            """The ((pipeline, schedule), signature, record, degraded?,
+            work_saved) for one run.  A non-empty ``frontier`` swaps in
+            the residual pipeline past the checkpointed stages;
+            dead-at-release targets are excluded iff the run's placement
+            touches one (a placement clear of every dead lane cannot
+            suffer a permanent failure, so re-solving would change
+            nothing)."""
+            entry = entries[index[job_index]]
+            job = pairs[index[job_index]]
+            pipeline, signature, record = entry.pipeline, entry.signature, entry.record
             work_saved = 0.0
             if frontier:
-                base_times = schedule.stage_times
+                base_times = record.schedule.stage_times
                 work_saved = sum(
                     base_times[name].total for name in frontier
                 )
@@ -1188,18 +1129,18 @@ class NdftFramework:
                     cached = (
                         residual,
                         r_signature,
-                        self._schedule_for(residual, r_signature),
+                        self._record_for(residual, r_signature),
                     )
                     residuals[key] = cached
-                pipeline, signature, schedule = cached
+                pipeline, signature, record = cached
+                job = (pipeline, record.schedule)
             excl = frozenset(
                 p for p, death in dead_at.items() if death <= release
             )
-            if not excl or not (excl & set(schedule.assignments.values())):
-                job = (pipeline, schedule) if frontier else pair
-                return job, signature, frozenset(), False, work_saved
-            degraded = self._schedule_for(pipeline, signature, exclude=excl)
-            return (pipeline, degraded), signature, excl, True, work_saved
+            if not excl or not (excl & set(record.schedule.assignments.values())):
+                return job, signature, record, False, work_saved
+            record = self._record_for(pipeline, signature, exclude=excl)
+            return (pipeline, record.schedule), signature, record, True, work_saved
 
         base_runs = [(i, 1, releases0[i], ()) for i in range(n)]
         runs = base_runs
@@ -1340,25 +1281,21 @@ class NdftFramework:
             backend_timings=report.backend_timings,
             failures=report.failures,
         )
-        # A degraded or resumed run ran its own (pipeline, schedule), so
-        # it assembles from a one-run entry of its own.
+        # A degraded or resumed run ran its own record, so it assembles
+        # from a one-run entry of its own.
         run_entries = list(entries)
         run_index = []
         for job_index in kept:
             entry = entries[index[job_index]]
-            job, signature, excl, degraded, _saved = run_meta[completed[job_index]]
-            pipeline, schedule = job
-            if not degraded and pipeline is entry.pipeline:
+            job, signature, record, _degraded, _saved = run_meta[
+                completed[job_index]
+            ]
+            if record is entry.record:
                 run_index.append(index[job_index])
                 continue
-            excl_key = tuple(sorted(p.value for p in excl))
-            solo = self._solo_report(
-                pipeline, schedule, signature, cache_key=(signature, excl_key)
-            )
             run_index.append(len(run_entries))
-            run_entries.append(
-                _Entry(entry.problem, pipeline, signature, schedule, False, solo)
-            )
+            run_entries.append(_Entry(entry.problem, job[0], signature, record))
+        self._fill_solo(run_entries[len(entries):])
         if admission_result is not None and abandoned:
             # Abandoned jobs shift the surviving jobs' positions; the
             # admitted-only percentile indices must follow them.
@@ -1374,7 +1311,7 @@ class NdftFramework:
         return NdftBatchResult(
             jobs=self._assemble(run_entries, run_index, kept_reports),
             batch_report=batch_report,
-            solo_times=_per_job([e.solo.total_time for e in run_entries], run_index),
+            solo_times=_solo_times(run_entries, run_index),
             admission=admission_result,
             resilience=resilience,
         )
@@ -1403,8 +1340,8 @@ class NdftFramework:
         decisions = plan_admission(
             admission,
             arrivals,
-            _per_job([e.solo.total_time for e in entries], index),
-            _per_job([_schedule_lanes(e.schedule) for e in entries], index),
+            _solo_times(entries, index),
+            _per_job([_schedule_lanes(e.record.schedule) for e in entries], index),
             _per_job([e.problem.label for e in entries], index),
         )
         executed = [
@@ -1431,16 +1368,6 @@ class NdftFramework:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _memo(self, cache: LruCache, key, derive: Callable[[], _T]) -> _T:
-        """``derive()``, memoized under ``key`` unless memoize is off or key is None."""
-        if not self.memoize or key is None:
-            return derive()
-        value = cache.get(key)
-        if value is None:
-            value = derive()
-            cache.put(key, value)
-        return value
-
     def _build_pipeline(
         self,
         problem: ProblemSize,
@@ -1449,33 +1376,40 @@ class NdftFramework:
         """Build (or reuse) the pipeline for one problem/builder pair.
         Sharing the built object also shares its cached structural hash,
         so duplicate batch entries hash once."""
-        return self._memo(
-            self._pipeline_cache, (problem, builder), lambda: builder(problem)
-        )
+        if not self.memoize:
+            return builder(problem)
+        key = (problem, builder)
+        pipeline = self._pipeline_cache.get(key)
+        if pipeline is None:
+            pipeline = builder(problem)
+            self._pipeline_cache.put(key, pipeline)
+        return pipeline
 
-    def _schedule_for(
+    def _record_for(
         self,
         pipeline: Pipeline,
         signature: JobSignature | None,
-        exclude: frozenset[Placement] | None = None,
-    ) -> Schedule:
-        """Schedule (or fetch the memoized schedule of) one job.
+        exclude: frozenset[Placement] = frozenset(),
+    ) -> _Record:
+        """The entry-store record of one job, placing the job on a miss
+        (``signature=None``: a fresh, unstored record).
 
         ``exclude`` is the degraded-placement path after a permanent
         lane failure: the exact DP re-solves over the surviving targets,
-        and both the schedule cache and the warm-start index key the
-        exclusion set alongside the signature/structure — a degraded
-        schedule must never shadow (or be shadowed by) the healthy one.
+        and both the store and the warm-start index key the exclusion
+        set alongside the signature/structure — a degraded schedule
+        must never shadow (or be shadowed by) the healthy one.
         """
-        excl = frozenset(exclude) if exclude else frozenset()
         if signature is None:
-            return self.scheduler.schedule(
-                pipeline, self.policy, exclude=excl or None
+            return _Record(
+                self.scheduler.schedule(
+                    pipeline, self.policy, exclude=exclude or None
+                )
             )
-        excl_key = tuple(sorted(p.value for p in excl))
-        cache_key = signature if not excl else (signature, excl_key)
-        schedule = self._schedule_cache.get(cache_key)
-        if schedule is None:
+        excl_key = tuple(sorted(p.value for p in exclude))
+        key = (signature, excl_key) if exclude else signature
+        record = self._store.get(key)
+        if record is None:
             structure_key = None
             if self.policy is SchedulingPolicy.COST_AWARE:
                 registry_fp, cost_fp = self.fingerprints()
@@ -1487,17 +1421,19 @@ class NdftFramework:
                     registry_fp=registry_fp,
                     cost_fp=cost_fp,
                 )
-                if excl:
+                if exclude:
                     structure_key = (structure_key, excl_key)
-            schedule = self.scheduler.schedule(
-                pipeline,
-                self.policy,
-                warm_start=self._warm_start_hint(pipeline, structure_key),
-                exclude=excl or None,
+            record = _Record(
+                self.scheduler.schedule(
+                    pipeline,
+                    self.policy,
+                    warm_start=self._warm_start_hint(pipeline, structure_key),
+                    exclude=exclude or None,
+                )
             )
-            self._schedule_cache.put(cache_key, schedule)
-            self._remember_placement(pipeline, schedule, structure_key)
-        return schedule
+            self._store.put(key, record)
+            self._remember_placement(pipeline, record.schedule, structure_key)
+        return record
 
     def _warm_start_hint(
         self, pipeline: Pipeline, structure_key: tuple | None
@@ -1551,46 +1487,6 @@ class NdftFramework:
         if self.cache_size is not None and len(neighbors) > self.cache_size:
             del neighbors[next(iter(neighbors))]
 
-    def _solo_report(
-        self,
-        pipeline: Pipeline,
-        schedule: Schedule,
-        signature: JobSignature | None,
-        cache_key=None,
-    ) -> ExecutionReport:
-        """The job's standalone (dedicated-machine) DES report.
-
-        ``cache_key`` overrides the cache key (default: the signature)
-        — the degraded-placement path keys solo reports by
-        ``(signature, exclusion)`` so they never collide with the
-        healthy schedule's numbers."""
-        return self._memo(
-            self._solo_report_cache,
-            signature if cache_key is None or signature is None else cache_key,
-            lambda: self.executor.execute(pipeline, schedule),
-        )
-
-    def _sca_reports(self, pipeline: Pipeline) -> dict[str, ScaReport]:
-        """SCA verdicts for every stage function.  Keyed by structural
-        hash alone: the analyzer sees only the pipeline and the rooflines
-        fixed at construction, never the target registry."""
-        return self._memo(
-            self._sca_cache,
-            pipeline.structural_hash if self.memoize else None,
-            lambda: self.sca.analyze_all([s.function for s in pipeline.stages]),
-        )
-
-    def _footprints(self, n_atoms: int) -> tuple[float, float]:
-        """``(NDFT, replicated)`` memory footprints of one size."""
-        return self._memo(
-            self._footprint_cache,
-            n_atoms,
-            lambda: (
-                footprint_ndft(n_atoms, NDP_RANKS, NDP_STACKS),
-                footprint_replicated(n_atoms, NDP_RANKS),
-            ),
-        )
-
     def _assemble(
         self,
         entries: list[_Entry],
@@ -1598,17 +1494,26 @@ class NdftFramework:
         reports: Sequence[ExecutionReport],
     ) -> tuple[NdftRunResult, ...]:
         """Every executed job's :class:`NdftRunResult`, built eagerly from
-        its entry's fields and its own report.  SCA reports and footprints
-        resolve once per entry; its other jobs count as cache hits."""
+        its entry's fields and its own report.  SCA verdicts (kept on
+        the record: the analyzer sees only the pipeline and the rooflines
+        fixed at construction) and the footprint closed forms resolve
+        once per entry."""
         fields = {}
-        for position, count in Counter(index).items():
+        for position in set(index):
             entry = entries[position]
-            footprints = self._footprints(entry.problem.n_atoms)
-            sca_reports = self._sca_reports(entry.pipeline)
-            if self.memoize:
-                self._sca_cache.hits += count - 1
-                self._footprint_cache.hits += count - 1
-            fields[position] = (entry.problem, entry.schedule, sca_reports, *footprints)
+            record = entry.record
+            if record.sca is None:
+                record.sca = self.sca.analyze_all(
+                    [s.function for s in entry.pipeline.stages]
+                )
+            n_atoms = entry.problem.n_atoms
+            fields[position] = (
+                entry.problem,
+                record.schedule,
+                record.sca,
+                footprint_ndft(n_atoms, NDP_RANKS, NDP_STACKS),
+                footprint_replicated(n_atoms, NDP_RANKS),
+            )
         result = NdftRunResult
         return tuple(
             [
@@ -1617,6 +1522,11 @@ class NdftFramework:
                 in zip(map(fields.__getitem__, index), reports)
             ]
         )
+
+
+def _solo_times(entries: list[_Entry], index: list[int]) -> tuple[float, ...]:
+    """Each job's solo (dedicated-machine) makespan."""
+    return _per_job([e.record.solo.total_time for e in entries], index)
 
 
 def _per_job(values: list, index: list[int]) -> tuple:

@@ -1,12 +1,15 @@
-"""Bounded LRU mapping for the framework's signature caches.
+"""Bounded LRU mapping for the framework's memo structures.
 
-The serving caches (:class:`repro.core.framework.NdftFramework`) are
-keyed by content-addressed signatures, so a service facing adversarial
-problem variety would otherwise grow them without bound.  ``LruCache``
-is a small insertion-ordered mapping with least-recently-used eviction
-and hit/miss/eviction counters: eviction is purely a capacity decision —
-an evicted entry is re-derived on the next miss with an identical value,
+:class:`repro.core.framework.NdftFramework` keeps three: the pipeline
+cache, the entry store (keyed by content-addressed job signatures) and
+the warm-start index.  A service facing adversarial problem variety
+would otherwise grow them without bound.  ``LruCache`` is a small
+insertion-ordered mapping with least-recently-used eviction and
+hit/miss/eviction counters: eviction is purely a capacity decision — an
+evicted entry is re-derived on the next miss with an identical value,
 so results never change (the framework's tests assert exactly that).
+The framework validates its ``cache_size`` before it builds these, so
+a bad bound surfaces there as a :class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations

@@ -17,10 +17,11 @@ The shared-snapshot lifecycle per ``serve`` call:
    none of the derivation cost — simulates its routed jobs, and writes
    its own learned snapshot;
 3. the parent **merges back**
-   (:meth:`~repro.core.framework.NdftFramework.merge_caches`): cache
-   entries it has never seen are unioned in, so the fleet warms
-   monotonically across runs; with ``snapshot_path=`` the
-   merged state also persists across pool lifetimes.
+   (:meth:`~repro.core.framework.NdftFramework.merge_caches`): records
+   it lacks, and SCA verdicts or solo reports its records lack, are
+   unioned in, so the fleet warms monotonically across runs; with
+   ``snapshot_path=`` the merged state also persists across pool
+   lifetimes.
 
 Determinism contract: the routing plan and every virtual-time number in
 the returned :class:`~repro.fleet.result.FleetResult` are computed from

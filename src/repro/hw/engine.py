@@ -92,15 +92,9 @@ class Resource:
     arrival.
     """
 
-    __slots__ = ("engine", "capacity", "name", "in_use", "waiters", "usage_log")
+    __slots__ = ("engine", "capacity", "name", "in_use", "waiters")
 
-    def __init__(
-        self,
-        engine: "Engine",
-        capacity: int,
-        name: str = "resource",
-        log_usage: bool = True,
-    ):
+    def __init__(self, engine: "Engine", capacity: int, name: str = "resource"):
         if capacity < 1:
             raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
         self.engine = engine
@@ -108,33 +102,12 @@ class Resource:
         self.name = name
         self.in_use = 0
         self.waiters: deque[SimProcess] = deque()
-        #: (time, in_use) samples for utilization reporting, or ``None``
-        #: when sampling is disabled (``log_usage=False``) — consumers
-        #: that never read :meth:`busy_time` save one tuple + list append
-        #: per acquire/release, which adds up at batch-serving scale.
-        self.usage_log: list[tuple[float, int]] | None = (
-            [] if log_usage else None
-        )
 
     def acquire(self) -> Acquire:
         return Acquire(self)
 
     def release(self) -> Release:
         return Release(self)
-
-    def busy_time(self) -> float:
-        """Resource-seconds of occupancy integrated over the log.
-
-        Raises :class:`SimulationError` when usage sampling was disabled
-        at construction (there is nothing to integrate)."""
-        if self.usage_log is None:
-            raise SimulationError(
-                f"resource {self.name!r} was created with log_usage=False"
-            )
-        total = 0.0
-        for (t0, used), (t1, _unused) in zip(self.usage_log, self.usage_log[1:]):
-            total += used * (t1 - t0)
-        return total
 
 
 class SimProcess:
@@ -175,10 +148,8 @@ class Engine:
     def timeout(delay: float) -> Timeout:
         return Timeout(delay)
 
-    def resource(
-        self, capacity: int, name: str = "resource", log_usage: bool = True
-    ) -> Resource:
-        return Resource(self, capacity, name, log_usage)
+    def resource(self, capacity: int, name: str = "resource") -> Resource:
+        return Resource(self, capacity, name)
 
     def spawn(self, generator: Generator, name: str = "") -> SimProcess:
         """Register a process; it starts when :meth:`run` is (re)entered."""
@@ -229,8 +200,6 @@ class Engine:
                 resource = command.resource
                 if resource.in_use < resource.capacity:
                     resource.in_use += 1
-                    if resource.usage_log is not None:
-                        resource.usage_log.append((time, resource.in_use))
                     push(heap, (time, next(seq), process))
                 else:
                     resource.waiters.append(process)
@@ -241,15 +210,9 @@ class Engine:
                         f"release of idle resource {resource.name!r}"
                     )
                 if resource.waiters:
-                    waiter = resource.waiters.popleft()
-                    if resource.usage_log is not None:
-                        # occupancy unchanged; sample the handover time
-                        resource.usage_log.append((time, resource.in_use))
-                    push(heap, (time, next(seq), waiter))
+                    push(heap, (time, next(seq), resource.waiters.popleft()))
                 else:
                     resource.in_use -= 1
-                    if resource.usage_log is not None:
-                        resource.usage_log.append((time, resource.in_use))
                 push(heap, (time, next(seq), process))
             elif isinstance(command, SimProcess):
                 if command.finished:
@@ -745,35 +708,6 @@ def replay_dag_batch(
 # ---------------------------------------------------------------------------
 
 
-def resolve_faulty_service(
-    windows: tuple[tuple[float, float], ...],
-    dead_at: float | None,
-    grant: float,
-    duration: float,
-) -> tuple[float, float | None, str | None]:
-    """Resolve one task's service against a lane's fault timeline.
-
-    ``windows`` is the lane's transient-outage list, sorted by start,
-    non-overlapping, and already clamped at ``dead_at`` (the lane's
-    permanent failure time, or ``None`` if it never dies).  ``grant`` is
-    when the task was granted the lane and ``duration`` its service time.
-
-    The fault semantics are advance-knowledge and preemption-free: a task
-    granted *inside* an outage window waits the window out before
-    starting service (the lane is simply unavailable — no failure), while
-    a window that *starts* mid-service kills the job at the window start.
-    Returns ``(service_start, fail_time, kind)`` where ``fail_time`` is
-    ``None`` on success, and ``kind`` is ``"outage"`` or ``"permanent"``
-    when the task fails.  Occupancy for a failing task is
-    ``[service_start, fail_time)``; for a success it is
-    ``[service_start, service_start + duration)``.
-    """
-    service, _wall, fail_time, kind = resolve_degraded_service(
-        windows, (), dead_at, grant, duration
-    )
-    return service, fail_time, kind
-
-
 def inflate_service(
     slowdowns: tuple[tuple[float, float, float], ...],
     start: float,
@@ -828,15 +762,30 @@ def resolve_degraded_service(
     grant: float,
     duration: float,
 ) -> tuple[float, float, float | None, str | None]:
-    """The full advance-knowledge kernel: outages *and* slowdowns.
+    """Resolve one task's service against a lane's fault timeline: the
+    advance-knowledge kernel for outages *and* slowdowns.
 
-    Like :func:`resolve_faulty_service`, but the service's wall span is
-    first inflated through the lane's ``slowdowns``
-    (:func:`inflate_service`), and the kill checks — a window starting
-    mid-service, an overrun past the permanent death — run against the
-    *inflated* span: a slowdown can push a service into an outage
-    window it would have cleared at full rate.  Returns
-    ``(service_start, wall_duration, fail_time, kind)``; with no
+    ``windows`` is the lane's transient-outage list, sorted by start,
+    non-overlapping, and already clamped at ``dead_at`` (the lane's
+    permanent failure time, or ``None`` if it never dies); ``slowdowns``
+    is its partial-degradation list.  ``grant`` is when the task was
+    granted the lane and ``duration`` its nominal service time.
+
+    The fault semantics are preemption-free: a task granted *inside* an
+    outage window waits the window out before starting service (the
+    lane is simply unavailable — no failure), while a window that
+    *starts* mid-service kills the job at the window start.  The
+    service's wall span is first inflated through the lane's
+    ``slowdowns`` (:func:`inflate_service`), and the kill checks — a
+    window starting mid-service, an overrun past the permanent death —
+    run against the *inflated* span: a slowdown can push a service into
+    an outage window it would have cleared at full rate.
+
+    Returns ``(service_start, wall_duration, fail_time, kind)``:
+    ``fail_time`` is ``None`` on success, and ``kind`` is ``"outage"``
+    or ``"permanent"`` when the task fails.  Occupancy for a failing
+    task is ``[service_start, fail_time)``; for a success it is
+    ``[service_start, service_start + wall_duration)``.  With no
     slowdowns ``wall_duration`` is exactly ``duration``.
     """
     service = grant

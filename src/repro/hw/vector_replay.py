@@ -2,7 +2,7 @@
 
 A contention shard whose jobs are all *one* super-job — identical
 replicas of a single pipeline/schedule pair, which is exactly what the
-framework's signature caches hand :meth:`~repro.core.executor.
+framework's entry store hands :meth:`~repro.core.executor.
 PipelineExecutor.execute_many` for duplicate jobs — has far more
 structure than the general FIFO replays exploit.  Every replica runs
 the same template of occupancies (transfers and device stays, in the

@@ -7,10 +7,15 @@ every consumer.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.core.executor import PipelineExecutor
 from repro.core.framework import NdftFramework
+from repro.core.sca import StaticCodeAnalyzer
+from repro.core.scheduler import CostAwareScheduler
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.groundstate import solve_ground_state
 from repro.dft.lattice import silicon_supercell
@@ -68,3 +73,25 @@ def gpu_model():
 @pytest.fixture(scope="session")
 def framework():
     return NdftFramework()
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counts of the work the framework memoizes, while the test runs:
+    placements (``schedule``), solo DES runs (``solo``) and SCA passes
+    (``sca``).  ``derivations.clear()`` starts a fresh count."""
+    counts: Counter = Counter()
+
+    def count(owner, name, kind):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[kind] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(CostAwareScheduler, "schedule", "schedule")
+    count(PipelineExecutor, "execute", "solo")
+    count(StaticCodeAnalyzer, "analyze_all", "sca")
+    return counts

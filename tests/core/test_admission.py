@@ -319,9 +319,9 @@ class TestBusySpanAccounting:
         from repro.dft.workload import problem_size
 
         pipeline = framework._build_pipeline(problem_size(64), build_pipeline)
-        schedule = framework._schedule_for(
+        schedule = framework._record_for(
             pipeline, framework.job_signature(pipeline)
-        )
+        ).schedule
         jobs = [(pipeline, schedule)] * 4
         arrivals = [3.0, 3.5, 4.0, 4.5]
         report = framework.executor.execute_many(jobs, arrivals=arrivals)
@@ -346,9 +346,9 @@ class TestScheduleLanes:
         from repro.dft.workload import problem_size
 
         pipeline = framework._build_pipeline(problem_size(512), build_pipeline)
-        schedule = framework._schedule_for(
+        schedule = framework._record_for(
             pipeline, framework.job_signature(pipeline)
-        )
+        ).schedule
         lanes = PipelineExecutor.schedule_lanes(schedule)
         assert set(lanes) == {"cpu", "ndp", "link:cpu-ndp"}
         # Deterministic (sorted) so admission plans are reproducible.

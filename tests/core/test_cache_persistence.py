@@ -14,7 +14,7 @@ SIZES = [64, 128, 512, 1024]
 
 
 class TestSaveLoadRoundTrip:
-    def test_loaded_caches_skip_rederivation(self, tmp_path):
+    def test_loaded_caches_skip_rederivation(self, tmp_path, derivations):
         """A fresh process that loads the snapshot re-derives nothing
         for previously-seen jobs — and reports the same floats."""
         warm = NdftFramework()
@@ -25,11 +25,10 @@ class TestSaveLoadRoundTrip:
         restarted = NdftFramework()
         loaded = restarted.load_caches(path)
         assert loaded > 0
+        derivations.clear()
         after = restarted.run_many(SIZES)
-        stats = restarted.cache_stats
-        assert stats["schedule_misses"] == 0
-        assert stats["solo_misses"] == 0
-        assert stats["sca_misses"] == 0
+        assert restarted.cache_stats["entry_misses"] == 0
+        assert not derivations  # no placement, solo run or SCA pass
         assert after.makespan == before.makespan
         assert after.solo_times == before.solo_times
         assert (
@@ -74,7 +73,7 @@ class TestSaveLoadRoundTrip:
         loader.run(n_atoms=512)
         loader.load_caches(path)
         loader.run_many([64, 512])
-        assert loader.cache_stats["schedule_misses"] == 1  # only the 512
+        assert loader.cache_stats["entry_misses"] == 1  # only the 512
 
     def test_snapshot_roundtrips_through_clear(self, tmp_path):
         framework = NdftFramework()
@@ -83,56 +82,37 @@ class TestSaveLoadRoundTrip:
         framework.clear_caches()
         framework.load_caches(path)
         framework.run(n_atoms=64)
-        assert framework.cache_stats["schedule_misses"] == 1  # pre-save only
+        assert framework.cache_stats["entry_misses"] == 1  # pre-save only
 
 
 class TestOlderSnapshotLayout:
-    """Format-1 snapshots written by earlier versions also carry a
-    ``backend_tuner`` table of measured rows next to the caches.  This
-    version neither reads nor writes it, and the format stays 1: older
-    loaders read that key with a default and newer ones ignore it, so
-    files stay compatible in both directions."""
+    """Format 2 holds the entry store and the warm-start index.  Format-1
+    files (one list per retired cache) are refused, never misread."""
 
-    ROWS = [
-        (11, "chain_replay", 0.5, 1024.0),
-        (11, "vector_replay", 0.25, 1024.0),
-        (11, "dag_replay", float("nan"), 1024.0),
-        (11, "chain_replay", "fast", 1024.0),
-        (11, "retired_backend", 0.5, 1024.0),
-    ]
-
-    def _older_snapshot(self, tmp_path):
-        """A snapshot in the older layout and its ``caches`` payload."""
-        saver = NdftFramework()
-        saver.run_many(SIZES)
-        path = saver.save_caches(tmp_path / "older.pkl")
-        payload = pickle.loads(path.read_bytes())
-        payload["backend_tuner"] = self.ROWS
-        path.write_bytes(pickle.dumps(payload))
-        return path, payload["caches"]
-
-    def test_load_takes_exactly_the_cache_entries(self, tmp_path):
-        path, caches = self._older_snapshot(tmp_path)
-        entries = sum(len(items) for items in caches.values())
-        assert NdftFramework().load_caches(path) == entries
-
-    def test_merge_takes_exactly_the_cache_entries_once(self, tmp_path):
-        path, caches = self._older_snapshot(tmp_path)
-        # Merging counts warm-start sizes, not structure keys.
-        entries = sum(
-            len(items) for name, items in caches.items() if name != "warm_start"
-        ) + sum(len(sizes) for _key, sizes in caches["warm_start"])
-        receiver = NdftFramework()
-        assert receiver.merge_caches(path) == entries
-        assert receiver.merge_caches(path) == 0
+    def test_format_1_snapshot_refused(self, tmp_path):
+        framework = NdftFramework()
+        framework.run_many(SIZES)
+        path = tmp_path / "older.pkl"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "format": 1,
+                    "fingerprint": framework.cache_fingerprint(),
+                    "caches": {"schedule": [], "solo": [], "sca": []},
+                }
+            )
+        )
+        for absorb in (NdftFramework().load_caches, NdftFramework().merge_caches):
+            with pytest.raises(ConfigError, match="format 1, expected format 2"):
+                absorb(path)
 
     def test_save_writes_no_backend_table(self, tmp_path):
         framework = NdftFramework()
         framework.run_many(SIZES)
         path = framework.save_caches(tmp_path / "caches.pkl")
         payload = pickle.loads(path.read_bytes())
-        assert set(payload) == {"format", "fingerprint", "caches"}
-        assert payload["format"] == NdftFramework.CACHE_SNAPSHOT_FORMAT == 1
+        assert set(payload) == {"format", "fingerprint", "entries", "warm_start"}
+        assert payload["format"] == NdftFramework.CACHE_SNAPSHOT_FORMAT == 2
 
 
 class TestFingerprintRefusal:

@@ -7,19 +7,25 @@ makes every job its own entry — the per-job path — so the two must agree
 on every virtual-time output for any batch: atom counts, ``ProblemSize``
 records and prebuilt pipelines mixed, the same object repeated,
 equal-content distinct objects, and ``64`` next to ``problem_size(64)``.
-The shard partition, the order of jobs within each shard and the
-super-job count are checked against a per-job union-find reference.
+The memoized paths through the entry store must agree as well: a
+``cache_size=1`` framework that evicts on every lookup, and a fresh
+framework warmed from a snapshot, which must then derive nothing.  Under
+lethal faults, degraded and residual-pipeline records go through the
+store too.  The shard partition, the order of jobs within each shard and
+the super-job count are checked against a per-job union-find reference.
 """
 
 import functools
+import tempfile
+from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.arrivals import AdmissionPolicy
 from repro.core.backends import superjob_groups
 from repro.core.executor import PipelineExecutor
-from repro.core.faults import FaultPlan
+from repro.core.faults import FaultPlan, RetryPolicy
 from repro.core.framework import NdftFramework
 from repro.core.pipeline import Pipeline, build_kpoint_pipeline, build_pipeline
 from repro.core.scheduler import SchedulingPolicy
@@ -27,7 +33,7 @@ from repro.dft.workload import ProblemSize, problem_size
 
 SIZES = (16, 64, 128)
 BUILDERS = {"chain": build_pipeline, "kpoint": build_kpoint_pipeline}
-MODES = ("closed", "open", "shed", "deprioritize", "empty-faults")
+MODES = ("closed", "open", "shed", "deprioritize", "empty-faults", "lethal-faults")
 
 
 def reference_shards(jobs) -> list[list[int]]:
@@ -106,19 +112,61 @@ def batches(draw):
                 max_size=len(batch),
             )
         )
-    if mode == "empty-faults" and draw(st.booleans()):
-        arrivals = None
+    faults = None
+    if mode == "empty-faults":
+        faults = FaultPlan()
+        if draw(st.booleans()):
+            arrivals = None
+    elif mode == "lethal-faults":
+        # An NDP outage and a permanent NDP death among the arrivals:
+        # kills, retries, degraded re-placements and resumes.
+        start = draw(st.floats(0.0, 0.09))
+        faults = FaultPlan(
+            outages=(("ndp", start, start + draw(st.floats(0.001, 0.01))),),
+            permanent=(("ndp", draw(st.floats(0.0, 0.1))),),
+        )
     slo = draw(st.floats(0.01, 0.15))
-    return batch, BUILDERS[builder], mode, arrivals, slo
+    return batch, BUILDERS[builder], mode, arrivals, slo, faults
 
 
-def serve(framework, batch, builder, mode, arrivals, slo):
-    kwargs = {"pipeline_builder": builder, "arrivals": arrivals}
+def lethal_case(builder, outage, death):
+    """A 12-job open batch over ``SIZES`` under an NDP outage and death:
+    several degraded and several resumed attempts for either builder."""
+    plan = FaultPlan(outages=(("ndp", *outage),), permanent=(("ndp", death),))
+    arrivals = [i * 0.1 / 12 for i in range(12)]
+    return list(SIZES) * 4, builder, "lethal-faults", arrivals, 0.1, plan
+
+
+def serve(framework, batch, builder, mode, arrivals, slo, faults):
+    kwargs = {"pipeline_builder": builder, "arrivals": arrivals, "faults": faults}
     if mode in ("shed", "deprioritize"):
         kwargs["admission"] = AdmissionPolicy(slo_p99=slo, mode=mode)
-    if mode == "empty-faults":
-        kwargs["faults"] = FaultPlan()
+    if mode == "lethal-faults":
+        kwargs["retry"] = RetryPolicy(checkpoint=True)
     return framework.run_many(batch, **kwargs)
+
+
+def assert_same_results(got, want):
+    """Every virtual-time output of two served batches agrees."""
+    assert len(got.jobs) == len(want.jobs)
+    for job_g, job_w in zip(got.jobs, want.jobs):
+        assert job_g.problem == job_w.problem
+        assert job_g.report == job_w.report
+        assert job_g.schedule == job_w.schedule
+        assert job_g.sca_reports == job_w.sca_reports
+        assert job_g.memory_footprint_gb == job_w.memory_footprint_gb
+        assert job_g.replicated_footprint_gb == job_w.replicated_footprint_gb
+    assert got.solo_times == want.solo_times
+    assert got.makespan == want.makespan
+    assert got.arrivals == want.arrivals
+    assert got.batch_report.lane_occupancy == want.batch_report.lane_occupancy
+    assert (got.admission is None) == (want.admission is None)
+    if got.admission is not None:
+        assert got.admission.decisions == want.admission.decisions
+        assert got.admission.counted_indices == want.admission.counted_indices
+    assert (got.resilience is None) == (want.resilience is None)
+    if got.resilience is not None:
+        assert got.resilience.attempts == want.resilience.attempts
 
 
 def resolved_pipelines(framework, batch, builder):
@@ -136,41 +184,30 @@ def resolved_pipelines(framework, batch, builder):
 
 class TestColumnarMatchesPerJob:
     @given(case=batches())
+    @example(case=lethal_case(build_pipeline, (0.02, 0.03), 0.09))
+    @example(case=lethal_case(build_kpoint_pipeline, (0.05, 0.06), 0.09))
     @settings(max_examples=60, deadline=None)
     def test_cached_and_per_job_paths_agree(self, case):
-        batch, builder, mode, arrivals, slo = case
-        cached_framework = NdftFramework()
+        batch, builder, mode, *_rest = case
         per_job_framework = NdftFramework(memoize=False)
-        cached = serve(cached_framework, batch, builder, mode, arrivals, slo)
-        per_job = serve(per_job_framework, batch, builder, mode, arrivals, slo)
+        per_job = serve(per_job_framework, *case)
+        cached_framework = NdftFramework()
+        cached = serve(cached_framework, *case)
+        evicting = serve(NdftFramework(cache_size=1), *case)
+        loaded_framework = NdftFramework()
+        with tempfile.TemporaryDirectory() as tmp:
+            snapshot = cached_framework.save_caches(Path(tmp) / "snapshot.pkl")
+            loaded_framework.load_caches(snapshot)
+        loaded = serve(loaded_framework, *case)
+        assert loaded_framework.cache_stats["entry_misses"] == 0
 
-        assert len(cached.jobs) == len(per_job.jobs)
-        for job_c, job_p in zip(cached.jobs, per_job.jobs):
-            assert job_c.problem == job_p.problem
-            assert job_c.report == job_p.report
-            assert job_c.schedule == job_p.schedule
-            assert job_c.sca_reports == job_p.sca_reports
-            assert job_c.memory_footprint_gb == job_p.memory_footprint_gb
-            assert job_c.replicated_footprint_gb == job_p.replicated_footprint_gb
-        assert cached.solo_times == per_job.solo_times
-        assert cached.makespan == per_job.makespan
-        assert cached.arrivals == per_job.arrivals
-        assert (
-            cached.batch_report.lane_occupancy
-            == per_job.batch_report.lane_occupancy
-        )
-        assert (cached.admission is None) == (per_job.admission is None)
-        if cached.admission is not None:
-            assert cached.admission.decisions == per_job.admission.decisions
-            assert (
-                cached.admission.counted_indices
-                == per_job.admission.counted_indices
-            )
+        for result in (cached, evicting, loaded):
+            assert_same_results(result, per_job)
         assert cached_framework.job_estimates(
             batch, builder
         ) == per_job_framework.job_estimates(batch, builder)
 
-        if mode in ("shed", "deprioritize") or not cached.jobs:
+        if mode in ("shed", "deprioritize", "lethal-faults") or not cached.jobs:
             return
         # Every job executed: check the partition and super-jobs the
         # executor formed against the per-job reference.

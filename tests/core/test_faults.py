@@ -35,7 +35,7 @@ from repro.core.pipeline import build_pipeline
 from repro.core.scheduler import Placement
 from repro.dft.workload import problem_size
 from repro.errors import ConfigError, SimulationError
-from repro.hw.engine import resolve_faulty_service
+from repro.hw.engine import resolve_degraded_service
 
 SIZES = [64, 128, 512, 1024]
 
@@ -44,9 +44,9 @@ def _jobs(framework, entries):
     jobs = []
     for n_atoms in entries:
         pipeline = framework._build_pipeline(problem_size(n_atoms), build_pipeline)
-        schedule = framework._schedule_for(
+        schedule = framework._record_for(
             pipeline, framework.job_signature(pipeline)
-        )
+        ).schedule
         jobs.append((pipeline, schedule))
     return jobs
 
@@ -73,40 +73,51 @@ def _ndp_window(framework, sizes, width_fraction=0.2):
 
 
 class TestResolveFaultyService:
-    """The engine-level kernel: advance-knowledge, preemption-free."""
+    """The engine-level kernel without slowdowns: advance-knowledge,
+    preemption-free, and the wall span is the nominal duration."""
 
     def test_healthy_lane_passes_through(self):
-        assert resolve_faulty_service((), None, 3.0, 2.0) == (3.0, None, None)
+        assert resolve_degraded_service((), (), None, 3.0, 2.0) == (
+            3.0, 2.0, None, None,
+        )
 
     def test_grant_inside_window_waits_it_out(self):
         windows = ((1.0, 4.0),)
-        assert resolve_faulty_service(windows, None, 2.0, 1.0) == (4.0, None, None)
+        assert resolve_degraded_service(windows, (), None, 2.0, 1.0) == (
+            4.0, 1.0, None, None,
+        )
 
     def test_window_start_mid_service_kills_at_window_start(self):
         windows = ((5.0, 6.0),)
-        service, fail, kind = resolve_faulty_service(windows, None, 3.0, 4.0)
-        assert (service, fail, kind) == (3.0, 5.0, "outage")
+        assert resolve_degraded_service(windows, (), None, 3.0, 4.0) == (
+            3.0, 4.0, 5.0, "outage",
+        )
 
     def test_service_ending_at_window_start_survives(self):
         # Half-open windows: finishing exactly when the outage starts
         # is a completed task.
         windows = ((5.0, 6.0),)
-        assert resolve_faulty_service(windows, None, 3.0, 2.0) == (3.0, None, None)
+        assert resolve_degraded_service(windows, (), None, 3.0, 2.0) == (
+            3.0, 2.0, None, None,
+        )
 
     def test_chained_windows_resolve_in_order(self):
         # Waiting out the first window lands the task in front of the
         # second, which then kills it.
         windows = ((1.0, 4.0), (5.0, 7.0))
-        service, fail, kind = resolve_faulty_service(windows, None, 2.0, 2.0)
-        assert (service, fail, kind) == (4.0, 5.0, "outage")
+        assert resolve_degraded_service(windows, (), None, 2.0, 2.0) == (
+            4.0, 2.0, 5.0, "outage",
+        )
 
     def test_permanent_death_kills_overrunning_service(self):
-        service, fail, kind = resolve_faulty_service((), 5.0, 3.0, 4.0)
-        assert (service, fail, kind) == (3.0, 5.0, "permanent")
+        assert resolve_degraded_service((), (), 5.0, 3.0, 4.0) == (
+            3.0, 4.0, 5.0, "permanent",
+        )
 
     def test_grant_after_death_fails_at_grant(self):
-        service, fail, kind = resolve_faulty_service((), 5.0, 8.0, 1.0)
-        assert (service, fail, kind) == (8.0, 8.0, "permanent")
+        assert resolve_degraded_service((), (), 5.0, 8.0, 1.0) == (
+            8.0, 1.0, 8.0, "permanent",
+        )
 
 
 class TestFaultPlanConstruction:

@@ -52,9 +52,9 @@ def _jobs(framework, entries):
     jobs = []
     for n_atoms in entries:
         pipeline = framework._build_pipeline(problem_size(n_atoms), build_pipeline)
-        schedule = framework._schedule_for(
+        schedule = framework._record_for(
             pipeline, framework.job_signature(pipeline)
-        )
+        ).schedule
         jobs.append((pipeline, schedule))
     return jobs
 

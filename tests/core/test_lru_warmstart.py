@@ -1,4 +1,4 @@
-"""Bounded signature caches (LRU) and the warm-started placement DP."""
+"""Bounded memo structures (LRU) and the warm-started placement DP."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from repro.core.lru import LruCache
 from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
 from repro.core.scheduler import SchedulingPolicy
 from repro.dft.workload import problem_size
+from repro.errors import ConfigError
 
 
 class TestLruCache:
@@ -69,8 +70,8 @@ class TestBoundedFrameworkCaches:
         unbounded = NdftFramework(cache_size=None)
         tight = tiny.run_many(sizes)
         loose = unbounded.run_many(sizes)
-        assert tiny.cache_stats["schedule_evictions"] > 0
-        assert unbounded.cache_stats["schedule_evictions"] == 0
+        assert tiny.cache_stats["entry_evictions"] > 0
+        assert unbounded.cache_stats["entry_evictions"] == 0
         assert tight.makespan == loose.makespan
         assert tight.solo_times == loose.solo_times
         assert (
@@ -81,18 +82,23 @@ class TestBoundedFrameworkCaches:
         framework = NdftFramework(cache_size=2)
         framework.run_many([64, 128, 512, 1024])
         stats = framework.cache_stats
-        for kind in ("pipeline", "schedule", "solo", "sca", "signature"):
+        for kind in ("pipeline", "entry"):
             assert f"{kind}_evictions" in stats
-        assert stats["schedule_evictions"] >= 2
+        assert stats["entry_evictions"] >= 2
         # Within the bound nothing is evicted.
         roomy = NdftFramework(cache_size=4)
         roomy.run_many([64, 128, 512, 1024])
-        assert roomy.cache_stats["schedule_evictions"] == 0
+        assert roomy.cache_stats["entry_evictions"] == 0
 
     def test_default_bound_is_finite(self):
         framework = NdftFramework()
         assert framework.cache_size == NdftFramework.DEFAULT_CACHE_SIZE
-        assert framework._schedule_cache.maxsize == framework.cache_size
+        assert framework._store.maxsize == framework.cache_size
+
+    @pytest.mark.parametrize("cache_size", [0, -1])
+    def test_rejects_nonpositive_cache_size(self, cache_size):
+        with pytest.raises(ConfigError, match="cache_size"):
+            NdftFramework(cache_size=cache_size)
 
 
 class TestWarmStartedPlacementDp:
@@ -114,9 +120,9 @@ class TestWarmStartedPlacementDp:
         framework = NdftFramework()
         framework.run(n_atoms=4000)  # seed the warm-start index far away
         pipeline = build_pipeline(problem_size(n_atoms))
-        hinted = framework._schedule_for(
+        hinted = framework._record_for(
             pipeline, framework.job_signature(pipeline)
-        )
+        ).schedule
         assert framework.cache_stats["warm_start_hits"] >= 1
         cold = framework.scheduler._dag_optimal(pipeline)
         oracle = framework.scheduler._exhaustive_best(pipeline)
@@ -193,9 +199,9 @@ class TestNameNormalizedWarmStart:
         framework.run(n_atoms=64)  # seeds the 6-chain structure
         assert framework.cache_stats["warm_start_hits"] == 0
         renamed = _renamed(build_pipeline(problem_size(512)), "alias_")
-        hinted = framework._schedule_for(
+        hinted = framework._record_for(
             renamed, framework.job_signature(renamed)
-        )
+        ).schedule
         stats = framework.cache_stats
         assert stats["warm_start_hits"] == 1
         cold = framework.scheduler._dag_optimal(renamed)
@@ -208,7 +214,7 @@ class TestNameNormalizedWarmStart:
         renamed = _renamed(
             build_kpoint_pipeline(problem_size(512)), "other/"
         )
-        framework._schedule_for(renamed, framework.job_signature(renamed))
+        framework._record_for(renamed, framework.job_signature(renamed)).schedule
         assert framework.cache_stats["warm_start_hits"] == 1
 
     def test_normalize_rehydrate_round_trip(self):

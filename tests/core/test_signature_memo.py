@@ -104,21 +104,26 @@ class _GlacialMachine:
 
 
 class TestFrameworkMemoization:
-    def test_duplicate_jobs_hit_every_cache(self):
+    def test_duplicate_jobs_hit_every_cache(self, derivations):
+        """Each distinct entry of a call is one lookup and is derived
+        once — one placement, one solo run, one SCA pass; a duplicate
+        job is no lookup at all."""
         framework = _fresh()
         framework.run_many([64, 64, 64, 512])
         stats = framework.cache_stats
-        for kind in ("pipeline", "schedule", "solo", "sca"):
+        for kind in ("pipeline", "entry"):
             assert stats[f"{kind}_misses"] == 2
-            assert stats[f"{kind}_hits"] == 2
+            assert stats[f"{kind}_hits"] == 0
+        assert derivations == {"schedule": 2, "solo": 2, "sca": 2}
 
     def test_caches_compose_across_calls(self):
         framework = _fresh()
         framework.run(n_atoms=64)
         framework.run(n_atoms=64)
-        assert framework.cache_stats["schedule_hits"] == 1
+        assert framework.cache_stats["entry_hits"] == 1
         batch = framework.run_many([64, 64])
-        assert framework.cache_stats["schedule_misses"] == 1
+        assert framework.cache_stats["entry_misses"] == 1
+        assert framework.cache_stats["entry_hits"] == 2
         assert batch.n_jobs == 2
 
     def test_cached_and_uncached_results_identical(self):
@@ -141,7 +146,7 @@ class TestFrameworkMemoization:
     def test_memoize_false_bypasses_caches(self):
         framework = NdftFramework(memoize=False)
         framework.run_many([64, 64])
-        assert framework._schedule_cache == {}
+        assert framework._store == {}
         assert all(count == 0 for count in framework.cache_stats.values())
 
     def test_register_target_invalidates_and_reschedules(self):
@@ -152,7 +157,7 @@ class TestFrameworkMemoization:
         before = framework.run(n_atoms=1024)
         assert Placement.NDP in before.schedule.placements_used
         framework.register_target(Placement.NDP, _GlacialMachine())
-        assert framework._schedule_cache == {}
+        assert framework._store == {}
         after = framework.run(n_atoms=1024)
         assert after.schedule.placements_used == {Placement.CPU}
         assert after.total_time != before.total_time
@@ -160,12 +165,11 @@ class TestFrameworkMemoization:
     def test_clear_caches(self):
         framework = _fresh()
         framework.run(n_atoms=64)
-        assert framework._schedule_cache
+        assert framework._store
         framework.clear_caches()
-        assert not framework._schedule_cache
+        assert not framework._store
         assert not framework._pipeline_cache
-        assert not framework._solo_report_cache
-        assert not framework._sca_cache
+        assert not framework._warm_start_index
 
     def test_solo_cache_returns_standalone_times_inside_batches(self):
         """Solo times reported by a batch equal dedicated-machine runs."""
@@ -174,41 +178,41 @@ class TestFrameworkMemoization:
         batch = framework.run_many([512, 512])
         assert batch.solo_times == (solo, solo)
 
-    def test_duplicate_heavy_mixed_batch_counters_across_calls(self):
-        """Duplicates resolved once per call still count one hit per job
-        on every cache a per-job lookup consults: atom counts hit the
-        pipeline cache (``64`` and an equal ``ProblemSize`` share one
-        key), a repeated prebuilt pipeline hits the signature cache by
-        identity, and an equal-content distinct pipeline misses it but
-        hits the schedule cache.  Warm starts run only on schedule
-        misses, so duplicates never move them."""
+    def test_duplicate_heavy_mixed_batch_counters_across_calls(
+        self, derivations
+    ):
+        """Each distinct entry of a call is one lookup and a duplicate
+        job is none.  Sizes are entries by value, problems and pipelines
+        by identity: ``64`` and an equal ``ProblemSize`` are two entries
+        whose pipeline-cache key is shared, so the second hits, and an
+        equal-content distinct pipeline hits the store under the same
+        signature.  Each signature is derived once (placement, solo run,
+        SCA pass); warm starts run only on store misses."""
         framework = _fresh()
         p64 = problem_size(64)
         pipe = build_pipeline(problem_size(128))
         batch = [64, 64, p64, p64, pipe, pipe, 512, 64, 512]
         framework.run_many(batch)
         stats = framework.cache_stats
-        assert (stats["pipeline_misses"], stats["pipeline_hits"]) == (2, 5)
-        assert (stats["signature_misses"], stats["signature_hits"]) == (3, 6)
-        for kind in ("schedule", "solo", "sca"):
-            assert (stats[f"{kind}_misses"], stats[f"{kind}_hits"]) == (3, 6)
+        assert (stats["pipeline_misses"], stats["pipeline_hits"]) == (2, 1)
+        assert (stats["entry_misses"], stats["entry_hits"]) == (3, 1)
         assert (stats["warm_start_misses"], stats["warm_start_hits"]) == (1, 2)
+        assert derivations == {"schedule": 3, "solo": 3, "sca": 3}
 
         twin = build_pipeline(problem_size(128))  # equal content, new id
         framework.run_many([*batch, twin, twin])
         stats = framework.cache_stats
-        assert (stats["pipeline_misses"], stats["pipeline_hits"]) == (2, 12)
-        assert (stats["signature_misses"], stats["signature_hits"]) == (4, 16)
-        for kind in ("schedule", "solo", "sca"):
-            assert (stats[f"{kind}_misses"], stats[f"{kind}_hits"]) == (3, 17)
+        assert (stats["pipeline_misses"], stats["pipeline_hits"]) == (2, 4)
+        assert (stats["entry_misses"], stats["entry_hits"]) == (3, 6)
         assert (stats["warm_start_misses"], stats["warm_start_hits"]) == (1, 2)
+        assert derivations == {"schedule": 3, "solo": 3, "sca": 3}
 
     def test_kpoint_builder_keys_separately_from_chain(self):
         framework = _fresh()
         framework.run_many([64])
         framework.run_many([64], pipeline_builder=build_kpoint_pipeline)
         assert framework.cache_stats["pipeline_misses"] == 2
-        assert framework.cache_stats["schedule_misses"] == 2
+        assert framework.cache_stats["entry_misses"] == 2
 
 
 class TestPolicyRespectedUnderMemoization:

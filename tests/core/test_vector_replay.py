@@ -40,9 +40,9 @@ def _jobs(framework, entries):
     jobs = []
     for n_atoms, builder in entries:
         pipeline = framework._build_pipeline(problem_size(n_atoms), builder)
-        schedule = framework._schedule_for(
+        schedule = framework._record_for(
             pipeline, framework.job_signature(pipeline)
-        )
+        ).schedule
         jobs.append((pipeline, schedule))
     return jobs
 

@@ -113,16 +113,21 @@ class TestSpawnServe:
 
 
 class TestSharedSnapshotLifecycle:
-    def test_merge_back_collects_worker_entries(self):
+    def test_merge_back_collects_worker_entries(self, derivations):
         """The parent framework never ran a batch — it only derived
         routing estimates — yet after one serve the workers' SCA passes
-        are in its caches via merge-back."""
+        are in its records via merge-back; the next serve has nothing
+        left to merge."""
         with WorkerPool(2, inline=True) as pool:
             result = pool.serve(SIZES)
             assert result.merged_entries > 0
-            assert pool.framework.cache_stats["sca_misses"] == 0
+            records = [record for _key, record in pool.framework._store.items()]
+            assert records
+            assert all(record.sca is not None for record in records)
+            assert pool.serve(SIZES).merged_entries == 0
+            derivations.clear()
             pool.framework.run_many(SIZES)
-            assert pool.framework.cache_stats["sca_misses"] == 0
+            assert derivations["sca"] == 0
 
     def test_merge_caches_is_idempotent(self, tmp_path):
         donor = NdftFramework()
@@ -133,6 +138,26 @@ class TestSharedSnapshotLifecycle:
         assert first > 0
         assert receiver.merge_caches(path) == 0  # union-if-absent
 
+    def test_merge_fills_missing_sca_verdicts(self, tmp_path):
+        """A receiver that only ran job_estimates holds every record but
+        none of their SCA verdicts: a merge adds exactly those fields."""
+        donor = NdftFramework()
+        donor.run_many(SIZES)
+        path = donor.save_caches(tmp_path / "donor.pkl")
+        receiver = NdftFramework()
+        receiver.job_estimates(SIZES)
+
+        def with_sca():
+            return sum(
+                record.sca is not None
+                for _key, record in receiver._store.items()
+            )
+
+        assert with_sca() == 0
+        assert receiver.merge_caches(path) == with_sca() > 0
+        assert with_sca() == len(receiver._store)
+        assert receiver.merge_caches(path) == 0
+
     def test_merge_caches_keeps_local_entries(self, tmp_path):
         """Merge-back is union-only: an entry the receiver already owns
         is never overwritten by the snapshot's copy."""
@@ -141,23 +166,24 @@ class TestSharedSnapshotLifecycle:
         path = donor.save_caches(tmp_path / "donor.pkl")
         receiver = NdftFramework()
         receiver.run_many([64, 512])
-        before = receiver.cache_stats["schedule_misses"]
+        before = receiver.cache_stats["entry_misses"]
         receiver.merge_caches(path)
         receiver.run_many([64, 128, 512])
-        assert receiver.cache_stats["schedule_misses"] == before  # no re-derive
+        assert receiver.cache_stats["entry_misses"] == before  # no re-derive
 
-    def test_persistent_snapshot_warms_next_pool(self, tmp_path):
+    def test_persistent_snapshot_warms_next_pool(self, tmp_path, derivations):
         snapshot = tmp_path / "fleet.pkl"
         with WorkerPool(2, inline=True, snapshot_path=snapshot) as pool:
             pool.serve(SIZES)
         assert snapshot.exists()
+        derivations.clear()
         with WorkerPool(2, inline=True, snapshot_path=snapshot) as warm:
             warm.serve(SIZES)
             stats = warm.framework.cache_stats
         # The second pool derived nothing: estimates came off the merged
         # snapshot the first pool persisted.
-        assert stats["schedule_misses"] == 0
-        assert stats["solo_misses"] == 0
+        assert stats["entry_misses"] == 0
+        assert derivations["solo"] == 0
 
     def test_fleet_snapshot_fingerprint_refusal(self, tmp_path):
         """A shared snapshot written under a different policy is refused
@@ -199,6 +225,11 @@ class TestServeValidation:
     def test_rejects_nonpositive_replicas(self):
         with pytest.raises(ConfigError, match="n_replicas"):
             WorkerPool(0)
+
+    @pytest.mark.parametrize("cache_size", [0, -1])
+    def test_rejects_nonpositive_cache_size(self, cache_size):
+        with pytest.raises(ConfigError, match="cache_size"):
+            WorkerPool(2, cache_size=cache_size)
 
     def test_rejects_empty_batch(self):
         with WorkerPool(1, inline=True) as pool:

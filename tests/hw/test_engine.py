@@ -111,19 +111,6 @@ class TestResources:
         with pytest.raises(SimulationError, match="deadlock"):
             engine.run()
 
-    def test_busy_time_accounting(self):
-        engine = Engine()
-        resource = engine.resource(1, "unit")
-
-        def job():
-            yield resource.acquire()
-            yield engine.timeout(5.0)
-            yield resource.release()
-
-        engine.spawn(job())
-        engine.run()
-        assert resource.busy_time() == pytest.approx(5.0)
-
 
 class TestProcessJoin:
     def test_wait_on_other_process(self):
