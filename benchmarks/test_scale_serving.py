@@ -148,8 +148,8 @@ def test_serving_sweep_emits_bench_json(tmp_path):
 
 
 def test_scaleout_batch_des_speedup():
-    """The tentpole: the signature-coalesced, sharded FIFO replay beats
-    the uncollapsed generator DES on the executor's own 1024-job batch
+    """The tentpole: the signature-coalesced FIFO replay beats the
+    uncollapsed generator DES on the executor's own 1024-job batch
     by >= 2x wall-clock (measured ~4-6x), with identical reports (the
     equivalence itself is asserted exactly in tests/core)."""
     framework = NdftFramework()
@@ -173,9 +173,7 @@ def test_scaleout_batch_des_speedup():
 
     fast_wall, fast = best_of(lambda: framework.executor.execute_many(jobs))
     slow_wall, slow = best_of(
-        lambda: framework.executor.execute_many(
-            jobs, coalesce=False, shard=False
-        )
+        lambda: framework.executor.execute_many(jobs, backend="engine")
     )
     assert fast.job_reports == slow.job_reports
     assert fast.makespan == slow.makespan

@@ -7,7 +7,7 @@ and tests enforce only where a test author remembered to look:
   point downward (or sideways within a band).
 - :class:`DeterminismRule` — virtual-time modules never read wall
   clocks or unseeded entropy; the few sanctioned wall-timing sites
-  (per-shard simulation timing, serving benchmarks) live in an explicit
+  (per-batch simulation timing, serving benchmarks) live in an explicit
   allowlist here, not in inline comments.
 - :class:`BackendContractRule` — every simulation backend is reachable
   from the registry walk, declines with named reason constants, and
@@ -58,11 +58,11 @@ class RuleConfig:
     )
 
     #: Sanctioned wall-clock sites: (module, dotted call).  These
-    #: measure *host* wall time (per-shard simulation timing, serving
+    #: measure *host* wall time (per-batch simulation timing, serving
     #: benchmarks) and never feed simulated timestamps.
     determinism_allowlist: frozenset[tuple[str, str]] = frozenset(
         {
-            # Per-shard wall timing (ShardTiming.wall_seconds).
+            # Per-batch wall timing (ShardTiming.wall_seconds).
             ("repro.core.executor", "time.perf_counter"),
             # WorkerPool wall/sim speedup accounting.
             ("repro.fleet.pool", "time.perf_counter"),
@@ -439,7 +439,7 @@ class BackendContractRule:
                     path=module.path,
                     line=simulate.lineno,
                     message=(
-                        f"{klass.name}.simulate declines shards but the "
+                        f"{klass.name}.simulate declines batches but the "
                         "class defines no unsupported_reason"
                     ),
                     hint=(

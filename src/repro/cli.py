@@ -501,9 +501,9 @@ def main(argv: list[str] | None = None) -> int:
         choices=_backend_choices(),
         default=None,
         help=(
-            "serve-bench: force one simulation backend for every shard "
-            "(default: the registry picks the fastest supporting one "
-            "per shard) — the replay-vs-engine A/B switch"
+            "serve-bench: force one simulation backend for every batch "
+            "(default: the first backend in the batch's selection order "
+            "that accepts it) — the replay-vs-engine A/B switch"
         ),
     )
     parser.add_argument(

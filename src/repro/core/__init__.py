@@ -15,14 +15,14 @@
   paper's LR-TDDFT chain plus branching (k-point) variants.
 - :mod:`repro.core.executor` — maps schedules onto the machine models via
   the discrete-event engine: DAG-aware waits, branch overlap on distinct
-  devices, and batched multi-job execution on one shared machine, scaled
-  out through signature-coalesced super-jobs and contention-sharded
-  simulations (bit-identical to the plain shared engine).
+  devices, and batched multi-job execution on one shared machine as one
+  simulation, scaled out through signature-coalesced super-jobs
+  (bit-identical to the plain shared engine).
 - :mod:`repro.core.backends` — the simulation-backend layer the executor
-  selects from per contention shard: the DAG FIFO replay (one cursor
-  per replica segment, join counters on fan-in stages), the numpy wave
-  replay and the generator engine fallback, all bit-identical and
-  pluggable via ``register_backend``.
+  selects from per batch: the DAG FIFO replay (one cursor per replica
+  segment, join counters on fan-in stages), the numpy wave replay and
+  the generator engine fallback, all bit-identical and pluggable via
+  ``register_backend``.
 - :mod:`repro.core.arrivals` — arrival processes (seeded Poisson),
   latency percentiles and the SLO-driven admission policy
   (shed/deprioritize) for the open-queue serving model.

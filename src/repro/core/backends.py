@@ -1,38 +1,37 @@
 """Pluggable simulation backends for the batched DES executor.
 
-Every contention shard of a batch (see
+Every batch (see
 :meth:`repro.core.executor.PipelineExecutor.execute_many`) can be timed
 by any simulator that reproduces the generator engine's floats exactly —
 the engine itself, or one of the slim FIFO replays.  This module makes
 that choice an explicit *backend layer* instead of shape checks
 scattered through the executor:
 
-- :class:`SimulationBackend` is the protocol — a capability query
-  (:meth:`~SimulationBackend.supports`) plus
-  :meth:`~SimulationBackend.simulate`, which returns per-job completion
-  times, the shard makespan and the super-job count, or ``None`` to
-  decline a shard it only discovers to be ineligible while flattening
-  it (e.g. a zero-duration task under a degenerate cost model).  The
-  executor builds every per-job report from its super-job template,
-  so no backend touches a report.
+- :class:`SimulationBackend` is the protocol — one
+  :meth:`~SimulationBackend.simulate` that returns per-job completion
+  times, the makespan and the super-job count, or ``None`` to decline a
+  batch it cannot prove (e.g. several signatures for ``vector_replay``,
+  a zero-duration task under a degenerate cost model).  The executor
+  builds every per-job report from its super-job template, so no
+  backend touches a report.
 - Three backends ship registered, in fallback-preference order:
 
   =================  ==================================================
   name               simulates
   =================  ==================================================
-  ``dag_replay``     any shard via
+  ``dag_replay``     any batch via
                      :func:`repro.hw.engine.replay_dag_batch` — one
                      cursor per replica *segment* (a run of stages
                      joined by single-successor -> single-predecessor
                      edges: a whole chain job is one segment) and
                      per-replica join counters on fan-in stages, one
                      calendar event per occupancy.
-  ``vector_replay``  single-signature (fully coalesced) shards via
+  ``vector_replay``  single-signature (fully coalesced) batches via
                      :func:`repro.hw.vector_replay.replay_vector_batch`
                      — the whole grant/finish timetable as numpy
                      recurrences over the (replica, stage-occupancy)
                      grid, no per-occupancy Python event at all.
-                     Declines cross-signature shards, zero durations
+                     Declines cross-signature batches, zero durations
                      and tie patterns that need the engine's banded
                      hop cascade.
   ``engine``         anything, through the generator
@@ -41,42 +40,39 @@ scattered through the executor:
                      verified against.
   =================  ==================================================
 
-The walk takes the first backend that supports the shard and does not
-decline it; results are bit-identical whichever backend runs
-(property-tested in ``tests/core/test_coalesce_shard.py``,
-``tests/core/test_dag_replay.py`` and
-``tests/core/test_vector_replay.py``), so the walk's order is purely a
-wall-clock choice.  :func:`selection_order` makes it from the shard's
+The walk takes the first backend that does not decline the batch;
+results are bit-identical whichever backend runs (property-tested in
+``tests/core/test_coalesce_shard.py``, ``tests/core/test_dag_replay.py``
+and ``tests/core/test_vector_replay.py``), so the walk's order is purely
+a wall-clock choice.  :func:`selection_order` makes it from the batch's
 shape alone, the way the paper's Eq. 1 places a kernel from its own
 properties rather than from trial runs: large closed single-signature
-shards try ``vector_replay`` first, every other shard walks the
-registry order.  Any trace observer bypasses the registry entirely —
-trace consumers need the uncollapsed engine's exact event stream.
-Additional backends (e.g. a C-accelerated calendar) plug in via
-:func:`register_backend`.
+batches try ``vector_replay`` first, every other batch walks the
+registry order.  Additional backends (e.g. a C-accelerated calendar)
+plug in via :func:`register_backend`.
 
-Backends may also expose ``unsupported_reason(executor, shard_jobs)``
-returning a human-readable reason a shard cannot be simulated — the
-executor quotes it in the forced-backend error so callers learn *why*
-(zero-duration task, cross-signature interleaving, ...) instead of
-getting a bare refusal.
+A backend that can decline also exposes
+``unsupported_reason(executor, shard_jobs)`` returning a human-readable
+reason — the executor quotes it in the forced-backend error so callers
+learn *why* (zero-duration task, cross-signature interleaving, ...)
+instead of getting a bare refusal.  It is asked about one representative
+job per super-job.
 
-The executor groups a batch into super-jobs once per call and hands
-each shard over as a :class:`ShardJobs`: the per-job list every backend
-accepts, carrying that grouping along, so no backend regroups the shard
-job by job.  ``supports`` and ``unsupported_reason`` are asked about one
-representative job per super-job; both stay callable with a plain
-per-job list, and so does ``simulate``.
+The executor groups a batch into super-jobs once per call and hands it
+over as a :class:`ShardJobs`: the per-job list every backend accepts,
+carrying that grouping along, so no backend regroups the batch job by
+job.  ``simulate`` and ``unsupported_reason`` stay callable with a plain
+per-job list.
 
 Fault injection (:mod:`repro.core.faults`) extends the same contract:
-a shard whose lanes carry fault-plan events is declined by *every*
+a batch whose lanes carry fault-plan events is declined by *every*
 replay backend with :data:`FAULTED_SHARD_REASON` — the replays model
 the healthy machine only, and the decline-not-approximate rule means
-they must never silently ignore an outage window.  A shard whose lanes
+they must never silently ignore an outage window.  A batch whose lanes
 carry only *slowdown* windows (partial degradation, nothing killed) is
 declined with its own :data:`SLOWDOWN_SHARD_REASON`: inflated service
 times break the FIFO hop-cascade equivalence the replays rest on, so
-they must not approximate those either.  Affected shards always run on
+they must not approximate those either.  Affected batches always run on
 the fault-aware generator engine path; an *empty* fault plan never
 triggers either decline, so it stays bit-identical to no plan across
 all three backends.
@@ -95,33 +91,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.pipeline import Pipeline
     from repro.core.scheduler import Schedule
 
-#: What ``simulate`` hands back: per-job completion times in shard
-#: order, the shard makespan, and the number of signature-coalesced
+#: What ``simulate`` hands back: per-job completion times in batch
+#: order, the makespan, and the number of signature-coalesced
 #: super-jobs.
 ShardResult = tuple[list[float], float, int]
 
 
 @runtime_checkable
 class SimulationBackend(Protocol):
-    """One way of timing a contention shard, bit-identical to the
-    generator engine."""
+    """One way of timing a batch, bit-identical to the generator
+    engine."""
 
     #: Registry key (also what ``BatchExecutionReport.backend_jobs`` and
     #: the ``serve-bench --backend`` override call it).
     name: str
-
-    def supports(
-        self,
-        executor: "PipelineExecutor",
-        shard_jobs: list[tuple["Pipeline", "Schedule"]],
-    ) -> bool:
-        """Cheap structural capability check (shape only — a backend may
-        still decline in :meth:`simulate`).  The executor asks it about
-        one representative job per super-job of the shard, so the
-        answer must depend only on which distinct (pipeline, schedule)
-        pairs the shard holds, never on how many replicas each has; it
-        stays callable with a plain per-job list."""
-        ...
 
     def simulate(
         self,
@@ -130,25 +113,25 @@ class SimulationBackend(Protocol):
         shard_arrivals: list[float] | None,
         lane_log: dict[str, list[tuple[float, float]]],
     ) -> ShardResult | None:
-        """Time the shard, or return ``None`` to decline it late.
+        """Time the batch, or return ``None`` to decline it.
 
         ``shard_jobs`` is the per-job list — a :class:`ShardJobs` from
         the executor, which carries the super-job grouping
         (:func:`superjob_groups`), or any plain list of pairs.  A
-        backend that simulates the shard must also append every
+        backend that simulates the batch must also append every
         resource occupancy it grants — ``(start, end)`` in grant order
         — to ``lane_log`` under the lane's
         :func:`repro.core.executor.lane_name`; the intervals must be
         the engine's exact floats (``end = grant + duration``), which
         is what makes ``BatchExecutionReport.lane_occupancy``
-        backend-independent.  A late decline must leave ``lane_log``
+        backend-independent.  A decline must leave ``lane_log``
         untouched."""
         ...
 
 
 class ShardJobs(list):
-    """A contention shard's per-job ``(pipeline, schedule)`` pairs plus
-    their super-job grouping, computed once per call by the executor:
+    """A batch's per-job ``(pipeline, schedule)`` pairs plus their
+    super-job grouping, computed once per call by the executor:
     ``representatives`` holds one pair per super-job in first-appearance
     order and ``member_group[i]`` is job ``i``'s super-job."""
 
@@ -199,7 +182,7 @@ def _log_occupancy(resource_ids, occupancy, lane_log) -> None:
 
 
 class EngineBackend:
-    """The generator-engine reference path: supports everything.
+    """The generator-engine reference path: declines nothing.
 
     Lane accounting rides the executor's occupancy callback (the same
     hook the trace observer uses): every device/wire occupancy lands in
@@ -208,37 +191,31 @@ class EngineBackend:
 
     name = "engine"
 
-    def supports(self, executor, shard_jobs) -> bool:
-        return True
-
     def simulate(self, executor, shard_jobs, shard_arrivals, lane_log):
-        def record(lane, _label, start, end):
-            lane_log.setdefault(lane, []).append((start, end))
-
         finish, makespan = executor._execute_batch_engine(
-            shard_jobs, range(len(shard_jobs)), record, shard_arrivals
+            shard_jobs, lane_log, shard_arrivals
         )
         return finish, makespan, 0
 
 
-#: Why the slim replays decline degenerate shards — quoted verbatim in
+#: Why the slim replays decline degenerate batches — quoted verbatim in
 #: the forced-backend error (and matched by the UX tests).
 _ZERO_DURATION_REASON = (
     "a task has non-positive duration, which the replays' banded "
     "tie-handling cannot represent"
 )
 
-#: Why every replay backend declines a shard whose lanes carry
+#: Why every replay backend declines a batch whose lanes carry
 #: fault-plan events — quoted verbatim in the forced-backend error.
 #: The replays model the healthy machine; under the
-#: decline-not-approximate contract they must hand faulted shards to
+#: decline-not-approximate contract they must hand faulted batches to
 #: the fault-aware engine rather than silently ignore outage windows.
 FAULTED_SHARD_REASON = (
-    "the shard's lanes carry fault-plan events, which only the "
+    "the batch's lanes carry fault-plan events, which only the "
     "fault-aware engine path can simulate"
 )
 
-#: Why every replay backend declines a shard whose lanes carry only
+#: Why every replay backend declines a batch whose lanes carry only
 #: *slowdown* windows — quoted verbatim in the forced-backend error.
 #: The replays' FIFO hop-cascade equivalence argument assumes every
 #: occupancy's duration is the schedule's nominal one; a slowdown
@@ -246,23 +223,23 @@ FAULTED_SHARD_REASON = (
 #: the healthy timetable in ways the replays cannot prove equivalent.
 #: Decline, never approximate.
 SLOWDOWN_SHARD_REASON = (
-    "the shard's lanes carry slowdown windows, whose piecewise-"
+    "the batch's lanes carry slowdown windows, whose piecewise-"
     "inflated service times break the replays' FIFO hop-cascade "
     "equivalence; only the fault-aware engine path can simulate them"
 )
 
 
-#: Why ``vector_replay`` declines multi-signature shards — formatted
-#: with the shard's super-job count and quoted verbatim in the
+#: Why ``vector_replay`` declines multi-signature batches — formatted
+#: with the batch's super-job count and quoted verbatim in the
 #: forced-backend error.
 CROSS_SIGNATURE_REASON_TEMPLATE = (
-    "cross-signature interleaving: the shard coalesces "
+    "cross-signature interleaving: the batch coalesces "
     "into {count} super-jobs contending on "
     "shared lanes, and vector_replay needs exactly one "
     "signature"
 )
 
-#: Why ``vector_replay`` declines shards whose wave recurrence cannot
+#: Why ``vector_replay`` declines batches whose wave recurrence cannot
 #: prove the engine's grant order — quoted verbatim in the
 #: forced-backend error.
 UNPROVABLE_TIE_REASON = (
@@ -273,15 +250,12 @@ UNPROVABLE_TIE_REASON = (
 
 
 class DagReplayBackend:
-    """Slim FIFO replay for any shard: one cursor per replica segment
+    """Slim FIFO replay for any batch: one cursor per replica segment
     (a chain job is one segment) and per-replica join counters on the
     fan-in stages keep chains, branching pipelines (k-point DAGs) and
     super-job replicas on the one-event-per-occupancy loop."""
 
     name = "dag_replay"
-
-    def supports(self, executor, shard_jobs) -> bool:
-        return True
 
     def simulate(self, executor, shard_jobs, shard_arrivals, lane_log):
         # Flatten each super-job once; its replicas share the program.
@@ -336,25 +310,21 @@ class DagReplayBackend:
 
 
 class VectorReplayBackend:
-    """Numpy wave replay for single-signature coalesced shards.
+    """Numpy wave replay for single-signature coalesced batches.
 
-    When every job of a contention shard is a replica of *one*
-    super-job template, :func:`repro.hw.vector_replay.
-    replay_vector_batch` computes the entire FIFO timetable as
-    recurrences over the (replica, stage-occupancy) grid — no
-    per-occupancy Python event.  The backend supports exactly the
-    single-signature shards (two signatures sharing a lane interleave
-    in arrival order, which only the event-driven replays reproduce)
-    and declines late when the wave recurrence cannot prove it matches
-    the engine's grant order (zero durations, cross-wave or fan-in
-    same-instant ties): bit-identical or fall back, never approximate.
+    When every job of a batch is a replica of *one* super-job template,
+    :func:`repro.hw.vector_replay.replay_vector_batch` computes the
+    entire FIFO timetable as recurrences over the (replica,
+    stage-occupancy) grid — no per-occupancy Python event.  The backend
+    declines every batch of several signatures (two signatures sharing
+    a lane interleave in arrival order, which only the event-driven
+    replays reproduce), and every batch whose grant order the wave
+    recurrence cannot prove matches the engine's (zero durations,
+    cross-wave or fan-in same-instant ties): bit-identical or fall
+    back, never approximate.
     """
 
     name = "vector_replay"
-
-    def supports(self, executor, shard_jobs) -> bool:
-        representatives, _ = superjob_groups(shard_jobs)
-        return len(representatives) == 1
 
     def simulate(self, executor, shard_jobs, shard_arrivals, lane_log):
         representatives, member_group = superjob_groups(shard_jobs)
@@ -435,9 +405,9 @@ def iter_backends() -> tuple[SimulationBackend, ...]:
     return tuple(_REGISTRY.values())
 
 
-#: Smallest closed single-signature shard that tries ``vector_replay``
+#: Smallest closed single-signature batch that tries ``vector_replay``
 #: first.  Its numpy set-up costs more than ``dag_replay``'s per-job
-#: loop on small shards, so it sits between the sizes where
+#: loop on small batches, so it sits between the sizes where
 #: ``vector_replay`` overtakes ``dag_replay`` on k-point DAGs and on
 #: chains; ``benchmarks/test_backend_rule.py`` keeps auto mode within
 #: 1.5x of the fastest backend on either side.
@@ -447,16 +417,16 @@ VECTOR_MIN_JOBS = 96
 def selection_order(
     n_jobs: int, n_superjobs: int, closed: bool
 ) -> tuple[SimulationBackend, ...]:
-    """The order an unforced shard walks the registry in, from its
+    """The order an unforced batch walks the registry in, from its
     shape alone.
 
-    A closed shard (no arrivals) of at least :data:`VECTOR_MIN_JOBS`
+    A closed batch (no arrivals) of at least :data:`VECTOR_MIN_JOBS`
     jobs that coalesces into one super-job tries ``vector_replay``
-    first; every other shard walks the registry order, which reaches
-    ``vector_replay`` only after ``dag_replay``.  Open shards stay
+    first; every other batch walks the registry order, which reaches
+    ``vector_replay`` only after ``dag_replay``.  Open batches stay
     off it because arrival spread interleaves replicas' waves, which it
-    declines on almost every open queue.  A late decline still falls
-    through to the rest of the walk."""
+    declines on almost every open queue.  A decline falls through to
+    the rest of the walk."""
     backends = iter_backends()
     if closed and n_superjobs == 1 and n_jobs >= VECTOR_MIN_JOBS:
         vector = _REGISTRY["vector_replay"]

@@ -17,12 +17,14 @@ Two entry points:
 - :meth:`PipelineExecutor.execute` — one job, one engine; on the paper's
   linear chain this reproduces the original serialized totals exactly
   (the Fig. 7 data).
-- :meth:`PipelineExecutor.execute_many` — a batch of jobs through one
-  shared engine and one shared set of device/link resources: the batching
-  back-end of :meth:`repro.core.framework.NdftFramework.run_many`.
+- :meth:`PipelineExecutor.execute_many` — a batch of jobs on one shared
+  set of device/link resources, timed as one simulation by one
+  registered backend (:mod:`repro.core.backends`): the batching back-end
+  of :meth:`repro.core.framework.NdftFramework.run_many`.
 
-An ``observer`` callback (``lane, label, start, end``) receives every
-occupancy interval — device lanes are named after the placement
+:meth:`PipelineExecutor.execute` takes an ``observer`` callback
+(``lane, label, start, end``) that receives every occupancy interval of
+the job — device lanes are named after the placement
 (``"cpu"``/``"ndp"``/``"gpu"``), transfers land on one lane per physical
 wire (``"link:cpu-ndp"``, ``"link:cpu-gpu"``, ...) — which is how
 :mod:`repro.core.trace` rebuilds exact Gantt timelines without a second
@@ -32,6 +34,7 @@ timing model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -105,12 +108,12 @@ class ExecutionReport:
 
 @dataclass(frozen=True, slots=True)
 class ShardTiming:
-    """Wall-clock accounting for one simulated contention shard.
+    """Wall-clock accounting for one simulated batch.
 
     ``backend`` is the registry name of the backend that actually timed
-    the shard; ``wall_seconds`` is host (not virtual) time spent
+    the batch; ``wall_seconds`` is host (not virtual) time spent
     simulating it, measured around the whole backend walk including any
-    declined attempts.  ``n_jobs`` and ``n_superjobs`` are the shard's
+    declined attempts.  ``n_jobs`` and ``n_superjobs`` are the batch's
     job count and signature-coalesced super-job count (0 on the
     uncollapsed engine path).
     """
@@ -127,12 +130,11 @@ class BatchExecutionReport:
 
     ``arrivals`` is the per-job release offset when the batch ran as an
     open queue (``None`` for the classic everyone-at-t=0 closed batch).
-    ``n_shards``/``n_superjobs``/``backend_jobs`` are observability for
-    the scale-out fast path: how many independent contention shards the
-    batch split into, how many signature-coalesced super-jobs they
-    contained (0 when every shard took the uncollapsed engine path),
-    and how many jobs each simulation backend
-    (:mod:`repro.core.backends`) timed.
+    ``n_superjobs``/``backend_jobs`` are observability for the scale-out
+    fast path: how many signature-coalesced super-jobs the batch
+    contained (0 when it took the uncollapsed engine path), and how
+    many jobs each simulation backend (:mod:`repro.core.backends`)
+    timed.
 
     ``lane_occupancy`` is the per-resource busy accounting every
     backend records while simulating: for each device or wire lane
@@ -147,7 +149,6 @@ class BatchExecutionReport:
     job_reports: tuple[ExecutionReport, ...]
     makespan: float
     arrivals: tuple[float, ...] | None = None
-    n_shards: int = 1
     n_superjobs: int = 0
     #: Jobs simulated per backend name, e.g. ``{"dag_replay": 512}``.
     backend_jobs: dict[str, int] = field(default_factory=dict)
@@ -155,8 +156,9 @@ class BatchExecutionReport:
     lane_occupancy: dict[str, tuple[tuple[float, float], ...]] = field(
         default_factory=dict
     )
-    #: Per-shard wall time and shard size, in shard order — the raw
-    #: observability ``serve-bench``'s per-backend breakdown reads.
+    #: The batch's wall time and size, one row per simulated batch —
+    #: the raw observability ``serve-bench``'s per-backend breakdown
+    #: reads.
     backend_timings: tuple[ShardTiming, ...] = ()
     #: Runs killed by fault-plan events (:class:`repro.core.faults.
     #: RunFailure`), in deterministic fault-event order; always empty
@@ -357,212 +359,103 @@ class PipelineExecutor:
     def execute_many(
         self,
         jobs: Sequence[tuple[Pipeline, Schedule]],
-        observer: TraceObserver | None = None,
         arrivals: Sequence[float] | None = None,
-        coalesce: bool = True,
-        shard: bool = True,
         backend: str | None = None,
         faults: "FaultPlan | None" = None,
     ) -> BatchExecutionReport:
         """Execute every (pipeline, schedule) job concurrently on one
-        shared set of devices.
+        shared set of devices, as one simulation.
 
         ``arrivals`` turns the closed batch into an open queue: job ``i``
         is released at offset ``arrivals[i]`` (seconds of virtual time,
-        non-negative) instead of t=0.  The DES arbitrates device and link
-        contention between the released jobs exactly as before.
+        finite and non-negative) instead of t=0.  The DES arbitrates
+        device and link contention between the released jobs exactly as
+        before.
 
-        Scale-out fast path (results bit-identical to the plain shared
-        engine, cross-checked in tests), columnar over *templates*: one
-        pass groups the jobs by (pipeline, schedule) object identity
-        (:func:`repro.core.backends.superjob_groups`; the framework
-        hands duplicates one shared pair), and shard features, backend
-        support and report fields are derived once per template.
+        The batch is columnar over *templates*: one pass groups the jobs
+        by (pipeline, schedule) object identity
+        (:func:`repro.core.backends.superjob_groups`; the framework hands
+        duplicates one shared pair), and report fields are derived once
+        per template.  The batch goes to the first simulation backend
+        (:mod:`repro.core.backends`) that does not decline it, walking
+        the order :func:`repro.core.backends.selection_order` derives
+        from the batch's shape: the DAG FIFO replay (one cursor per
+        replica segment, join counters on fan-in stages), the numpy wave
+        replay (first, for large closed single-signature batches), or
+        the generator engine as the universal fallback.  Backends return
+        completion times; every job's :class:`ExecutionReport` is then
+        built eagerly from its template's shared fields.
 
-        - ``shard=True`` partitions the batch by contention — jobs whose
-          placements touch disjoint device/link sets share no resources,
-          hence no events, so each partition runs on its own simulation;
-        - ``coalesce=True`` folds each shard's templates into weighted
-          super-jobs and hands the shard to the first simulation
-          backend (:mod:`repro.core.backends`) that supports it — asked
-          about one representative job per super-job — walking the
-          order :func:`repro.core.backends.selection_order` derives
-          from the shard's shape: the DAG FIFO replay (one cursor per
-          replica segment, join counters on fan-in stages), the numpy
-          wave replay (first, for large closed single-signature
-          shards), or the generator engine as the universal fallback.
-          Backends return completion times; every job's
-          :class:`ExecutionReport` is then built eagerly from its
-          template's shared fields.
-
-        ``backend`` names one registered backend to force for every
-        shard (the serving benchmark's A/B switch); a forced backend
-        that cannot simulate a shard raises :class:`SimulationError`
-        naming the reason instead of silently falling back.
-        ``coalesce=False`` pins the uncollapsed engine path, preserving
-        the pre-backend semantics — combining it with a forced
-        non-engine backend (which coalesces by construction) is a
-        contradiction and raises too.
+        ``backend`` names one registered backend to force (the serving
+        benchmark's A/B switch); a forced backend that cannot simulate
+        the batch raises :class:`SimulationError` naming the reason
+        instead of silently falling back.  ``backend="engine"`` is the
+        uncollapsed generator DES the replays are verified against.
 
         Results are bit-identical whichever backend simulates (every
-        backend reproduces the engine's floats on every shard it
-        accepts) — only wall time moves.  Per-shard wall time lands in
+        backend reproduces the engine's floats on every batch it
+        accepts) — only wall time moves.  The batch's wall time lands in
         :attr:`BatchExecutionReport.backend_timings`.
 
-        Passing any ``observer`` forces the uncollapsed, unsharded DES:
-        trace consumers see the exact event stream of one shared engine.
-
-        ``faults`` injects a :class:`repro.core.faults.FaultPlan`: shards
-        whose lanes carry fault events run on the fault-aware engine path
-        (replay backends decline them —
-        :data:`repro.core.backends.FAULTED_SHARD_REASON`), runs killed by
-        an outage or permanent failure land in
-        :attr:`BatchExecutionReport.failures`, and unaffected shards take
-        the exact unmodified code path — an *empty* plan is bit-identical
-        to no plan for every backend.
+        ``faults`` injects a :class:`repro.core.faults.FaultPlan`: a
+        batch occupying any lane that carries fault events runs on the
+        fault-aware engine path (replay backends decline it —
+        :data:`repro.core.backends.FAULTED_SHARD_REASON`), and runs
+        killed by an outage or permanent failure land in
+        :attr:`BatchExecutionReport.failures`.  A plan on lanes the batch
+        never occupies — like an *empty* plan — leaves the exact
+        unmodified code path: bit-identical to no plan for every backend.
         """
         if not jobs:
             raise SimulationError("execute_many needs at least one job")
         n = len(jobs)
-        if faults is not None and faults.is_empty:
-            faults = None
         if arrivals is not None:
             arrivals = [float(offset) for offset in arrivals]
             if len(arrivals) != n:
                 raise SimulationError(
                     f"{n} jobs but {len(arrivals)} arrival offsets"
                 )
-            for offset in arrivals:
-                if offset < 0:
-                    raise SimulationError(
-                        f"negative arrival offset: {offset}"
-                    )
-        forced = None if backend is None else _backends.get_backend(backend)
-        if forced is not None and not coalesce and forced.name != _ENGINE_BACKEND:
-            raise SimulationError(
-                "coalesce=False pins the uncollapsed engine path; it "
-                f"cannot be combined with backend={backend!r}"
-            )
-        representatives, job_template = _backends.superjob_groups(jobs)
-        lane_log: dict[str, list[tuple[float, float]]] = {}
-        if observer is not None:
-            if forced is not None and forced.name != _ENGINE_BACKEND:
+            if not all(map(isfinite, arrivals)):
                 raise SimulationError(
-                    "a trace observer forces the uncollapsed engine DES; "
-                    f"it cannot be combined with backend={backend!r}"
+                    "arrival offsets must be finite, got "
+                    f"{next(a for a in arrivals if not isfinite(a))}"
                 )
-
-            def recording(lane, label, start, end, _user=observer):
-                lane_log.setdefault(lane, []).append((start, end))
-                _user(lane, label, start, end)
-
-            wall_start = perf_counter()
-            observer_failures: list = []
-            finish, makespan = self._execute_batch_engine(
-                jobs,
-                range(n),
-                recording,
-                arrivals,
-                fault_plan=faults,
-                failures=observer_failures,
-            )
-            # The wall time includes the caller's observer work.
-            timing = ShardTiming(
-                _ENGINE_BACKEND, perf_counter() - wall_start, n, 0
-            )
-            return BatchExecutionReport(
-                job_reports=self._job_reports(
-                    representatives, job_template, finish
-                ),
-                makespan=makespan,
-                arrivals=None if arrivals is None else tuple(arrivals),
-                backend_jobs={_ENGINE_BACKEND: n},
-                lane_occupancy=self._freeze_lanes(lane_log),
-                backend_timings=(timing,),
-                failures=tuple(observer_failures),
-            )
-
-        shards = (
-            self._contention_shards(representatives, job_template)
-            if shard
-            else [(list(range(len(representatives))), range(n))]
-        )
-        finish = [0.0] * n if len(shards) > 1 else None
-        makespan = 0.0
-        n_superjobs = 0
-        backend_jobs: dict[str, int] = {}
-        timings: list[ShardTiming] = []
+            if min(arrivals) < 0:
+                raise SimulationError(
+                    f"negative arrival offset: {min(arrivals)}"
+                )
+        forced = None if backend is None else _backends.get_backend(backend)
+        representatives, job_template = _backends.superjob_groups(jobs)
+        batch = _backends.ShardJobs(jobs, representatives, job_template)
+        lane_log: dict[str, list[tuple[float, float]]] = {}
         failures: list = []
-        for template_ids, indices in shards:
-            if finish is None:  # one shard: the whole batch, in order
-                shard_jobs = _backends.ShardJobs(
-                    jobs, representatives, job_template
-                )
-                shard_arrivals = arrivals
-            else:
-                group = {t: g for g, t in enumerate(template_ids)}
-                shard_jobs = _backends.ShardJobs(
-                    [jobs[i] for i in indices],
-                    [representatives[t] for t in template_ids],
-                    [group[job_template[i]] for i in indices],
-                )
-                shard_arrivals = (
-                    None if arrivals is None else [arrivals[i] for i in indices]
-                )
-            faulted = faults is not None and faults.affects(
-                self._shard_lane_names(shard_jobs.representatives)
-            )
-            wall_start = perf_counter()
-            if faulted:
-                chosen, shard_finish, shard_makespan, shard_groups = (
-                    self._simulate_faulted_shard(
-                        shard_jobs,
-                        indices,
-                        shard_arrivals,
-                        forced,
-                        lane_log,
-                        faults,
-                        failures,
-                    )
-                )
-            else:
-                chosen, shard_finish, shard_makespan, shard_groups = (
-                    self._simulate_shard(
-                        shard_jobs,
-                        shard_arrivals,
-                        coalesce,
-                        forced,
-                        lane_log,
-                    )
-                )
-            timings.append(
-                ShardTiming(
-                    chosen,
-                    perf_counter() - wall_start,
-                    len(indices),
-                    shard_groups,
+        faulted = faults is not None and faults.affects(
+            self._lane_names(representatives)
+        )
+        wall_start = perf_counter()
+        if faulted:
+            chosen, finish, makespan, n_superjobs = (
+                self._simulate_faulted_batch(
+                    batch, arrivals, forced, lane_log, faults, failures
                 )
             )
-            n_superjobs += shard_groups
-            backend_jobs[chosen] = backend_jobs.get(chosen, 0) + len(indices)
-            if finish is None:
-                finish = shard_finish
-            else:
-                for index, completion in zip(indices, shard_finish):
-                    finish[index] = completion
-            if shard_makespan > makespan:
-                makespan = shard_makespan
+        else:
+            chosen, finish, makespan, n_superjobs = self._simulate_batch(
+                batch, arrivals, forced, lane_log
+            )
+        timing = ShardTiming(
+            chosen, perf_counter() - wall_start, n, n_superjobs
+        )
         return BatchExecutionReport(
             job_reports=self._job_reports(
                 representatives, job_template, finish
             ),
             makespan=makespan,
             arrivals=None if arrivals is None else tuple(arrivals),
-            n_shards=len(shards),
             n_superjobs=n_superjobs,
-            backend_jobs=backend_jobs,
+            backend_jobs={chosen: n},
             lane_occupancy=self._freeze_lanes(lane_log),
-            backend_timings=tuple(timings),
+            backend_timings=(timing,),
             failures=tuple(failures),
         )
 
@@ -593,68 +486,57 @@ class PipelineExecutor:
             ]
         )
 
-    def _shard_lane_names(
+    def _lane_names(
         self, representatives: Sequence[tuple[Pipeline, Schedule]]
     ) -> set[str]:
-        """All device/wire lane names the shard's schedules can occupy."""
+        """All device/wire lane names the batch's schedules can occupy."""
         lanes: set[str] = set()
         for _pipeline, schedule in representatives:
             lanes.update(self.schedule_lanes(schedule))
         return lanes
 
-    def _simulate_faulted_shard(
+    def _simulate_faulted_batch(
         self,
-        shard_jobs: "_backends.ShardJobs",
-        indices: Sequence[int],
-        shard_arrivals: Sequence[float] | None,
-        forced,
+        batch: "_backends.ShardJobs",
+        arrivals: Sequence[float] | None,
+        forced: "_backends.SimulationBackend | None",
         lane_log: dict[str, list[tuple[float, float]]],
         faults: "FaultPlan",
         failures: list,
     ) -> tuple[str, list[float], float, int]:
-        """Simulate a shard whose lanes carry fault-plan events.
+        """Simulate a batch whose lanes carry fault-plan events.
 
         Only the fault-aware generator engine understands outage and
         slowdown windows, so every replay backend declines here —
         forcing one raises with the named reason, mirroring
-        :meth:`_simulate_shard`'s refusal style.  The reason
-        distinguishes the two shapes: a shard whose lanes carry any
+        :meth:`_simulate_batch`'s refusal style.  The reason
+        distinguishes the two shapes: a batch whose lanes carry any
         job-killing event (outage window, permanent death) declines
         with :data:`~repro.core.backends.FAULTED_SHARD_REASON`; a
-        slowdown-only shard — nothing dies, services just inflate —
+        slowdown-only batch — nothing dies, services just inflate —
         declines with
         :data:`~repro.core.backends.SLOWDOWN_SHARD_REASON` (the FIFO
         hop-cascade equivalence does not carry over to inflated
         services).  Run failures are appended to ``failures`` keyed by
-        the *batch-global* submission index from ``indices``.
+        batch index.
         """
         if forced is not None and forced.name != _ENGINE_BACKEND:
             reason = (
                 _backends.FAULTED_SHARD_REASON
                 if faults.affects_lethally(
-                    self._shard_lane_names(shard_jobs.representatives)
+                    self._lane_names(batch.representatives)
                 )
                 else _backends.SLOWDOWN_SHARD_REASON
             )
             raise SimulationError(
                 f"backend {forced.name!r} cannot simulate a "
-                f"{len(shard_jobs)}-job shard "
-                f"({reason}) and no fallback "
+                f"{len(batch)}-job batch ({reason}) and no fallback "
                 "is allowed"
             )
-
-        def record(lane, _label, start, end):
-            lane_log.setdefault(lane, []).append((start, end))
-
-        shard_finish, shard_makespan = self._execute_batch_engine(
-            shard_jobs,
-            list(indices),
-            record,
-            shard_arrivals,
-            fault_plan=faults,
-            failures=failures,
+        finish, makespan = self._execute_batch_engine(
+            batch, lane_log, arrivals, fault_plan=faults, failures=failures
         )
-        return _ENGINE_BACKEND, shard_finish, shard_makespan, 0
+        return _ENGINE_BACKEND, finish, makespan, 0
 
     @staticmethod
     def _freeze_lanes(
@@ -663,109 +545,43 @@ class PipelineExecutor:
         return {lane: tuple(ivs) for lane, ivs in lane_log.items()}
 
     # ------------------------------------------------------------------
-    # Batch internals: sharding, coalescing, the engine path
+    # Batch internals: the backend walk, the engine path
     # ------------------------------------------------------------------
-    @staticmethod
-    def _contention_shards(
-        representatives: Sequence[tuple[Pipeline, Schedule]],
-        job_template: Sequence[int],
-    ) -> list[tuple[list[int], Sequence[int]]]:
-        """Partition the batch into contention components, as
-        ``(template ids, job indices)`` per shard.
-
-        Two jobs land in the same shard iff their placements share a
-        device or a boundary wire (transitively).  Disjoint resource
-        sets mean disjoint event graphs: no acquire of one shard can
-        ever delay — or reorder a grant of — another, so running each
-        shard on its own engine reproduces the shared engine's floats
-        exactly.  Resource sets are a pure function of the schedule, so
-        the union-find runs over the templates (numbered in order of
-        first appearance), and only a batch of several shards walks its
-        jobs once to split them.  Shards preserve submission order.
-        """
-        parent = list(range(len(representatives)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        owner: dict[object, int] = {}
-        for template, (_pipeline, schedule) in enumerate(representatives):
-            keys: set = set(schedule.assignments.values())
-            for pair in schedule.crossing_pairs:
-                keys.add(frozenset(pair))
-            for key in keys:
-                claimant = owner.setdefault(key, template)
-                root_a, root_b = find(template), find(claimant)
-                if root_a != root_b:
-                    parent[root_b] = root_a
-        by_root: dict[int, list[int]] = {}
-        for template in range(len(representatives)):
-            by_root.setdefault(find(template), []).append(template)
-        shard_templates = list(by_root.values())
-        if len(shard_templates) == 1:
-            return [(shard_templates[0], range(len(job_template)))]
-        shard_of = {t: s for s, ts in enumerate(shard_templates) for t in ts}
-        indices: list[list[int]] = [[] for _ in shard_templates]
-        for i, template in enumerate(job_template):
-            indices[shard_of[template]].append(i)
-        return list(zip(shard_templates, indices))
-
-    def _simulate_shard(
+    def _simulate_batch(
         self,
-        shard_jobs: "_backends.ShardJobs",
-        shard_arrivals: list[float] | None,
-        coalesce: bool,
+        batch: "_backends.ShardJobs",
+        arrivals: list[float] | None,
         forced: "_backends.SimulationBackend | None",
         lane_log: dict[str, list[tuple[float, float]]],
     ) -> tuple[str, list[float], float, int]:
-        """Time one contention shard through the backend layer.
+        """Time the batch through the backend layer.
 
         The default walk tries every registered backend in the order
         :func:`repro.core.backends.selection_order` derives from the
-        shard's shape and takes the first that supports the shard and
-        does not decline it; the engine backend supports everything, so
-        the walk always terminates.  ``coalesce=False``
-        pins the engine (the uncollapsed reference semantics);
-        ``forced`` pins one named backend and raises — naming the
-        backend's reason — when it cannot simulate the shard.
-        ``lane_log`` collects the shard's per-lane occupancy intervals
-        (shards touch disjoint resource sets, so the per-shard entries
-        never interleave).  ``supports`` and the refusal reason see the
-        shard's representative jobs, one per super-job.
+        batch's shape and takes the first that does not decline it; the
+        engine backend, last in every walk, declines nothing, so the
+        walk always terminates.  ``forced`` pins one named backend and
+        raises — naming the backend's reason, asked about one
+        representative job per super-job — when it declines the batch.
+        ``lane_log`` collects the batch's per-lane occupancy intervals.
         Returns the chosen backend's name, the per-job completion times
-        in shard order, the shard makespan, and the super-job count.
+        in batch order, the makespan, and the super-job count.
         """
-        representatives = shard_jobs.representatives
         if forced is not None:
             candidates: tuple = (forced,)
-        elif coalesce:
-            candidates = _backends.selection_order(
-                len(shard_jobs), len(representatives), shard_arrivals is None
-            )
         else:
-            candidates = (_backends.get_backend(_ENGINE_BACKEND),)
-        for candidate in candidates:
-            if not candidate.supports(self, representatives):
-                continue
-            result = candidate.simulate(
-                self, shard_jobs, shard_arrivals, lane_log
+            candidates = _backends.selection_order(
+                len(batch), len(batch.representatives), arrivals is None
             )
+        for candidate in candidates:
+            result = candidate.simulate(self, batch, arrivals, lane_log)
             if result is not None:
                 finish, makespan, groups = result
                 return candidate.name, finish, makespan, groups
-        refused = candidates[-1]
-        describe = getattr(refused, "unsupported_reason", None)
-        reason = (
-            describe(self, representatives)
-            if describe is not None
-            else "unsupported shape or zero-duration task"
-        )
+        reason = forced.unsupported_reason(self, batch.representatives)
         raise SimulationError(
-            f"backend {refused.name!r} cannot simulate a "
-            f"{len(shard_jobs)}-job shard ({reason}) and no fallback "
+            f"backend {forced.name!r} cannot simulate a "
+            f"{len(batch)}-job batch ({reason}) and no fallback "
             "is allowed"
         )
 
@@ -781,7 +597,7 @@ class PipelineExecutor:
         wire (in-edge order), then the stage on its device — exactly the
         acquire sequence :meth:`_spawn_job`'s stage processes perform.
         ``resource_ids`` interns devices (:class:`Placement`) and wires
-        (placement-pair frozensets) shard-wide, so replicas and distinct
+        (placement-pair frozensets) batch-wide, so replicas and distinct
         groups contend on the same indices.  The single pricing/interning
         walk both replay backends flatten through — change boundary
         pricing here and the DAG replay, the wave replay and the engine
@@ -811,30 +627,34 @@ class PipelineExecutor:
 
     def _execute_batch_engine(
         self,
-        shard_jobs: Sequence[tuple[Pipeline, Schedule]],
-        labels: Sequence[int],
-        observer: TraceObserver | None,
-        shard_arrivals: Sequence[float] | None,
+        jobs: Sequence[tuple[Pipeline, Schedule]],
+        lane_log: dict[str, list[tuple[float, float]]],
+        arrivals: Sequence[float] | None,
         fault_plan: "FaultPlan | None" = None,
         failures: list | None = None,
     ) -> tuple[list[float], float]:
-        """The uncollapsed path: every job of ``shard_jobs`` as stage
+        """The uncollapsed path: every job of ``jobs`` as stage
         processes on one shared engine (the pre-coalescing semantics,
         and the reference the fast paths are verified against).
-        Returns per-job completion times and the makespan.  ``labels``
-        carries the submission indices for trace prefixes.
+        Returns per-job completion times and the makespan; every
+        device/wire occupancy lands in ``lane_log`` with the engine's
+        own start/end floats.
 
         With a ``fault_plan``, each job gets a shared mutable fault
         state: the first task of the job hit by an outage window or a
         permanent lane death marks the whole job failed at that instant,
         remaining stages fall through (holding nothing past their
         current occupancy), and the run lands in ``failures`` under its
-        submission index from ``labels``.  ``fault_plan=None`` takes the
-        exact pre-fault generator — bit-identity with the replay
-        backends depends on it."""
+        batch index.  ``fault_plan=None`` takes the exact pre-fault
+        generator — bit-identity with the replay backends depends on
+        it."""
+
+        def record(lane, _label, start, end):
+            lane_log.setdefault(lane, []).append((start, end))
+
         engine = Engine()
         devices = self._device_resources(
-            engine, [schedule for _pipeline, schedule in shard_jobs]
+            engine, [schedule for _pipeline, schedule in jobs]
         )
         links: dict[frozenset, Resource] = {}
         # Deduplicated batch setup: jobs sharing the same pipeline and
@@ -848,9 +668,9 @@ class PipelineExecutor:
         states = (
             None
             if fault_plan is None
-            else [_RunFaultState() for _ in shard_jobs]
+            else [_RunFaultState() for _ in jobs]
         )
-        for position, (pipeline, schedule) in enumerate(shard_jobs):
+        for position, (pipeline, schedule) in enumerate(jobs):
             plan_key = (id(pipeline), id(schedule))
             plan = plans.get(plan_key)
             if plan is None:
@@ -861,13 +681,9 @@ class PipelineExecutor:
                 devices,
                 pipeline,
                 schedule,
-                observer,
+                record,
                 plan,
-                label_prefix=f"job{labels[position]}:",
-                release=(
-                    None if shard_arrivals is None
-                    else shard_arrivals[position]
-                ),
+                release=None if arrivals is None else arrivals[position],
                 fault_plan=fault_plan,
                 fault_state=None if states is None else states[position],
             )
@@ -879,7 +695,7 @@ class PipelineExecutor:
                 if state.failed_at is not None:
                     failures.append(
                         RunFailure(
-                            job=labels[position],
+                            job=position,
                             time=state.failed_at,
                             lane=state.lane,
                             kind=state.kind,
@@ -955,7 +771,6 @@ class PipelineExecutor:
         schedule: Schedule,
         observer: TraceObserver | None,
         plan: tuple[dict[str, list[tuple[str, Resource, float]]], float],
-        label_prefix: str = "",
         release: float | None = None,
         fault_plan: FaultPlan | None = None,
         fault_state: "_RunFaultState | None" = None,
@@ -987,15 +802,13 @@ class PipelineExecutor:
                 start = engine.now
                 yield engine.timeout(cost)
                 if observer is not None:
-                    observer(wire.name, label_prefix + label, start, engine.now)
+                    observer(wire.name, label, start, engine.now)
                 yield wire.release()
             yield device.acquire()
             start = engine.now
             yield engine.timeout(duration)
             if observer is not None:
-                observer(
-                    str(placement), label_prefix + name, start, engine.now
-                )
+                observer(str(placement), name, start, engine.now)
             yield device.release()
 
         def faulty_stage_process(name: str, predecessors: list[SimProcess]):
@@ -1021,7 +834,7 @@ class PipelineExecutor:
                         wire.name,
                         cost,
                         observer,
-                        label_prefix + label,
+                        label,
                     )
                 )
                 yield wire.release()
@@ -1036,7 +849,7 @@ class PipelineExecutor:
                     str(placement),
                     duration,
                     observer,
-                    label_prefix + name,
+                    name,
                 )
             )
             if alive:
@@ -1054,7 +867,7 @@ class PipelineExecutor:
         for name in pipeline.topological_order:
             predecessors = [processes[p] for p in pipeline.predecessors(name)]
             processes[name] = engine.spawn(
-                factory(name, predecessors), name=label_prefix + name
+                factory(name, predecessors), name=name
             )
         return processes, overhead_total
 

@@ -123,7 +123,7 @@ class SlowdownWindow:
     overlapping the window accrues a piecewise-inflated wall duration
     (:func:`repro.hw.engine.inflate_service`) and completes late.
     ``factor`` must be > 1.0: a factor of 1.0 is a no-op that would
-    still route its shard off the replay backends, and a factor below
+    still route its batch off the replay backends, and a factor below
     1.0 would be a speedup, not a degradation.
     """
 
@@ -326,8 +326,8 @@ class FaultPlan:
     def affects(self, lanes) -> bool:
         """True when any of ``lanes`` carries a fault event — an outage
         window, a permanent death, or a slowdown window.  This is the
-        executor's routing predicate: an affected shard must run on the
-        fault-aware engine path."""
+        executor's routing predicate: a batch occupying an affected lane
+        must run on the fault-aware engine path."""
         windows = self._windows
         dead = self._dead
         slow = self._slow

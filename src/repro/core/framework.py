@@ -48,6 +48,7 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, replace
 from itertools import repeat
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -844,8 +845,6 @@ class NdftFramework:
         batch: Sequence[int | ProblemSize | Pipeline],
         pipeline_builder: Callable[[ProblemSize], Pipeline] | None = None,
         arrivals: Sequence[float] | None = None,
-        coalesce: bool = True,
-        shard: bool = True,
         backend: str | None = None,
         admission: AdmissionPolicy | None = None,
         faults: FaultPlan | None = None,
@@ -871,14 +870,14 @@ class NdftFramework:
         The front end is columnar: each distinct entry (atom counts by
         value, problems and pipelines by identity) is resolved once per
         call into a table each job indexes; only the simulation and the
-        eager report and :class:`NdftRunResult` remain per job.
-        ``coalesce``/``shard`` control the executor's scale-out fast
-        path (signature-coalesced super-jobs, contention-sharded
-        engines); ``backend`` forces one named simulation backend for
-        every shard (:mod:`repro.core.backends`; by default each shard
-        walks the order :func:`~repro.core.backends.selection_order`
-        derives from its shape).  Results are bit-identical whichever
-        backend simulates.
+        eager report and :class:`NdftRunResult` remain per job.  The
+        executor times the batch as one simulation, with
+        signature-coalesced super-jobs; ``backend`` forces one named
+        simulation backend (:mod:`repro.core.backends`; by default the
+        batch walks the order
+        :func:`~repro.core.backends.selection_order` derives from its
+        shape, and ``backend="engine"`` is the uncollapsed reference).
+        Results are bit-identical whichever backend simulates.
 
         ``admission`` applies an SLO-driven
         :class:`~repro.core.arrivals.AdmissionPolicy` to the open queue
@@ -925,7 +924,7 @@ class NdftFramework:
                 admission, entries, index, arrivals
             )
             if not index:  # everything shed: nothing to simulate
-                empty = BatchExecutionReport((), 0.0, arrivals=(), n_shards=0)
+                empty = BatchExecutionReport((), 0.0, arrivals=())
                 resilience = None if faults is None else ResilienceReport(
                     plan=faults, retry=retry or RetryPolicy()
                 )
@@ -938,8 +937,6 @@ class NdftFramework:
                 arrivals,
                 faults,
                 retry or RetryPolicy(),
-                coalesce,
-                shard,
                 backend,
                 admission_result,
             )
@@ -947,8 +944,6 @@ class NdftFramework:
         batch_report = self.executor.execute_many(
             _per_job([(e.pipeline, e.record.schedule) for e in entries], index),
             arrivals=arrivals,
-            coalesce=coalesce,
-            shard=shard,
             backend=backend,
         )
         self._record_backends(batch_report)
@@ -1045,8 +1040,6 @@ class NdftFramework:
         arrivals: Sequence[float] | None,
         faults: FaultPlan,
         retry: RetryPolicy,
-        coalesce: bool,
-        shard: bool,
         backend: str | None,
         admission_result,
     ) -> NdftBatchResult:
@@ -1167,8 +1160,6 @@ class NdftFramework:
             report = self.executor.execute_many(
                 sim_jobs,
                 arrivals=sim_arrivals,
-                coalesce=coalesce,
-                shard=shard,
                 backend=backend,
                 faults=faults,
             )
@@ -1274,7 +1265,6 @@ class NdftFramework:
             job_reports=kept_reports,
             makespan=report.makespan,
             arrivals=out_arrivals,
-            n_shards=report.n_shards,
             n_superjobs=report.n_superjobs,
             backend_jobs=report.backend_jobs,
             lane_occupancy=report.lane_occupancy,
@@ -1336,6 +1326,11 @@ class NdftFramework:
         if len(arrivals) != len(index):
             raise ConfigError(
                 f"{len(index)} jobs but {len(arrivals)} arrival offsets"
+            )
+        if not all(map(isfinite, arrivals)):
+            raise ConfigError(
+                "arrival offsets must be finite, got "
+                f"{next(a for a in arrivals if not isfinite(a))}"
             )
         decisions = plan_admission(
             admission,

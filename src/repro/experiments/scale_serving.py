@@ -173,48 +173,25 @@ def dominant_lane(lane_utilization: dict) -> str | None:
     return max(sorted(lane_utilization), key=lambda lane: lane_utilization[lane])
 
 
-def _shed_stats(result: NdftBatchResult) -> tuple[float, int, int]:
-    """(shed rate, admitted count, shed count) of one measurement —
-    zeros/full-batch when admission was off.  The full batch is the
-    submitted count: under faults ``result.n_jobs`` counts only the
-    completed jobs, so abandoned ones would vanish from the admitted."""
-    if result.admission is None:
-        submitted = (
-            result.n_jobs
-            if result.resilience is None
-            else result.resilience.submitted
-        )
-        return 0.0, submitted, 0
-    report = result.admission
-    return report.shed_rate, report.admitted, report.shed
-
-
-def _resilience_dict(result: NdftBatchResult) -> dict | None:
-    """The measurement's resilience summary (availability, goodput,
-    recovered/abandoned counts, post-fault percentiles), or ``None``
-    when no fault plan ran."""
-    if result.resilience is None:
-        return None
-    return result.resilience.to_json_dict()
-
-
 @dataclass(frozen=True)
 class ArrivalPoint:
-    """The open-queue measurement at one sweep point: the same job mix
-    released by a seeded Poisson process instead of all at t=0.
+    """One open-queue measurement: the job mix released by a seeded
+    Poisson process at ``rate`` instead of all at t=0 — a serve-bench
+    point's companion run, or one offered-load point of the
+    latency-vs-load sweep.
 
     ``lane_utilization`` is the per-device/per-wire busy fraction over
-    the busy span; ``shed_rate``/``admitted``/``shed`` describe the
-    admission outcome (rate 0.0 and a full batch when admission is
-    off).  Latency percentiles are the SLO-counted (post-shed) ones
-    when a policy ran: identical to the executed-batch percentiles in
-    ``shed`` mode, excluding deferred jobs in ``deprioritize`` mode —
-    a deferred job's latency is measured from its *deferred* release,
-    so folding it into the tail would deflate the curve exactly where
-    the backlog is worst."""
+    the busy span, and :attr:`dominant_lane` says *where* the load
+    goes; ``shed_rate``/``admitted``/``shed`` describe the admission
+    outcome (rate 0.0 and a full batch when admission is off).  Latency
+    percentiles are the SLO-counted (post-shed) ones when a policy ran:
+    identical to the executed-batch percentiles in ``shed`` mode,
+    excluding deferred jobs in ``deprioritize`` mode — a deferred job's
+    latency is measured from its *deferred* release, so folding it into
+    the tail would deflate the curve exactly where the backlog is
+    worst."""
 
     rate: float
-    seed: int
     wall_seconds: float
     makespan: float
     p50_latency: float
@@ -228,6 +205,49 @@ class ArrivalPoint:
     #: recovered/abandoned, post-fault percentiles); ``None`` when no
     #: fault plan ran.
     resilience: dict | None = None
+    #: The arrival process's seed.
+    seed: int | None = None
+
+    @classmethod
+    def from_result(
+        cls, rate: float, seed: int | None, wall: float, result: NdftBatchResult
+    ) -> "ArrivalPoint":
+        """The point one measured ``run_many`` result describes.  With
+        admission off every submitted job counts as admitted — under
+        faults too, where ``result.n_jobs`` counts only the completed
+        jobs, so abandoned ones would otherwise vanish."""
+        if result.admission is None:
+            shed_rate, shed = 0.0, 0
+            admitted = (
+                result.n_jobs
+                if result.resilience is None
+                else result.resilience.submitted
+            )
+        else:
+            report = result.admission
+            shed_rate, admitted, shed = report.shed_rate, report.admitted, report.shed
+        return cls(
+            rate=rate,
+            seed=seed,
+            wall_seconds=wall,
+            makespan=result.makespan,
+            p50_latency=result.slo_p50_latency,
+            p99_latency=result.slo_p99_latency,
+            mean_queueing_delay=result.mean_queueing_delay,
+            lane_utilization=dict(result.lane_utilization),
+            shed_rate=shed_rate,
+            admitted=admitted,
+            shed=shed,
+            resilience=(
+                None
+                if result.resilience is None
+                else result.resilience.to_json_dict()
+            ),
+        )
+
+    @property
+    def dominant_lane(self) -> str | None:
+        return dominant_lane(self.lane_utilization or {})
 
     def to_json_dict(self) -> dict:
         return {
@@ -239,7 +259,7 @@ class ArrivalPoint:
             "p99_latency_seconds": self.p99_latency,
             "mean_queueing_delay_seconds": self.mean_queueing_delay,
             "lane_utilization": self.lane_utilization,
-            "dominant_lane": dominant_lane(self.lane_utilization or {}),
+            "dominant_lane": self.dominant_lane,
             "shed_rate": self.shed_rate,
             "admitted": self.admitted,
             "shed": self.shed,
@@ -302,8 +322,7 @@ class ServePoint:
     #: Jobs per simulation backend in the reference run — the
     #: per-backend breakdown of who actually timed the batch.
     backend_jobs: dict | None = None
-    #: Wall seconds per simulation backend in the reference run
-    #: (summed over shards; see
+    #: Wall seconds per simulation backend in the reference run (see
     #: :attr:`repro.core.executor.BatchExecutionReport.backend_wall_seconds`)
     #: — where the simulator's own time went.
     backend_wall_seconds: dict | None = None
@@ -330,49 +349,6 @@ class ServePoint:
 
 
 @dataclass(frozen=True)
-class ArrivalSweepPoint:
-    """One offered-load point of the latency-vs-load sweep, with the
-    per-lane utilization that explains *where* the load goes and the
-    admission outcome at this rate (shed rate 0.0 when admission is
-    off).  Latency percentiles follow :class:`ArrivalPoint`'s
-    convention: the SLO-counted (post-shed) ones when a policy ran."""
-
-    rate: float
-    wall_seconds: float
-    makespan: float
-    p50_latency: float
-    p99_latency: float
-    mean_queueing_delay: float
-    lane_utilization: dict = None  # type: ignore[assignment]
-    shed_rate: float = 0.0
-    admitted: int | None = None
-    shed: int = 0
-    #: Resilience summary under fault injection; ``None`` when no fault
-    #: plan ran.
-    resilience: dict | None = None
-
-    @property
-    def dominant_lane(self) -> str | None:
-        return dominant_lane(self.lane_utilization or {})
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rate_jobs_per_second": self.rate,
-            "wall_seconds": self.wall_seconds,
-            "makespan_seconds": self.makespan,
-            "p50_latency_seconds": self.p50_latency,
-            "p99_latency_seconds": self.p99_latency,
-            "mean_queueing_delay_seconds": self.mean_queueing_delay,
-            "lane_utilization": self.lane_utilization,
-            "dominant_lane": self.dominant_lane,
-            "shed_rate": self.shed_rate,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "resilience": self.resilience,
-        }
-
-
-@dataclass(frozen=True)
 class ArrivalSweep:
     """Latency vs offered load over a rate grid, plus the saturation
     knee: the lowest swept rate whose p99 latency exceeds
@@ -386,7 +362,7 @@ class ArrivalSweep:
 
     batch_size: int
     seed: int
-    points: tuple[ArrivalSweepPoint, ...]
+    points: tuple[ArrivalPoint, ...]
     knee_rate: float | None
     knee_dominant_lane: str | None = None
 
@@ -402,7 +378,7 @@ class ArrivalSweep:
 
 
 def find_saturation_knee(
-    points: Sequence[ArrivalSweepPoint],
+    points: Sequence[ArrivalPoint],
     factor: float = KNEE_LATENCY_FACTOR,
 ) -> float | None:
     """The lowest swept rate whose p99 latency exceeds ``factor`` times
@@ -467,22 +443,7 @@ def run_arrival_sweep(
             faults=faults,
             retry=retry,
         )
-        shed_rate, admitted, shed = _shed_stats(result)
-        points.append(
-            ArrivalSweepPoint(
-                rate=rate,
-                wall_seconds=wall,
-                makespan=result.makespan,
-                p50_latency=result.slo_p50_latency,
-                p99_latency=result.slo_p99_latency,
-                mean_queueing_delay=result.mean_queueing_delay,
-                lane_utilization=dict(result.lane_utilization),
-                shed_rate=shed_rate,
-                admitted=admitted,
-                shed=shed,
-                resilience=_resilience_dict(result),
-            )
-        )
+        points.append(ArrivalPoint.from_result(rate, seed, wall, result))
     knee_rate = find_saturation_knee(points)
     knee_dominant = None
     if knee_rate is not None:
@@ -683,20 +644,8 @@ def run_serve_bench(
                 faults=faults,
                 retry=retry,
             )
-            shed_rate, admitted, shed = _shed_stats(arrival_result)
-            arrival = ArrivalPoint(
-                rate=arrival_rate,
-                seed=arrival_seed,
-                wall_seconds=arrival_wall,
-                makespan=arrival_result.makespan,
-                p50_latency=arrival_result.slo_p50_latency,
-                p99_latency=arrival_result.slo_p99_latency,
-                mean_queueing_delay=arrival_result.mean_queueing_delay,
-                lane_utilization=dict(arrival_result.lane_utilization),
-                shed_rate=shed_rate,
-                admitted=admitted,
-                shed=shed,
-                resilience=_resilience_dict(arrival_result),
+            arrival = ArrivalPoint.from_result(
+                arrival_rate, arrival_seed, arrival_wall, arrival_result
             )
         points.append(
             ServePoint(

@@ -37,6 +37,7 @@ from __future__ import annotations
 import multiprocessing
 import tempfile
 import time
+from math import isfinite
 from pathlib import Path
 from typing import Sequence
 
@@ -210,6 +211,11 @@ class WorkerPool:
             if len(arrivals) != len(sizes):
                 raise ConfigError(
                     f"{len(sizes)} jobs but {len(arrivals)} arrival offsets"
+                )
+            if not all(map(isfinite, arrivals)):
+                raise ConfigError(
+                    "arrival offsets must be finite, got "
+                    f"{next(a for a in arrivals if not isfinite(a))}"
                 )
         started = time.perf_counter()
         solo_times, lanes = self.framework.job_estimates(sizes)

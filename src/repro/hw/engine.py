@@ -158,7 +158,7 @@ class Engine:
         heapq.heappush(self._heap, (self.now, next(self._seq), process))
         return process
 
-    def run(self, until: float | None = None) -> float:
+    def run(self) -> float:
         """Drain the event heap; returns the final virtual time.
 
         Raises :class:`SimulationError` if processes remain blocked when
@@ -180,10 +180,6 @@ class Engine:
         while heap:
             entry = pop(heap)
             time = entry[0]
-            if until is not None and time > until:
-                push(heap, entry)
-                self.now = until
-                return self.now
             if time < self.now - 1e-18:
                 raise SimulationError("event scheduled in the past")
             self.now = time

@@ -1,6 +1,6 @@
-"""Vectorized wave replay for signature-coalesced super-job shards.
+"""Vectorized wave replay for signature-coalesced super-job batches.
 
-A contention shard whose jobs are all *one* super-job — identical
+A batch whose jobs are all *one* super-job — identical
 replicas of a single pipeline/schedule pair, which is exactly what the
 framework's entry store hands :meth:`~repro.core.executor.
 PipelineExecutor.execute_many` for duplicate jobs — has far more
@@ -199,7 +199,7 @@ def _service_grid(
 
 
 class _Declined(Exception):
-    """Internal control flow: the shard's grant order is not provably
+    """Internal control flow: the batch's grant order is not provably
     the wave order — fall back to the event-driven replays."""
 
 
@@ -318,7 +318,7 @@ def replay_vector_batch(
     replicas; ``arrivals[j]`` is replica ``j``'s release time.
     Returns the same ``(completions, makespan, occupancy)`` triple as
     the event-driven replays, bit-identical to the generator engine,
-    or ``None`` to decline a shard whose grant order is not provably
+    or ``None`` to decline a batch whose grant order is not provably
     the wave order (see the module docstring) — a declined call has no
     side effects.
     """

@@ -167,6 +167,15 @@ class TestRunManyAdmission:
             framework.run_many(
                 [64, 128], admission=AdmissionPolicy(slo_p99=1.0)
             )
+        # A non-finite offset predicts no backlog, so the controller
+        # would admit a job that completes at nan or inf.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                framework.run_many(
+                    [64, 128, 512],
+                    arrivals=[0.0, bad, 1.0],
+                    admission=AdmissionPolicy(slo_p99=2.0),
+                )
 
     def test_post_shed_p99_meets_the_slo(self, overload):
         """The acceptance criterion: past the knee, an SLO below the

@@ -1,14 +1,13 @@
-"""Scale-out batch DES: coalescing/sharding equivalence and arrivals.
+"""Scale-out batch DES: coalescing equivalence and arrivals.
 
-The serving fast path (signature-coalesced super-jobs replayed FIFO,
-contention-sharded engines) is an optimization, never an approximation:
-every per-job report and the makespan must match the uncollapsed,
-unsharded generator DES bit for bit — property-checked here over random
-chain/DAG batches, with and without arrival processes.  Chains run on
-the DAG replay as one segment per job, so the exact-time tie storms on
-hand-built chains below pin its compacted stage boundaries.  Any
-observer forces the uncollapsed DES, which is also how the reference
-results are obtained.
+The serving fast path (signature-coalesced super-jobs replayed FIFO) is
+an optimization, never an approximation: every per-job report and the
+makespan must match the uncollapsed generator DES bit for bit —
+property-checked here over random chain/DAG batches, with and without
+arrival processes.  Chains run on the DAG replay as one segment per
+job, so the exact-time tie storms on hand-built chains below pin its
+compacted stage boundaries.  Forcing ``backend="engine"`` runs the
+uncollapsed DES, which is how the reference results are obtained.
 """
 
 import random
@@ -53,8 +52,8 @@ def _random_entries(rng, n_jobs, dag_fraction=0.25):
 class TestCoalesceShardEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_batches_identical_on_vs_off(self, framework, seed):
-        """Random mixed chain/DAG batches: fast path on vs off vs the
-        observer-forced engine — every float identical."""
+        """Random mixed chain/DAG batches: fast path vs the forced
+        engine — every float identical."""
         rng = random.Random(seed)
         jobs = _jobs(framework, _random_entries(rng, rng.randint(2, 32)))
         arrivals = None
@@ -62,49 +61,23 @@ class TestCoalesceShardEquivalence:
             arrivals = [round(rng.random() * 10, 3) for _ in jobs]
         fast = framework.executor.execute_many(jobs, arrivals=arrivals)
         slow = framework.executor.execute_many(
-            jobs, arrivals=arrivals, coalesce=False, shard=False
+            jobs, arrivals=arrivals, backend="engine"
         )
-        observed = framework.executor.execute_many(
-            jobs, arrivals=arrivals, observer=lambda *args: None
-        )
-        assert fast.makespan == slow.makespan == observed.makespan
-        assert fast.job_reports == slow.job_reports == observed.job_reports
+        assert fast.makespan == slow.makespan
+        assert fast.job_reports == slow.job_reports
 
     def test_pure_batch_is_one_superjob(self, framework):
         jobs = _jobs(framework, [(512, build_pipeline)] * 24)
         fast = framework.executor.execute_many(jobs)
-        slow = framework.executor.execute_many(
-            jobs, coalesce=False, shard=False
-        )
+        slow = framework.executor.execute_many(jobs, backend="engine")
         assert fast.n_superjobs == 1
         assert fast.job_reports == slow.job_reports
         assert fast.makespan == slow.makespan
 
-    def test_observer_forces_uncollapsed_des(self, framework):
-        """Any observer — even a no-op — must route through the single
-        shared engine (trace consumers need the full event stream)."""
-        jobs = _jobs(framework, [(64, build_pipeline)] * 4)
-        observed = framework.executor.execute_many(
-            jobs, observer=lambda *args: None
-        )
-        assert observed.n_shards == 1
-        assert observed.n_superjobs == 0
-        events = []
-        framework.executor.execute_many(
-            jobs,
-            observer=lambda lane, label, start, end: events.append(label),
-        )
-        # Every job's every stage shows up individually: nothing was
-        # collapsed into a super-job.
-        for index in range(len(jobs)):
-            assert any(label.startswith(f"job{index}:") for label in events)
-
     def test_dag_jobs_take_the_dag_replay_and_match(self, framework):
         jobs = _jobs(framework, [(256, build_kpoint_pipeline)] * 6)
         fast = framework.executor.execute_many(jobs)
-        slow = framework.executor.execute_many(
-            jobs, coalesce=False, shard=False
-        )
+        slow = framework.executor.execute_many(jobs, backend="engine")
         # Branching jobs no longer force the generator engine: the DAG
         # replay coalesces the identical replicas into one super-job.
         assert fast.backend_jobs == {"dag_replay": 6}
@@ -115,7 +88,7 @@ class TestCoalesceShardEquivalence:
     def test_run_many_toggles_identical(self):
         sizes = [64, 1024, 64, 512, 128, 64]
         fast = NdftFramework().run_many(sizes)
-        slow = NdftFramework().run_many(sizes, coalesce=False, shard=False)
+        slow = NdftFramework().run_many(sizes, backend="engine")
         assert fast.makespan == slow.makespan
         assert fast.solo_times == slow.solo_times
         assert (
@@ -223,7 +196,7 @@ class TestExactTimeTies:
         )
         jobs = [(x, x_schedule), (y, y_schedule)]
         fast = executor.execute_many(jobs)
-        slow = executor.execute_many(jobs, coalesce=False, shard=False)
+        slow = executor.execute_many(jobs, backend="engine")
         assert fast.job_reports == slow.job_reports
         assert fast.makespan == slow.makespan
         # And the tie genuinely resolved in Y's favor (engine semantics).
@@ -261,16 +234,20 @@ class TestExactTimeTies:
         for arrivals in (None, [0.0, 1.0] * 4):
             fast = executor.execute_many(jobs, arrivals=arrivals)
             slow = executor.execute_many(
-                jobs, arrivals=arrivals, coalesce=False, shard=False
+                jobs, arrivals=arrivals, backend="engine"
             )
             assert fast.job_reports == slow.job_reports
             assert fast.makespan == slow.makespan
 
 
-class TestContentionSharding:
-    def test_disjoint_placements_split_into_shards(self, framework):
-        """An all-CPU job and an all-NDP job share nothing: two engine
-        shards, same results as the single shared engine."""
+class TestOneSimulationPerBatch:
+    """Every ``execute_many`` call is one simulation by one backend,
+    whatever lanes its jobs share."""
+
+    @staticmethod
+    def _split_jobs(framework):
+        """All-CPU jobs interleaved with all-NDP jobs: the two halves
+        occupy disjoint lanes."""
         pipeline = framework._build_pipeline(problem_size(64), build_pipeline)
         cpu_only = framework.scheduler.schedule(
             pipeline, SchedulingPolicy.ALL_CPU
@@ -278,25 +255,57 @@ class TestContentionSharding:
         ndp_only = framework.scheduler.schedule(
             pipeline, SchedulingPolicy.ALL_NDP
         )
-        jobs = [(pipeline, cpu_only), (pipeline, ndp_only)] * 3
+        return [(pipeline, cpu_only), (pipeline, ndp_only)] * 3
+
+    def test_disjoint_placements_run_as_one_simulation(self, framework):
+        jobs = self._split_jobs(framework)
         fast = framework.executor.execute_many(jobs)
-        slow = framework.executor.execute_many(
-            jobs, coalesce=False, shard=False
-        )
-        assert fast.n_shards == 2
-        assert fast.n_superjobs == 2  # one super-job per shard
+        slow = framework.executor.execute_many(jobs, backend="engine")
+        assert [(t.backend, t.n_jobs, t.n_superjobs)
+                for t in fast.backend_timings] == [("dag_replay", 6, 2)]
+        assert fast.backend_jobs == {"dag_replay": 6}
         assert fast.job_reports == slow.job_reports
         assert fast.makespan == slow.makespan
+        assert fast.lane_occupancy == slow.lane_occupancy
 
-    def test_cost_aware_mix_shares_one_shard(self, framework):
-        """The default mix offloads every job across CPU+NDP+link, so
-        contention connects everything into a single shard."""
+    def test_disjoint_placements_do_not_interact(self, framework):
+        """Jobs on disjoint lanes finish at the same instants whether
+        they run together or alone."""
+        jobs = self._split_jobs(framework)
+        together = framework.executor.execute_many(jobs)
+        cpu_alone = framework.executor.execute_many(jobs[0::2])
+        ndp_alone = framework.executor.execute_many(jobs[1::2])
+        assert together.job_reports[0::2] == cpu_alone.job_reports
+        assert together.job_reports[1::2] == ndp_alone.job_reports
+        assert together.lane_occupancy == {
+            **cpu_alone.lane_occupancy,
+            **ndp_alone.lane_occupancy,
+        }
+
+    def test_cost_aware_mix_is_one_simulation(self, framework):
+        """The default mix offloads every job across CPU+NDP+link: one
+        simulation, one super-job per size."""
         jobs = _jobs(
             framework, [(n, build_pipeline) for n in (64, 128, 512, 1024)]
         )
         report = framework.executor.execute_many(jobs)
-        assert report.n_shards == 1
+        assert [(t.n_jobs, t.n_superjobs) for t in report.backend_timings] == [
+            (4, 4)
+        ]
         assert report.n_superjobs == 4
+
+    def test_forced_engine_runs_every_job_uncollapsed(self, framework):
+        """The reference path coalesces nothing: no super-jobs, every
+        job its own engine process."""
+        jobs = _jobs(framework, [(64, build_pipeline)] * 4)
+        auto = framework.executor.execute_many(jobs)
+        forced = framework.executor.execute_many(jobs, backend="engine")
+        assert auto.n_superjobs == 1
+        assert forced.n_superjobs == 0
+        assert forced.backend_jobs == {"engine": 4}
+        assert [(t.backend, t.n_superjobs)
+                for t in forced.backend_timings] == [("engine", 0)]
+        assert forced.job_reports == auto.job_reports
 
 
 class TestArrivals:
@@ -394,6 +403,14 @@ class TestArrivals:
             framework.run_many([64, 64], arrivals=[0.0])
         with pytest.raises(SimulationError):
             framework.run_many([64, 64], arrivals=[0.0, -1.0])
+        # A non-finite offset would complete at nan or inf, and each
+        # backend would report a different wrong number.
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            for backend in (None, "engine"):
+                with pytest.raises(SimulationError, match="finite"):
+                    framework.run_many(
+                        [64, 128, 512], arrivals=[0.0, bad, 1.0], backend=backend
+                    )
 
     def test_placement_respects_arrival_order_not_submission(self, framework):
         """Arrival order wins FIFO: a later-submitted job arriving first

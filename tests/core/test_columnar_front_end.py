@@ -11,8 +11,8 @@ The memoized paths through the entry store must agree as well: a
 ``cache_size=1`` framework that evicts on every lookup, and a fresh
 framework warmed from a snapshot, which must then derive nothing.  Under
 lethal faults, degraded and residual-pipeline records go through the
-store too.  The shard partition, the order of jobs within each shard and
-the super-job count are checked against a per-job union-find reference.
+store too.  The executor's super-job grouping is checked against a
+per-job reference, and its results against the forced engine.
 """
 
 import functools
@@ -23,8 +23,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.arrivals import AdmissionPolicy
-from repro.core.backends import superjob_groups
-from repro.core.executor import PipelineExecutor
 from repro.core.faults import FaultPlan, RetryPolicy
 from repro.core.framework import NdftFramework
 from repro.core.pipeline import Pipeline, build_kpoint_pipeline, build_pipeline
@@ -36,37 +34,9 @@ BUILDERS = {"chain": build_pipeline, "kpoint": build_kpoint_pipeline}
 MODES = ("closed", "open", "shed", "deprioritize", "empty-faults", "lethal-faults")
 
 
-def reference_shards(jobs) -> list[list[int]]:
-    """The per-job contention partition: union-find over every job's
-    devices and wires, shards ordered by their first job."""
-    parent = list(range(len(jobs)))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    owner = {}
-    for i, (_pipeline, schedule) in enumerate(jobs):
-        keys = set(schedule.assignments.values())
-        keys.update(frozenset(pair) for pair in schedule.crossing_pairs)
-        for key in keys:
-            if key in owner:
-                parent[find(i)] = find(owner[key])
-            else:
-                owner[key] = i
-    shards: dict[int, list[int]] = {}
-    for i in range(len(jobs)):
-        shards.setdefault(find(i), []).append(i)
-    return list(shards.values())
-
-
-def reference_superjobs(jobs, shards) -> int:
-    """Distinct (pipeline, schedule) objects per shard, summed."""
-    return sum(
-        len({(id(jobs[i][0]), id(jobs[i][1])) for i in shard})
-        for shard in shards
-    )
+def reference_superjobs(jobs) -> int:
+    """Distinct (pipeline, schedule) object pairs in the batch."""
+    return len({(id(pipeline), id(schedule)) for pipeline, schedule in jobs})
 
 
 @st.composite
@@ -209,31 +179,26 @@ class TestColumnarMatchesPerJob:
 
         if mode in ("shed", "deprioritize", "lethal-faults") or not cached.jobs:
             return
-        # Every job executed: check the partition and super-jobs the
-        # executor formed against the per-job reference.
+        # Every job executed: check the super-jobs the executor formed
+        # against the per-job reference.
         pipelines = resolved_pipelines(cached_framework, batch, builder)
         jobs = [
             (pipeline, job.schedule)
             for pipeline, job in zip(pipelines, cached.jobs)
         ]
-        shards = reference_shards(jobs)
         timings = cached.batch_report.backend_timings
-        assert [timing.n_jobs for timing in timings] == [
-            len(shard) for shard in shards
-        ]
-        assert cached.batch_report.n_superjobs == reference_superjobs(
-            jobs, shards
-        )
+        assert [timing.n_jobs for timing in timings] == [len(jobs)]
+        assert cached.batch_report.n_superjobs == reference_superjobs(jobs)
         per_job_timings = per_job.batch_report.backend_timings
-        assert [t.n_jobs for t in per_job_timings] == [len(s) for s in shards]
+        assert [t.n_jobs for t in per_job_timings] == [len(jobs)]
         assert per_job.batch_report.n_superjobs == len(batch)
 
 
 @functools.cache
 def executor_templates():
     """A framework plus (pipeline, schedule) templates whose placements
-    split into several contention shards — all-CPU, all-NDP and
-    cost-aware schedules of chain and k-point pipelines — each with an
+    occupy different lane sets — all-CPU, all-NDP and cost-aware
+    schedules of chain and k-point pipelines — each with an
     equal-content twin schedule object."""
     framework = NdftFramework()
     templates = []
@@ -257,7 +222,8 @@ def executor_batches(draw):
     """Jobs over the templates: one shared pair object per template, a
     fresh tuple of the same objects, or the twin schedule.  Half the
     batches leave out the cost-aware templates (every third): all-CPU
-    next to all-NDP jobs share no lane, so they form several shards."""
+    next to all-NDP jobs share no lane, yet still run as one
+    simulation."""
     framework, templates = executor_templates()
     split = draw(st.booleans())
     pool = [t for t in range(len(templates)) if not (split and t % 3 == 2)]
@@ -285,19 +251,10 @@ class TestExecutorPartition:
     @settings(max_examples=60, deadline=None)
     def test_partition_and_superjobs_match_per_job_reference(self, case):
         framework, jobs = case
-        shards = reference_shards(jobs)
-        partition = PipelineExecutor._contention_shards(*superjob_groups(jobs))
-        assert [list(indices) for _templates, indices in partition] == shards
-
         fast = framework.executor.execute_many(jobs)
-        slow = framework.executor.execute_many(
-            jobs, coalesce=False, shard=False
-        )
-        assert fast.n_shards == len(shards)
-        assert [t.n_jobs for t in fast.backend_timings] == [
-            len(shard) for shard in shards
-        ]
-        assert fast.n_superjobs == reference_superjobs(jobs, shards)
+        slow = framework.executor.execute_many(jobs, backend="engine")
+        assert [t.n_jobs for t in fast.backend_timings] == [len(jobs)]
+        assert fast.n_superjobs == reference_superjobs(jobs)
         assert fast.job_reports == slow.job_reports
         assert fast.makespan == slow.makespan
         assert fast.lane_occupancy == slow.lane_occupancy

@@ -6,8 +6,8 @@ bit for bit on *branching* pipelines — k-point DAGs, random synthetic
 DAGs, constructed exact-time tie storms on fan-in joins and on compacted
 single-predecessor segments — as ``tests/core/test_coalesce_shard.py``
 pins it on chains.  This file also covers the backend registry
-semantics: selection order, forced backends, observer and zero-duration
-fallbacks, and the framework's ``backend_stats`` counters.
+semantics: selection order, forced backends, the zero-duration
+fallback, and the framework's ``backend_stats`` counters.
 """
 
 import random
@@ -56,8 +56,8 @@ class TestDagReplayEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_random_kpoint_batches_identical(self, framework, seed):
         """Random k-point batches (mixed fan widths and sizes, sometimes
-        an open queue): replay vs the uncollapsed engine vs the
-        observer-forced engine — every float identical."""
+        an open queue): replay vs the uncollapsed engine — every float
+        identical."""
         rng = random.Random(seed)
         entries = [
             (rng.choice(SIZES), _kpoint_builder(rng.choice((2, 3, 4))))
@@ -69,13 +69,10 @@ class TestDagReplayEquivalence:
             arrivals = [round(rng.random() * 10, 3) for _ in jobs]
         fast = framework.executor.execute_many(jobs, arrivals=arrivals)
         slow = framework.executor.execute_many(
-            jobs, arrivals=arrivals, coalesce=False, shard=False
+            jobs, arrivals=arrivals, backend="engine"
         )
-        observed = framework.executor.execute_many(
-            jobs, arrivals=arrivals, observer=lambda *args: None
-        )
-        assert fast.makespan == slow.makespan == observed.makespan
-        assert fast.job_reports == slow.job_reports == observed.job_reports
+        assert fast.makespan == slow.makespan
+        assert fast.job_reports == slow.job_reports
         # Branching jobs ran the slim replay, not the engine.
         assert fast.backend_jobs == {"dag_replay": len(jobs)}
 
@@ -96,22 +93,20 @@ class TestDagReplayEquivalence:
             arrivals = [round(rng.random() * 2, 3) for _ in jobs]
         fast = framework.executor.execute_many(jobs, arrivals=arrivals)
         slow = framework.executor.execute_many(
-            jobs, arrivals=arrivals, coalesce=False, shard=False
+            jobs, arrivals=arrivals, backend="engine"
         )
         assert fast.makespan == slow.makespan
         assert fast.job_reports == slow.job_reports
 
     def test_mixed_chain_and_dag_shard_takes_dag_replay(self, framework):
-        """A shard mixing chains with one DAG runs on the DAG replay,
+        """A batch mixing chains with one DAG runs on the DAG replay,
         not the engine."""
         jobs = _jobs(
             framework,
             [(64, build_pipeline), (64, build_kpoint_pipeline)] * 3,
         )
         fast = framework.executor.execute_many(jobs)
-        slow = framework.executor.execute_many(
-            jobs, coalesce=False, shard=False
-        )
+        slow = framework.executor.execute_many(jobs, backend="engine")
         assert fast.backend_jobs == {"dag_replay": len(jobs)}
         assert fast.n_superjobs == 2
         assert fast.job_reports == slow.job_reports
@@ -124,8 +119,7 @@ class TestDagReplayEquivalence:
         slow = NdftFramework().run_many(
             sizes,
             pipeline_builder=build_kpoint_pipeline,
-            coalesce=False,
-            shard=False,
+            backend="engine",
         )
         assert fast.makespan == slow.makespan
         assert fast.solo_times == slow.solo_times
@@ -232,7 +226,7 @@ class TestExactTimeTiesOnFanIn:
         executor = PipelineExecutor(cost_model=cost_model)
         jobs = [_diamond_tie_job("y", cost_model)]
         fast = executor.execute_many(jobs)
-        slow = executor.execute_many(jobs, coalesce=False, shard=False)
+        slow = executor.execute_many(jobs, backend="engine")
         assert fast.backend_jobs == {"dag_replay": 1}
         assert fast.job_reports == slow.job_reports
         assert fast.makespan == slow.makespan
@@ -263,7 +257,7 @@ class TestExactTimeTiesOnFanIn:
         for arrivals in (None, [0.0, 1.0] * 4, [0.5] * 8):
             fast = executor.execute_many(jobs, arrivals=arrivals)
             slow = executor.execute_many(
-                jobs, arrivals=arrivals, coalesce=False, shard=False
+                jobs, arrivals=arrivals, backend="engine"
             )
             assert fast.job_reports == slow.job_reports
             assert fast.makespan == slow.makespan
@@ -302,7 +296,7 @@ class TestExactTimeTiesOnFanIn:
         for arrivals in (None, [0.0, 1.0, 2.0] * 2):
             fast = executor.execute_many(jobs, arrivals=arrivals)
             slow = executor.execute_many(
-                jobs, arrivals=arrivals, coalesce=False, shard=False
+                jobs, arrivals=arrivals, backend="engine"
             )
             assert fast.job_reports == slow.job_reports
             assert fast.makespan == slow.makespan
@@ -366,14 +360,11 @@ class TestCompactedSegmentTieStorms:
                 fast = executor.execute_many(
                     jobs, arrivals=arrivals, backend="dag_replay"
                 )
-                slow = executor.execute_many(
-                    jobs, arrivals=arrivals, coalesce=False, shard=False
-                )
                 engine = executor.execute_many(
                     jobs, arrivals=arrivals, backend="engine"
                 )
-                assert fast.job_reports == slow.job_reports
-                assert fast.makespan == slow.makespan
+                assert fast.job_reports == engine.job_reports
+                assert fast.makespan == engine.makespan
                 assert fast.lane_occupancy == engine.lane_occupancy
 
 
@@ -446,13 +437,12 @@ class TestLaneOccupancyEquivalence:
             )
             assert fast.lane_occupancy == slow.lane_occupancy
 
-    def test_observer_path_also_accounts_lanes(self, framework):
+    def test_engine_path_also_accounts_lanes(self, framework):
         jobs = _jobs(framework, [(64, build_kpoint_pipeline)] * 3)
         plain = framework.executor.execute_many(jobs)
-        observed = framework.executor.execute_many(
-            jobs, observer=lambda *args: None
-        )
-        assert observed.lane_occupancy == plain.lane_occupancy
+        engine = framework.executor.execute_many(jobs, backend="engine")
+        assert engine.backend_jobs == {"engine": 3}
+        assert engine.lane_occupancy == plain.lane_occupancy
 
     def test_busy_and_utilization_derive_from_intervals(self, framework):
         jobs = _jobs(framework, [(64, build_pipeline), (512, build_pipeline)])
@@ -473,22 +463,6 @@ class TestLaneOccupancyEquivalence:
 
 
 class TestBackendFallbacks:
-    def test_observer_forces_engine_backend(self, framework):
-        jobs = _jobs(framework, [(64, build_kpoint_pipeline)] * 4)
-        observed = framework.executor.execute_many(
-            jobs, observer=lambda *args: None
-        )
-        assert observed.backend_jobs == {"engine": 4}
-        assert observed.n_shards == 1
-        assert observed.n_superjobs == 0
-        events = []
-        framework.executor.execute_many(
-            jobs,
-            observer=lambda lane, label, start, end: events.append(label),
-        )
-        for index in range(len(jobs)):
-            assert any(label.startswith(f"job{index}:") for label in events)
-
     def test_zero_duration_task_falls_back_to_engine(self):
         """A zero-duration stage (possible only under degenerate custom
         cost models) declines both replays; the engine still times it,
@@ -506,7 +480,7 @@ class TestBackendFallbacks:
         )
         jobs = [(pipeline, schedule)] * 3
         fast = executor.execute_many(jobs)
-        slow = executor.execute_many(jobs, coalesce=False, shard=False)
+        slow = executor.execute_many(jobs, backend="engine")
         assert fast.backend_jobs == {"engine": 3}
         assert fast.n_superjobs == 0
         assert fast.job_reports == slow.job_reports
@@ -533,26 +507,24 @@ class TestBackendRegistry:
         assert auto.job_reports == forced.job_reports
         assert auto.makespan == forced.makespan
 
-    def test_forced_nonengine_backend_rejects_observer(self, framework):
+    def test_retired_batch_knobs_are_rejected(self, framework):
+        """A batch is one simulation with no observer and no
+        uncollapsed or unsharded switch: ``backend="engine"`` is the
+        reference, and a backend declines a batch only in
+        ``simulate``."""
         jobs = _jobs(framework, [(64, build_pipeline)] * 2)
-        with pytest.raises(SimulationError):
-            framework.executor.execute_many(
-                jobs, backend="dag_replay", observer=lambda *args: None
-            )
-
-    def test_forced_nonengine_backend_rejects_coalesce_off(self, framework):
-        """coalesce=False pins the uncollapsed engine semantics; forcing
-        a replay (which coalesces by construction) contradicts it."""
-        jobs = _jobs(framework, [(64, build_pipeline)] * 2)
-        with pytest.raises(SimulationError):
-            framework.executor.execute_many(
-                jobs, backend="dag_replay", coalesce=False
-            )
-        # Forcing the engine is consistent with coalesce=False.
-        report = framework.executor.execute_many(
-            jobs, backend="engine", coalesce=False
-        )
-        assert report.backend_jobs == {"engine": 2}
+        for knob in (
+            {"observer": lambda *args: None},
+            {"coalesce": False},
+            {"shard": False},
+        ):
+            with pytest.raises(TypeError):
+                framework.executor.execute_many(jobs, **knob)
+        for knob in ({"coalesce": False}, {"shard": False}):
+            with pytest.raises(TypeError):
+                framework.run_many([64], **knob)
+        for name in backend_names():
+            assert not hasattr(get_backend(name), "supports")
 
     def test_framework_backend_stats_accumulate(self):
         framework = NdftFramework()

@@ -32,7 +32,7 @@ from repro.core.faults import (
 )
 from repro.core.framework import NdftFramework
 from repro.core.pipeline import build_pipeline
-from repro.core.scheduler import Placement
+from repro.core.scheduler import Placement, SchedulingPolicy
 from repro.dft.workload import problem_size
 from repro.errors import ConfigError, SimulationError
 from repro.hw.engine import resolve_degraded_service
@@ -246,6 +246,48 @@ class TestEmptyPlanBitIdentity:
         assert _identical_batches(plain.batch_report, faulted.batch_report)
         assert "engine" not in faulted.batch_report.backend_jobs
         assert faulted.resilience.availability == 1.0
+
+    def test_plan_on_an_occupied_lane_routes_the_whole_batch(self, framework):
+        """All-CPU jobs next to all-NDP jobs share no lane, yet run as
+        one simulation: an ndp outage that starts mid-service sends the
+        whole batch to the engine, exactly as forcing it does.  The
+        all-CPU jobs never touch ndp, so they finish as in a healthy
+        run."""
+        pipeline = framework._build_pipeline(problem_size(64), build_pipeline)
+        cpu_only = framework.scheduler.schedule(pipeline, SchedulingPolicy.ALL_CPU)
+        ndp_only = framework.scheduler.schedule(pipeline, SchedulingPolicy.ALL_NDP)
+        jobs = [(pipeline, cpu_only)] * 3 + [(pipeline, ndp_only)] * 3
+        healthy = framework.executor.execute_many(jobs)
+        start, end = healthy.lane_occupancy["ndp"][0]
+        plan = FaultPlan(outages=(("ndp", (start + end) / 2, end + 1.0),))
+        auto = framework.executor.execute_many(jobs, faults=plan)
+        forced = framework.executor.execute_many(
+            jobs, backend="engine", faults=plan
+        )
+        assert auto.backend_jobs == {"engine": 6}
+        assert auto.job_reports == forced.job_reports
+        assert auto.lane_occupancy == forced.lane_occupancy
+        assert auto.failures == forced.failures
+        assert auto.failures  # the outage struck an ndp service
+        assert auto.job_reports[:3] == healthy.job_reports[:3]
+        assert auto.lane_occupancy["cpu"] == healthy.lane_occupancy["cpu"]
+
+
+    def test_failures_name_their_batch_positions(self, framework):
+        """A killed run is reported by its position in the submitted
+        batch: only the interleaved all-NDP jobs can die."""
+        pipeline = framework._build_pipeline(problem_size(64), build_pipeline)
+        cpu_only = framework.scheduler.schedule(pipeline, SchedulingPolicy.ALL_CPU)
+        ndp_only = framework.scheduler.schedule(pipeline, SchedulingPolicy.ALL_NDP)
+        jobs = [(pipeline, cpu_only), (pipeline, ndp_only)] * 3
+        healthy = framework.executor.execute_many(jobs)
+        start, end = healthy.lane_occupancy["ndp"][0]
+        plan = FaultPlan(outages=(("ndp", (start + end) / 2, end + 1.0),))
+        report = framework.executor.execute_many(jobs, faults=plan)
+        assert report.failures
+        assert {failure.job for failure in report.failures} <= {1, 3, 5}
+        assert {failure.lane for failure in report.failures} == {"ndp"}
+        assert report.job_reports[0::2] == healthy.job_reports[0::2]
 
 
 class TestTransientOutageRetry:

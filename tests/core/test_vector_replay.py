@@ -1,17 +1,17 @@
-"""The vectorized wave-replay backend and per-shard backend timings.
+"""The vectorized wave-replay backend and per-batch backend timings.
 
 ``vector_replay`` (:mod:`repro.hw.vector_replay`, registered in
 :mod:`repro.core.backends`) computes a single-signature coalesced
-shard's whole FIFO timetable as numpy recurrences over the (replica,
+batch's whole FIFO timetable as numpy recurrences over the (replica,
 stage-occupancy) grid.  The backend contract pinned here is the one
 PRs 3-5 established for the event-driven replays: bit-identical
 completion floats *and* bit-identical ``lane_occupancy`` intervals
-versus every other backend on any shard it accepts, a reasoned decline
-(never a silent approximation) on any shard it cannot prove, and a
+versus every other backend on any batch it accepts, a reasoned decline
+(never a silent approximation) on any batch it cannot prove, and a
 forced-unsupported error that names *why*.  The second half covers
-per-shard wall timings on the batch report and the static shard-shape
-rule (:func:`repro.core.backends.selection_order`) that picks which
-backend an unforced shard tries first.
+the wall timing on the batch report and the static batch-shape rule
+(:func:`repro.core.backends.selection_order`) that picks which backend
+an unforced batch tries first.
 """
 
 import random
@@ -26,6 +26,7 @@ from repro.core.backends import (
     get_backend,
 )
 from repro.core.executor import PipelineExecutor, ShardTiming
+from repro.core.faults import FaultPlan
 from repro.core.framework import NdftFramework
 from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
 from repro.dft.workload import problem_size
@@ -142,7 +143,7 @@ class TestVectorReplayEquivalence:
             jobs, arrivals=arrivals, backend="vector_replay"
         )
         engine = framework.executor.execute_many(
-            jobs, arrivals=arrivals, coalesce=False, shard=False
+            jobs, arrivals=arrivals, backend="engine"
         )
         assert _identical(vector, engine)
 
@@ -159,7 +160,7 @@ class TestVectorReplayEquivalence:
             )
         auto = framework.executor.execute_many(jobs, arrivals=arrivals)
         engine = framework.executor.execute_many(
-            jobs, arrivals=arrivals, coalesce=False, shard=False
+            jobs, arrivals=arrivals, backend="engine"
         )
         assert _identical(auto, engine)
 
@@ -171,7 +172,7 @@ class TestVectorReplayEquivalence:
         arrivals = [0.0] * 40 + [1.0] * 40
         auto = framework.executor.execute_many(jobs, arrivals=arrivals)
         engine = framework.executor.execute_many(
-            jobs, arrivals=arrivals, coalesce=False, shard=False
+            jobs, arrivals=arrivals, backend="engine"
         )
         assert _identical(auto, engine)
 
@@ -211,15 +212,6 @@ class TestForcedUnsupportedReasons:
                 jobs, arrivals=arrivals, backend="vector_replay"
             )
 
-    def test_observer_rejects_forced_vector_replay(self, framework):
-        jobs = _jobs(framework, [(64, build_pipeline)] * 2)
-        with pytest.raises(
-            SimulationError, match="trace observer forces the uncollapsed"
-        ):
-            framework.executor.execute_many(
-                jobs, backend="vector_replay", observer=lambda *args: None
-            )
-
 
 class TestLateDeclineLeavesNoTrace:
     """A decline must have zero side effects: ``simulate`` returns
@@ -243,7 +235,6 @@ class TestLateDeclineLeavesNoTrace:
         )
         backend = get_backend("vector_replay")
         lane_log = {}
-        assert not backend.supports(framework.executor, jobs)
         assert (
             backend.simulate(framework.executor, jobs, None, lane_log)
             is None
@@ -252,14 +243,13 @@ class TestLateDeclineLeavesNoTrace:
 
 
 class TestBackendTimings:
-    """Per-shard wall observability: ``backend_timings`` rows with
-    shard features and the per-backend ``backend_wall_seconds``
-    rollup."""
+    """Wall observability: the batch's ``backend_timings`` row with
+    its features and the per-backend ``backend_wall_seconds`` rollup."""
 
     def test_execute_many_records_shard_timings(self, framework):
         jobs = _jobs(framework, [(64, build_pipeline)] * 5)
         report = framework.executor.execute_many(jobs)
-        assert len(report.backend_timings) == report.n_shards == 1
+        assert len(report.backend_timings) == 1
         timing = report.backend_timings[0]
         assert isinstance(timing, ShardTiming)
         assert timing.backend == "dag_replay"
@@ -279,12 +269,36 @@ class TestBackendTimings:
         )
 
     def test_observer_path_reports_engine_timing(self, framework):
+        """The uncollapsed engine path reports its wall time like any
+        other backend."""
         jobs = _jobs(framework, [(64, build_pipeline)] * 3)
-        report = framework.executor.execute_many(
-            jobs, observer=lambda *args: None
-        )
+        report = framework.executor.execute_many(jobs, backend="engine")
         assert [t.backend for t in report.backend_timings] == ["engine"]
         assert report.backend_wall_seconds["engine"] > 0.0
+
+    def test_every_path_reports_one_row_per_call(self, framework):
+        """Whichever backend times the batch — including the fault-aware
+        engine — the call reports exactly one row covering all of it."""
+        mixed = _jobs(
+            framework, [(n, build_pipeline) for n in (64, 128, 512)] * 2
+        )
+        single = _jobs(framework, [(64, build_pipeline)] * VECTOR_MIN_JOBS)
+        ndp = framework.executor.execute_many(mixed).lane_occupancy["ndp"]
+        start, end = ndp[0]
+        outage = FaultPlan(outages=(("ndp", (start + end) / 2, end),))
+        cases = (
+            (mixed, {}, "dag_replay", 3),
+            (single, {}, "vector_replay", 1),
+            (mixed, {"backend": "engine"}, "engine", 0),
+            (mixed, {"faults": outage}, "engine", 0),
+        )
+        for jobs, kwargs, backend, n_superjobs in cases:
+            report = framework.executor.execute_many(jobs, **kwargs)
+            assert [
+                (t.backend, t.n_jobs, t.n_superjobs)
+                for t in report.backend_timings
+            ] == [(backend, len(jobs), n_superjobs)]
+            assert report.backend_jobs == {backend: len(jobs)}
 
     def test_framework_backend_stats_include_wall_seconds(self):
         framework = NdftFramework()
@@ -359,7 +373,7 @@ class TestSelectionRule:
         auto = executor.execute_many(jobs)
         assert attempts == [None]
         assert auto.backend_jobs == {"engine": VECTOR_MIN_JOBS}
-        assert _identical(auto, executor.execute_many(jobs, coalesce=False))
+        assert _identical(auto, executor.execute_many(jobs, backend="engine"))
 
 
 class TestRegistryOrder:

@@ -62,12 +62,12 @@ class TestOtherSweeps:
 class TestArrivalSweep:
     def test_knee_detection(self):
         from repro.experiments.scale_serving import (
-            ArrivalSweepPoint,
+            ArrivalPoint,
             find_saturation_knee,
         )
 
         def point(rate, p99):
-            return ArrivalSweepPoint(
+            return ArrivalPoint(
                 rate=rate,
                 wall_seconds=0.0,
                 makespan=0.0,
@@ -90,12 +90,12 @@ class TestArrivalSweep:
         latency at all "kneed".  The baseline must instead advance to
         the first positive p99."""
         from repro.experiments.scale_serving import (
-            ArrivalSweepPoint,
+            ArrivalPoint,
             find_saturation_knee,
         )
 
         def point(rate, p99):
-            return ArrivalSweepPoint(
+            return ArrivalPoint(
                 rate=rate,
                 wall_seconds=0.0,
                 makespan=0.0,
@@ -137,6 +137,18 @@ class TestArrivalSweep:
         )
         assert sweep.knee_rate == 30.0
         assert sweep.knee_dominant_lane == high.dominant_lane
+
+    def test_sweep_points_carry_the_sweep_seed(self):
+        """Sweep points are serve-bench's open-queue points: each one
+        records the arrival process's seed, in its JSON too."""
+        from repro.experiments.scale_serving import run_arrival_sweep
+
+        sweep = run_arrival_sweep(
+            rates=(1.0, 2.0), batch_size=8, repeats=1, seed=5
+        )
+        for point in sweep.points:
+            assert point.seed == 5
+            assert point.to_json_dict()["seed"] == 5
 
     def test_sweep_with_admission_sheds_and_caps_p99(self):
         """Admission in the sweep: past the knee the shed rate is

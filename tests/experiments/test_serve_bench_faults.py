@@ -3,15 +3,17 @@
 With admission off, every submitted job counts as admitted, so a point
 must satisfy submitted = admitted + shed even when the fault plan makes
 the retry loop abandon jobs (the batch result then holds only the
-completed ones).
+completed ones).  With admission on, a point reports the controller's
+own outcome.
 """
 
 import json
 
 from repro.cli import main
+from repro.core.arrivals import AdmissionPolicy, poisson_arrivals
 from repro.core.faults import FaultPlan, RetryPolicy
 from repro.core.framework import NdftFramework
-from repro.experiments.scale_serving import _shed_stats
+from repro.experiments.scale_serving import ArrivalPoint
 
 #: The CI fault-injection smoke's flags: at 64 jobs two of them are
 #: abandoned.
@@ -48,4 +50,26 @@ def test_shed_stats_reports_the_submitted_count():
     )
     assert result.resilience.abandoned >= 1
     assert result.n_jobs < len(sizes)
-    assert _shed_stats(result) == (0.0, len(sizes), 0)
+    point = ArrivalPoint.from_result(1.0, 0, 0.0, result)
+    assert (point.shed_rate, point.admitted, point.shed) == (0.0, len(sizes), 0)
+
+
+def test_from_result_reports_the_admission_outcome():
+    framework = NdftFramework()
+    sizes = [64, 128, 512, 1024] * 4
+    result = framework.run_many(
+        sizes,
+        arrivals=poisson_arrivals(len(sizes), 30.0, seed=0),
+        admission=AdmissionPolicy(slo_p99=2.0),
+    )
+    report = result.admission
+    assert report.shed > 0  # past the knee, so the controller sheds
+    point = ArrivalPoint.from_result(30.0, 0, 0.5, result)
+    assert (point.shed_rate, point.admitted, point.shed) == (
+        report.shed_rate,
+        report.admitted,
+        report.shed,
+    )
+    assert (point.rate, point.seed, point.wall_seconds) == (30.0, 0, 0.5)
+    assert point.p99_latency == result.slo_p99_latency
+    assert point.resilience is None

@@ -247,6 +247,9 @@ class TestServeValidation:
         with WorkerPool(1, inline=True) as pool:
             with pytest.raises(ConfigError, match="arrival offsets"):
                 pool.serve([64, 128], arrivals=[0.0])
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ConfigError, match="arrival offsets"):
+                    pool.serve([64, 128, 512], arrivals=[0.0, bad, 1.0])
 
     def test_rejects_nonpositive_rounds(self):
         with WorkerPool(1, inline=True) as pool:

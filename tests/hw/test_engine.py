@@ -40,16 +40,6 @@ class TestTimeouts:
         with pytest.raises(SimulationError):
             engine.timeout(-1.0)
 
-    def test_run_until(self):
-        engine = Engine()
-
-        def process():
-            yield engine.timeout(10.0)
-
-        engine.spawn(process())
-        now = engine.run(until=4.0)
-        assert now == 4.0
-
 
 class TestResources:
     def test_capacity_serializes(self):
