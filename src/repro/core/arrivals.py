@@ -44,6 +44,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 # Re-exported from the foundation layer so existing callers keep this
 # import path; the implementation lives in repro.stats, low enough for
 # the simulation layer (core/faults.py) to use without importing upward.
@@ -56,6 +58,7 @@ __all__ = [
     "percentile",
     "plan_admission",
     "poisson_arrivals",
+    "validate_arrivals",
 ]
 
 
@@ -123,6 +126,23 @@ def _poisson_arrivals_loop(
         now += generator.expovariate(rate)
         offsets.append(now)
     return tuple(offsets)
+
+
+def validate_arrivals(arrivals: Sequence[float], n_jobs: int) -> list[float]:
+    """``arrivals`` as floats, checked for a batch of ``n_jobs`` jobs:
+    one offset per job, each finite and non-negative.  The serving
+    entry points call this before admission or routing, so a bad offset
+    is a :class:`~repro.errors.ConfigError` up front rather than a
+    simulation failure after the work is planned."""
+    offsets = [float(offset) for offset in arrivals]
+    if len(offsets) != n_jobs:
+        raise ConfigError(f"{n_jobs} jobs but {len(offsets)} arrival offsets")
+    if not all(map(math.isfinite, offsets)) or min(offsets, default=0.0) < 0.0:
+        bad = next(a for a in offsets if not (math.isfinite(a) and a >= 0.0))
+        raise ConfigError(
+            f"arrival offsets must be finite and non-negative, got {bad}"
+        )
+    return offsets
 
 
 #: Admission verdicts a policy can take on an over-SLO arrival.

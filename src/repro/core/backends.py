@@ -7,6 +7,13 @@ the engine itself, or one of the slim FIFO replays.  This module makes
 that choice an explicit *backend layer* instead of shape checks
 scattered through the executor:
 
+- :class:`CompiledBatch` is what every backend reads.  The executor
+  compiles each call's batch once: it groups the jobs into super-jobs
+  (:func:`superjob_groups`) and compiles each super-job into the
+  ``(stage_tasks, stage_preds)`` program
+  :func:`repro.hw.engine.replay_dag_batch` runs, on resource indices
+  it interns batch-wide and names (:attr:`CompiledBatch.lanes`).  No
+  backend prices a boundary, regroups the batch or recompiles a job.
 - :class:`SimulationBackend` is the protocol — one
   :meth:`~SimulationBackend.simulate` that returns per-job completion
   times, the makespan and the super-job count, or ``None`` to decline a
@@ -35,9 +42,10 @@ scattered through the executor:
                      and tie patterns that need the engine's banded
                      hop cascade.
   ``engine``         anything, through the generator
-                     :class:`repro.hw.engine.Engine` — the universal
-                     fallback and the reference the replays are
-                     verified against.
+                     :class:`repro.hw.engine.Engine` running the same
+                     programs, one process per stage of every job —
+                     the universal fallback and the reference the
+                     replays are verified against.
   =================  ==================================================
 
 The walk takes the first backend that does not decline the batch;
@@ -52,17 +60,11 @@ registry order.  Additional backends (e.g. a C-accelerated calendar)
 plug in via :func:`register_backend`.
 
 A backend that can decline also exposes
-``unsupported_reason(executor, shard_jobs)`` returning a human-readable
+``unsupported_reason(executor, batch)`` returning a human-readable
 reason — the executor quotes it in the forced-backend error so callers
 learn *why* (zero-duration task, cross-signature interleaving, ...)
-instead of getting a bare refusal.  It is asked about one representative
-job per super-job.
-
-The executor groups a batch into super-jobs once per call and hands it
-over as a :class:`ShardJobs`: the per-job list every backend accepts,
-carrying that grouping along, so no backend regroups the batch job by
-job.  ``simulate`` and ``unsupported_reason`` stay callable with a plain
-per-job list.
+instead of getting a bare refusal.  It reads the same compiled batch
+``simulate`` declined.
 
 Fault injection (:mod:`repro.core.faults`) extends the same contract:
 a batch whose lanes carry fault-plan events is declined by *every*
@@ -80,6 +82,7 @@ all three backends.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
@@ -88,13 +91,50 @@ from repro.hw.vector_replay import replay_vector_batch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executor import PipelineExecutor
-    from repro.core.pipeline import Pipeline
-    from repro.core.scheduler import Schedule
 
 #: What ``simulate`` hands back: per-job completion times in batch
 #: order, the makespan, and the number of signature-coalesced
 #: super-jobs.
 ShardResult = tuple[list[float], float, int]
+
+
+@dataclass(slots=True)
+class CompiledBatch:
+    """One call's batch, compiled once by the executor
+    (:meth:`repro.core.executor.PipelineExecutor.compile_batch`) and
+    read by every backend.
+
+    ``representatives`` holds one ``(pipeline, schedule)`` pair per
+    super-job in first-appearance order and ``member_group[i]`` is job
+    ``i``'s super-job.  ``programs[g]`` is super-job ``g``'s
+    ``(stage_tasks, stage_preds)`` program in
+    :func:`repro.hw.engine.replay_dag_batch`'s form (stages in
+    topological order; each stage's ``(resource, duration)`` tasks,
+    then its predecessor indices), and ``lanes[r]`` names resource
+    ``r`` as :func:`repro.core.executor.lane_name` does — the lanes
+    the batch can occupy, and the keys its occupancies are filed
+    under."""
+
+    representatives: list
+    member_group: list[int]
+    programs: list
+    lanes: list[str]
+
+    def __len__(self) -> int:
+        return len(self.member_group)
+
+    @property
+    def positive(self) -> bool:
+        """True when every task's duration is positive.  The replays'
+        banded tie handling assumes time strictly advances per
+        occupancy, so a batch with a zero-cost task goes to the
+        engine."""
+        return all(
+            duration > 0.0
+            for stage_tasks, _preds in self.programs
+            for tasks in stage_tasks
+            for _resource, duration in tasks
+        )
 
 
 @runtime_checkable
@@ -109,54 +149,35 @@ class SimulationBackend(Protocol):
     def simulate(
         self,
         executor: "PipelineExecutor",
-        shard_jobs: list[tuple["Pipeline", "Schedule"]],
-        shard_arrivals: list[float] | None,
+        batch: CompiledBatch,
+        arrivals: list[float] | None,
         lane_log: dict[str, list[tuple[float, float]]],
     ) -> ShardResult | None:
         """Time the batch, or return ``None`` to decline it.
 
-        ``shard_jobs`` is the per-job list — a :class:`ShardJobs` from
-        the executor, which carries the super-job grouping
-        (:func:`superjob_groups`), or any plain list of pairs.  A
-        backend that simulates the batch must also append every
-        resource occupancy it grants — ``(start, end)`` in grant order
-        — to ``lane_log`` under the lane's
-        :func:`repro.core.executor.lane_name`; the intervals must be
-        the engine's exact floats (``end = grant + duration``), which
-        is what makes ``BatchExecutionReport.lane_occupancy``
+        ``arrivals`` are the jobs' release offsets (``None``: all at
+        t=0).  A backend that simulates the batch must also append
+        every resource occupancy it grants — ``(start, end)`` in grant
+        order — to ``lane_log`` under the resource's
+        :attr:`CompiledBatch.lanes` name; the intervals must be the
+        engine's exact floats (``end = grant + duration``), which is
+        what makes ``BatchExecutionReport.lane_occupancy``
         backend-independent.  A decline must leave ``lane_log``
         untouched."""
         ...
 
 
-class ShardJobs(list):
-    """A batch's per-job ``(pipeline, schedule)`` pairs plus their
-    super-job grouping, computed once per call by the executor:
-    ``representatives`` holds one pair per super-job in first-appearance
-    order and ``member_group[i]`` is job ``i``'s super-job."""
-
-    __slots__ = ("member_group", "representatives")
-
-    def __init__(self, jobs, representatives, member_group) -> None:
-        super().__init__(jobs)
-        self.representatives = representatives
-        self.member_group = member_group
-
-
-def superjob_groups(shard_jobs) -> tuple[list, list[int]]:
+def superjob_groups(jobs) -> tuple[list, list[int]]:
     """Group jobs into super-jobs by pipeline/schedule object identity
     (what the framework's per-call table hands out for duplicate jobs).
     Returns one representative pair per group, in first-appearance
-    order, and each position's group index.  A :class:`ShardJobs`
-    answers from its stored grouping.
+    order, and each position's group index.
 
     Duplicates that share one pair object are grouped at C speed: the
     Python-level loop runs once per distinct pair object, not per
     job."""
-    if isinstance(shard_jobs, ShardJobs):
-        return shard_jobs.representatives, shard_jobs.member_group
     # The list pins every pair object, so its id is stable for the call.
-    jobs = list(shard_jobs)
+    jobs = list(jobs)
     group_index: dict[tuple[int, int], int] = {}
     representatives: list = []
     group_of_pair: dict[int, int] = {}
@@ -171,14 +192,16 @@ def superjob_groups(shard_jobs) -> tuple[list, list[int]]:
     return representatives, list(map(group_of_pair.__getitem__, map(id, jobs)))
 
 
-def _log_occupancy(resource_ids, occupancy, lane_log) -> None:
+def _log_occupancy(lanes, occupancy, lane_log) -> None:
     """File a replay's per-resource occupancy intervals under the
-    interned resources' lane names."""
-    from repro.core.executor import lane_name
+    resources' lane names."""
+    for lane, intervals in zip(lanes, occupancy):
+        if intervals:
+            lane_log.setdefault(lane, []).extend(intervals)
 
-    for key, index in resource_ids.items():
-        if occupancy[index]:
-            lane_log.setdefault(lane_name(key), []).extend(occupancy[index])
+
+def _release_times(batch: CompiledBatch, arrivals) -> list[float]:
+    return [0.0] * len(batch) if arrivals is None else arrivals
 
 
 class EngineBackend:
@@ -191,9 +214,9 @@ class EngineBackend:
 
     name = "engine"
 
-    def simulate(self, executor, shard_jobs, shard_arrivals, lane_log):
-        finish, makespan = executor._execute_batch_engine(
-            shard_jobs, lane_log, shard_arrivals
+    def simulate(self, executor, batch, arrivals, lane_log):
+        finish, makespan = executor._run_engine(
+            batch, executor._lane_recorder(lane_log), arrivals
         )
         return finish, makespan, 0
 
@@ -257,55 +280,19 @@ class DagReplayBackend:
 
     name = "dag_replay"
 
-    def simulate(self, executor, shard_jobs, shard_arrivals, lane_log):
-        # Flatten each super-job once; its replicas share the program.
-        representatives, member_group = superjob_groups(shard_jobs)
-        resource_ids: dict[object, int] = {}
-        programs: list = []
-        for pipeline, schedule in representatives:
-            program = self._dag_program(
-                executor, pipeline, schedule, resource_ids
-            )
-            if program is None:  # degenerate zero-duration task
-                return None
-            programs.append(program)
+    def simulate(self, executor, batch, arrivals, lane_log):
+        if not batch.positive:
+            return None
         finish, makespan, occupancy = replay_dag_batch(
-            programs,
-            member_group,
-            [0.0] * len(member_group)
-            if shard_arrivals is None
-            else shard_arrivals,
-            len(resource_ids),
+            batch.programs,
+            batch.member_group,
+            _release_times(batch, arrivals),
+            len(batch.lanes),
         )
-        _log_occupancy(resource_ids, occupancy, lane_log)
-        return finish, makespan, len(representatives)
+        _log_occupancy(batch.lanes, occupancy, lane_log)
+        return finish, makespan, len(batch.programs)
 
-    @staticmethod
-    def _dag_program(executor, pipeline, schedule, resource_ids):
-        """Flatten one job into a :func:`repro.hw.engine.replay_dag_batch`
-        program: per-stage task lists
-        (:meth:`~repro.core.executor.PipelineExecutor._flatten_stage`)
-        plus predecessor indices, all in topological order.  Returns
-        ``None`` when any duration is non-positive: the replay's banded
-        tie-handling assumes time strictly advances per occupancy, so
-        zero-cost tasks fall back to the generator engine."""
-        topo = pipeline.topological_order
-        position_of = {name: i for i, name in enumerate(topo)}
-        stage_tasks: list[list[tuple[int, float]]] = []
-        stage_preds: list[tuple[int, ...]] = []
-        for name in topo:
-            tasks = executor._flatten_stage(
-                pipeline, schedule, name, resource_ids
-            )
-            if any(duration <= 0.0 for _res, duration in tasks):
-                return None
-            stage_tasks.append(tasks)
-            stage_preds.append(
-                tuple(position_of[p] for p in pipeline.predecessors(name))
-            )
-        return stage_tasks, stage_preds
-
-    def unsupported_reason(self, executor, shard_jobs) -> str:
+    def unsupported_reason(self, executor, batch) -> str:
         return _ZERO_DURATION_REASON
 
 
@@ -326,41 +313,26 @@ class VectorReplayBackend:
 
     name = "vector_replay"
 
-    def simulate(self, executor, shard_jobs, shard_arrivals, lane_log):
-        representatives, member_group = superjob_groups(shard_jobs)
-        if len(representatives) != 1:
-            return None
-        pipeline, schedule = representatives[0]
-        resource_ids: dict[object, int] = {}
-        program = DagReplayBackend._dag_program(
-            executor, pipeline, schedule, resource_ids
-        )
-        if program is None:  # degenerate zero-duration task
+    def simulate(self, executor, batch, arrivals, lane_log):
+        if len(batch.programs) != 1 or not batch.positive:
             return None
         result = replay_vector_batch(
-            program,
-            [0.0] * len(member_group)
-            if shard_arrivals is None
-            else shard_arrivals,
-            len(resource_ids),
+            batch.programs[0],
+            _release_times(batch, arrivals),
+            len(batch.lanes),
         )
         if result is None:  # wave order unprovable: tie/interleaving
             return None
         finish, makespan, occupancy = result
-        _log_occupancy(resource_ids, occupancy, lane_log)
+        _log_occupancy(batch.lanes, occupancy, lane_log)
         return finish, makespan, 1
 
-    def unsupported_reason(self, executor, shard_jobs) -> str:
-        representatives, _ = superjob_groups(shard_jobs)
-        if len(representatives) != 1:
+    def unsupported_reason(self, executor, batch) -> str:
+        if len(batch.programs) != 1:
             return CROSS_SIGNATURE_REASON_TEMPLATE.format(
-                count=len(representatives)
+                count=len(batch.programs)
             )
-        pipeline, schedule = representatives[0]
-        program = DagReplayBackend._dag_program(
-            executor, pipeline, schedule, {}
-        )
-        if program is None:
+        if not batch.positive:
             return _ZERO_DURATION_REASON
         return UNPROVABLE_TIE_REASON
 

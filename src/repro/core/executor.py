@@ -1,32 +1,47 @@
 """Pipeline executor: maps schedules onto the machine models via the DES.
 
 The executor turns a :class:`~repro.core.scheduler.Schedule` into a
-discrete-event simulation: one process per stage that (1) waits for *all*
-of its DAG predecessors, (2) pays any cross-boundary transfer of its
-inputs over the link serving that device pair (one transfer per crossing
-in-edge; the CPU<->NDP host link by default, per-pair wires when the
-cost model defines them), (3) occupies its assigned device for the
-stage's modeled duration.  Devices and links are engine resources, so
-independent branches placed on distinct devices genuinely overlap while
-stages contending for the same device — or concurrent transfers
-contending for the same wire — serialize exactly as they would on the
-real hardware.
+discrete-event simulation in which each stage (1) waits for *all* of
+its DAG predecessors, (2) pays any cross-boundary transfer of its
+inputs over the link serving that device pair (one transfer per
+crossing in-edge; the CPU<->NDP host link by default, per-pair wires
+when the cost model defines them), (3) occupies its assigned device for
+the stage's modeled duration.  Devices and links are capacity-1 FIFO
+resources, so independent branches placed on distinct devices
+genuinely overlap while stages contending for the same device — or
+concurrent transfers contending for the same wire — serialize exactly
+as they would on the real hardware.
+
+Every path prices a job through one compile.
+:meth:`PipelineExecutor.compile_batch` groups a batch's jobs into
+signature-coalesced super-jobs and compiles each super-job once into
+a ``(stage_tasks, stage_preds)`` program — per stage in topological
+order, its ``(resource, duration)`` tasks (boundary transfers in
+in-edge order, then the device occupancy) and its predecessor indices
+— over resources it interns batch-wide and names (:func:`lane_name`).
+The replay backends (:mod:`repro.core.backends`) run those programs
+directly; the generator engine spawns one process per stage of every
+job from them.  :meth:`PipelineExecutor._eq1_overhead` prices the
+job's Eq. 1 overhead independently, in the scheduler's order, and
+fails loudly if the two ever drift.
 
 Two entry points:
 
-- :meth:`PipelineExecutor.execute` — one job, one engine; on the paper's
-  linear chain this reproduces the original serialized totals exactly
-  (the Fig. 7 data).
+- :meth:`PipelineExecutor.execute` — one job.  A single connected chain
+  accrues its compiled task durations in order (the engine's exact
+  float additions, so the Fig. 7 totals do not move); a branching DAG,
+  or any job with an ``observer``, runs the engine on the program.
 - :meth:`PipelineExecutor.execute_many` — a batch of jobs on one shared
   set of device/link resources, timed as one simulation by one
-  registered backend (:mod:`repro.core.backends`): the batching back-end
-  of :meth:`repro.core.framework.NdftFramework.run_many`.
+  registered backend: the batching back-end of
+  :meth:`repro.core.framework.NdftFramework.run_many`.
 
 :meth:`PipelineExecutor.execute` takes an ``observer`` callback
 (``lane, label, start, end``) that receives every occupancy interval of
 the job — device lanes are named after the placement
-(``"cpu"``/``"ndp"``/``"gpu"``), transfers land on one lane per physical
-wire (``"link:cpu-ndp"``, ``"link:cpu-gpu"``, ...) — which is how
+(``"cpu"``/``"ndp"``/``"gpu"``) and labelled with the stage name,
+transfers land on one lane per physical wire (``"link:cpu-ndp"``,
+``"link:cpu-gpu"``, ...) labelled ``"src->dst"`` — which is how
 :mod:`repro.core.trace` rebuilds exact Gantt timelines without a second
 timing model.
 """
@@ -112,10 +127,10 @@ class ShardTiming:
 
     ``backend`` is the registry name of the backend that actually timed
     the batch; ``wall_seconds`` is host (not virtual) time spent
-    simulating it, measured around the whole backend walk including any
-    declined attempts.  ``n_jobs`` and ``n_superjobs`` are the batch's
-    job count and signature-coalesced super-job count (0 on the
-    uncollapsed engine path).
+    simulating it, measured around the batch's compile and the whole
+    backend walk, including any declined attempts.  ``n_jobs`` and
+    ``n_superjobs`` are the batch's job count and signature-coalesced
+    super-job count (0 on the uncollapsed engine path).
     """
 
     backend: str
@@ -286,19 +301,24 @@ class PipelineExecutor:
         schedule: Schedule,
         observer: TraceObserver | None = None,
     ) -> ExecutionReport:
+        """One job on a dedicated machine, priced from its compiled
+        program.  An uncontended single chain needs no event loop:
+        every stage waits on its unique predecessor before touching any
+        resource, so the makespan is the task durations accrued in
+        program order — the additions the engine performs, so the
+        floats are bit-identical.  Any other shape, or any
+        ``observer`` (even a no-op, which is how the tests cross-check
+        the two), runs the engine."""
+        overhead_total = self._eq1_overhead(pipeline, schedule)
         if observer is None and self._is_single_chain(pipeline):
-            return self._execute_chain_analytic(pipeline, schedule)
-        engine = Engine()
-        devices = self._device_resources(engine, [schedule])
-        links: dict[frozenset, Resource] = {}
-        plan = self._transfer_plan(engine, links, pipeline, schedule)
-        processes, overhead_total = self._spawn_job(
-            engine, devices, pipeline, schedule, observer, plan
-        )
-        engine.run()
-        return self._job_report(
-            pipeline, schedule, overhead_total, self._finish_time(processes)
-        )
+            total = 0.0
+            for tasks in self._compile_job(pipeline, schedule, {})[0]:
+                for _resource, duration in tasks:
+                    total += duration
+        else:
+            batch = self.compile_batch([(pipeline, schedule)])
+            total = self._run_engine(batch, observer)[0][0]
+        return self._job_report(pipeline, schedule, overhead_total, total)
 
     @staticmethod
     def _is_single_chain(pipeline: Pipeline) -> bool:
@@ -327,31 +347,76 @@ class PipelineExecutor:
         self._check_overhead(overhead_total, schedule)
         return overhead_total
 
-    def _execute_chain_analytic(
-        self, pipeline: Pipeline, schedule: Schedule
-    ) -> ExecutionReport:
-        """O(stages) fast path for one uncontended chain job.
+    # ------------------------------------------------------------------
+    # The compile every simulation path runs
+    # ------------------------------------------------------------------
+    def compile_batch(
+        self, jobs: Sequence[tuple[Pipeline, Schedule]]
+    ) -> "_backends.CompiledBatch":
+        """Group ``jobs`` into super-jobs by pipeline/schedule object
+        identity (:func:`repro.core.backends.superjob_groups`; the
+        framework hands duplicates one shared pair) and compile each
+        super-job once — the :class:`~repro.core.backends.CompiledBatch`
+        every backend's ``simulate`` reads."""
+        representatives, member_group = _backends.superjob_groups(jobs)
+        resource_ids: dict[object, int] = {}
+        programs = [
+            self._compile_job(pipeline, schedule, resource_ids)
+            for pipeline, schedule in representatives
+        ]
+        return _backends.CompiledBatch(
+            representatives,
+            member_group,
+            programs,
+            [lane_name(key) for key in resource_ids],
+        )
 
-        Accumulates virtual time in exactly the order the DES would (each
-        boundary transfer, then the stage duration, stage by stage down
-        the chain), so the resulting floats are bit-identical to
-        :class:`~repro.hw.engine.Engine`'s makespan — the Fig. 7 totals
-        do not move.  Passing any ``observer`` (even a no-op) forces the
-        full DES, which is how the tests cross-check the two paths.
-        """
-        overhead_total = self._eq1_overhead(pipeline, schedule)
-        # Virtual-time accrual in chain order: transfer(s), then compute.
-        now = 0.0
-        for name in pipeline.topological_order:
-            placement = schedule.assignments[name]
-            for edge in pipeline.in_edges(name):
-                src = schedule.assignments[edge.src]
+    def _compile_job(
+        self,
+        pipeline: Pipeline,
+        schedule: Schedule,
+        resource_ids: dict[object, int],
+    ) -> tuple[list[list[tuple[int, float]]], list[tuple[int, ...]]]:
+        """One job as a ``(stage_tasks, stage_preds)`` program, stages
+        in topological order: each boundary-crossing in-edge's transfer
+        on the owning wire (in-edge order), then the stage on its
+        device, as ``(resource index, duration)`` tasks; and each
+        stage's predecessor indices in in-edge order.  ``resource_ids``
+        interns devices (:class:`Placement`) and wires (placement-pair
+        frozensets) batch-wide, in first-use order, so replicas and
+        distinct super-jobs contend on the same indices.  This is the
+        executor's one boundary-pricing walk: change pricing here and
+        the replays, the engine and the solo chain stay in lockstep
+        (with :meth:`_eq1_overhead`'s independent cross-check)."""
+        assignments = schedule.assignments
+        stage_times = schedule.stage_times
+        boundary_cost = self.cost_model.boundary_cost
+        intern = resource_ids.setdefault
+        topo = pipeline.topological_order
+        position = {name: index for index, name in enumerate(topo)}
+        stage_tasks: list[list[tuple[int, float]]] = []
+        stage_preds: list[tuple[int, ...]] = []
+        for name in topo:
+            placement = assignments[name]
+            tasks: list[tuple[int, float]] = []
+            edges = pipeline.in_edges(name)
+            for edge in edges:
+                src = assignments[edge.src]
                 if src is not placement:
-                    now += self.cost_model.boundary_cost(
-                        edge.nbytes, (src, placement)
+                    tasks.append(
+                        (
+                            intern(
+                                frozenset((src, placement)), len(resource_ids)
+                            ),
+                            boundary_cost(edge.nbytes, (src, placement)),
+                        )
                     )
-            now += schedule.stage_times[name].total
-        return self._job_report(pipeline, schedule, overhead_total, now)
+            tasks.append(
+                (intern(placement, len(resource_ids)), stage_times[name].total)
+            )
+            stage_tasks.append(tasks)
+            stage_preds.append(tuple([position[edge.src] for edge in edges]))
+        return stage_tasks, stage_preds
 
     # ------------------------------------------------------------------
     # Batched jobs on one shared machine
@@ -372,11 +437,9 @@ class PipelineExecutor:
         device and link contention between the released jobs exactly as
         before.
 
-        The batch is columnar over *templates*: one pass groups the jobs
-        by (pipeline, schedule) object identity
-        (:func:`repro.core.backends.superjob_groups`; the framework hands
-        duplicates one shared pair), and report fields are derived once
-        per template.  The batch goes to the first simulation backend
+        The batch is compiled once (:meth:`compile_batch`: one program
+        per super-job), report fields are derived once per super-job,
+        and the compiled batch goes to the first simulation backend
         (:mod:`repro.core.backends`) that does not decline it, walking
         the order :func:`repro.core.backends.selection_order` derives
         from the batch's shape: the DAG FIFO replay (one cursor per
@@ -384,7 +447,7 @@ class PipelineExecutor:
         replay (first, for large closed single-signature batches), or
         the generator engine as the universal fallback.  Backends return
         completion times; every job's :class:`ExecutionReport` is then
-        built eagerly from its template's shared fields.
+        built eagerly from its super-job's shared fields.
 
         ``backend`` names one registered backend to force (the serving
         benchmark's A/B switch); a forced backend that cannot simulate
@@ -425,52 +488,40 @@ class PipelineExecutor:
                     f"negative arrival offset: {min(arrivals)}"
                 )
         forced = None if backend is None else _backends.get_backend(backend)
-        representatives, job_template = _backends.superjob_groups(jobs)
-        batch = _backends.ShardJobs(jobs, representatives, job_template)
         lane_log: dict[str, list[tuple[float, float]]] = {}
         failures: list = []
-        faulted = faults is not None and faults.affects(
-            self._lane_names(representatives)
-        )
         wall_start = perf_counter()
-        if faulted:
-            chosen, finish, makespan, n_superjobs = (
-                self._simulate_faulted_batch(
-                    batch, arrivals, forced, lane_log, faults, failures
-                )
-            )
-        else:
-            chosen, finish, makespan, n_superjobs = self._simulate_batch(
-                batch, arrivals, forced, lane_log
-            )
+        batch = self.compile_batch(jobs)
+        chosen, finish, makespan, n_superjobs = self._simulate(
+            batch, arrivals, forced, lane_log, faults, failures
+        )
         timing = ShardTiming(
             chosen, perf_counter() - wall_start, n, n_superjobs
         )
         return BatchExecutionReport(
-            job_reports=self._job_reports(
-                representatives, job_template, finish
-            ),
+            job_reports=self._job_reports(batch, finish),
             makespan=makespan,
             arrivals=None if arrivals is None else tuple(arrivals),
             n_superjobs=n_superjobs,
             backend_jobs={chosen: n},
-            lane_occupancy=self._freeze_lanes(lane_log),
+            lane_occupancy={
+                lane: tuple(intervals) for lane, intervals in lane_log.items()
+            },
             backend_timings=(timing,),
             failures=tuple(failures),
         )
 
     def _job_reports(
         self,
-        representatives: Sequence[tuple[Pipeline, Schedule]],
-        job_template: Sequence[int],
+        batch: "_backends.CompiledBatch",
         finish: Sequence[float],
     ) -> tuple[ExecutionReport, ...]:
-        """Every job's report: its template's fields, derived once per
-        template and shared (never copied) by its replicas, plus the
+        """Every job's report: its super-job's fields, derived once per
+        super-job and shared (never copied) by its replicas, plus the
         job's own completion time."""
         templates = [
             self._job_report(p, s, self._eq1_overhead(p, s), 0.0)
-            for p, s in representatives
+            for p, s in batch.representatives
         ]
         fields = [
             (t.phase_seconds, t.phase_times, t.scheduling_overhead, t.assignments)
@@ -481,213 +532,142 @@ class PipelineExecutor:
             [
                 report(phases, times, overhead, total, assignments)
                 for (phases, times, overhead, assignments), total in zip(
-                    map(fields.__getitem__, job_template), finish
+                    map(fields.__getitem__, batch.member_group), finish
                 )
             ]
         )
 
-    def _lane_names(
-        self, representatives: Sequence[tuple[Pipeline, Schedule]]
-    ) -> set[str]:
-        """All device/wire lane names the batch's schedules can occupy."""
-        lanes: set[str] = set()
-        for _pipeline, schedule in representatives:
-            lanes.update(self.schedule_lanes(schedule))
-        return lanes
-
-    def _simulate_faulted_batch(
-        self,
-        batch: "_backends.ShardJobs",
-        arrivals: Sequence[float] | None,
-        forced: "_backends.SimulationBackend | None",
-        lane_log: dict[str, list[tuple[float, float]]],
-        faults: "FaultPlan",
-        failures: list,
-    ) -> tuple[str, list[float], float, int]:
-        """Simulate a batch whose lanes carry fault-plan events.
-
-        Only the fault-aware generator engine understands outage and
-        slowdown windows, so every replay backend declines here —
-        forcing one raises with the named reason, mirroring
-        :meth:`_simulate_batch`'s refusal style.  The reason
-        distinguishes the two shapes: a batch whose lanes carry any
-        job-killing event (outage window, permanent death) declines
-        with :data:`~repro.core.backends.FAULTED_SHARD_REASON`; a
-        slowdown-only batch — nothing dies, services just inflate —
-        declines with
-        :data:`~repro.core.backends.SLOWDOWN_SHARD_REASON` (the FIFO
-        hop-cascade equivalence does not carry over to inflated
-        services).  Run failures are appended to ``failures`` keyed by
-        batch index.
-        """
-        if forced is not None and forced.name != _ENGINE_BACKEND:
-            reason = (
-                _backends.FAULTED_SHARD_REASON
-                if faults.affects_lethally(
-                    self._lane_names(batch.representatives)
-                )
-                else _backends.SLOWDOWN_SHARD_REASON
-            )
-            raise SimulationError(
-                f"backend {forced.name!r} cannot simulate a "
-                f"{len(batch)}-job batch ({reason}) and no fallback "
-                "is allowed"
-            )
-        finish, makespan = self._execute_batch_engine(
-            batch, lane_log, arrivals, fault_plan=faults, failures=failures
-        )
-        return _ENGINE_BACKEND, finish, makespan, 0
-
-    @staticmethod
-    def _freeze_lanes(
-        lane_log: dict[str, list[tuple[float, float]]]
-    ) -> dict[str, tuple[tuple[float, float], ...]]:
-        return {lane: tuple(ivs) for lane, ivs in lane_log.items()}
-
     # ------------------------------------------------------------------
     # Batch internals: the backend walk, the engine path
     # ------------------------------------------------------------------
-    def _simulate_batch(
+    def _simulate(
         self,
-        batch: "_backends.ShardJobs",
+        batch: "_backends.CompiledBatch",
         arrivals: list[float] | None,
         forced: "_backends.SimulationBackend | None",
         lane_log: dict[str, list[tuple[float, float]]],
+        faults: "FaultPlan | None",
+        failures: list,
     ) -> tuple[str, list[float], float, int]:
-        """Time the batch through the backend layer.
+        """Time the compiled batch through the backend layer.
 
         The default walk tries every registered backend in the order
         :func:`repro.core.backends.selection_order` derives from the
         batch's shape and takes the first that does not decline it; the
         engine backend, last in every walk, declines nothing, so the
-        walk always terminates.  ``forced`` pins one named backend and
-        raises — naming the backend's reason, asked about one
-        representative job per super-job — when it declines the batch.
-        ``lane_log`` collects the batch's per-lane occupancy intervals.
-        Returns the chosen backend's name, the per-job completion times
-        in batch order, the makespan, and the super-job count.
+        walk always terminates.  A batch whose lanes carry fault-plan
+        events goes straight to the fault-aware engine path, the only
+        one that understands outage and slowdown windows (run failures
+        land in ``failures`` by batch index).  ``forced`` pins one named
+        backend and raises, naming why, when it cannot simulate the
+        batch: its own ``unsupported_reason`` for the compiled batch,
+        or for a faulted batch
+        :data:`~repro.core.backends.FAULTED_SHARD_REASON` when any lane
+        carries a job-killing event (outage window, permanent death)
+        and :data:`~repro.core.backends.SLOWDOWN_SHARD_REASON` when the
+        lanes only slow down (the FIFO hop-cascade equivalence does not
+        carry over to inflated services).  ``lane_log`` collects the
+        batch's per-lane occupancy intervals.  Returns the chosen
+        backend's name, the per-job completion times in batch order,
+        the makespan, and the super-job count.
         """
-        if forced is not None:
-            candidates: tuple = (forced,)
-        else:
-            candidates = _backends.selection_order(
-                len(batch), len(batch.representatives), arrivals is None
+        if faults is not None and faults.affects(batch.lanes):
+            if forced is None or forced.name == _ENGINE_BACKEND:
+                finish, makespan = self._run_engine(
+                    batch,
+                    self._lane_recorder(lane_log),
+                    arrivals,
+                    faults,
+                    failures,
+                )
+                return _ENGINE_BACKEND, finish, makespan, 0
+            reason = (
+                _backends.FAULTED_SHARD_REASON
+                if faults.affects_lethally(batch.lanes)
+                else _backends.SLOWDOWN_SHARD_REASON
             )
-        for candidate in candidates:
-            result = candidate.simulate(self, batch, arrivals, lane_log)
-            if result is not None:
-                finish, makespan, groups = result
-                return candidate.name, finish, makespan, groups
-        reason = forced.unsupported_reason(self, batch.representatives)
+        else:
+            if forced is not None:
+                candidates: tuple = (forced,)
+            else:
+                candidates = _backends.selection_order(
+                    len(batch), len(batch.programs), arrivals is None
+                )
+            for candidate in candidates:
+                result = candidate.simulate(self, batch, arrivals, lane_log)
+                if result is not None:
+                    finish, makespan, groups = result
+                    return candidate.name, finish, makespan, groups
+            reason = forced.unsupported_reason(self, batch)
         raise SimulationError(
             f"backend {forced.name!r} cannot simulate a "
             f"{len(batch)}-job batch ({reason}) and no fallback "
             "is allowed"
         )
 
-    def _flatten_stage(
-        self,
-        pipeline: Pipeline,
-        schedule: Schedule,
-        name: str,
-        resource_ids: dict[object, int],
-    ) -> list[tuple[int, float]]:
-        """One stage as FIFO-replay tasks: ``(resource index, duration)``
-        pairs — each boundary-crossing in-edge's transfer on the owning
-        wire (in-edge order), then the stage on its device — exactly the
-        acquire sequence :meth:`_spawn_job`'s stage processes perform.
-        ``resource_ids`` interns devices (:class:`Placement`) and wires
-        (placement-pair frozensets) batch-wide, so replicas and distinct
-        groups contend on the same indices.  The single pricing/interning
-        walk both replay backends flatten through — change boundary
-        pricing here and the DAG replay, the wave replay and the engine
-        (via :meth:`_eq1_overhead`'s cross-check) stay in lockstep."""
-        placement = schedule.assignments[name]
-        tasks: list[tuple[int, float]] = []
-        for edge in pipeline.in_edges(name):
-            src = schedule.assignments[edge.src]
-            if src is not placement:
-                pair = frozenset((src, placement))
-                wire = resource_ids.get(pair)
-                if wire is None:
-                    wire = resource_ids[pair] = len(resource_ids)
-                tasks.append(
-                    (
-                        wire,
-                        self.cost_model.boundary_cost(
-                            edge.nbytes, (src, placement)
-                        ),
-                    )
-                )
-        device = resource_ids.get(placement)
-        if device is None:
-            device = resource_ids[placement] = len(resource_ids)
-        tasks.append((device, schedule.stage_times[name].total))
-        return tasks
+    @staticmethod
+    def _lane_recorder(
+        lane_log: dict[str, list[tuple[float, float]]]
+    ) -> TraceObserver:
+        """An observer filing every occupancy under its lane in
+        ``lane_log`` — the engine path's lane accounting."""
 
-    def _execute_batch_engine(
+        def record(lane, _label, start, end):
+            lane_log.setdefault(lane, []).append((start, end))
+
+        return record
+
+    def _run_engine(
         self,
-        jobs: Sequence[tuple[Pipeline, Schedule]],
-        lane_log: dict[str, list[tuple[float, float]]],
-        arrivals: Sequence[float] | None,
+        batch: "_backends.CompiledBatch",
+        observer: TraceObserver | None,
+        arrivals: Sequence[float] | None = None,
         fault_plan: "FaultPlan | None" = None,
         failures: list | None = None,
     ) -> tuple[list[float], float]:
-        """The uncollapsed path: every job of ``jobs`` as stage
-        processes on one shared engine (the pre-coalescing semantics,
-        and the reference the fast paths are verified against).
-        Returns per-job completion times and the makespan; every
-        device/wire occupancy lands in ``lane_log`` with the engine's
-        own start/end floats.
+        """The uncollapsed path: every job of ``batch`` as stage
+        processes on one shared engine, spawned from its super-job's
+        program (the pre-coalescing semantics, and the reference the
+        replays are verified against).  Returns per-job completion
+        times and the makespan; ``observer`` sees every occupancy with
+        the engine's own start/end floats.
 
         With a ``fault_plan``, each job gets a shared mutable fault
         state: the first task of the job hit by an outage window or a
         permanent lane death marks the whole job failed at that instant,
         remaining stages fall through (holding nothing past their
         current occupancy), and the run lands in ``failures`` under its
-        batch index.  ``fault_plan=None`` takes the exact pre-fault
-        generator — bit-identity with the replay backends depends on
-        it."""
-
-        def record(lane, _label, start, end):
-            lane_log.setdefault(lane, []).append((start, end))
-
+        batch index."""
         engine = Engine()
-        devices = self._device_resources(
-            engine, [schedule for _pipeline, schedule in jobs]
-        )
-        links: dict[frozenset, Resource] = {}
-        # Deduplicated batch setup: jobs sharing the same pipeline and
-        # schedule *objects* (what the framework's entry store hands out
-        # for duplicate jobs) share one transfer plan instead of
-        # re-pricing every boundary per copy.  Keyed by identity — the
-        # ``jobs`` sequence keeps the objects alive for the whole call —
-        # because value-equality would be as expensive as rebuilding.
-        plans: dict[tuple[int, int], tuple] = {}
-        spawned = []
+        lanes = [engine.resource(1, lane) for lane in batch.lanes]
+        templates = []
+        for (pipeline, _schedule), program in zip(
+            batch.representatives, batch.programs
+        ):
+            names = pipeline.topological_order
+            labels = (
+                None
+                if observer is None
+                else self._task_labels(names, program)
+            )
+            templates.append((program, names, labels))
         states = (
             None
             if fault_plan is None
-            else [_RunFaultState() for _ in jobs]
+            else [_RunFaultState() for _ in batch.member_group]
         )
-        for position, (pipeline, schedule) in enumerate(jobs):
-            plan_key = (id(pipeline), id(schedule))
-            plan = plans.get(plan_key)
-            if plan is None:
-                plan = self._transfer_plan(engine, links, pipeline, schedule)
-                plans[plan_key] = plan
-            processes, _overhead = self._spawn_job(
+        spawned = [
+            self._spawn_job(
                 engine,
-                devices,
-                pipeline,
-                schedule,
-                record,
-                plan,
-                release=None if arrivals is None else arrivals[position],
+                lanes,
+                *templates[group],
+                observer,
+                release=None if arrivals is None else arrivals[job],
                 fault_plan=fault_plan,
-                fault_state=None if states is None else states[position],
+                fault_state=None if states is None else states[job],
             )
-            spawned.append(processes)
+            for job, group in enumerate(batch.member_group)
+        ]
         makespan = engine.run()
         finish = [self._finish_time(processes) for processes in spawned]
         if states is not None and failures is not None:
@@ -718,158 +698,106 @@ class PipelineExecutor:
     # Internals
     # ------------------------------------------------------------------
     @staticmethod
-    def _device_resources(
-        engine: Engine, schedules: Sequence[Schedule]
-    ) -> dict[Placement, Resource]:
-        placements = sorted(
-            {p for schedule in schedules for p in schedule.assignments.values()},
-            key=lambda p: p.value,
-        )
-        return {p: engine.resource(1, str(p)) for p in placements}
-
-    def _transfer_plan(
-        self,
-        engine: Engine,
-        links: dict[frozenset, Resource],
-        pipeline: Pipeline,
-        schedule: Schedule,
-    ) -> tuple[dict[str, list[tuple[str, Resource, float]]], float]:
-        """Price every boundary-crossing in-edge of one job: per-stage
-        transfer lists plus the job's total Eq. 1 overhead.
-
-        ``links`` maps each device pair to its capacity-1 wire resource
-        (created on first use and shared across every job in the engine),
-        so CPU<->NDP and CPU<->GPU transfers ride distinct wires while
-        transfers on the same wire serialize.  The job total comes from
-        :meth:`_eq1_overhead` (the one scheduler-order summation).
-        """
-        overhead_total = self._eq1_overhead(pipeline, schedule)
-        transfers: dict[str, list[tuple[str, Resource, float]]] = {
-            name: [] for name in pipeline.stage_names
-        }
-        for edge in pipeline.edges:
-            src_placement = schedule.assignments[edge.src]
-            dst_placement = schedule.assignments[edge.dst]
-            if src_placement is not dst_placement:
-                pair = frozenset((src_placement, dst_placement))
-                if pair not in links:
-                    wire_name = "link:" + "-".join(sorted(p.value for p in pair))
-                    links[pair] = engine.resource(1, wire_name)
-                cost = self.cost_model.boundary_cost(
-                    edge.nbytes, (src_placement, dst_placement)
-                )
-                transfers[edge.dst].append(
-                    (f"{edge.src}->{edge.dst}", links[pair], cost)
-                )
-        return transfers, overhead_total
+    def _task_labels(
+        names: Sequence[str],
+        program: tuple[list[list[tuple[int, float]]], list[tuple[int, ...]]],
+    ) -> list[list[str]]:
+        """Each compiled task's trace label: ``"src->dst"`` for a
+        boundary transfer, the stage name for its device occupancy.  A
+        stage's transfers are its predecessors placed on another device
+        (a stage's device is its last task's resource), in in-edge
+        order — exactly the tasks :meth:`_compile_job` emitted."""
+        stage_tasks, stage_preds = program
+        device = [tasks[-1][0] for tasks in stage_tasks]
+        return [
+            [
+                *(
+                    f"{names[pred]}->{name}"
+                    for pred in preds
+                    if device[pred] != device[stage]
+                ),
+                name,
+            ]
+            for stage, (name, preds) in enumerate(zip(names, stage_preds))
+        ]
 
     def _spawn_job(
         self,
         engine: Engine,
-        devices: dict[Placement, Resource],
-        pipeline: Pipeline,
-        schedule: Schedule,
+        lanes: list[Resource],
+        program: tuple[list[list[tuple[int, float]]], list[tuple[int, ...]]],
+        names: Sequence[str],
+        labels: list[list[str]] | None,
         observer: TraceObserver | None,
-        plan: tuple[dict[str, list[tuple[str, Resource, float]]], float],
         release: float | None = None,
         fault_plan: FaultPlan | None = None,
         fault_state: "_RunFaultState | None" = None,
-    ) -> tuple[dict[str, SimProcess], float]:
-        """Spawn one process per stage (in topological order, so every
-        predecessor process exists before its dependents) and return the
-        processes plus the job's total Eq. 1 overhead.  ``plan`` is the
-        job's :meth:`_transfer_plan` (shareable between jobs that run
-        the same pipeline/schedule objects in the same engine).
+    ) -> list[SimProcess]:
+        """Spawn one process per stage of ``program`` (in topological
+        order, so every predecessor process exists before its
+        dependents) and return them.  ``lanes`` holds the engine
+        resource of each compiled resource index; ``names`` and
+        ``labels`` (``None`` when nothing observes) name the stages and
+        tasks for the observer.
         ``release`` delays the job's entry stages to that arrival offset
         (downstream stages inherit it through the predecessor waits).
 
-        ``fault_plan``/``fault_state`` switch to the fault-aware stage
-        generator.  The healthy generator below stays byte-for-byte what
-        it was before faults existed: the empty-plan bit-identity
-        contract requires the no-fault event stream to be untouched."""
-        transfers, overhead_total = plan
+        ``fault_plan``/``fault_state`` mark a faulted run: every
+        occupancy runs through the fault plan (on a lane without fault
+        events that yields exactly the plain acquire/timeout/release
+        commands), and once any stage of the job fails, the remaining
+        tasks fall through — they still pass their acquire/release
+        pairs (so FIFO queues drain and nothing deadlocks) but occupy no
+        time on the lane.  Without a fault state the plain yields run
+        unconditionally: the empty-plan bit-identity contract requires
+        the no-fault event stream to be untouched."""
+        stage_tasks, stage_preds = program
 
-        def stage_process(name: str, predecessors: list[SimProcess]):
-            placement = schedule.assignments[name]
-            device = devices[placement]
-            duration = schedule.stage_times[name].total
+        def stage_process(stage: int, predecessors: list[SimProcess]):
             if release is not None and not predecessors:
                 yield engine.timeout(release)
             for predecessor in predecessors:
                 yield predecessor
-            for label, wire, cost in transfers[name]:
-                yield wire.acquire()
-                start = engine.now
-                yield engine.timeout(cost)
-                if observer is not None:
-                    observer(wire.name, label, start, engine.now)
-                yield wire.release()
-            yield device.acquire()
-            start = engine.now
-            yield engine.timeout(duration)
-            if observer is not None:
-                observer(str(placement), name, start, engine.now)
-            yield device.release()
-
-        def faulty_stage_process(name: str, predecessors: list[SimProcess]):
-            # Mirrors stage_process, but every occupancy runs through the
-            # fault plan, and once any stage of the job fails, the
-            # remaining stages fall through: they still pass their
-            # acquire/release pairs (so FIFO queues drain and nothing
-            # deadlocks) but occupy no time on the lane.
-            placement = schedule.assignments[name]
-            device = devices[placement]
-            duration = schedule.stage_times[name].total
-            if release is not None and not predecessors:
-                yield engine.timeout(release)
-            for predecessor in predecessors:
-                yield predecessor
-            for label, wire, cost in transfers[name]:
-                yield wire.acquire()
-                alive = fault_state.failed_at is None and (
+            for task, (resource, duration) in enumerate(stage_tasks[stage]):
+                lane = lanes[resource]
+                yield lane.acquire()
+                if fault_state is None:
+                    start = engine.now
+                    yield engine.timeout(duration)
+                    if observer is not None:
+                        observer(
+                            lane.name, labels[stage][task], start, engine.now
+                        )
+                elif fault_state.failed_at is not None or not (
                     yield from self._occupy_faulted(
                         engine,
                         fault_plan,
                         fault_state,
-                        wire.name,
-                        cost,
+                        lane.name,
+                        duration,
                         observer,
-                        label,
+                        None if labels is None else labels[stage][task],
                     )
-                )
-                yield wire.release()
-                if not alive:
+                ):
+                    yield lane.release()
                     return
-            yield device.acquire()
-            alive = fault_state.failed_at is None and (
-                yield from self._occupy_faulted(
-                    engine,
-                    fault_plan,
-                    fault_state,
-                    str(placement),
-                    duration,
-                    observer,
-                    name,
+                yield lane.release()
+            if fault_state is not None:
+                # Every occupancy of the stage finished — even if another
+                # stage of the job failed mid-flight, these were
+                # committed and ran to completion, so the stage belongs
+                # to the checkpoint frontier a resume may start past.
+                fault_state.completed.append(names[stage])
+
+        processes: list[SimProcess] = []
+        for stage, preds in enumerate(stage_preds):
+            processes.append(
+                engine.spawn(
+                    stage_process(stage, [processes[p] for p in preds]),
+                    name=names[stage],
                 )
             )
-            if alive:
-                # The stage's device work finished — even if another
-                # stage of the job failed mid-flight, this occupancy was
-                # committed and ran to completion, so it belongs to the
-                # checkpoint frontier a resume may start past.
-                fault_state.completed.append(name)
-            yield device.release()
-            if not alive:
-                return
-
-        factory = stage_process if fault_state is None else faulty_stage_process
-        processes: dict[str, SimProcess] = {}
-        for name in pipeline.topological_order:
-            predecessors = [processes[p] for p in pipeline.predecessors(name)]
-            processes[name] = engine.spawn(
-                factory(name, predecessors), name=name
-            )
-        return processes, overhead_total
+        return processes
 
     @staticmethod
     def _occupy_faulted(
@@ -925,8 +853,8 @@ class PipelineExecutor:
             )
 
     @staticmethod
-    def _finish_time(processes: dict[str, SimProcess]) -> float:
-        finishes = [p.finish_time for p in processes.values()]
+    def _finish_time(processes: list[SimProcess]) -> float:
+        finishes = [p.finish_time for p in processes]
         if any(f is None for f in finishes):
             raise SimulationError("job finished with unfinished stages")
         return max(finishes)

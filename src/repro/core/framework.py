@@ -48,7 +48,6 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, replace
 from itertools import repeat
-from math import isfinite
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -57,6 +56,7 @@ from repro.core.arrivals import (
     AdmissionPolicy,
     percentile,
     plan_admission,
+    validate_arrivals,
 )
 from repro.core.backends import backend_names
 from repro.core.cost_model import OffloadCostModel, serial_links
@@ -64,6 +64,7 @@ from repro.core.executor import (
     BatchExecutionReport,
     ExecutionReport,
     PipelineExecutor,
+    lane_name,
 )
 from repro.core.faults import (
     AttemptRecord,
@@ -830,13 +831,11 @@ class NdftFramework:
         per registry version (:meth:`register_target` invalidates), so
         per-call validation in serving loops costs a tuple fetch."""
         if self._fault_lanes is None:
-            targets = sorted(self.scheduler.targets, key=lambda p: p.value)
-            lanes = [p.value for p in targets]
+            targets = self.scheduler.targets
+            lanes = [lane_name(p) for p in targets]
             for i, a in enumerate(targets):
                 for b in targets[i + 1 :]:
-                    lanes.append(
-                        "link:" + "-".join(sorted((a.value, b.value)))
-                    )
+                    lanes.append(lane_name(frozenset((a, b))))
             self._fault_lanes = tuple(sorted(lanes))
         return self._fault_lanes
 
@@ -1322,16 +1321,7 @@ class NdftFramework:
                 "admission control acts on an open queue: pass arrivals= "
                 "(e.g. poisson_arrivals) alongside admission="
             )
-        arrivals = [float(offset) for offset in arrivals]
-        if len(arrivals) != len(index):
-            raise ConfigError(
-                f"{len(index)} jobs but {len(arrivals)} arrival offsets"
-            )
-        if not all(map(isfinite, arrivals)):
-            raise ConfigError(
-                "arrival offsets must be finite, got "
-                f"{next(a for a in arrivals if not isfinite(a))}"
-            )
+        arrivals = validate_arrivals(arrivals, len(index))
         decisions = plan_admission(
             admission,
             arrivals,

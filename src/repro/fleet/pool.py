@@ -37,10 +37,10 @@ from __future__ import annotations
 import multiprocessing
 import tempfile
 import time
-from math import isfinite
 from pathlib import Path
 from typing import Sequence
 
+from repro.core.arrivals import validate_arrivals
 from repro.core.framework import NdftFramework
 from repro.core.scheduler import SchedulingPolicy
 from repro.errors import ConfigError
@@ -207,16 +207,7 @@ class WorkerPool:
         if not sizes:
             raise ConfigError("serve needs at least one job")
         if arrivals is not None:
-            arrivals = tuple(float(offset) for offset in arrivals)
-            if len(arrivals) != len(sizes):
-                raise ConfigError(
-                    f"{len(sizes)} jobs but {len(arrivals)} arrival offsets"
-                )
-            if not all(map(isfinite, arrivals)):
-                raise ConfigError(
-                    "arrival offsets must be finite, got "
-                    f"{next(a for a in arrivals if not isfinite(a))}"
-                )
+            arrivals = tuple(validate_arrivals(arrivals, len(sizes)))
         started = time.perf_counter()
         solo_times, lanes = self.framework.job_estimates(sizes)
         plan = route_jobs(self.n_replicas, arrivals, solo_times, lanes)

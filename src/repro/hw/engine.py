@@ -336,7 +336,7 @@ class EventCalendar:
 # job is end to end, with per-replica join counters on the fan-in
 # stages.  The simulation backends (:mod:`repro.core.backends`)
 # cross-check the equivalence in tests and fall back to the full engine
-# for any attached observer or zero-duration task.
+# for any zero-duration task.
 #
 # Hop-band action codes, packed with the replica-segment index as
 # ``(rs << 2) | code`` so the cascade bands hold plain ints instead of

@@ -156,11 +156,11 @@ FAILED_REASON = "it cannot"
 
 class GoodBackend:
     name = "good"
-    def simulate(self, executor, shard_jobs, arrivals, lane_log):
-        if not shard_jobs:
+    def simulate(self, executor, batch, arrivals, lane_log):
+        if not batch:
             return None
         return [], 0.0, 0
-    def unsupported_reason(self, executor, shard_jobs):
+    def unsupported_reason(self, executor, batch):
         return FAILED_REASON
 
 def register_backend(backend):
@@ -174,18 +174,18 @@ REASON = "named"
 
 class ForgottenBackend:
     name = "forgotten"
-    def simulate(self, executor, shard_jobs, arrivals, lane_log):
+    def simulate(self, executor, batch, arrivals, lane_log):
         try:
             return [], 0.0, 0
         except Exception:
             return None
-    def unsupported_reason(self, executor, shard_jobs):
+    def unsupported_reason(self, executor, batch):
         return "an inline reason"
 
 class SilentBackend:
     name = "silent"
-    def simulate(self, executor, shard_jobs, arrivals, lane_log):
-        if not shard_jobs:
+    def simulate(self, executor, batch, arrivals, lane_log):
+        if not batch:
             return None
         return [], 0.0, 0
 

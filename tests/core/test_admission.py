@@ -168,8 +168,9 @@ class TestRunManyAdmission:
                 [64, 128], admission=AdmissionPolicy(slo_p99=1.0)
             )
         # A non-finite offset predicts no backlog, so the controller
-        # would admit a job that completes at nan or inf.
-        for bad in (float("nan"), float("inf")):
+        # would admit a job that completes at nan or inf; a negative one
+        # would pass admission and fail only in the executor.
+        for bad in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ConfigError, match="finite"):
                 framework.run_many(
                     [64, 128, 512],

@@ -31,7 +31,7 @@ from repro.core.faults import (
     poisson_fault_plan,
 )
 from repro.core.framework import NdftFramework
-from repro.core.pipeline import build_pipeline
+from repro.core.pipeline import Pipeline, build_kpoint_pipeline, build_pipeline
 from repro.core.scheduler import Placement, SchedulingPolicy
 from repro.dft.workload import problem_size
 from repro.errors import ConfigError, SimulationError
@@ -288,6 +288,42 @@ class TestEmptyPlanBitIdentity:
         assert {failure.job for failure in report.failures} <= {1, 3, 5}
         assert {failure.lane for failure in report.failures} == {"ndp"}
         assert report.job_reports[0::2] == healthy.job_reports[0::2]
+
+
+class TestFaultedEngineProgram:
+    def test_faulted_batch_never_asks_for_predecessors(
+        self, framework, monkeypatch
+    ):
+        """The fault-aware engine spawns every stage from the batch's
+        compiled predecessor indices, so a faulted ``execute_many`` over
+        branching k-point jobs never walks the pipeline's edges for a
+        stage's predecessors."""
+        jobs = []
+        for n_atoms in (64, 512):
+            for builder in (build_pipeline, build_kpoint_pipeline):
+                pipeline = framework._build_pipeline(
+                    problem_size(n_atoms), builder
+                )
+                schedule = framework._record_for(
+                    pipeline, framework.job_signature(pipeline)
+                ).schedule
+                jobs.append((pipeline, schedule))
+        jobs *= 3
+        healthy = framework.executor.execute_many(jobs)
+        start, end = healthy.lane_occupancy["ndp"][0]
+        plan = FaultPlan(outages=(("ndp", (start + end) / 2, end + 1.0),))
+        calls = []
+        predecessors = Pipeline.predecessors
+
+        def counting(self, name):
+            calls.append(name)
+            return predecessors(self, name)
+
+        monkeypatch.setattr(Pipeline, "predecessors", counting)
+        report = framework.executor.execute_many(jobs, faults=plan)
+        assert report.backend_jobs == {"engine": len(jobs)}
+        assert report.failures  # the outage struck an ndp service
+        assert calls == []
 
 
 class TestTransientOutageRetry:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.pipeline import build_pipeline
+from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
 from repro.core.scheduler import SchedulingPolicy
 from repro.core.trace import (
     TraceEvent,
@@ -44,6 +44,40 @@ class TestTimeline:
         assert len(link_events) == schedule.n_boundaries
         # the chain only ever crosses the CPU<->NDP wire
         assert {e.lane for e in link_events} == {"link:cpu-ndp"}
+
+    @pytest.mark.parametrize(
+        "builder, policy",
+        [
+            (build_pipeline, SchedulingPolicy.COST_AWARE),
+            (build_kpoint_pipeline, SchedulingPolicy.COST_AWARE),
+            (build_kpoint_pipeline, SchedulingPolicy.NAIVE),
+        ],
+    )
+    def test_one_transfer_event_per_crossing_edge(
+        self, framework, builder, policy
+    ):
+        """One ``src->dst`` event per edge the schedule places across
+        devices, on the wire serving that device pair, after its
+        producer's device occupancy and before its consumer's."""
+        pipeline = builder(problem_size(512))
+        schedule = framework.scheduler.schedule(pipeline, policy)
+        events = build_timeline(pipeline, schedule, framework.cost_model)
+        stage_events = {e.label: e for e in events if e.lane in ("cpu", "ndp")}
+        transfers = [e for e in events if e.lane.startswith("link")]
+        assert transfers  # the placement genuinely crosses devices
+        assert sorted(e.label for e in transfers) == sorted(
+            f"{edge.src}->{edge.dst}"
+            for edge in pipeline.edges
+            if schedule.assignments[edge.src]
+            is not schedule.assignments[edge.dst]
+        )
+        for event in transfers:
+            src, dst = event.label.split("->")
+            assert event.lane == "link:" + "-".join(
+                sorted((stage_events[src].lane, stage_events[dst].lane))
+            )
+            assert stage_events[src].end <= event.start
+            assert event.end <= stage_events[dst].start
 
     def test_overlap_detection(self):
         events = [

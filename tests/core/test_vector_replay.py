@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from tests.core.dag_helpers import random_pipeline
 from repro.core.arrivals import poisson_arrivals
 from repro.core.backends import (
     VECTOR_MIN_JOBS,
@@ -224,7 +225,10 @@ class TestLateDeclineLeavesNoTrace:
         backend = get_backend("vector_replay")
         lane_log = {"sentinel": [(0.0, 1.0)]}
         result = backend.simulate(
-            framework.executor, jobs, arrivals, lane_log
+            framework.executor,
+            framework.executor.compile_batch(jobs),
+            arrivals,
+            lane_log,
         )
         assert result is None
         assert lane_log == {"sentinel": [(0.0, 1.0)]}
@@ -236,7 +240,12 @@ class TestLateDeclineLeavesNoTrace:
         backend = get_backend("vector_replay")
         lane_log = {}
         assert (
-            backend.simulate(framework.executor, jobs, None, lane_log)
+            backend.simulate(
+                framework.executor,
+                framework.executor.compile_batch(jobs),
+                None,
+                lane_log,
+            )
             is None
         )
         assert lane_log == {}
@@ -374,6 +383,30 @@ class TestSelectionRule:
         assert attempts == [None]
         assert auto.backend_jobs == {"engine": VECTOR_MIN_JOBS}
         assert _identical(auto, executor.execute_many(jobs, backend="engine"))
+
+
+class TestOneCompilePerCall:
+    def test_declined_batch_is_not_recompiled(self, framework, monkeypatch):
+        """``vector_replay`` tries this closed single-signature batch
+        first and declines it; ``dag_replay`` then simulates the same
+        compiled batch, so its one super-job compiles exactly once per
+        call."""
+        attempts = TestSelectionRule._count_vector_attempts(monkeypatch)
+        compiled = []
+        compile_job = PipelineExecutor._compile_job
+
+        def counting(self, pipeline, schedule, resource_ids):
+            compiled.append(pipeline)
+            return compile_job(self, pipeline, schedule, resource_ids)
+
+        monkeypatch.setattr(PipelineExecutor, "_compile_job", counting)
+        pipeline = random_pipeline(random.Random(0), 4)
+        jobs = [(pipeline, framework.scheduler.schedule(pipeline))]
+        for call in (1, 2):
+            report = framework.executor.execute_many(jobs * VECTOR_MIN_JOBS)
+            assert attempts == [None] * call
+            assert report.backend_jobs == {"dag_replay": VECTOR_MIN_JOBS}
+            assert compiled == [pipeline] * call
 
 
 class TestRegistryOrder:

@@ -247,7 +247,7 @@ class TestServeValidation:
         with WorkerPool(1, inline=True) as pool:
             with pytest.raises(ConfigError, match="arrival offsets"):
                 pool.serve([64, 128], arrivals=[0.0])
-            for bad in (float("nan"), float("inf")):
+            for bad in (float("nan"), float("inf"), -1.0):
                 with pytest.raises(ConfigError, match="arrival offsets"):
                     pool.serve([64, 128, 512], arrivals=[0.0, bad, 1.0])
 
