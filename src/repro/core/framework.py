@@ -28,16 +28,15 @@ Serving fast path: the batch front end is columnar.  Each distinct
 batch entry is resolved once per call — built pipeline, cost-aware
 schedule, solo DES report, SCA reports — and every artifact is a pure
 function of the content-addressed
-:class:`~repro.core.signature.JobSignature`.  Three bounded LRU
+:class:`~repro.core.signature.JobSignature`.  Two bounded LRU
 structures (``cache_size`` entries each) memoize them across calls: the
-``(problem, builder)`` pipeline cache; the entry store, one record per
-signature (or per signature and excluded targets, for a degraded
-placement) holding the schedule, the solo report and the SCA verdicts;
-and the warm-start index, from which cold placements seed the exact DP
-off the nearest same-structure size.  So ``run_many([512] * 256)``
-derives the 512-atom job once, the executor simulates its replicas as
-one super-job, and only the reports are per job.
-:meth:`NdftFramework.register_target` drops all three;
+``(problem, builder)`` pipeline cache, and the entry store, one record
+per signature (or per signature and excluded targets, for a degraded
+placement) holding the schedule, the solo report and the SCA verdicts.
+A store miss places the job with the exact DP, cold.  So
+``run_many([512] * 256)`` derives the 512-atom job once, the executor
+simulates its replicas as one super-job, and only the reports are per
+job.  :meth:`NdftFramework.register_target` drops both;
 ``NdftFramework(memoize=False)`` re-derives everything per job — the
 serving benchmark's (:mod:`repro.experiments.scale_serving`) "before"
 measurement, asserted identical.
@@ -45,7 +44,9 @@ measurement, asserted identical.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
+import pickletools
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -86,9 +87,12 @@ from repro.core.signature import (
     JobSignature,
     cost_model_fingerprint,
     job_signature,
-    structure_signature,
     target_registry_fingerprint,
 )
+
+# Never called here: perfbench/spans.py patches this module attribute to
+# time the signature layer, so the name stays until that patch goes.
+from repro.core.signature import structure_signature  # noqa: F401
 from repro.errors import ConfigError, SimulationError
 from repro.dft.workload import ProblemSize, problem_size
 from repro.hw.config import SystemConfig, gpu_baseline_config, ndft_system_config
@@ -415,6 +419,29 @@ class NdftBatchResult:
 
 _schedule_lanes = PipelineExecutor.schedule_lanes
 
+#: First bytes of every cache snapshot file (header layout: see
+#: :meth:`NdftFramework.save_caches`).
+_SNAPSHOT_MAGIC = b"NDFTSNAP"
+_SNAPSHOT_HEADER_BYTES = len(_SNAPSHOT_MAGIC) + 4 + hashlib.sha256().digest_size
+
+
+def _headerless_format(blob: bytes) -> object:
+    """The ``format`` a headerless file declares, for the error message:
+    formats 1 and 2 pickled it as the payload dict's first key.  Read
+    off the pickle opcodes without executing any of them; ``None`` when
+    there is no such key to read."""
+    previous = None
+    try:
+        for _opcode, arg, _position in pickletools.genops(blob):
+            if arg is None:
+                continue
+            if previous == "format":
+                return arg
+            previous = arg
+    except ValueError:
+        pass
+    return None
+
 
 class NdftFramework:
     """NDFT on the Table III CPU-NDP system.
@@ -458,15 +485,6 @@ class NdftFramework:
         #: The entry store: ``JobSignature`` (or ``(signature,
         #: excluded targets)`` for a degraded placement) -> :class:`_Record`.
         self._store = LruCache(cache_size)
-        #: Warm-start index for the placement DP: structure signature ->
-        #: {n_atoms: assignments}.  Consulted on store misses to seed the
-        #: branch-and-bound bound from the nearest same-shape size; never
-        #: consulted for results.  Bounded like the other structures (LRU
-        #: over structures, FIFO cap on sizes per structure) so
-        #: adversarial variety cannot grow it without limit.
-        self._warm_start_index = LruCache(cache_size)
-        self._warm_start_hits = 0
-        self._warm_start_misses = 0
         #: Memoized ``(registry, cost model)`` fingerprint pair and the
         #: fault-lane catalog: pure functions of the target registry,
         #: recomputed only after ``register_target`` invalidates them
@@ -535,16 +553,14 @@ class NdftFramework:
     @property
     def cache_stats(self) -> dict[str, int]:
         """Hit/miss/eviction counters of the pipeline cache and the entry
-        store, plus placement-DP warm-start telemetry (observability for
-        the serving benchmark and the memoization tests).  Counters
-        survive cache clears.
+        store (observability for the serving benchmark and the
+        memoization tests).  Counters survive cache clears.
 
         They count real lookups: :meth:`run_many` resolves each distinct
         entry of a call once, so a duplicate job is no lookup.  An entry
         given as a size looks up the pipeline cache; every entry looks
         up the store, and so does each residual pipeline or degraded
-        placement a fault plan makes; warm starts are consulted on store
-        misses only."""
+        placement a fault plan makes."""
         stats: dict[str, int] = {}
         for kind, cache in (
             ("pipeline", self._pipeline_cache),
@@ -553,8 +569,6 @@ class NdftFramework:
             stats[f"{kind}_hits"] = cache.hits
             stats[f"{kind}_misses"] = cache.misses
             stats[f"{kind}_evictions"] = cache.evictions
-        stats["warm_start_hits"] = self._warm_start_hits
-        stats["warm_start_misses"] = self._warm_start_misses
         return stats
 
     @property
@@ -596,12 +610,11 @@ class NdftFramework:
         self.clear_caches()
 
     def clear_caches(self) -> None:
-        """Drop every built pipeline, store record and warm-start
-        placement, and the memoized registry/cost-model fingerprints and
-        fault-lane catalog (hit/miss/eviction counters are preserved)."""
+        """Drop every built pipeline and store record, and the memoized
+        registry/cost-model fingerprints and fault-lane catalog
+        (hit/miss/eviction counters are preserved)."""
         self._pipeline_cache.clear()
         self._store.clear()
-        self._warm_start_index.clear()
         self._fingerprints = None
         self._fault_lanes = None
 
@@ -620,11 +633,12 @@ class NdftFramework:
     # ------------------------------------------------------------------
     # Cache snapshots (serving deployments surviving process restarts)
     # ------------------------------------------------------------------
-    #: Snapshot payload version; bumped whenever the persisted layout
-    #: changes so stale files are refused instead of misread.  Loaders
-    #: read only the keys they know, so an optional key that one
-    #: version writes and another omits needs no bump.
-    CACHE_SNAPSHOT_FORMAT = 2
+    #: Snapshot version, written into the header; bumped whenever the
+    #: persisted layout changes so stale files are refused instead of
+    #: misread.  Loaders read only the payload keys they know, so an
+    #: optional key that one version writes and another omits needs no
+    #: bump.  Format 3 added the header; formats 1 and 2 had none.
+    CACHE_SNAPSHOT_FORMAT = 3
 
     def cache_fingerprint(self) -> tuple:
         """The identity the persisted caches are sound under: policy,
@@ -663,50 +677,57 @@ class NdftFramework:
             )
 
     def save_caches(self, path: Path | str) -> Path:
-        """Snapshot the entry store and the warm-start index to ``path``
-        so a restarted serving process can :meth:`load_caches` instead
-        of re-deriving its working set cold.  The pipeline cache stays
-        out: its keys embed builder callables, and rebuilding a pipeline
-        is cheap.  The snapshot embeds :meth:`cache_fingerprint`;
-        loading refuses a mismatch."""
+        """Snapshot the entry store to ``path`` so a restarted serving
+        process can :meth:`load_caches` instead of re-deriving its
+        working set cold.  The pipeline cache stays out: its keys embed
+        builder callables, and rebuilding a pipeline is cheap.  The
+        snapshot embeds :meth:`cache_fingerprint`; loading refuses a
+        mismatch.
+
+        The file is a header — :data:`_SNAPSHOT_MAGIC`, the format as 4
+        big-endian bytes and the SHA-256 of the payload — followed by
+        the pickled payload."""
         self._check_snapshot_registry("save")
-        payload = {
-            "format": self.CACHE_SNAPSHOT_FORMAT,
-            "fingerprint": self.cache_fingerprint(),
-            "entries": self._store.items(),
-            "warm_start": self._warm_start_index.items(),
-        }
+        payload = pickle.dumps(
+            {
+                "format": self.CACHE_SNAPSHOT_FORMAT,
+                "fingerprint": self.cache_fingerprint(),
+                "entries": self._store.items(),
+            }
+        )
+        header = (
+            _SNAPSHOT_MAGIC
+            + self.CACHE_SNAPSHOT_FORMAT.to_bytes(4, "big")
+            + hashlib.sha256(payload).digest()
+        )
         path = Path(path)
-        with path.open("wb") as handle:
-            pickle.dump(payload, handle)
+        path.write_bytes(header + payload)
         return path
 
     def load_caches(self, path: Path | str) -> int:
         """Warm start: union a :meth:`save_caches` snapshot into the
-        entry store and the warm-start index, and return how much it
-        added — one per record under a key this framework does not
-        hold, per solo report or SCA verdict missing from a record it
-        holds, and per warm-start size missing from a structure (up to
-        the per-structure cap).  Nothing held is overwritten: equal keys
-        prove equal values, and locally learned warm-start sizes
-        survive.  Records land via normal puts, so LRU bounds and
-        eviction counters apply.
+        entry store, and return how much it added — one per record
+        under a key this framework does not hold, and one per solo
+        report or SCA verdict missing from a record it holds.  Nothing
+        held is overwritten: equal keys prove equal values.  Records
+        land via normal puts, so LRU bounds and eviction counters apply.
 
         Soundness gate: the snapshot's fingerprint (policy + target
         registry + cost model) must equal this framework's — memoized
         schedules and reports are only valid under the exact machine
         parameters they were derived with, so a mismatch raises
         :class:`~repro.errors.ConfigError` rather than serving stale
-        numbers.  So does a file of another snapshot format.
+        numbers.  So does a file of another snapshot format, including
+        the headerless formats 1 and 2.
 
-        Trust caveat: the snapshot is a pickle, deserialized *before*
-        the format/fingerprint checks can reject it — loading executes
-        whatever the file encodes, so only load snapshots written by a
-        process you trust (the intended use: this service's own
-        :meth:`save_caches` output on local disk).  A truncated or
-        corrupt file (half-written snapshot, disk error) raises
-        :class:`~repro.errors.ConfigError` like every other rejected
-        snapshot, never a raw ``EOFError``/``UnpicklingError``."""
+        The header is checked before anything is unpickled, so a
+        truncated or corrupt file (half-written snapshot, disk error,
+        flipped bit) raises :class:`~repro.errors.ConfigError` like
+        every other rejected snapshot.  Trust caveat: a checksum only
+        catches accidents.  The payload is a pickle, and a hostile file
+        can carry a matching checksum, so only load snapshots written
+        by a process you trust (the intended use: this service's own
+        :meth:`save_caches` output on local disk)."""
         return self._absorb(path, "load")
 
     def merge_caches(self, path: Path | str) -> int:
@@ -735,41 +756,38 @@ class NdftFramework:
             if held.sca is None and record.sca is not None:
                 held.sca = record.sca
                 added += 1
-        for key, sizes in payload["warm_start"]:
-            neighbors = self._warm_start_index.peek(key)
-            if neighbors is None:
-                neighbors = {}
-                self._warm_start_index.put(key, neighbors)
-            for size, placements in sizes.items():
-                if size in neighbors:
-                    continue
-                if self.cache_size is not None and len(neighbors) >= self.cache_size:
-                    break  # respect _remember_placement's FIFO cap
-                neighbors[size] = placements
-                added += 1
         return added
 
     def _read_snapshot(self, path: Path | str, action: str) -> dict:
         """Read and vet a :meth:`save_caches` payload: registry still
-        pristine, readable pickle, known format, matching
-        :meth:`cache_fingerprint`."""
+        pristine, header of this format whose checksum matches the
+        payload, matching :meth:`cache_fingerprint`."""
         self._check_snapshot_registry(action)
         path = Path(path)
-        try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
-        except (EOFError, pickle.UnpicklingError, AttributeError) as exc:
+        blob = path.read_bytes()
+        body_start = _SNAPSHOT_HEADER_BYTES
+        if len(blob) < body_start or not blob.startswith(_SNAPSHOT_MAGIC):
             raise ConfigError(
                 f"{path} is not a readable cache snapshot (truncated or "
-                f"corrupt pickle: {exc})"
-            ) from exc
-        found = payload.get("format") if isinstance(payload, dict) else None
+                "corrupt, or without a header: format "
+                f"{_headerless_format(blob)!r}, expected format "
+                f"{self.CACHE_SNAPSHOT_FORMAT})"
+            )
+        magic_end = len(_SNAPSHOT_MAGIC)
+        found = int.from_bytes(blob[magic_end : magic_end + 4], "big")
         if found != self.CACHE_SNAPSHOT_FORMAT:
             raise ConfigError(
                 f"{path} is not a cache snapshot this version understands "
                 f"(format {found!r}, expected format "
                 f"{self.CACHE_SNAPSHOT_FORMAT})"
             )
+        body = blob[body_start:]
+        if hashlib.sha256(body).digest() != blob[magic_end + 4 : body_start]:
+            raise ConfigError(
+                f"{path} is not a readable cache snapshot (truncated or "
+                "corrupt: its payload does not match the header's SHA-256)"
+            )
+        payload = pickle.loads(body)
         fingerprint = self.cache_fingerprint()
         if payload.get("fingerprint") != fingerprint:
             raise ConfigError(
@@ -1381,96 +1399,23 @@ class NdftFramework:
 
         ``exclude`` is the degraded-placement path after a permanent
         lane failure: the exact DP re-solves over the surviving targets,
-        and both the store and the warm-start index key the exclusion
-        set alongside the signature/structure — a degraded schedule
-        must never shadow (or be shadowed by) the healthy one.
+        and the store keys the exclusion set alongside the signature — a
+        degraded schedule must never shadow (or be shadowed by) the
+        healthy one.
         """
-        if signature is None:
-            return _Record(
+        key = signature
+        if exclude:
+            key = (signature, tuple(sorted(p.value for p in exclude)))
+        record = None if signature is None else self._store.get(key)
+        if record is None:
+            record = _Record(
                 self.scheduler.schedule(
                     pipeline, self.policy, exclude=exclude or None
                 )
             )
-        excl_key = tuple(sorted(p.value for p in exclude))
-        key = (signature, excl_key) if exclude else signature
-        record = self._store.get(key)
-        if record is None:
-            structure_key = None
-            if self.policy is SchedulingPolicy.COST_AWARE:
-                registry_fp, cost_fp = self.fingerprints()
-                structure_key = structure_signature(
-                    pipeline,
-                    self.policy,
-                    self.scheduler,
-                    self.cost_model,
-                    registry_fp=registry_fp,
-                    cost_fp=cost_fp,
-                )
-                if exclude:
-                    structure_key = (structure_key, excl_key)
-            record = _Record(
-                self.scheduler.schedule(
-                    pipeline,
-                    self.policy,
-                    warm_start=self._warm_start_hint(pipeline, structure_key),
-                    exclude=exclude or None,
-                )
-            )
-            self._store.put(key, record)
-            self._remember_placement(pipeline, record.schedule, structure_key)
+            if signature is not None:
+                self._store.put(key, record)
         return record
-
-    def _warm_start_hint(
-        self, pipeline: Pipeline, structure_key: tuple | None
-    ) -> dict[str, Placement] | None:
-        """The cached placement of the nearest same-structure size, as a
-        branch-and-bound seed for the placement DP.  A hint only prunes
-        provably suboptimal DP states, so the returned schedule is
-        bit-identical to a cold search — stale or mismatched hints cost
-        nothing but the lookup."""
-        if structure_key is None:
-            return None
-        neighbors = self._warm_start_index.get(structure_key)
-        if not neighbors:
-            self._warm_start_misses += 1
-            return None
-        n_atoms = pipeline.problem.n_atoms
-        nearest = min(neighbors, key=lambda size: (abs(size - n_atoms), size))
-        # Placements are stored name-free (topological order), so a
-        # same-shape pipeline with different stage names rehydrates to
-        # its own names here.
-        hint = CostAwareScheduler.rehydrate_placements(
-            pipeline, neighbors[nearest]
-        )
-        if hint is None:
-            self._warm_start_misses += 1
-            return None
-        self._warm_start_hits += 1
-        return hint
-
-    def _remember_placement(
-        self,
-        pipeline: Pipeline,
-        schedule: Schedule,
-        structure_key: tuple | None,
-    ) -> None:
-        """Index a freshly-computed placement for future warm starts."""
-        if structure_key is None:
-            return
-        key = structure_key
-        neighbors = self._warm_start_index.peek(key)
-        if neighbors is None:
-            neighbors = {}
-            self._warm_start_index.put(key, neighbors)
-        neighbors[pipeline.problem.n_atoms] = (
-            CostAwareScheduler.normalize_placements(
-                pipeline, schedule.assignments
-            )
-        )
-        # FIFO cap on sizes per structure: hints are a heuristic, so
-        # dropping the oldest size costs at most a colder search.
-        if self.cache_size is not None and len(neighbors) > self.cache_size:
-            del neighbors[next(iter(neighbors))]
 
     def _assemble(
         self,

@@ -1,9 +1,9 @@
 """Bounded LRU mapping for the framework's memo structures.
 
-:class:`repro.core.framework.NdftFramework` keeps three: the pipeline
-cache, the entry store (keyed by content-addressed job signatures) and
-the warm-start index.  A service facing adversarial problem variety
-would otherwise grow them without bound.  ``LruCache`` is a small
+:class:`repro.core.framework.NdftFramework` keeps two: the pipeline
+cache and the entry store (keyed by content-addressed job signatures).
+A service facing adversarial problem variety would otherwise grow them
+without bound.  ``LruCache`` is a small
 insertion-ordered mapping with least-recently-used eviction and
 hit/miss/eviction counters: eviction is purely a capacity decision — an
 evicted entry is re-derived on the next miss with an identical value,

@@ -13,7 +13,10 @@ is the placement of the stages still "live" (those with unprocessed
 successors), so a chain costs O(stages x targets^2), a diamond
 O(stages x targets^3), and the result provably matches exhaustive
 enumeration — which is retained as :meth:`_exhaustive_best`, the oracle
-the tests cross-check against on small graphs.
+the tests cross-check against on small graphs.  Every placement runs the
+DP cold: on the paper's two-target system it is so small (12 states for
+the chain) that a branch-and-bound incumbent seeded from a neighbouring
+size's placement costs more to find and evaluate than it prunes.
 
 Targets are pluggable: the registry starts with the paper's two sides
 (``Placement.CPU`` — the host, ``Placement.NDP`` — the near-data system)
@@ -227,19 +230,9 @@ class CostAwareScheduler:
         self,
         pipeline: Pipeline,
         policy: SchedulingPolicy = SchedulingPolicy.COST_AWARE,
-        warm_start: dict[str, Placement] | None = None,
         exclude: frozenset[Placement] | None = None,
     ) -> Schedule:
         """Place ``pipeline`` under ``policy``.
-
-        ``warm_start`` optionally seeds the cost-aware DP with a known
-        complete assignment (typically the cached placement of the
-        nearest same-structure job of a different size): its evaluated
-        total becomes a branch-and-bound incumbent that prunes strictly
-        dominated DP states.  The search stays exact — pruning never
-        removes an optimal (or tie-optimal) state, so the returned
-        schedule is bit-identical to the cold search.  Other policies
-        ignore the hint.
 
         ``exclude`` removes targets from consideration without touching
         the registry — the degraded-placement path after a permanent
@@ -279,23 +272,14 @@ class CostAwareScheduler:
             }
             result = self.evaluate(pipeline, assignment)
         elif policy is SchedulingPolicy.COST_AWARE:
-            result = self._dag_optimal(pipeline, warm_start, targets)
+            result = self._dag_optimal(pipeline, targets)
         else:  # pragma: no cover - exhaustive enum
             raise SchedulingError(f"unknown policy {policy}")
         return replace(result, policy=policy)
 
-    #: Relative slack on the warm-start incumbent before a DP state is
-    #: pruned.  The DP accumulates costs in walk order while ``evaluate``
-    #: sums stage times first, so the same assignment can differ by a few
-    #: ulps between the two; 1e-9 relative dwarfs that float noise while
-    #: still discarding essentially every strictly-worse state, so
-    #: optimal and tie-optimal states provably survive.
-    WARM_START_SLACK = 1e-9
-
     def _dag_optimal(
         self,
         pipeline: Pipeline,
-        warm_start: dict[str, Placement] | None = None,
         targets: tuple[Placement, ...] | None = None,
     ) -> Schedule:
         """Exact topological-order DP over placements.
@@ -307,22 +291,9 @@ class CostAwareScheduler:
         is what keeps the state space at targets^(frontier width) instead
         of targets^stages: the 6-stage chain explores 12 states total
         where the old exhaustive search enumerated 64 assignments.
-
-        ``warm_start`` (a complete assignment for this pipeline's stage
-        names over registered targets) is evaluated once and its total
-        used as a branch-and-bound bound: a partial state whose
-        accumulated cost already exceeds it cannot finish below the
-        incumbent (costs only ever grow), so dropping it changes nothing
-        about the final argmin — including tie-breaks, because surviving
-        states keep their relative insertion order and every
-        equal-to-optimal state's accumulated cost is bounded by its own
-        final total, which pruning's slack keeps safe.
         """
         if targets is None:
             targets = self.targets
-        bound = None
-        if warm_start is not None:
-            bound = self._warm_start_bound(pipeline, warm_start, targets)
         order = pipeline.topological_order
         position = {name: i for i, name in enumerate(order)}
         last_use = {
@@ -353,8 +324,6 @@ class CostAwareScheduler:
                             candidate += self.cost_model.boundary_cost(
                                 edge.nbytes, (live_map[edge.src], target)
                             )
-                    if bound is not None and candidate > bound:
-                        continue
                     next_live = {
                         k: v for k, v in live_map.items() if last_use[k] > i
                     }
@@ -370,50 +339,6 @@ class CostAwareScheduler:
             states = new_states
         _cost, best = min(states.values(), key=lambda entry: entry[0])
         return self.evaluate(pipeline, best)
-
-    def _warm_start_bound(
-        self,
-        pipeline: Pipeline,
-        warm_start: dict[str, Placement],
-        targets: tuple[Placement, ...] | None = None,
-    ) -> float | None:
-        """The pruning bound a warm-start hint buys, or ``None`` when the
-        hint does not fit this pipeline (different stage names) or names
-        a target outside the allowed set (unregistered, or excluded by a
-        degraded search) — a stale hint degrades to a cold search, never
-        an error."""
-        if set(warm_start) != set(pipeline.stage_names):
-            return None
-        allowed = set(self.targets if targets is None else targets)
-        if any(p not in allowed for p in warm_start.values()):
-            return None
-        total = self.evaluate(pipeline, warm_start).predicted_total
-        return total * (1.0 + self.WARM_START_SLACK)
-
-    @staticmethod
-    def normalize_placements(
-        pipeline: Pipeline, assignments: dict[str, Placement]
-    ) -> tuple[Placement, ...]:
-        """A complete assignment as placements in topological-stage
-        order — the name-free form the framework's warm-start index
-        stores, so same-shape pipelines with different stage names (e.g.
-        k-point DAGs built under different naming conventions) can seed
-        each other's searches."""
-        return tuple(assignments[name] for name in pipeline.topological_order)
-
-    @staticmethod
-    def rehydrate_placements(
-        pipeline: Pipeline, placements: tuple[Placement, ...]
-    ) -> dict[str, Placement] | None:
-        """Rebind a normalized placement tuple to ``pipeline``'s stage
-        names (the inverse of :meth:`normalize_placements` under the
-        pipeline's own topological order), or ``None`` when the lengths
-        disagree — a stale hint degrades to a cold search, never an
-        error."""
-        order = pipeline.topological_order
-        if len(placements) != len(order):
-            return None
-        return dict(zip(order, placements))
 
     def _exhaustive_best(self, pipeline: Pipeline) -> Schedule:
         """Brute-force enumeration over targets^stages — kept as the

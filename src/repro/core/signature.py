@@ -15,8 +15,10 @@ DES makespan — is a pure function of
 so a frozen :class:`JobSignature` over exactly those four inputs is a
 sound memoization key: two jobs with equal signatures provably produce
 identical schedules, reports and solo makespans.  The framework
-(:class:`repro.core.framework.NdftFramework`) keys its caches on it and
-drops them whenever a target is (re)registered.
+(:class:`repro.core.framework.NdftFramework`) keys its entry store on it
+and drops it whenever a target is (re)registered.  The size-blind
+:func:`structure_signature` is called by nothing in the package (see its
+docstring for why it stays).
 """
 
 from __future__ import annotations
@@ -115,19 +117,15 @@ def structure_signature(
     registry_fp: tuple | None = None,
     cost_fp: tuple | None = None,
 ) -> tuple:
-    """The size-blind sibling of :func:`job_signature`.
+    """The size-blind sibling of :func:`job_signature`: the pipeline's
+    shape (stage count and edge topology, stages identified by
+    topological position, not by name) plus everything else a placement
+    depends on.
 
-    Covers the pipeline's *shape* — stage count and edge topology with
-    stages identified by topological position, not by name — plus
-    everything else a placement decision depends on.  Name
-    normalization is deliberate: two same-shape DAGs whose stages are
-    merely labelled differently (k-point pipelines built under another
-    naming convention, hand-assembled chains) share a signature, so the
-    framework can warm-start the placement DP for one from the other's
-    cached assignment (stored name-free via
-    :meth:`~repro.core.scheduler.CostAwareScheduler.normalize_placements`).
-    Unlike the job signature this is a *heuristic* key: it only seeds a
-    bound, never a result, so collisions cost time, not correctness.
+    Nothing in the package calls it.  It is kept only because the
+    benchmark's layer trace (``perfbench/spans.py``) patches
+    ``repro.core.framework.structure_signature`` to time the signature
+    layer; it goes when that patch does.
     """
     position = {
         name: index

@@ -40,6 +40,7 @@ for large ones (the paper's Fig. 4 observation 3).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from repro.dft.basis import next_fast_fft_size
@@ -114,7 +115,10 @@ class ProblemSize:
 
 
 def problem_size(n_atoms: int) -> ProblemSize:
-    """Derive the LR-TDDFT problem dimensions for an Si_N system."""
+    """Derive the LR-TDDFT problem dimensions for an Si_N system.
+    ``n_atoms`` is an integer (numpy integers included, ``bool`` not)."""
+    if isinstance(n_atoms, bool) or not isinstance(n_atoms, numbers.Integral):
+        raise ConfigError(f"n_atoms must be an integer, got {n_atoms!r}")
     if n_atoms < 1:
         raise ConfigError(f"n_atoms must be >= 1, got {n_atoms}")
     root = math.isqrt(n_atoms)

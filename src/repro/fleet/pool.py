@@ -48,6 +48,10 @@ from repro.fleet.result import FleetResult, ReplicaSummary
 from repro.fleet.router import RoutingPlan, route_jobs
 from repro.hw.config import SystemConfig
 
+#: Workers start from a fresh interpreter (no inherited parent state),
+#: which is what keeps :func:`_serve_replica`'s plain-data contract honest.
+_START_METHOD = "spawn"
+
 
 def _serve_replica(payload: dict) -> dict:
     """One worker's whole serve step: build the replica framework, load
@@ -114,7 +118,6 @@ class WorkerPool:
         cache_size: int | None = NdftFramework.DEFAULT_CACHE_SIZE,
         snapshot_path: Path | str | None = None,
         inline: bool = False,
-        start_method: str = "spawn",
     ):
         if n_replicas < 1:
             raise ConfigError(
@@ -122,7 +125,6 @@ class WorkerPool:
             )
         self.n_replicas = n_replicas
         self.inline = inline
-        self._start_method = start_method
         self.snapshot_path = (
             None if snapshot_path is None else Path(snapshot_path)
         )
@@ -170,7 +172,7 @@ class WorkerPool:
 
     def _process_pool(self):
         if self._pool is None:
-            context = multiprocessing.get_context(self._start_method)
+            context = multiprocessing.get_context(_START_METHOD)
             self._pool = context.Pool(processes=self.n_replicas)
         return self._pool
 

@@ -35,35 +35,6 @@ class TestSaveLoadRoundTrip:
             after.batch_report.job_reports == before.batch_report.job_reports
         )
 
-    def test_warm_start_index_survives_restart(self, tmp_path):
-        """A never-snapshotted *size* still warm-starts off the loaded
-        placement index."""
-        warm = NdftFramework()
-        warm.run_many(SIZES)
-        path = warm.save_caches(tmp_path / "caches.pkl")
-
-        restarted = NdftFramework()
-        restarted.load_caches(path)
-        restarted.run(n_atoms=2048)  # never seen by the saver
-        assert restarted.cache_stats["warm_start_hits"] == 1
-        assert restarted.cache_stats["warm_start_misses"] == 0
-
-    def test_load_merges_warm_start_index_per_size(self, tmp_path):
-        """Warm-start entries are workload-history-dependent, so a load
-        must not wipe locally learned sizes under a shared structure
-        key: snapshot sizes merge in under the already-known ones."""
-        saver = NdftFramework()
-        saver.run(n_atoms=1024)
-        path = saver.save_caches(tmp_path / "caches.pkl")
-
-        loader = NdftFramework()
-        loader.run(n_atoms=64)  # learns size 64 under the same structure
-        loader.load_caches(path)
-        merged = next(
-            sizes for _key, sizes in loader._warm_start_index.items()
-        )
-        assert set(merged) == {64, 1024}
-
     def test_load_merges_instead_of_clobbering(self, tmp_path):
         saver = NdftFramework()
         saver.run(n_atoms=64)
@@ -86,8 +57,9 @@ class TestSaveLoadRoundTrip:
 
 
 class TestOlderSnapshotLayout:
-    """Format 2 holds the entry store and the warm-start index.  Format-1
-    files (one list per retired cache) are refused, never misread."""
+    """Format 3 is a header (magic, format, SHA-256) ahead of the pickled
+    entry store.  Headerless format-1 and format-2 files are refused,
+    never misread."""
 
     def test_format_1_snapshot_refused(self, tmp_path):
         framework = NdftFramework()
@@ -103,16 +75,16 @@ class TestOlderSnapshotLayout:
             )
         )
         for absorb in (NdftFramework().load_caches, NdftFramework().merge_caches):
-            with pytest.raises(ConfigError, match="format 1, expected format 2"):
+            with pytest.raises(ConfigError, match="format 1, expected format 3"):
                 absorb(path)
 
     def test_save_writes_no_backend_table(self, tmp_path):
         framework = NdftFramework()
         framework.run_many(SIZES)
         path = framework.save_caches(tmp_path / "caches.pkl")
-        payload = pickle.loads(path.read_bytes())
-        assert set(payload) == {"format", "fingerprint", "entries", "warm_start"}
-        assert payload["format"] == NdftFramework.CACHE_SNAPSHOT_FORMAT == 2
+        payload = framework._read_snapshot(path, "load")
+        assert set(payload) == {"format", "fingerprint", "entries"}
+        assert payload["format"] == NdftFramework.CACHE_SNAPSHOT_FORMAT == 3
 
 
 class TestFingerprintRefusal:
@@ -195,6 +167,24 @@ class TestFingerprintRefusal:
         path.write_bytes(b"\x00\xffnot a pickle stream")
         with pytest.raises(ConfigError, match="truncated or corrupt"):
             NdftFramework().load_caches(path)
+
+    def test_bit_flipped_snapshots_refused(self, tmp_path):
+        """One flipped bit in the header or the payload is refused with
+        ConfigError before anything is unpickled: never a raw exception
+        from inside the unpickler, never a load that serves other
+        numbers."""
+        saver = NdftFramework()
+        saver.run_many([64, 128])
+        blob = saver.save_caches(tmp_path / "caches.pkl").read_bytes()
+        loader = NdftFramework()
+        flipped = tmp_path / "flipped.pkl"
+        for offset in range(0, len(blob), 3):
+            corrupt = bytearray(blob)
+            corrupt[offset] ^= 1 << (offset % 8)
+            flipped.write_bytes(corrupt)
+            with pytest.raises(ConfigError):
+                loader.load_caches(flipped)
+        assert not loader._store
 
     def test_fingerprints_equal_across_fresh_frameworks(self):
         assert (

@@ -179,6 +179,19 @@ class TestBatchExecutor:
         with pytest.raises(SimulationError, match="at least one job"):
             framework.executor.execute_many([])
 
+    @pytest.mark.parametrize("n_atoms", [True, 64.5, "64"])
+    def test_non_integer_atom_count_rejected(self, framework, n_atoms):
+        """``True`` is an int but no atom count (it would build Si_1), and
+        a float or a string is no integer at all: every size-taking
+        entry point refuses them as a ConfigError."""
+        for call in (
+            lambda: framework.run_many([n_atoms]),
+            lambda: framework.job_estimates([n_atoms]),
+            lambda: framework.run(n_atoms=n_atoms),
+        ):
+            with pytest.raises(ConfigError, match="n_atoms must be an integer"):
+                call()
+
     def test_mixed_batch_overlaps(self, framework):
         """Si_64 + Si_512 through one shared machine: aggregate makespan
         below the sum of the standalone runs (the acceptance criterion for

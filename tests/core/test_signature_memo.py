@@ -169,7 +169,6 @@ class TestFrameworkMemoization:
         framework.clear_caches()
         assert not framework._store
         assert not framework._pipeline_cache
-        assert not framework._warm_start_index
 
     def test_solo_cache_returns_standalone_times_inside_batches(self):
         """Solo times reported by a batch equal dedicated-machine runs."""
@@ -187,16 +186,20 @@ class TestFrameworkMemoization:
         whose pipeline-cache key is shared, so the second hits, and an
         equal-content distinct pipeline hits the store under the same
         signature.  Each signature is derived once (placement, solo run,
-        SCA pass); warm starts run only on store misses."""
+        SCA pass)."""
         framework = _fresh()
         p64 = problem_size(64)
         pipe = build_pipeline(problem_size(128))
         batch = [64, 64, p64, p64, pipe, pipe, 512, 64, 512]
         framework.run_many(batch)
         stats = framework.cache_stats
+        assert set(stats) == {
+            f"{kind}_{counter}"
+            for kind in ("pipeline", "entry")
+            for counter in ("hits", "misses", "evictions")
+        }
         assert (stats["pipeline_misses"], stats["pipeline_hits"]) == (2, 1)
         assert (stats["entry_misses"], stats["entry_hits"]) == (3, 1)
-        assert (stats["warm_start_misses"], stats["warm_start_hits"]) == (1, 2)
         assert derivations == {"schedule": 3, "solo": 3, "sca": 3}
 
         twin = build_pipeline(problem_size(128))  # equal content, new id
@@ -204,7 +207,6 @@ class TestFrameworkMemoization:
         stats = framework.cache_stats
         assert (stats["pipeline_misses"], stats["pipeline_hits"]) == (2, 4)
         assert (stats["entry_misses"], stats["entry_hits"]) == (3, 6)
-        assert (stats["warm_start_misses"], stats["warm_start_hits"]) == (1, 2)
         assert derivations == {"schedule": 3, "solo": 3, "sca": 3}
 
     def test_kpoint_builder_keys_separately_from_chain(self):

@@ -40,6 +40,9 @@ class TestProblemSize:
         with pytest.raises(ConfigError):
             problem_size(0)
 
+    def test_accepts_numpy_integers(self):
+        assert problem_size(np.int64(64)) == problem_size(64)
+
     def test_pair_volume(self):
         ps = problem_size(16)
         assert ps.pair_volume == ps.n_pairs * ps.n_grid
