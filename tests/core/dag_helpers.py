@@ -86,3 +86,25 @@ def random_pipeline(rng: random.Random, n_stages: int) -> Pipeline:
     return Pipeline(
         problem=problem_size(64), stages=stages, edges=tuple(edges)
     )
+
+
+def relabelled_pipeline(pipeline: Pipeline, prefix: str) -> Pipeline:
+    """The same stages and edges as ``pipeline`` under labels that carry
+    ``prefix``: equal work and bytes, different names."""
+    stages = tuple(
+        Stage(
+            name=f"{prefix}{stage.name}",
+            workload=stage.workload,
+            function=stage.function,
+        )
+        for stage in pipeline.stages
+    )
+    edges = tuple(
+        Edge(
+            src=f"{prefix}{edge.src}",
+            dst=f"{prefix}{edge.dst}",
+            nbytes=edge.nbytes,
+        )
+        for edge in pipeline.edges
+    )
+    return Pipeline(problem=pipeline.problem, stages=stages, edges=edges)

@@ -6,7 +6,11 @@ import pickle
 
 import pytest
 
-from repro.core.framework import NdftFramework
+from repro.core.framework import (
+    _SNAPSHOT_HEADER_BYTES,
+    _SNAPSHOT_MAGIC,
+    NdftFramework,
+)
 from repro.core.scheduler import Placement, SchedulingPolicy
 from repro.errors import ConfigError
 
@@ -77,6 +81,40 @@ class TestOlderSnapshotLayout:
         for absorb in (NdftFramework().load_caches, NdftFramework().merge_caches):
             with pytest.raises(ConfigError, match="format 1, expected format 3"):
                 absorb(path)
+
+    def test_format_2_snapshot_refused(self, tmp_path):
+        """Format 2 pickled the entry store and the retired warm-start
+        index with no header ahead of them."""
+        framework = NdftFramework()
+        framework.run_many(SIZES)
+        path = tmp_path / "older.pkl"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "format": 2,
+                    "fingerprint": framework.cache_fingerprint(),
+                    "entries": framework._store.items(),
+                    "warm_start": [],
+                }
+            )
+        )
+        for absorb in (NdftFramework().load_caches, NdftFramework().merge_caches):
+            with pytest.raises(ConfigError, match="format 2, expected format 3"):
+                absorb(path)
+
+    def test_other_header_format_refused(self, tmp_path):
+        """A headered file of another format number (a newer writer) is
+        refused on its header alone, whatever its payload holds."""
+        framework = NdftFramework()
+        framework.run(n_atoms=64)
+        blob = framework.save_caches(tmp_path / "caches.pkl").read_bytes()
+        at = len(_SNAPSHOT_MAGIC)
+        newer = tmp_path / "newer.pkl"
+        newer.write_bytes(blob[:at] + (4).to_bytes(4, "big") + blob[at + 4 :])
+        loader = NdftFramework()
+        with pytest.raises(ConfigError, match="format 4, expected format 3"):
+            loader.load_caches(newer)
+        assert not loader._store
 
     def test_save_writes_no_backend_table(self, tmp_path):
         framework = NdftFramework()
@@ -185,6 +223,29 @@ class TestFingerprintRefusal:
             with pytest.raises(ConfigError):
                 loader.load_caches(flipped)
         assert not loader._store
+
+    def test_payload_under_another_header_refused(self, tmp_path):
+        """A file stitched from two snapshots: the payload unpickles
+        cleanly and carries this framework's fingerprint, yet it is not
+        the payload the header was written for, so the checksum refuses
+        it instead of serving the other snapshot's numbers."""
+        small = NdftFramework()
+        small.run(n_atoms=64)
+        small_blob = small.save_caches(tmp_path / "small.pkl").read_bytes()
+        large = NdftFramework()
+        large.run(n_atoms=1024)
+        large_path = large.save_caches(tmp_path / "large.pkl")
+        large_blob = large_path.read_bytes()
+        stitched = tmp_path / "stitched.pkl"
+        stitched.write_bytes(
+            small_blob[:_SNAPSHOT_HEADER_BYTES]
+            + large_blob[_SNAPSHOT_HEADER_BYTES:]
+        )
+        loader = NdftFramework()
+        with pytest.raises(ConfigError, match="SHA-256"):
+            loader.load_caches(stitched)
+        assert not loader._store
+        assert loader.load_caches(large_path) > 0  # the payload is sound
 
     def test_fingerprints_equal_across_fresh_frameworks(self):
         assert (

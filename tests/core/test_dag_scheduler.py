@@ -13,7 +13,11 @@ from repro.dft.workload import problem_size
 from repro.errors import SchedulingError
 from repro.hw.timing import PhaseTime
 
-from tests.core.dag_helpers import diamond_pipeline, random_pipeline
+from tests.core.dag_helpers import (
+    diamond_pipeline,
+    random_pipeline,
+    relabelled_pipeline,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +79,31 @@ class TestDpMatchesOracle:
         assert dp.predicted_total == pytest.approx(
             oracle.predicted_total, rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "builder",
+        [build_pipeline, build_kpoint_pipeline],
+        ids=["chain", "kpoint"],
+    )
+    def test_relabelled_pipeline_places_identically(
+        self, framework, builder
+    ):
+        """The DP keys its states by stage name, yet the placement is a
+        function of work and bytes only: a relabelled copy gets the same
+        target at every position and the same predicted total, bit for
+        bit."""
+        pipeline = builder(problem_size(512))
+        relabelled = relabelled_pipeline(pipeline, "alias/")
+        original = framework.scheduler.schedule(
+            pipeline, SchedulingPolicy.COST_AWARE
+        )
+        renamed = framework.scheduler.schedule(
+            relabelled, SchedulingPolicy.COST_AWARE
+        )
+        assert [renamed.assignments[s.name] for s in relabelled.stages] == [
+            original.assignments[s.name] for s in pipeline.stages
+        ]
+        assert renamed.predicted_total == original.predicted_total
 
 
 class TestGpuTarget:

@@ -9,6 +9,8 @@ from repro.core.signature import job_signature
 from repro.dft.workload import problem_size
 from repro.hw.timing import PhaseTime
 
+from tests.core.dag_helpers import relabelled_pipeline
+
 
 def _fresh():
     return NdftFramework()
@@ -215,6 +217,20 @@ class TestFrameworkMemoization:
         framework.run_many([64], pipeline_builder=build_kpoint_pipeline)
         assert framework.cache_stats["pipeline_misses"] == 2
         assert framework.cache_stats["entry_misses"] == 2
+
+    def test_relabelled_pipeline_is_its_own_entry(self):
+        """Stage labels are part of the signature, so a relabelled copy
+        never gets served the original's schedule under the original's
+        names; it derives its own, with the same standalone makespan."""
+        framework = _fresh()
+        pipeline = build_pipeline(problem_size(512))
+        relabelled = relabelled_pipeline(pipeline, "alias_")
+        batch = framework.run_many([pipeline, relabelled])
+        assert framework.cache_stats["entry_misses"] == 2
+        assert set(batch.jobs[1].schedule.assignments) == set(
+            relabelled.stage_names
+        )
+        assert batch.solo_times[0] == batch.solo_times[1]
 
 
 class TestPolicyRespectedUnderMemoization:

@@ -40,6 +40,13 @@ class TestProblemSize:
         with pytest.raises(ConfigError):
             problem_size(0)
 
+    @pytest.mark.parametrize("n_atoms", [True, 64.0, 64.5, "64"])
+    def test_rejects_non_integer_atoms(self, n_atoms):
+        """The check is on the type, not the value: ``True`` would build
+        Si_1 and ``64.0`` equals 64, yet neither is an atom count."""
+        with pytest.raises(ConfigError, match="n_atoms must be an integer"):
+            problem_size(n_atoms)
+
     def test_accepts_numpy_integers(self):
         assert problem_size(np.int64(64)) == problem_size(64)
 
