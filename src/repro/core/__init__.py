@@ -20,9 +20,9 @@
   (bit-identical to the plain shared engine).
 - :mod:`repro.core.backends` — the simulation-backend layer the executor
   selects from per batch: the DAG FIFO replay (one cursor per replica
-  segment, join counters on fan-in stages), the numpy wave replay and
-  the generator engine fallback, all bit-identical and pluggable via
-  ``register_backend``.
+  segment, join counters on fan-in stages; fault plans included), the
+  numpy wave replay and the generator engine fallback, all
+  bit-identical and pluggable via ``register_backend``.
 - :mod:`repro.core.arrivals` — arrival processes (seeded Poisson),
   latency percentiles and the SLO-driven admission policy
   (shed/deprioritize) for the open-queue serving model.

@@ -16,11 +16,11 @@ scattered through the executor:
   backend prices a boundary, regroups the batch or recompiles a job.
 - :class:`SimulationBackend` is the protocol — one
   :meth:`~SimulationBackend.simulate` that returns per-job completion
-  times, the makespan and the super-job count, or ``None`` to decline a
-  batch it cannot prove (e.g. several signatures for ``vector_replay``,
-  a zero-duration task under a degenerate cost model).  The executor
-  builds every per-job report from its super-job template, so no
-  backend touches a report.
+  times, the makespan, the super-job count and the runs a fault plan
+  killed, or ``None`` to decline a batch it cannot prove (e.g. several
+  signatures for ``vector_replay``, a zero-duration task under a
+  degenerate cost model).  The executor builds every per-job report
+  from its super-job template, so no backend touches a report.
 - Three backends ship registered, in fallback-preference order:
 
   =================  ==================================================
@@ -32,19 +32,21 @@ scattered through the executor:
                      joined by single-successor -> single-predecessor
                      edges: a whole chain job is one segment) and
                      per-replica join counters on fan-in stages, one
-                     calendar event per occupancy.
+                     calendar event per occupancy, fault plans
+                     included.
   ``vector_replay``  single-signature (fully coalesced) batches via
                      :func:`repro.hw.vector_replay.replay_vector_batch`
                      — the whole grant/finish timetable as numpy
                      recurrences over the (replica, stage-occupancy)
                      grid, no per-occupancy Python event at all.
-                     Declines cross-signature batches, zero durations
-                     and tie patterns that need the engine's banded
-                     hop cascade.
+                     Declines fault plans, cross-signature batches,
+                     zero durations and tie patterns that need the
+                     engine's banded hop cascade.
   ``engine``         anything, through the generator
                      :class:`repro.hw.engine.Engine` running the same
                      programs, one process per stage of every job —
-                     the universal fallback and the reference the
+                     the fallback for zero-duration tasks (with or
+                     without a fault plan) and the reference the
                      replays are verified against.
   =================  ==================================================
 
@@ -66,18 +68,17 @@ learn *why* (zero-duration task, cross-signature interleaving, ...)
 instead of getting a bare refusal.  It reads the same compiled batch
 ``simulate`` declined.
 
-Fault injection (:mod:`repro.core.faults`) extends the same contract:
-a batch whose lanes carry fault-plan events is declined by *every*
-replay backend with :data:`FAULTED_SHARD_REASON` — the replays model
-the healthy machine only, and the decline-not-approximate rule means
-they must never silently ignore an outage window.  A batch whose lanes
-carry only *slowdown* windows (partial degradation, nothing killed) is
-declined with its own :data:`SLOWDOWN_SHARD_REASON`: inflated service
-times break the FIFO hop-cascade equivalence the replays rest on, so
-they must not approximate those either.  Affected batches always run on
-the fault-aware generator engine path; an *empty* fault plan never
-triggers either decline, so it stays bit-identical to no plan across
-all three backends.
+Fault injection (:mod:`repro.core.faults`) rides the same walk.  A
+batch whose lanes carry fault-plan events compiles with the plan
+(:attr:`CompiledBatch.faults`): ``dag_replay`` resolves every grant
+against its lane's timeline and returns the killed runs, bit-identical
+to the fault-aware engine (property-tested in
+``tests/core/test_dag_replay.py``); ``vector_replay`` declines it with
+:data:`FAULT_PLAN_REASON`, since its wave recurrence models the healthy
+machine only; and a zero-duration faulted batch falls back to the
+engine.  A plan on lanes the batch never occupies — like an *empty*
+plan — compiles to no plan at all, so it stays bit-identical to no
+plan across all three backends.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
+from repro.core.faults import FaultPlan, RunFailure
 from repro.errors import SimulationError
 from repro.hw.engine import replay_dag_batch
 from repro.hw.vector_replay import replay_vector_batch
@@ -93,9 +95,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executor import PipelineExecutor
 
 #: What ``simulate`` hands back: per-job completion times in batch
-#: order, the makespan, and the number of signature-coalesced
-#: super-jobs.
-ShardResult = tuple[list[float], float, int]
+#: order, the makespan, the number of signature-coalesced super-jobs,
+#: and the runs the batch's fault plan killed
+#: (:class:`~repro.core.faults.RunFailure`, in batch order; empty
+#: without a plan).
+ShardResult = tuple[list[float], float, int, tuple[RunFailure, ...]]
 
 
 @dataclass(slots=True)
@@ -113,12 +117,14 @@ class CompiledBatch:
     then its predecessor indices), and ``lanes[r]`` names resource
     ``r`` as :func:`repro.core.executor.lane_name` does — the lanes
     the batch can occupy, and the keys its occupancies are filed
-    under."""
+    under.  ``faults`` is the fault plan the batch runs under, or
+    ``None`` when no plan touches any of its lanes."""
 
     representatives: list
     member_group: list[int]
     programs: list
     lanes: list[str]
+    faults: FaultPlan | None = None
 
     def __len__(self) -> int:
         return len(self.member_group)
@@ -162,8 +168,9 @@ class SimulationBackend(Protocol):
         :attr:`CompiledBatch.lanes` name; the intervals must be the
         engine's exact floats (``end = grant + duration``), which is
         what makes ``BatchExecutionReport.lane_occupancy``
-        backend-independent.  A decline must leave ``lane_log``
-        untouched."""
+        backend-independent.  A backend that cannot honour
+        :attr:`CompiledBatch.faults` must decline.  A decline must
+        leave ``lane_log`` untouched."""
         ...
 
 
@@ -204,6 +211,26 @@ def _release_times(batch: CompiledBatch, arrivals) -> list[float]:
     return [0.0] * len(batch) if arrivals is None else arrivals
 
 
+def _run_failures(batch: CompiledBatch, failed) -> tuple[RunFailure, ...]:
+    """The replay's ``(job, time, resource, kind, stages)`` failure rows
+    as :class:`RunFailure` records: the resource by lane name, the
+    completed program stages by stage name, sorted."""
+    failures = []
+    for job, time, resource, kind, stages in failed:
+        pipeline = batch.representatives[batch.member_group[job]][0]
+        names = pipeline.topological_order
+        failures.append(
+            RunFailure(
+                job=job,
+                time=time,
+                lane=batch.lanes[resource],
+                kind=kind,
+                completed_stages=tuple(sorted(map(names.__getitem__, stages))),
+            )
+        )
+    return tuple(failures)
+
+
 class EngineBackend:
     """The generator-engine reference path: declines nothing.
 
@@ -215,10 +242,10 @@ class EngineBackend:
     name = "engine"
 
     def simulate(self, executor, batch, arrivals, lane_log):
-        finish, makespan = executor._run_engine(
+        finish, makespan, failures = executor._run_engine(
             batch, executor._lane_recorder(lane_log), arrivals
         )
-        return finish, makespan, 0
+        return finish, makespan, 0, failures
 
 
 #: Why the slim replays decline degenerate batches — quoted verbatim in
@@ -228,27 +255,14 @@ _ZERO_DURATION_REASON = (
     "tie-handling cannot represent"
 )
 
-#: Why every replay backend declines a batch whose lanes carry
-#: fault-plan events — quoted verbatim in the forced-backend error.
-#: The replays model the healthy machine; under the
-#: decline-not-approximate contract they must hand faulted batches to
-#: the fault-aware engine rather than silently ignore outage windows.
-FAULTED_SHARD_REASON = (
-    "the batch's lanes carry fault-plan events, which only the "
-    "fault-aware engine path can simulate"
-)
-
-#: Why every replay backend declines a batch whose lanes carry only
-#: *slowdown* windows — quoted verbatim in the forced-backend error.
-#: The replays' FIFO hop-cascade equivalence argument assumes every
-#: occupancy's duration is the schedule's nominal one; a slowdown
-#: window inflates services piecewise, so grant orders can differ from
-#: the healthy timetable in ways the replays cannot prove equivalent.
-#: Decline, never approximate.
-SLOWDOWN_SHARD_REASON = (
-    "the batch's lanes carry slowdown windows, whose piecewise-"
-    "inflated service times break the replays' FIFO hop-cascade "
-    "equivalence; only the fault-aware engine path can simulate them"
+#: Why ``vector_replay`` declines a batch whose lanes carry fault-plan
+#: events — quoted verbatim in the forced-backend error.  Its wave
+#: recurrence models the healthy machine; under the
+#: decline-not-approximate contract it must leave outages, slowdowns
+#: and kills to ``dag_replay`` rather than silently ignore them.
+FAULT_PLAN_REASON = (
+    "the batch's lanes carry fault-plan events, which the wave "
+    "recurrence does not model"
 )
 
 
@@ -276,21 +290,25 @@ class DagReplayBackend:
     """Slim FIFO replay for any batch: one cursor per replica segment
     (a chain job is one segment) and per-replica join counters on the
     fan-in stages keep chains, branching pipelines (k-point DAGs) and
-    super-job replicas on the one-event-per-occupancy loop."""
+    super-job replicas on the one-event-per-occupancy loop.  Under a
+    fault plan each lane's timeline is looked up once per call and
+    every grant resolves against it."""
 
     name = "dag_replay"
 
     def simulate(self, executor, batch, arrivals, lane_log):
         if not batch.positive:
             return None
-        finish, makespan, occupancy = replay_dag_batch(
+        faults = batch.faults
+        finish, makespan, occupancy, failed = replay_dag_batch(
             batch.programs,
             batch.member_group,
             _release_times(batch, arrivals),
             len(batch.lanes),
+            None if faults is None else list(map(faults.timeline, batch.lanes)),
         )
         _log_occupancy(batch.lanes, occupancy, lane_log)
-        return finish, makespan, len(batch.programs)
+        return finish, makespan, len(batch.programs), _run_failures(batch, failed)
 
     def unsupported_reason(self, executor, batch) -> str:
         return _ZERO_DURATION_REASON
@@ -314,7 +332,11 @@ class VectorReplayBackend:
     name = "vector_replay"
 
     def simulate(self, executor, batch, arrivals, lane_log):
-        if len(batch.programs) != 1 or not batch.positive:
+        if (
+            batch.faults is not None
+            or len(batch.programs) != 1
+            or not batch.positive
+        ):
             return None
         result = replay_vector_batch(
             batch.programs[0],
@@ -325,9 +347,11 @@ class VectorReplayBackend:
             return None
         finish, makespan, occupancy = result
         _log_occupancy(batch.lanes, occupancy, lane_log)
-        return finish, makespan, 1
+        return finish, makespan, 1, ()
 
     def unsupported_reason(self, executor, batch) -> str:
+        if batch.faults is not None:
+            return FAULT_PLAN_REASON
         if len(batch.programs) != 1:
             return CROSS_SIGNATURE_REASON_TEMPLATE.format(
                 count=len(batch.programs)

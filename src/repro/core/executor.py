@@ -33,7 +33,7 @@ Two entry points:
   or any job with an ``observer``, runs the engine on the program.
 - :meth:`PipelineExecutor.execute_many` — a batch of jobs on one shared
   set of device/link resources, timed as one simulation by one
-  registered backend: the batching back-end of
+  registered backend, under a fault plan too: the batching back-end of
   :meth:`repro.core.framework.NdftFramework.run_many`.
 
 :meth:`PipelineExecutor.execute` takes an ``observer`` callback
@@ -59,7 +59,12 @@ from repro.core.faults import FaultPlan, RunFailure
 from repro.core.pipeline import Pipeline
 from repro.core.scheduler import Placement, Schedule
 from repro.errors import SimulationError
-from repro.hw.engine import Engine, Resource, SimProcess
+from repro.hw.engine import (
+    Engine,
+    Resource,
+    SimProcess,
+    resolve_degraded_service,
+)
 from repro.hw.timing import PhaseTime
 
 #: Trace callback: (lane, label, start_seconds, end_seconds).
@@ -69,9 +74,6 @@ TraceObserver = Callable[[str, str, float, float], None]
 #: wire gets its own lane ("link:cpu-ndp", "link:cpu-gpu", ...) because
 #: distinct wires legitimately carry transfers concurrently.
 LINK_LANE_PREFIX = "link"
-
-#: Name of the universal-fallback backend in the registry.
-_ENGINE_BACKEND = "engine"
 
 
 def lane_name(key: object) -> str:
@@ -351,24 +353,27 @@ class PipelineExecutor:
     # The compile every simulation path runs
     # ------------------------------------------------------------------
     def compile_batch(
-        self, jobs: Sequence[tuple[Pipeline, Schedule]]
+        self,
+        jobs: Sequence[tuple[Pipeline, Schedule]],
+        faults: FaultPlan | None = None,
     ) -> "_backends.CompiledBatch":
         """Group ``jobs`` into super-jobs by pipeline/schedule object
         identity (:func:`repro.core.backends.superjob_groups`; the
         framework hands duplicates one shared pair) and compile each
         super-job once — the :class:`~repro.core.backends.CompiledBatch`
-        every backend's ``simulate`` reads."""
+        every backend's ``simulate`` reads.  The batch keeps ``faults``
+        only when the plan touches one of its lanes."""
         representatives, member_group = _backends.superjob_groups(jobs)
         resource_ids: dict[object, int] = {}
         programs = [
             self._compile_job(pipeline, schedule, resource_ids)
             for pipeline, schedule in representatives
         ]
+        lanes = [lane_name(key) for key in resource_ids]
+        if faults is not None and not faults.affects(lanes):
+            faults = None
         return _backends.CompiledBatch(
-            representatives,
-            member_group,
-            programs,
-            [lane_name(key) for key in resource_ids],
+            representatives, member_group, programs, lanes, faults
         )
 
     def _compile_job(
@@ -445,9 +450,10 @@ class PipelineExecutor:
         from the batch's shape: the DAG FIFO replay (one cursor per
         replica segment, join counters on fan-in stages), the numpy wave
         replay (first, for large closed single-signature batches), or
-        the generator engine as the universal fallback.  Backends return
-        completion times; every job's :class:`ExecutionReport` is then
-        built eagerly from its super-job's shared fields.
+        the generator engine as the fallback for zero-duration tasks.
+        Backends return completion times; every job's
+        :class:`ExecutionReport` is then built eagerly from its
+        super-job's shared fields.
 
         ``backend`` names one registered backend to force (the serving
         benchmark's A/B switch); a forced backend that cannot simulate
@@ -461,10 +467,12 @@ class PipelineExecutor:
         :attr:`BatchExecutionReport.backend_timings`.
 
         ``faults`` injects a :class:`repro.core.faults.FaultPlan`: a
-        batch occupying any lane that carries fault events runs on the
-        fault-aware engine path (replay backends decline it —
-        :data:`repro.core.backends.FAULTED_SHARD_REASON`), and runs
-        killed by an outage or permanent failure land in
+        batch occupying any lane that carries fault events walks the
+        same backends under the plan — ``dag_replay`` simulates it
+        bit-identically to the fault-aware engine, ``vector_replay``
+        declines it (:data:`repro.core.backends.FAULT_PLAN_REASON`), and
+        a zero-duration batch falls back to the engine — and runs killed
+        by an outage or permanent failure land in
         :attr:`BatchExecutionReport.failures`.  A plan on lanes the batch
         never occupies — like an *empty* plan — leaves the exact
         unmodified code path: bit-identical to no plan for every backend.
@@ -489,11 +497,10 @@ class PipelineExecutor:
                 )
         forced = None if backend is None else _backends.get_backend(backend)
         lane_log: dict[str, list[tuple[float, float]]] = {}
-        failures: list = []
         wall_start = perf_counter()
-        batch = self.compile_batch(jobs)
-        chosen, finish, makespan, n_superjobs = self._simulate(
-            batch, arrivals, forced, lane_log, faults, failures
+        batch = self.compile_batch(jobs, faults)
+        chosen, (finish, makespan, n_superjobs, failures) = self._simulate(
+            batch, arrivals, forced, lane_log
         )
         timing = ShardTiming(
             chosen, perf_counter() - wall_start, n, n_superjobs
@@ -508,7 +515,7 @@ class PipelineExecutor:
                 lane: tuple(intervals) for lane, intervals in lane_log.items()
             },
             backend_timings=(timing,),
-            failures=tuple(failures),
+            failures=failures,
         )
 
     def _job_reports(
@@ -546,62 +553,35 @@ class PipelineExecutor:
         arrivals: list[float] | None,
         forced: "_backends.SimulationBackend | None",
         lane_log: dict[str, list[tuple[float, float]]],
-        faults: "FaultPlan | None",
-        failures: list,
-    ) -> tuple[str, list[float], float, int]:
+    ) -> tuple[str, "_backends.ShardResult"]:
         """Time the compiled batch through the backend layer.
 
         The default walk tries every registered backend in the order
         :func:`repro.core.backends.selection_order` derives from the
         batch's shape and takes the first that does not decline it; the
         engine backend, last in every walk, declines nothing, so the
-        walk always terminates.  A batch whose lanes carry fault-plan
-        events goes straight to the fault-aware engine path, the only
-        one that understands outage and slowdown windows (run failures
-        land in ``failures`` by batch index).  ``forced`` pins one named
-        backend and raises, naming why, when it cannot simulate the
-        batch: its own ``unsupported_reason`` for the compiled batch,
-        or for a faulted batch
-        :data:`~repro.core.backends.FAULTED_SHARD_REASON` when any lane
-        carries a job-killing event (outage window, permanent death)
-        and :data:`~repro.core.backends.SLOWDOWN_SHARD_REASON` when the
-        lanes only slow down (the FIFO hop-cascade equivalence does not
-        carry over to inflated services).  ``lane_log`` collects the
-        batch's per-lane occupancy intervals.  Returns the chosen
-        backend's name, the per-job completion times in batch order,
-        the makespan, and the super-job count.
+        walk always terminates.  A batch compiled under a fault plan
+        walks the same way.  ``forced`` pins one named backend and
+        raises, naming its ``unsupported_reason`` for the compiled
+        batch, when it declines.  ``lane_log`` collects the batch's
+        per-lane occupancy intervals.  Returns the chosen backend's name
+        and its result: the per-job completion times in batch order,
+        the makespan, the super-job count and the killed runs.
         """
-        if faults is not None and faults.affects(batch.lanes):
-            if forced is None or forced.name == _ENGINE_BACKEND:
-                finish, makespan = self._run_engine(
-                    batch,
-                    self._lane_recorder(lane_log),
-                    arrivals,
-                    faults,
-                    failures,
-                )
-                return _ENGINE_BACKEND, finish, makespan, 0
-            reason = (
-                _backends.FAULTED_SHARD_REASON
-                if faults.affects_lethally(batch.lanes)
-                else _backends.SLOWDOWN_SHARD_REASON
-            )
+        if forced is not None:
+            candidates: tuple = (forced,)
         else:
-            if forced is not None:
-                candidates: tuple = (forced,)
-            else:
-                candidates = _backends.selection_order(
-                    len(batch), len(batch.programs), arrivals is None
-                )
-            for candidate in candidates:
-                result = candidate.simulate(self, batch, arrivals, lane_log)
-                if result is not None:
-                    finish, makespan, groups = result
-                    return candidate.name, finish, makespan, groups
-            reason = forced.unsupported_reason(self, batch)
+            candidates = _backends.selection_order(
+                len(batch), len(batch.programs), arrivals is None
+            )
+        for candidate in candidates:
+            result = candidate.simulate(self, batch, arrivals, lane_log)
+            if result is not None:
+                return candidate.name, result
         raise SimulationError(
             f"backend {forced.name!r} cannot simulate a "
-            f"{len(batch)}-job batch ({reason}) and no fallback "
+            f"{len(batch)}-job batch "
+            f"({forced.unsupported_reason(self, batch)}) and no fallback "
             "is allowed"
         )
 
@@ -622,22 +602,21 @@ class PipelineExecutor:
         batch: "_backends.CompiledBatch",
         observer: TraceObserver | None,
         arrivals: Sequence[float] | None = None,
-        fault_plan: "FaultPlan | None" = None,
-        failures: list | None = None,
-    ) -> tuple[list[float], float]:
+    ) -> tuple[list[float], float, tuple[RunFailure, ...]]:
         """The uncollapsed path: every job of ``batch`` as stage
         processes on one shared engine, spawned from its super-job's
         program (the pre-coalescing semantics, and the reference the
         replays are verified against).  Returns per-job completion
-        times and the makespan; ``observer`` sees every occupancy with
-        the engine's own start/end floats.
+        times, the makespan and the killed runs; ``observer`` sees every
+        occupancy with the engine's own start/end floats.
 
-        With a ``fault_plan``, each job gets a shared mutable fault
-        state: the first task of the job hit by an outage window or a
-        permanent lane death marks the whole job failed at that instant,
-        remaining stages fall through (holding nothing past their
-        current occupancy), and the run lands in ``failures`` under its
-        batch index."""
+        Under the batch's fault plan, each lane's timeline is looked up
+        once and each job gets a shared mutable fault state: the first
+        task of the job hit by an outage window or a permanent lane death
+        marks the whole job failed at that instant, remaining stages fall
+        through (holding nothing past their current occupancy), and the
+        run is reported under its batch index."""
+        fault_plan = batch.faults
         engine = Engine()
         lanes = [engine.resource(1, lane) for lane in batch.lanes]
         templates = []
@@ -651,11 +630,10 @@ class PipelineExecutor:
                 else self._task_labels(names, program)
             )
             templates.append((program, names, labels))
-        states = (
-            None
-            if fault_plan is None
-            else [_RunFaultState() for _ in batch.member_group]
-        )
+        timelines = states = None
+        if fault_plan is not None:
+            timelines = list(map(fault_plan.timeline, batch.lanes))
+            states = [_RunFaultState() for _ in batch.member_group]
         spawned = [
             self._spawn_job(
                 engine,
@@ -663,26 +641,27 @@ class PipelineExecutor:
                 *templates[group],
                 observer,
                 release=None if arrivals is None else arrivals[job],
-                fault_plan=fault_plan,
+                timelines=timelines,
                 fault_state=None if states is None else states[job],
             )
             for job, group in enumerate(batch.member_group)
         ]
         makespan = engine.run()
         finish = [self._finish_time(processes) for processes in spawned]
-        if states is not None and failures is not None:
-            for position, state in enumerate(states):
-                if state.failed_at is not None:
-                    failures.append(
-                        RunFailure(
-                            job=position,
-                            time=state.failed_at,
-                            lane=state.lane,
-                            kind=state.kind,
-                            completed_stages=tuple(sorted(state.completed)),
-                        )
-                    )
-        return finish, makespan
+        failures = ()
+        if states is not None:
+            failures = tuple(
+                RunFailure(
+                    job=position,
+                    time=state.failed_at,
+                    lane=state.lane,
+                    kind=state.kind,
+                    completed_stages=tuple(sorted(state.completed)),
+                )
+                for position, state in enumerate(states)
+                if state.failed_at is not None
+            )
+        return finish, makespan, failures
 
     @staticmethod
     def schedule_lanes(schedule: Schedule) -> tuple[str, ...]:
@@ -730,7 +709,7 @@ class PipelineExecutor:
         labels: list[list[str]] | None,
         observer: TraceObserver | None,
         release: float | None = None,
-        fault_plan: FaultPlan | None = None,
+        timelines: list | None = None,
         fault_state: "_RunFaultState | None" = None,
     ) -> list[SimProcess]:
         """Spawn one process per stage of ``program`` (in topological
@@ -742,10 +721,13 @@ class PipelineExecutor:
         ``release`` delays the job's entry stages to that arrival offset
         (downstream stages inherit it through the predecessor waits).
 
-        ``fault_plan``/``fault_state`` mark a faulted run: every
-        occupancy runs through the fault plan (on a lane without fault
-        events that yields exactly the plain acquire/timeout/release
-        commands), and once any stage of the job fails, the remaining
+        ``timelines``/``fault_state`` mark a faulted run: ``timelines``
+        holds each resource's fault timeline
+        (:meth:`repro.core.faults.FaultPlan.timeline`, ``None`` for a
+        healthy lane), every occupancy runs through it (on a lane
+        without fault events that yields exactly the plain
+        acquire/timeout/release commands), and once any stage of the
+        job fails, the remaining
         tasks fall through — they still pass their acquire/release
         pairs (so FIFO queues drain and nothing deadlocks) but occupy no
         time on the lane.  Without a fault state the plain yields run
@@ -771,7 +753,7 @@ class PipelineExecutor:
                 elif fault_state.failed_at is not None or not (
                     yield from self._occupy_faulted(
                         engine,
-                        fault_plan,
+                        timelines[resource],
                         fault_state,
                         lane.name,
                         duration,
@@ -802,14 +784,15 @@ class PipelineExecutor:
     @staticmethod
     def _occupy_faulted(
         engine: Engine,
-        fault_plan: FaultPlan,
+        timeline: tuple | None,
         fault_state: "_RunFaultState",
         lane: str,
         duration: float,
         observer: TraceObserver | None,
         label: str,
     ):
-        """Occupy ``lane`` for ``duration`` under the fault plan.
+        """Occupy ``lane`` for ``duration`` under its fault
+        ``timeline`` (``None``: the lane carries no fault event).
 
         The caller already holds the lane's resource.  A task granted
         inside an outage window waits the window out (no failure); a
@@ -821,9 +804,12 @@ class PipelineExecutor:
         the job failed (the caller releases and bails out).
         """
         grant = engine.now
-        service, wall, fail_time, kind = fault_plan.resolve_service(
-            lane, grant, duration
-        )
+        if timeline is None:
+            service, wall, fail_time, kind = grant, duration, None, None
+        else:
+            service, wall, fail_time, kind = resolve_degraded_service(
+                *timeline, grant, duration
+            )
         if fail_time is None:
             if service > grant:
                 yield engine.timeout(service - grant)

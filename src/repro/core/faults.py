@@ -31,9 +31,10 @@ degradation.
 Plans are plain data and deterministic: the same plan (or the same
 ``seed`` via the drawing helpers) always yields the same failure set,
 retry schedule, and final report.  An *empty* plan is contractually
-bit-identical to passing no plan at all — the executor never enters the
-fault-aware code path, so all three simulation backends keep producing
-the exact same floats.
+bit-identical to passing no plan at all — like a plan on lanes a batch
+never occupies, it compiles to a batch without a plan, so all three
+simulation backends keep producing the exact same floats.  Every time
+and rate a plan holds is finite.
 
 :class:`RetryPolicy` governs what happens after a failure: a failed job
 re-enters the open queue at ``fail_time + backoff(attempt)`` with
@@ -49,11 +50,12 @@ suffix past the checkpoint) instead of redoing finished work.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import random
 from dataclasses import dataclass, field
+from math import inf, isfinite
 
 from repro.errors import ConfigError
-from repro.hw.engine import resolve_degraded_service
 from repro.stats import percentile
 
 __all__ = [
@@ -69,6 +71,14 @@ __all__ = [
 ]
 
 _WIRE_PREFIX = "link:"
+
+
+def _positive_finite(name: str, value) -> None:
+    """Refuse a drawing parameter that is not a finite positive number:
+    an infinite horizon or rate would never end the draw, and an
+    infinite ``mtbf``/``mttr`` has no exponential clock."""
+    if not (isfinite(value) and value > 0.0):
+        raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _normalize_outages(
@@ -87,10 +97,10 @@ def _normalize_outages(
         lane = str(lane)
         start = float(start)
         end = float(end)
-        if not (start >= 0.0 and end > start):
+        if not (0.0 <= start < end < inf):
             raise ConfigError(
                 f"outage window on lane {lane!r} must satisfy 0 <= start < end, "
-                f"got [{start}, {end})"
+                f"both finite, got [{start}, {end})"
             )
         by_lane.setdefault(lane, []).append((start, end))
     normalized: list[tuple[str, float, float]] = []
@@ -137,15 +147,15 @@ class SlowdownWindow:
         object.__setattr__(self, "start", float(self.start))
         object.__setattr__(self, "end", float(self.end))
         object.__setattr__(self, "factor", float(self.factor))
-        if not (self.start >= 0.0 and self.end > self.start):
+        if not (0.0 <= self.start < self.end < inf):
             raise ConfigError(
                 f"slowdown window on lane {self.lane!r} must satisfy "
-                f"0 <= start < end, got [{self.start}, {self.end})"
+                f"0 <= start < end, both finite, got [{self.start}, {self.end})"
             )
-        if not self.factor > 1.0:
+        if not (1.0 < self.factor < inf):
             raise ConfigError(
-                f"slowdown factor on lane {self.lane!r} must be > 1.0 "
-                f"(an inflation), got {self.factor}"
+                f"slowdown factor on lane {self.lane!r} must be finite and "
+                f"> 1.0 (an inflation), got {self.factor}"
             )
 
 
@@ -254,10 +264,10 @@ class FaultPlan:
                     "a dead link partitions the machine instead of degrading it "
                     "(use a transient outage window instead)"
                 )
-            if dead_at < 0.0:
+            if not 0.0 <= dead_at < inf:
                 raise ConfigError(
-                    f"permanent failure time for lane {lane!r} must be >= 0, "
-                    f"got {dead_at}"
+                    f"permanent failure time for lane {lane!r} must be finite "
+                    f"and >= 0, got {dead_at}"
                 )
             if lane in dead:
                 dead_at = min(dead_at, dead[lane])
@@ -326,8 +336,9 @@ class FaultPlan:
     def affects(self, lanes) -> bool:
         """True when any of ``lanes`` carries a fault event — an outage
         window, a permanent death, or a slowdown window.  This is the
-        executor's routing predicate: a batch occupying an affected lane
-        must run on the fault-aware engine path."""
+        executor's predicate for simulating a batch under the plan: a
+        batch that occupies no affected lane runs exactly as without
+        one."""
         windows = self._windows
         dead = self._dead
         slow = self._slow
@@ -335,14 +346,19 @@ class FaultPlan:
             lane in windows or lane in dead or lane in slow for lane in lanes
         )
 
-    def affects_lethally(self, lanes) -> bool:
-        """True when any of ``lanes`` carries a *job-killing* event (an
-        outage window or a permanent death).  Slowdown-only lanes
-        inflate services but never fail them — the distinction picks
-        which named reason the replay backends decline with."""
-        windows = self._windows
-        dead = self._dead
-        return any(lane in windows or lane in dead for lane in lanes)
+    def timeline(
+        self, lane: str
+    ) -> tuple[tuple, tuple, float | None] | None:
+        """The lane's ``(windows, slowdowns, dead_at)`` arguments for
+        :func:`repro.hw.engine.resolve_degraded_service`, or ``None``
+        when the lane carries no fault event (its services run exactly
+        as on a healthy machine)."""
+        windows = self._windows.get(lane, ())
+        slowdowns = self._slow.get(lane, ())
+        dead_at = self._dead.get(lane)
+        if not windows and not slowdowns and dead_at is None:
+            return None
+        return windows, slowdowns, dead_at
 
     def windows_for(self, lane: str) -> tuple[tuple[float, float], ...]:
         return self._windows.get(lane, ())
@@ -373,24 +389,6 @@ class FaultPlan:
         times = {start for _lane, start, _end in self.outages}
         times.update(self._dead.values())
         return tuple(sorted(times))
-
-    def resolve_service(
-        self, lane: str, grant: float, duration: float
-    ) -> tuple[float, float, float | None, str | None]:
-        """Resolve a task on ``lane`` granted at ``grant`` for ``duration``.
-
-        Delegates to :func:`repro.hw.engine.resolve_degraded_service`;
-        returns ``(service_start, wall_duration, fail_time_or_None,
-        kind)`` — ``wall_duration`` is the slowdown-inflated service
-        span (exactly ``duration`` when no slowdown overlaps).
-        """
-        return resolve_degraded_service(
-            self._windows.get(lane, ()),
-            self._slow.get(lane, ()),
-            self._dead.get(lane),
-            grant,
-            duration,
-        )
 
     # ------------------------------------------------------------------
     # Composition
@@ -486,9 +484,11 @@ class RetryPolicy:
     late retries at absurd virtual times — or overflow the power to
     ``inf`` outright.  ``job_timeout`` (optional) abandons a job once its
     next attempt would start more than ``job_timeout`` seconds after its
-    original arrival.  ``backoff_base`` must be strictly positive:
-    retries releasing strictly after the failure that caused them is what
-    makes the retry fixpoint converge.
+    original arrival.  ``max_attempts`` is an integer (``bool`` is not),
+    and ``backoff_base`` and ``backoff_factor`` are finite, so every
+    retry releases at a finite time; ``backoff_base`` must be strictly
+    positive: retries releasing strictly after the failure that caused
+    them is what makes the retry fixpoint converge.
 
     ``checkpoint=True`` turns retries into *resumes*: the frontier of
     stages the failed run had already completed is recorded at failure
@@ -506,18 +506,23 @@ class RetryPolicy:
     checkpoint: bool = False
 
     def __post_init__(self) -> None:
-        if int(self.max_attempts) != self.max_attempts or self.max_attempts < 1:
+        if (
+            isinstance(self.max_attempts, bool)
+            or not isinstance(self.max_attempts, numbers.Integral)
+            or self.max_attempts < 1
+        ):
             raise ConfigError(
                 f"max_attempts must be an integer >= 1, got {self.max_attempts!r}"
             )
-        if not self.backoff_base > 0.0:
+        if not (isfinite(self.backoff_base) and self.backoff_base > 0.0):
             raise ConfigError(
-                f"backoff_base must be > 0 (retries must release strictly after "
-                f"the failure), got {self.backoff_base!r}"
+                f"backoff_base must be finite and > 0 (retries must release "
+                f"strictly after the failure), got {self.backoff_base!r}"
             )
-        if self.backoff_factor < 1.0:
+        if not (isfinite(self.backoff_factor) and self.backoff_factor >= 1.0):
             raise ConfigError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
+                f"backoff_factor must be finite and >= 1, got "
+                f"{self.backoff_factor!r}"
             )
         if self.backoff_max is not None and not (
             self.backoff_max >= self.backoff_base
@@ -561,8 +566,11 @@ class RunFailure:
     """One simulated run killed by a fault event.
 
     ``job`` is the run's position in the ``execute_many`` submission
-    list; ``time`` is the virtual fail time (a window start or the lane's
-    permanent death); ``kind`` is ``"outage"`` or ``"permanent"``.
+    list; ``time`` is the virtual fail time: the engine's float
+    ``grant + (fail_time - grant)`` for a window start or permanent
+    death during the task's service, or the grant itself for a death
+    that came before the grant; ``kind`` is ``"outage"`` or
+    ``"permanent"``.
     ``completed_stages`` is the sorted frontier of stages the run had
     fully finished before (or concurrently with) the failure — the
     checkpoint a ``RetryPolicy(checkpoint=True)`` resume starts past.
@@ -737,14 +745,13 @@ def poisson_fault_plan(
     ordering), outage starts arrive with mean spacing ``mtbf`` and last
     ``Exp(mttr)`` each, truncated at ``horizon``.  ``permanent_after``
     (optional) additionally kills each *device* lane permanently at its
-    first outage start past that time.  Deterministic given ``seed``.
+    first outage start past that time.  ``mtbf``, ``mttr`` and
+    ``horizon`` must be finite and positive.  Deterministic given
+    ``seed``.
     """
-    if not mtbf > 0.0:
-        raise ConfigError(f"mtbf must be > 0, got {mtbf!r}")
-    if not mttr > 0.0:
-        raise ConfigError(f"mttr must be > 0, got {mttr!r}")
-    if not horizon > 0.0:
-        raise ConfigError(f"horizon must be > 0, got {horizon!r}")
+    _positive_finite("mtbf", mtbf)
+    _positive_finite("mttr", mttr)
+    _positive_finite("horizon", horizon)
     generator = random.Random(seed)
     outages: list[tuple[str, float, float]] = []
     permanent: list[tuple[str, float]] = []
@@ -812,19 +819,17 @@ def shock_fault_plan(
     ``groups`` is an iterable of lane groups (a bare string counts as a
     one-lane group); groups and their lanes are canonicalized (sorted,
     deduplicated) before the draw so the plan is independent of input
-    ordering.  Deterministic given ``seed``.  Compose with independent
+    ordering.  ``rate``, ``mttr`` and ``horizon`` must be finite and
+    positive.  Deterministic given ``seed``.  Compose with independent
     background noise via :meth:`FaultPlan.merge`::
 
         plan = poisson_fault_plan(["ndp"], mtbf=20, mttr=1, horizon=60)
         plan = plan.merge(shock_fault_plan(
             [("ndp", "link:cpu-ndp")], rate=0.05, mttr=2, horizon=60))
     """
-    if not rate > 0.0:
-        raise ConfigError(f"shock rate must be > 0, got {rate!r}")
-    if not mttr > 0.0:
-        raise ConfigError(f"mttr must be > 0, got {mttr!r}")
-    if not horizon > 0.0:
-        raise ConfigError(f"horizon must be > 0, got {horizon!r}")
+    _positive_finite("shock rate", rate)
+    _positive_finite("mttr", mttr)
+    _positive_finite("horizon", horizon)
     group_list = _normalize_groups(groups)
     generator = random.Random(seed)
     outages: list[tuple[str, float, float]] = []
@@ -859,18 +864,17 @@ def slowdown_fault_plan(
     exponential failure/repair clocks as :func:`poisson_fault_plan`,
     but each drawn window is a :class:`SlowdownWindow` at ``factor``
     instead of an outage — the lane keeps serving, ``factor``× slower,
-    and nothing is killed.  Deterministic given ``seed``; compose with
+    and nothing is killed.  ``mtbf``, ``mttr`` and ``horizon`` must be
+    finite and positive.  Deterministic given ``seed``; compose with
     outage plans via :meth:`FaultPlan.merge`.
     """
-    if not mtbf > 0.0:
-        raise ConfigError(f"mtbf must be > 0, got {mtbf!r}")
-    if not mttr > 0.0:
-        raise ConfigError(f"mttr must be > 0, got {mttr!r}")
-    if not horizon > 0.0:
-        raise ConfigError(f"horizon must be > 0, got {horizon!r}")
-    if not factor > 1.0:
+    _positive_finite("mtbf", mtbf)
+    _positive_finite("mttr", mttr)
+    _positive_finite("horizon", horizon)
+    if not 1.0 < factor < inf:
         raise ConfigError(
-            f"slowdown factor must be > 1.0 (an inflation), got {factor!r}"
+            f"slowdown factor must be finite and > 1.0 (an inflation), got "
+            f"{factor!r}"
         )
     generator = random.Random(seed)
     slowdowns: list[SlowdownWindow] = []

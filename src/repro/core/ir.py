@@ -15,7 +15,7 @@ whole kernel region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.model import AccessPattern, KernelWorkload

@@ -11,7 +11,7 @@ a comment and DESIGN.md records the rationale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.units import GHZ, GiB, KiB, MHZ, MiB, GB

@@ -259,10 +259,11 @@ class EventCalendar:
     on the second element *is* the engine's FIFO seq contract — no
     separate tie key is stored or compared.
 
-    The replay knows its exact event count up front (one release event
-    per entry segment plus exactly one completion per task), so the
-    payload array is sized once and never reallocates; :meth:`push`
-    still grows it on demand for open-ended consumers.
+    The replay knows its event budget up front (one release event per
+    entry segment plus exactly one completion per task, and under a
+    fault plan at most one more event per task), so the payload array
+    is sized once and never reallocates; :meth:`push` still grows it on
+    demand for open-ended consumers.
 
     The hot loop in :func:`replay_dag_batch` operates on :attr:`heap` /
     :attr:`payload` directly (bound to locals) rather than through these
@@ -339,7 +340,7 @@ class EventCalendar:
 # for any zero-duration task.
 #
 # Hop-band action codes, packed with the replica-segment index as
-# ``(rs << 2) | code`` so the cascade bands hold plain ints instead of
+# ``(rs << 3) | code`` so the cascade bands hold plain ints instead of
 # per-action tuples:
 #
 # - START:   allocate the completion event for an occupancy granted one
@@ -353,13 +354,18 @@ class EventCalendar:
 #            ``yield predecessor``): consume one predecessor per band,
 #            park on the first unfinished one, or fall through to the
 #            first task's acquire in the same band.
+# - RESOLVE: START under a fault plan: resolve the grant against the
+#            lane's fault timeline (the executor's ``_occupy_faulted``),
+#            or, for a job that already failed, pass the grant through
+#            as a ghost.
 _A_START = 0
 _A_ACQUIRE = 1
 _A_NOTIFY = 2
 _A_WAIT = 3
+_A_RESOLVE = 4
 
 
-def _segments(program) -> tuple:
+def _segments(program, with_stages: bool = False) -> tuple:
     """Compact one ``(stage_tasks, stage_preds)`` program into segments.
 
     A stage whose only predecessor has it as its only successor extends
@@ -378,10 +384,14 @@ def _segments(program) -> tuple:
 
     Predecessors and initial watchers are stored as offsets from the
     segment's own index, so every replica of the program shares them.
-    Returns ``(tasks, preds, watchers, heads, n_tasks)``: per-segment
-    task lists, predecessor offsets (in-edge order), initial watcher
-    offsets (registration order: a head parks on its first
-    predecessor), the entry segments, and the program's task count."""
+    Returns ``(tasks, preds, watchers, heads, n_tasks, stages)``:
+    per-segment task lists, predecessor offsets (in-edge order),
+    initial watcher offsets (registration order: a head parks on its
+    first predecessor), the entry segments, the program's task count,
+    and — only ``with_stages``, which a fault plan needs, else ``None``
+    — per segment its ``(stage, end)`` pairs in order: the program
+    stage and the index one past its last task, which is where a stage
+    cut short by a fault hands over to the next."""
     stage_tasks, stage_preds = program
     fan_out = [0] * len(stage_tasks)
     for preds in stage_preds:
@@ -390,6 +400,7 @@ def _segments(program) -> tuple:
     seg_of: list[int] = []
     tasks: list[list[tuple[int, float, int]]] = []
     preds_of: list[tuple[int, ...]] = []
+    stages: list[list[tuple[int, int]]] | None = [] if with_stages else None
     for stage, preds in enumerate(stage_preds):
         if len(preds) == 1 and fan_out[preds[0]] == 1:
             seg = seg_of[preds[0]]
@@ -397,6 +408,8 @@ def _segments(program) -> tuple:
         else:
             seg = len(tasks)
             tasks.append([])
+            if with_stages:
+                stages.append([])
             preds_of.append(tuple(seg_of[p] - seg for p in preds))
             hop = 0
         seg_of.append(seg)
@@ -404,12 +417,14 @@ def _segments(program) -> tuple:
         for resource, duration in stage_tasks[stage]:
             segment.append((resource, duration, hop))
             hop = 1
+        if with_stages:
+            stages[seg].append((stage, len(segment)))
     watchers: list[tuple[int, ...]] = [()] * len(tasks)
     for seg, preds in enumerate(preds_of):
         if preds:
             watchers[seg + preds[0]] += (-preds[0],)
     heads = tuple(seg for seg, preds in enumerate(preds_of) if not preds)
-    return tasks, preds_of, watchers, heads, sum(map(len, tasks))
+    return tasks, preds_of, watchers, heads, sum(map(len, tasks)), stages
 
 
 def replay_dag_batch(
@@ -417,7 +432,8 @@ def replay_dag_batch(
     job_program: "list[int]",
     arrivals: "list[float]",
     n_resources: int,
-) -> tuple[list[float], float, list[list[tuple[float, float]]]]:
+    faults: "list | None" = None,
+) -> tuple[list[float], float, list[list[tuple[float, float]]], list[tuple]]:
     """FIFO replay of a batch of DAG-shaped jobs on shared resources.
 
     Job ``j`` runs ``programs[job_program[j]]``, released at
@@ -430,24 +446,45 @@ def replay_dag_batch(
     (:func:`_segments`) once, however many jobs run it.  Resources are
     capacity-1 and FIFO, exactly like :class:`Resource`, and every
     duration must be positive (the caller guarantees it).  Returns
-    per-job completion times, the makespan (the last completion), and
+    per-job completion times, the makespan (the last completion),
     per-resource occupancy intervals — ``occupancy[r]`` is resource
     ``r``'s ``(start, end)`` list in grant order, where ``end`` is the
     exact float pushed as the completion event (``start + duration``)
-    — all bit-identical to spawning one engine process per stage (on a
-    capacity-1 resource the grant order *is* the completion order, so
-    the interval lists line up with the engine's occupancy stream entry
-    for entry).
+    — and the failures (empty without ``faults``), all bit-identical to
+    spawning one engine process per stage (on a capacity-1 resource the
+    grant order *is* the completion order, so the interval lists line
+    up with the engine's occupancy stream entry for entry).
+
+    ``faults`` (``None``: a healthy machine) holds one entry per
+    resource: ``None`` for a lane without fault events, else its
+    ``(windows, slowdowns, dead_at)`` timeline for
+    :func:`resolve_degraded_service`.  The replay then reproduces the
+    executor's fault-aware stage processes command for command: a grant
+    to a job that already failed is a *ghost* (it releases the lane in
+    its own band and ends its stage); any other grant resolves against
+    its lane's timeline — a plain or slowed service completes at
+    ``grant + wall``, a grant inside an outage waits for one extra
+    event at ``grant + (service - grant)`` and then serves ``wall``, a
+    kill strikes at ``grant + (fail_time - grant)`` (records the
+    truncated occupancy ``(service, kill)`` if it is not empty, marks
+    the job's first failure, releases the lane and ends the stage), and
+    a kill at the grant is a ghost that also marks the failure.  A job
+    completes when its last stage ends, ghosts included.  Each failure
+    is ``(job, time, resource, kind, stages)`` in job order, where
+    ``stages`` are the program stages whose every task completed
+    normally — stages that were in service elsewhere when the failure
+    struck count too.
 
     The replay keeps one cursor per *replica-segment* plus a join
     counter (``wait_index``) per fan-in: a segment head requests its
     first task only after every predecessor segment of its own replica
     has finished, which is exactly the ``yield predecessor`` wait chain
     the engine's stage processes perform.  The calendar carries one
-    event per occupancy (plus one release event per entry segment);
-    everything else — releases, grants, StopIteration fan-out wake-ups,
-    finished-predecessor skips — is zero-duration and resolves inside
-    the same-instant cascade.
+    event per occupancy (plus one release event per entry segment, and
+    one per outage wait-out or kill); everything else — releases,
+    grants, ghosts, StopIteration fan-out wake-ups, finished-
+    predecessor skips — is zero-duration and resolves inside the
+    same-instant cascade.
 
     Event discipline mirrors the engine's ordering contract exactly,
     including same-instant ties.  At each instant the engine drains a
@@ -463,7 +500,10 @@ def replay_dag_batch(
     already-finished predecessor a woken head skips over costs one more
     band (the engine re-pushes the process per ``yield``).  Same-time
     completions therefore grant, wake and re-request in exactly the
-    order the generator engine's monotonic seq would produce.
+    order the generator engine's monotonic seq would produce.  A
+    healthy batch resolves a tie-free instant inline; under ``faults``
+    every instant runs through the bands, because a ghost's in-band
+    release can cascade even from a single calendar event.
 
     Even a batch of *identical* replicas is not the textbook pipelined
     flow shop: when consecutive stages share a device, a replica's
@@ -486,9 +526,9 @@ def replay_dag_batch(
     # Entry releases are sorted by (arrival, rs): rs order is the spawn
     # order the engine allocates the release timeouts' seqs in.
     # ------------------------------------------------------------------
-    compiled = [_segments(program) for program in programs]
-    tasks_of, preds_of, watchers_of, heads_of, n_tasks_of = (
-        [columns[i] for columns in compiled] for i in range(5)
+    compiled = [_segments(program, faults is not None) for program in programs]
+    tasks_of, preds_of, watchers_of, heads_of, n_tasks_of, stages_of = (
+        [columns[i] for columns in compiled] for i in range(6)
     )
     job_tasks = list(map(tasks_of.__getitem__, job_program))
     rs_tasks = list(chain.from_iterable(job_tasks))
@@ -521,11 +561,43 @@ def replay_dag_batch(
     completions = [0.0] * n
     makespan = 0.0
 
-    # Exact event budget: one release event per entry segment plus one
-    # completion per task — the payload array never reallocates.
-    calendar = EventCalendar(
-        len(entry_events) + sum(map(n_tasks_of.__getitem__, job_program))
-    )
+    # Event budget: one release event per entry segment plus one
+    # completion per task, and under faults at most one more event per
+    # task (an outage wait-out) — the payload array never reallocates.
+    budget = sum(map(n_tasks_of.__getitem__, job_program))
+    healthy = faults is None
+    if healthy:
+        start = _A_START
+    else:
+        # Every grant resolves against the fault plan, and every
+        # instant goes through the hop bands.
+        start = _A_RESOLVE
+        budget *= 2
+        job_base = list(accumulate(map(len, job_tasks), initial=0))
+        failed: list = [None] * n  # job -> (time, resource, kind)
+        deferred: dict[int, tuple] = {}  # rs -> its pending fault event
+        aborted: dict[int, int] = {}  # rs -> its first ghost/kill index
+
+        def abort(rs: int, index: int, resource: int, nxt: list) -> None:
+            """A ghost or a kill ends ``rs``'s stage at task ``index``:
+            the lane is released in this band (its longest waiter is
+            granted next band), and the stage process returns next band
+            — the segment's next stage then requests its first task, or
+            the segment ends."""
+            aborted.setdefault(rs, index)
+            queue = waiters[resource]
+            if queue:
+                nxt.append((queue.popleft() << 3) | _A_RESOLVE)
+            else:
+                busy[resource] = False
+            job = rs_job[rs]
+            for _stage, end in stages_of[job_program[job]][rs - job_base[job]]:
+                if end > index:
+                    cursor[rs] = end
+                    break
+            nxt.append((rs << 3) | _A_NOTIFY)
+
+    calendar = EventCalendar(len(entry_events) + budget)
     calendar.seed(entry_events)
     heap = calendar.heap
     payload = calendar.payload
@@ -536,7 +608,7 @@ def replay_dag_batch(
     while heap:
         time, eid = pop(heap)
         rs = payload[eid]
-        if not heap or heap[0][0] != time:
+        if healthy and (not heap or heap[0][0] != time):
             # Tie-free instant — the overwhelmingly common case with
             # real (float) durations.  No other event shares the
             # cascade, so grant, cursor advance and next-request resolve
@@ -586,7 +658,7 @@ def replay_dag_batch(
                 if not parked:
                     continue
                 watchers[rs] = ()
-                cur = [((rs + offset) << 2) | _A_WAIT for offset in parked]
+                cur = [((rs + offset) << 3) | _A_WAIT for offset in parked]
             else:
                 started[rs] = True
                 resource = tasks[0][0]
@@ -601,7 +673,8 @@ def replay_dag_batch(
                     seq += 1
                 continue
         else:
-            # Same-instant collision: full banded cascade emulation.
+            # Same-instant collision (or a faulted batch): full banded
+            # cascade emulation.
             band = [rs]
             while heap and heap[0][0] == time:
                 band.append(payload[pop(heap)[1]])
@@ -612,21 +685,42 @@ def replay_dag_batch(
             # resume.
             nxt: list[int] = []
             for rs in band:
+                if rs < 0:
+                    # A fault event (payload ``~rs``): the outage a
+                    # grant landed in is over, or a kill strikes.
+                    rs = ~rs
+                    service, wall, kind = deferred.pop(rs)
+                    index = cursor[rs]
+                    resource = rs_tasks[rs][index][0]
+                    if kind is None:
+                        payload[seq] = rs
+                        end = time + wall
+                        occupancy[resource].append((time, end))
+                        push(heap, (end, seq))
+                        seq += 1
+                        continue
+                    if time > service:
+                        occupancy[resource].append((service, time))
+                    job = rs_job[rs]
+                    if failed[job] is None:
+                        failed[job] = (time, resource, kind)
+                    abort(rs, index, resource, nxt)
+                    continue
                 tasks = rs_tasks[rs]
                 if started[rs]:
                     index = cursor[rs]
                     resource = tasks[index][0]
                     queue = waiters[resource]
                     if queue:
-                        nxt.append((queue.popleft() << 2) | _A_START)
+                        nxt.append((queue.popleft() << 3) | start)
                     else:
                         busy[resource] = False
                     index += 1
                     cursor[rs] = index
                     if index < len(tasks) and tasks[index][2] == 1:
-                        nxt.append((rs << 2) | _A_ACQUIRE)
+                        nxt.append((rs << 3) | _A_ACQUIRE)
                     else:
-                        nxt.append((rs << 2) | _A_NOTIFY)
+                        nxt.append((rs << 3) | _A_NOTIFY)
                 else:
                     started[rs] = True
                     resource = tasks[0][0]
@@ -634,15 +728,15 @@ def replay_dag_batch(
                         waiters[resource].append(rs)
                     else:
                         busy[resource] = True
-                        nxt.append((rs << 2) | _A_START)
+                        nxt.append((rs << 3) | start)
             cur = nxt
         # Hop bands: actions ripple outward exactly one engine cascade
         # step per band (see the comment above the action codes).
         while cur:
             nxt = []
             for action in cur:
-                code = action & 3
-                rs = action >> 2
+                code = action & 7
+                rs = action >> 3
                 if code == _A_START:
                     payload[seq] = rs
                     resource, duration, _hop = rs_tasks[rs][cursor[rs]]
@@ -656,11 +750,11 @@ def replay_dag_batch(
                         waiters[resource].append(rs)
                     else:
                         busy[resource] = True
-                        nxt.append((rs << 2) | _A_START)
+                        nxt.append((rs << 3) | start)
                 elif code == _A_NOTIFY:
                     if cursor[rs] < len(rs_tasks[rs]):
                         # A compacted stage boundary.
-                        nxt.append((rs << 2) | _A_ACQUIRE)
+                        nxt.append((rs << 3) | _A_ACQUIRE)
                         continue
                     stage_done[rs] = True
                     job = rs_job[rs]
@@ -672,16 +766,16 @@ def replay_dag_batch(
                     parked = watchers[rs]
                     if parked:
                         for offset in parked:
-                            nxt.append(((rs + offset) << 2) | _A_WAIT)
+                            nxt.append(((rs + offset) << 3) | _A_WAIT)
                         watchers[rs] = ()
-                else:  # _A_WAIT: one predecessor-loop step
+                elif code == _A_WAIT:  # one predecessor-loop step
                     preds = rs_preds[rs]
                     index = wait_index[rs] + 1
                     wait_index[rs] = index
                     if index < len(preds):
                         pred = rs + preds[index]
                         if stage_done[pred]:
-                            nxt.append((rs << 2) | _A_WAIT)
+                            nxt.append((rs << 3) | _A_WAIT)
                         else:
                             watchers[pred] += (rs - pred,)
                     else:
@@ -694,13 +788,64 @@ def replay_dag_batch(
                             waiters[resource].append(rs)
                         else:
                             busy[resource] = True
-                            nxt.append((rs << 2) | _A_START)
+                            nxt.append((rs << 3) | start)
+                else:  # _A_RESOLVE: a grant under the fault plan
+                    index = cursor[rs]
+                    resource, duration, _hop = rs_tasks[rs][index]
+                    job = rs_job[rs]
+                    if failed[job] is None:
+                        timeline = faults[resource]
+                        if timeline is None:
+                            service, wall, fail_time = time, duration, None
+                        else:
+                            service, wall, fail_time, kind = (
+                                resolve_degraded_service(
+                                    *timeline, time, duration
+                                )
+                            )
+                        if fail_time is None:
+                            if service > time:
+                                # Granted inside an outage: wait it out.
+                                payload[seq] = ~rs
+                                deferred[rs] = (service, wall, None)
+                                end = time + (service - time)
+                            else:
+                                payload[seq] = rs
+                                end = time + wall
+                                occupancy[resource].append((time, end))
+                            push(heap, (end, seq))
+                            seq += 1
+                            continue
+                        if fail_time > time:
+                            payload[seq] = ~rs
+                            deferred[rs] = (service, wall, kind)
+                            push(heap, (time + (fail_time - time), seq))
+                            seq += 1
+                            continue
+                        # A death before the grant: the kill is a ghost.
+                        failed[job] = (time, resource, kind)
+                    abort(rs, index, resource, nxt)
             cur = nxt
-    return completions, makespan, occupancy
+    failures: list[tuple] = []
+    if not healthy:
+        for job, failure in enumerate(failed):
+            if failure is None:
+                continue
+            # A segment's tasks before its first ghost or kill all
+            # completed normally, and so did every stage they close.
+            completed = []
+            rs = job_base[job]
+            for stages in stages_of[job_program[job]]:
+                cutoff = aborted.get(rs, len(rs_tasks[rs]))
+                completed.extend(stage for stage, end in stages if end <= cutoff)
+                rs += 1
+            failures.append((job, *failure, tuple(completed)))
+    return completions, makespan, occupancy, failures
 
 
 # ---------------------------------------------------------------------------
-# Fault-window service resolution (shared by repro.core.faults)
+# Fault-window service resolution (shared by the replay above and the
+# executor's fault-aware engine path)
 # ---------------------------------------------------------------------------
 
 

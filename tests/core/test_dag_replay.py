@@ -4,10 +4,11 @@ The DAG replay (:func:`repro.hw.engine.replay_dag_batch`, selected by
 the ``dag_replay`` backend) must reproduce the generator engine's floats
 bit for bit on *branching* pipelines — k-point DAGs, random synthetic
 DAGs, constructed exact-time tie storms on fan-in joins and on compacted
-single-predecessor segments — as ``tests/core/test_coalesce_shard.py``
-pins it on chains.  This file also covers the backend registry
-semantics: selection order, forced backends, the zero-duration
-fallback, and the framework's ``backend_stats`` counters.
+single-predecessor segments, with and without a fault plan — as
+``tests/core/test_coalesce_shard.py`` pins it on chains.  This file
+also covers the backend registry semantics: selection order, forced
+backends, the zero-duration fallback, and the framework's
+``backend_stats`` counters.
 """
 
 import random
@@ -18,6 +19,7 @@ from tests.core.dag_helpers import random_pipeline
 from repro.core.backends import backend_names, get_backend
 from repro.core.cost_model import OffloadCostModel
 from repro.core.executor import PipelineExecutor
+from repro.core.faults import FaultPlan
 from repro.core.framework import NdftFramework
 from repro.core.ir import function_from_workload
 from repro.core.pipeline import Edge, Pipeline, Stage, build_kpoint_pipeline, build_pipeline
@@ -368,6 +370,86 @@ class TestCompactedSegmentTieStorms:
                 assert fast.lane_occupancy == engine.lane_occupancy
 
 
+def _random_fault_plans(rng):
+    """One plan of each shape on a half-second grid, so fault instants
+    collide with the round-number completions: an outage on one lane, a
+    shock on cpu+ndp (sometimes with the wire), a permanent death (kills
+    at the grant and ghosts), and a slowdown at factor 1.5, 2 or 4."""
+    lanes = ("cpu", "ndp", "link:cpu-ndp")
+
+    def grid(low, high):
+        return rng.randint(low, high) * 0.5
+
+    start = grid(0, 16)
+    outage = FaultPlan(
+        outages=((rng.choice(lanes), start, start + grid(1, 6)),)
+    )
+    start, span = grid(0, 16), grid(1, 4)
+    struck = lanes if rng.random() < 0.5 else lanes[:2]
+    shock = FaultPlan(
+        outages=tuple((lane, start, start + span) for lane in struck)
+    )
+    death = FaultPlan(permanent=((rng.choice(lanes[:2]), grid(0, 16)),))
+    start = grid(0, 16)
+    slowdown = FaultPlan(
+        slowdowns=(
+            (
+                rng.choice(lanes),
+                start,
+                start + grid(1, 6),
+                rng.choice((1.5, 2.0, 4.0)),
+            ),
+        )
+    )
+    return outage, shock, death, slowdown
+
+
+class TestFaultTieStorms:
+    """Under a fault plan ``dag_replay`` follows the fault-aware engine
+    command for command: outage wait-outs, kills after and at the grant,
+    ghosts of killed jobs and slowed services, on round-number chains
+    and DAGs whose completions collide with the fault instants."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_faulted_batches_match_engine(self, seed):
+        rng = random.Random(seed)
+        cost_model = _round_cost_model()
+        executor = PipelineExecutor(cost_model=cost_model)
+        kills_after_grant = kills_at_grant = 0
+        for shard in range(8):
+            templates = [
+                _random_toy_job(rng, f"t{shard}_{k}_", cost_model)
+                for k in range(rng.randint(1, 4))
+            ]
+            jobs = [
+                job for job in templates for _ in range(rng.randint(1, 6))
+            ]
+            rng.shuffle(jobs)
+            round_arrivals = [rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in jobs]
+            for plan in _random_fault_plans(rng):
+                for arrivals in (None, round_arrivals):
+                    fast = executor.execute_many(
+                        jobs, arrivals=arrivals, backend="dag_replay",
+                        faults=plan,
+                    )
+                    engine = executor.execute_many(
+                        jobs, arrivals=arrivals, backend="engine",
+                        faults=plan,
+                    )
+                    assert fast.job_reports == engine.job_reports
+                    assert fast.makespan == engine.makespan
+                    assert fast.lane_occupancy == engine.lane_occupancy
+                    assert fast.failures == engine.failures
+                    for failure in engine.failures:
+                        dead_at = plan.dead_lanes().get(failure.lane)
+                        if dead_at is not None and failure.time > dead_at:
+                            kills_at_grant += 1
+                        else:
+                            kills_after_grant += 1
+        # The storm reaches both kinds of kill.
+        assert kills_after_grant and kills_at_grant
+
+
 class TestLaneOccupancyEquivalence:
     """Per-lane busy accounting is part of the backend contract: every
     backend must record the *same* occupancy intervals — the engine's
@@ -485,6 +567,33 @@ class TestBackendFallbacks:
         assert fast.n_superjobs == 0
         assert fast.job_reports == slow.job_reports
         assert fast.makespan == slow.makespan
+
+    def test_zero_duration_faulted_batch_falls_back_to_engine(self):
+        """Under a fault plan too, a zero-duration task leaves the
+        batch to the engine, which kills the struck run."""
+        cost_model = _round_cost_model()
+        executor = PipelineExecutor(cost_model=cost_model)
+        pipeline = _toy_dag(
+            "z", ("a", "b", "c"), (("a", "b", 0.0), ("a", "c", 0.0))
+        )
+        schedule = _toy_schedule(
+            pipeline,
+            (Placement.CPU, Placement.CPU, Placement.NDP),
+            (1.0, 0.0, 1.0),
+            cost_model,
+        )
+        plan = FaultPlan(outages=(("ndp", 1.5, 2.0),))
+        report = executor.execute_many([(pipeline, schedule)] * 3, faults=plan)
+        forced = executor.execute_many(
+            [(pipeline, schedule)] * 3, backend="engine", faults=plan
+        )
+        assert report.backend_jobs == {"engine": 3}
+        assert report.failures and report.failures == forced.failures
+        assert report.job_reports == forced.job_reports
+        with pytest.raises(SimulationError, match="non-positive duration"):
+            executor.execute_many(
+                [(pipeline, schedule)] * 3, backend="dag_replay", faults=plan
+            )
 
 
 class TestBackendRegistry:

@@ -15,15 +15,18 @@ The contracts pinned here:
 - **determinism** — the same plan and arrivals always produce the same
   failure set, retry schedule, and resilience report, byte for byte,
   regardless of backend routing;
-- **decline, never approximate** — the replay backends refuse faulted
-  shards with a named reason instead of silently mis-simulating them.
+- **one simulator for faulted batches** — ``dag_replay`` simulates a
+  faulted batch bit-identically to the fault-aware engine, and
+  ``vector_replay`` refuses it with a named reason instead of silently
+  mis-simulating it.
 """
 
 import random
+from math import inf, nan
 
 import pytest
 
-from repro.core.backends import FAULTED_SHARD_REASON
+from repro.core.backends import FAULT_PLAN_REASON
 from repro.core.faults import (
     FaultPlan,
     ResilienceReport,
@@ -145,6 +148,18 @@ class TestFaultPlanConstruction:
             FaultPlan(outages=(("ndp", 2.0, 2.0),))
         with pytest.raises(ConfigError, match="0 <= start < end"):
             FaultPlan(outages=(("ndp", -1.0, 2.0),))
+        # A window that never ends would make every reading on the lane
+        # infinite or nan; a nan bound compares false everywhere.
+        for start, end in ((0.0, inf), (nan, 2.0), (0.0, nan), (inf, inf)):
+            with pytest.raises(ConfigError, match="finite"):
+                FaultPlan(outages=(("link:cpu-ndp", start, end),))
+
+    def test_non_finite_death_rejected(self):
+        """A death at nan never fires and one at inf never happens, yet
+        both would count in the descriptor's ``n_permanent``."""
+        for dead_at in (nan, inf, -1.0):
+            with pytest.raises(ConfigError, match="finite and >= 0"):
+                FaultPlan(permanent=(("ndp", dead_at),))
 
     def test_permanent_wire_failure_rejected(self):
         with pytest.raises(ConfigError, match="partitions the machine"):
@@ -176,6 +191,16 @@ class TestFaultPlanConstruction:
         other_seed = poisson_fault_plan(["ndp", "cpu"], **dict(kwargs, seed=12))
         assert one.digest() != other_seed.digest()
 
+    def test_poisson_plan_validation(self):
+        """Non-finite draw parameters are refused before the draw: an
+        infinite horizon would never end it, and an infinite ``mtbf`` or
+        ``mttr`` has no exponential clock."""
+        base = dict(mtbf=5.0, mttr=0.5, horizon=60.0)
+        for name in ("mtbf", "mttr", "horizon"):
+            for value in (0.0, inf, nan):
+                with pytest.raises(ConfigError, match=name):
+                    poisson_fault_plan(["ndp"], **dict(base, **{name: value}))
+
     def test_poisson_permanent_after_kills_device_lanes(self):
         plan = poisson_fault_plan(
             ["ndp"], mtbf=2.0, mttr=0.5, horizon=100.0, seed=3,
@@ -203,6 +228,16 @@ class TestRetryPolicy:
             RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ConfigError, match="job_timeout"):
             RetryPolicy(job_timeout=0.0)
+        # Non-finite backoffs would release retries at inf or nan.
+        for value in (inf, nan):
+            with pytest.raises(ConfigError, match="backoff_base"):
+                RetryPolicy(backoff_base=value)
+            with pytest.raises(ConfigError, match="backoff_factor"):
+                RetryPolicy(backoff_factor=value)
+        # An attempt count is an integer, and a bool is not one.
+        for value in (nan, True, 2.5, "3"):
+            with pytest.raises(ConfigError, match="max_attempts"):
+                RetryPolicy(max_attempts=value)
 
 
 class TestEmptyPlanBitIdentity:
@@ -249,10 +284,10 @@ class TestEmptyPlanBitIdentity:
 
     def test_plan_on_an_occupied_lane_routes_the_whole_batch(self, framework):
         """All-CPU jobs next to all-NDP jobs share no lane, yet run as
-        one simulation: an ndp outage that starts mid-service sends the
-        whole batch to the engine, exactly as forcing it does.  The
-        all-CPU jobs never touch ndp, so they finish as in a healthy
-        run."""
+        one simulation: an ndp outage that starts mid-service puts the
+        whole batch under the plan on ``dag_replay``, with the results
+        forcing the engine gives.  The all-CPU jobs never touch ndp, so
+        they finish as in a healthy run."""
         pipeline = framework._build_pipeline(problem_size(64), build_pipeline)
         cpu_only = framework.scheduler.schedule(pipeline, SchedulingPolicy.ALL_CPU)
         ndp_only = framework.scheduler.schedule(pipeline, SchedulingPolicy.ALL_NDP)
@@ -264,7 +299,7 @@ class TestEmptyPlanBitIdentity:
         forced = framework.executor.execute_many(
             jobs, backend="engine", faults=plan
         )
-        assert auto.backend_jobs == {"engine": 6}
+        assert auto.backend_jobs == {"dag_replay": 6}
         assert auto.job_reports == forced.job_reports
         assert auto.lane_occupancy == forced.lane_occupancy
         assert auto.failures == forced.failures
@@ -320,7 +355,9 @@ class TestFaultedEngineProgram:
             return predecessors(self, name)
 
         monkeypatch.setattr(Pipeline, "predecessors", counting)
-        report = framework.executor.execute_many(jobs, faults=plan)
+        report = framework.executor.execute_many(
+            jobs, backend="engine", faults=plan
+        )
         assert report.backend_jobs == {"engine": len(jobs)}
         assert report.failures  # the outage struck an ndp service
         assert calls == []
@@ -386,8 +423,9 @@ class TestDeterminism:
         assert _identical_batches(first.batch_report, second.batch_report)
 
     def test_forced_engine_matches_auto_routing(self, framework):
-        """Faulted shards always run on the engine; the healthy shards'
-        backend choice must not leak into the resilience numbers."""
+        """Auto routing simulates faulted batches on ``dag_replay``;
+        the backend choice must not leak into the resilience
+        numbers."""
         _healthy, t0, t1 = _ndp_window(framework, SIZES)
         plan = FaultPlan(outages=(("ndp", t0, t1),))
         auto = framework.run_many(SIZES, faults=plan)
@@ -492,10 +530,19 @@ class TestGuards:
     def test_forced_replay_backend_declines_faulted_shard(self, framework):
         jobs = _jobs(framework, [64] * 4)
         plan = FaultPlan(outages=(("ndp", 0.0, 1.0),))
-        for backend in ("dag_replay", "vector_replay"):
-            with pytest.raises(SimulationError) as excinfo:
-                framework.executor.execute_many(jobs, backend=backend, faults=plan)
-            assert FAULTED_SHARD_REASON in str(excinfo.value)
+        replay = framework.executor.execute_many(
+            jobs, backend="dag_replay", faults=plan
+        )
+        engine = framework.executor.execute_many(
+            jobs, backend="engine", faults=plan
+        )
+        assert _identical_batches(replay, engine)
+        assert replay.failures == engine.failures
+        with pytest.raises(SimulationError) as excinfo:
+            framework.executor.execute_many(
+                jobs, backend="vector_replay", faults=plan
+            )
+        assert FAULT_PLAN_REASON in str(excinfo.value)
 
     def test_degenerate_report_degrades_gracefully(self):
         report = ResilienceReport(plan=FaultPlan(), retry=RetryPolicy())

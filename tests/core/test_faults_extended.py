@@ -9,10 +9,11 @@ The contracts pinned here, on top of ``test_faults.py``'s foundation:
   Poisson windows via :meth:`FaultPlan.merge` (digest and descriptor
   describe the composed timeline);
 - **partial degradation** — :class:`SlowdownWindow` inflates service
-  time piecewise instead of killing the job; the replay backends decline
-  slowdown-affected shards with their own named reason
-  (:data:`SLOWDOWN_SHARD_REASON`), and a plan whose slowdowns never
-  overlap any service is bit-identical to no plan at all;
+  time piecewise instead of killing the job; ``dag_replay`` simulates
+  slowed batches as the engine does, ``vector_replay`` declines them
+  with a named reason (:data:`FAULT_PLAN_REASON`), and a plan whose
+  slowdowns never overlap any service is bit-identical to no plan at
+  all;
 - **checkpoint/resume** — ``RetryPolicy(checkpoint=True)`` re-enters a
   failed job as the residual pipeline past its completed-stage frontier:
   ``work_saved_seconds > 0`` on a constructed mid-pipeline failure,
@@ -25,11 +26,12 @@ The contracts pinned here, on top of ``test_faults.py``'s foundation:
 """
 
 import argparse
+from math import inf, nan
 
 import pytest
 
 from repro.cli import _fault_setup
-from repro.core.backends import FAULTED_SHARD_REASON, SLOWDOWN_SHARD_REASON
+from repro.core.backends import FAULT_PLAN_REASON
 from repro.core.faults import (
     FaultPlan,
     RetryPolicy,
@@ -113,6 +115,13 @@ class TestShockFaultPlan:
             shock_fault_plan(["ndp"], rate=1.0, mttr=1.0, horizon=0.0)
         with pytest.raises(ConfigError):
             shock_fault_plan([], rate=1.0, mttr=1.0, horizon=10.0)
+        # Refused before the draw: an infinite rate or horizon would
+        # never end it.
+        base = dict(rate=1.0, mttr=1.0, horizon=10.0)
+        for name in ("rate", "mttr", "horizon"):
+            for value in (inf, nan):
+                with pytest.raises(ConfigError, match=name):
+                    shock_fault_plan(["ndp"], **dict(base, **{name: value}))
 
     def test_merge_composes_with_poisson_noise(self):
         noise = poisson_fault_plan(
@@ -175,6 +184,12 @@ class TestSlowdownWindows:
             SlowdownWindow("ndp", 0.0, 1.0, 1.0)
         with pytest.raises(ConfigError, match="0 <= start < end"):
             SlowdownWindow("ndp", 2.0, 2.0, 1.5)
+        for factor in (inf, nan):
+            with pytest.raises(ConfigError, match="factor"):
+                SlowdownWindow("ndp", 0.0, 1.0, factor)
+        for start, end in ((0.0, inf), (nan, 1.0)):
+            with pytest.raises(ConfigError, match="finite"):
+                SlowdownWindow("ndp", start, end, 1.5)
         with pytest.raises(ConfigError, match="overlap"):
             FaultPlan(
                 slowdowns=(("ndp", 0.0, 2.0, 2.0), ("ndp", 1.0, 3.0, 4.0))
@@ -189,7 +204,6 @@ class TestSlowdownWindows:
         assert plan.slowdown_lanes() == frozenset({"ndp", "cpu"})
         assert plan.slowdowns_for("ndp") == ((1.0, 2.0, 2.0),)
         assert plan.affects(["ndp"])
-        assert not plan.affects_lethally(["ndp", "cpu"])
         # Slowdowns never kill, so they contribute no retry instants.
         assert plan.event_times() == ()
 
@@ -203,6 +217,13 @@ class TestSlowdownWindows:
         with pytest.raises(ConfigError, match="factor"):
             slowdown_fault_plan(["ndp"], mtbf=5.0, mttr=0.5, horizon=60.0,
                                 factor=1.0)
+        # Refused before the draw: an infinite horizon would never end
+        # it.
+        base = dict(mtbf=5.0, mttr=0.5, horizon=60.0, factor=2.0)
+        for name in ("mtbf", "mttr", "horizon", "factor"):
+            for value in (inf, nan):
+                with pytest.raises(ConfigError, match=name):
+                    slowdown_fault_plan(["ndp"], **dict(base, **{name: value}))
 
     def test_digest_backward_stable_without_slowdowns(self):
         """A slowdown-free plan hashes exactly what it did before
@@ -293,8 +314,8 @@ class TestSlowdownEndToEnd:
         assert res.availability == 1.0
         assert res.total_attempts == res.submitted
         assert result.makespan > healthy.makespan
-        # Only the fault-aware engine can simulate the inflation.
-        assert set(result.batch_report.backend_jobs) == {"engine"}
+        # The replay simulates the inflation.
+        assert set(result.batch_report.backend_jobs) == {"dag_replay"}
 
     def test_replays_decline_slowdown_shards_with_named_reason(self, framework):
         jobs = _jobs(framework, [64] * 4)
@@ -303,19 +324,22 @@ class TestSlowdownEndToEnd:
             outages=(("ndp", 0.0, 1.0),),
             slowdowns=(("ndp", 2.0, 3.0, 2.0),),
         )
-        for backend in ("dag_replay", "vector_replay"):
+        for plan in (slow_only, lethal_too):
+            # dag_replay simulates slowed and killing plans alike, as
+            # the fault-aware engine does.
+            replay = framework.executor.execute_many(
+                jobs, backend="dag_replay", faults=plan
+            )
+            engine = framework.executor.execute_many(
+                jobs, backend="engine", faults=plan
+            )
+            assert _identical_batches(replay, engine)
+            assert replay.failures == engine.failures
             with pytest.raises(SimulationError) as excinfo:
                 framework.executor.execute_many(
-                    jobs, backend=backend, faults=slow_only
+                    jobs, backend="vector_replay", faults=plan
                 )
-            assert SLOWDOWN_SHARD_REASON in str(excinfo.value)
-            # A shard with any job-killing event declines with the
-            # original fault reason, not the slowdown one.
-            with pytest.raises(SimulationError) as excinfo:
-                framework.executor.execute_many(
-                    jobs, backend=backend, faults=lethal_too
-                )
-            assert FAULTED_SHARD_REASON in str(excinfo.value)
+            assert FAULT_PLAN_REASON in str(excinfo.value)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_untouched_lane_slowdowns_bit_identical(self, framework, backend):
@@ -330,15 +354,17 @@ class TestSlowdownEndToEnd:
 
     def test_non_overlapping_slowdowns_bit_identical_on_engine(self, framework):
         """A slowdown window that never overlaps any service must not
-        move a single float, even though the shard routes through the
-        fault-aware engine path (`0.0 + duration` is exactly
-        `duration`)."""
+        move a single float, even though the batch runs under the plan
+        — on ``dag_replay``, and on the forced fault-aware engine
+        (`0.0 + duration` is exactly `duration`)."""
         healthy = framework.run_many(SIZES)
         far_future = healthy.makespan * 1e3
         plan = FaultPlan(slowdowns=(("ndp", far_future, far_future + 1.0, 2.0),))
         slowed = framework.run_many(SIZES, faults=plan)
         assert _identical_batches(healthy.batch_report, slowed.batch_report)
-        assert set(slowed.batch_report.backend_jobs) == {"engine"}
+        assert set(slowed.batch_report.backend_jobs) == {"dag_replay"}
+        forced = framework.run_many(SIZES, faults=plan, backend="engine")
+        assert _identical_batches(healthy.batch_report, forced.batch_report)
 
     def test_slowdown_determinism_across_frameworks(self):
         plan = slowdown_fault_plan(

@@ -286,8 +286,9 @@ class TestBackendTimings:
         assert report.backend_wall_seconds["engine"] > 0.0
 
     def test_every_path_reports_one_row_per_call(self, framework):
-        """Whichever backend times the batch — including the fault-aware
-        engine — the call reports exactly one row covering all of it."""
+        """Whichever backend times the batch — including a batch under
+        a fault plan — the call reports exactly one row covering all of
+        it."""
         mixed = _jobs(
             framework, [(n, build_pipeline) for n in (64, 128, 512)] * 2
         )
@@ -299,7 +300,7 @@ class TestBackendTimings:
             (mixed, {}, "dag_replay", 3),
             (single, {}, "vector_replay", 1),
             (mixed, {"backend": "engine"}, "engine", 0),
-            (mixed, {"faults": outage}, "engine", 0),
+            (mixed, {"faults": outage}, "dag_replay", 3),
         )
         for jobs, kwargs, backend, n_superjobs in cases:
             report = framework.executor.execute_many(jobs, **kwargs)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.dft.basis import PlaneWaveBasis, next_fast_fft_size
-from repro.dft.lattice import silicon_supercell
 from repro.errors import ConfigError
 
 

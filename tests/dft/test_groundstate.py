@@ -5,7 +5,6 @@ import pytest
 
 from repro.dft.basis import PlaneWaveBasis
 from repro.dft.groundstate import build_hamiltonian, solve_ground_state
-from repro.dft.lattice import silicon_supercell
 from repro.errors import ConfigError
 from repro.units import HARTREE_TO_EV
 

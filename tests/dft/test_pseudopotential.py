@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.dft.basis import PlaneWaveBasis
 from repro.dft.lattice import A_SILICON, silicon_supercell
 from repro.dft.pseudopotential import (
     PROJECTORS_PER_ATOM,

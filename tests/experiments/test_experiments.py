@@ -27,7 +27,6 @@ from repro.experiments.fig8_scalability import (
 from repro.experiments.report import Comparison, format_table
 from repro.experiments.table1_footprint import (
     format_table1,
-    run_table1,
     table1_comparisons,
 )
 from repro.model import PhaseName

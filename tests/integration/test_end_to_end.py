@@ -6,11 +6,9 @@ then run the same problem through the performance framework and check the
 two sides agree where they overlap (kernel mix, communication structure).
 """
 
-import numpy as np
 import pytest
 
 from repro import (
-    NdftFramework,
     PlaneWaveBasis,
     problem_size,
     run_cpu_baseline,
