@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -97,8 +98,8 @@ def poisson_arrivals(
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    if rate <= 0:
-        raise ValueError(f"arrival rate must be > 0, got {rate}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"arrival rate must be finite and > 0, got {rate}")
     uniforms = np.random.RandomState(_mt_seed_key(seed)).random_sample(n_jobs)
     np.subtract(1.0, uniforms, out=uniforms)
     # math.log, not np.log: the SIMD log differs from libm by one ulp on
@@ -159,7 +160,9 @@ class AdmissionPolicy:
     exceed it is not admitted.  ``max_queue_depth`` bounds how many
     admitted jobs may be in flight (per their predicted completions)
     when a new job arrives.  Either criterion may be ``None``
-    (unchecked); at least one must be set.
+    (unchecked); at least one must be set.  ``slo_p99`` is a finite
+    positive number and ``max_queue_depth`` an integer >= 1 (``bool``
+    is neither).
 
     ``mode`` picks the action on a violator: ``"shed"`` rejects it
     outright (it is never simulated), ``"deprioritize"`` keeps it but
@@ -186,11 +189,21 @@ class AdmissionPolicy:
             raise ValueError(
                 "an admission policy needs slo_p99 and/or max_queue_depth"
             )
-        if self.slo_p99 is not None and self.slo_p99 <= 0:
-            raise ValueError(f"slo_p99 must be > 0, got {self.slo_p99}")
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
+        slo = self.slo_p99
+        if slo is not None and (
+            isinstance(slo, bool)
+            or not isinstance(slo, numbers.Real)
+            or not (math.isfinite(slo) and slo > 0)
+        ):
+            raise ValueError(f"slo_p99 must be finite and > 0, got {slo!r}")
+        depth = self.max_queue_depth
+        if depth is not None and (
+            isinstance(depth, bool)
+            or not isinstance(depth, numbers.Integral)
+            or depth < 1
+        ):
             raise ValueError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
+                f"max_queue_depth must be an integer >= 1, got {depth!r}"
             )
 
     def to_json_dict(self) -> dict:

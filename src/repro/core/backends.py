@@ -19,8 +19,10 @@ scattered through the executor:
   times, the makespan, the super-job count and the runs a fault plan
   killed, or ``None`` to decline a batch it cannot prove (e.g. several
   signatures for ``vector_replay``, a zero-duration task under a
-  degenerate cost model).  The executor builds every per-job report
-  from its super-job template, so no backend touches a report.
+  degenerate cost model).  The executor keeps the completion times as
+  one column beside one report template per super-job, so no backend
+  touches a report; a decline's reason lands in the report's
+  ``declines`` when the walk moves on.
 - Three backends ship registered, in fallback-preference order:
 
   =================  ==================================================

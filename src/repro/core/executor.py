@@ -34,7 +34,10 @@ Two entry points:
 - :meth:`PipelineExecutor.execute_many` — a batch of jobs on one shared
   set of device/link resources, timed as one simulation by one
   registered backend, under a fault plan too: the batching back-end of
-  :meth:`repro.core.framework.NdftFramework.run_many`.
+  :meth:`repro.core.framework.NdftFramework.run_many`.  Its report is
+  columnar: one completion time per job, one report template per
+  super-job, and a :class:`ReportView` that builds a job's
+  :class:`ExecutionReport` only when a caller reads it.
 
 :meth:`PipelineExecutor.execute` takes an ``observer`` callback
 (``lane, label, start, end``) that receives every occupancy interval of
@@ -48,10 +51,12 @@ timing model.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import isfinite
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Callable
 
 import repro.core.backends as _backends
 from repro.core.cost_model import OffloadCostModel
@@ -123,6 +128,79 @@ class ExecutionReport:
         return out
 
 
+class JobView(Sequence):
+    """A read-only sequence of per-job objects, held as columns and
+    built only when read.
+
+    ``rows`` holds what jobs share, one row per template;
+    ``row_index[i]`` is job ``i``'s row and ``column[i]`` its own
+    value.  Indexing or iterating builds each object from its row and
+    value (:meth:`_build`); a slice is a tuple of built objects.  A
+    view equals a tuple of equal objects from either side, and a view
+    of the same kind column by column — one comparison per distinct
+    pair of rows, building nothing.  It holds plain data only, so it
+    pickles."""
+
+    __slots__ = ("column", "row_index", "rows")
+
+    def __init__(self, rows, row_index: Sequence, column: Sequence):
+        self.rows = rows
+        self.row_index = row_index
+        self.column = column
+
+    def _build(self, row, value):
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self.row_index)
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return tuple(
+                map(
+                    self._build,
+                    map(self.rows.__getitem__, self.row_index[position]),
+                    self.column[position],
+                )
+            )
+        row = self.rows[self.row_index[position]]
+        return self._build(row, self.column[position])
+
+    def __iter__(self):
+        rows = map(self.rows.__getitem__, self.row_index)
+        return map(self._build, rows, self.column)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self.column == other.column and all(
+                self.rows[mine] == other.rows[theirs]
+                for mine, theirs in set(zip(self.row_index, other.row_index))
+            )
+        if isinstance(other, (tuple, JobView)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}: {len(self)} jobs, {len(self.rows)} rows>"
+
+
+class ReportView(JobView):
+    """Every job's :class:`ExecutionReport`: ``rows`` are the
+    super-jobs' report templates, ``row_index`` each job's super-job and
+    ``column`` each job's completion time (its ``total_time``)."""
+
+    __slots__ = ()
+
+    def _build(self, template: ExecutionReport, total_time: float) -> ExecutionReport:
+        return ExecutionReport(
+            template.phase_seconds,
+            template.phase_times,
+            template.scheduling_overhead,
+            total_time,
+            template.assignments,
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class ShardTiming:
     """Wall-clock accounting for one simulated batch.
@@ -145,6 +223,13 @@ class ShardTiming:
 class BatchExecutionReport:
     """Result of executing a batch of jobs on one shared machine.
 
+    The per-job results are columns: ``completion_times`` (each job's
+    completion, in batch order), one report template per super-job
+    (``templates``: the fields its jobs share, ``total_time`` 0.0) and
+    each job's template (``template_index``).  :attr:`job_reports`
+    builds a job's :class:`ExecutionReport` from them only when a
+    caller reads it; every aggregate here reads the columns.
+
     ``arrivals`` is the per-job release offset when the batch ran as an
     open queue (``None`` for the classic everyone-at-t=0 closed batch).
     ``n_superjobs``/``backend_jobs`` are observability for the scale-out
@@ -163,7 +248,7 @@ class BatchExecutionReport:
     across backend selections.
     """
 
-    job_reports: tuple[ExecutionReport, ...]
+    completion_times: tuple[float, ...]
     makespan: float
     arrivals: tuple[float, ...] | None = None
     n_superjobs: int = 0
@@ -179,29 +264,48 @@ class BatchExecutionReport:
     backend_timings: tuple[ShardTiming, ...] = ()
     #: Runs killed by fault-plan events (:class:`repro.core.faults.
     #: RunFailure`), in deterministic fault-event order; always empty
-    #: without a fault plan.  A failed run's ``job_report`` entry covers
-    #: the truncated attempt (release to fail time).
+    #: without a fault plan.  A failed run's completion time is its
+    #: fail time (the truncated attempt).
     failures: tuple = ()
+    #: One report per super-job with the fields its jobs share
+    #: (``total_time`` 0.0).
+    templates: tuple[ExecutionReport, ...] = ()
+    #: Each job's position in ``templates``, in batch order.
+    template_index: tuple[int, ...] = ()
+    #: ``(backend name, reason)`` for each backend that declined the
+    #: batch before one accepted it, in walk order; empty when the first
+    #: candidate accepted or the backend was forced.
+    declines: tuple[tuple[str, str], ...] = ()
+    #: When the machine first had work, where that precedes every
+    #: job's release: a faulted run's surviving jobs, whose lanes also
+    #: carry the attempts that failed before them (``None``: the
+    #: earliest release).
+    span_start: float | None = None
+
+    @property
+    def job_reports(self) -> ReportView:
+        """Every job's :class:`ExecutionReport`, in batch order, built
+        on read from the columns."""
+        return ReportView(self.templates, self.template_index, self.completion_times)
 
     @property
     def n_jobs(self) -> int:
-        return len(self.job_reports)
+        return len(self.completion_times)
 
     @property
     def completion_latencies(self) -> tuple[float, ...]:
         """Per-job completion minus release (== completion at t=0)."""
         if self.arrivals is None:
-            return tuple(r.total_time for r in self.job_reports)
-        return tuple(
-            report.total_time - arrival
-            for report, arrival in zip(self.job_reports, self.arrivals)
-        )
+            return self.completion_times
+        return tuple(map(operator.sub, self.completion_times, self.arrivals))
 
     @property
     def first_release(self) -> float:
-        """When the machine first had work: the earliest release offset
-        of an open queue, 0.0 for the t=0 closed batch (and for an
-        empty report)."""
+        """When the machine first had work: ``span_start`` when set,
+        else the earliest release offset of an open queue, 0.0 for the
+        t=0 closed batch (and for an empty report)."""
+        if self.span_start is not None:
+            return self.span_start
         if self.arrivals:
             return min(self.arrivals)
         return 0.0
@@ -451,9 +555,12 @@ class PipelineExecutor:
         replica segment, join counters on fan-in stages), the numpy wave
         replay (first, for large closed single-signature batches), or
         the generator engine as the fallback for zero-duration tasks.
-        Backends return completion times; every job's
-        :class:`ExecutionReport` is then built eagerly from its
-        super-job's shared fields.
+        Backends return completion times, which the report keeps as
+        one column beside one template per super-job; a job's
+        :class:`ExecutionReport` is built only when a caller reads
+        :attr:`BatchExecutionReport.job_reports`.  Backends that
+        declined the batch on the way land in
+        :attr:`BatchExecutionReport.declines` with their reasons.
 
         ``backend`` names one registered backend to force (the serving
         benchmark's A/B switch); a forced backend that cannot simulate
@@ -499,14 +606,14 @@ class PipelineExecutor:
         lane_log: dict[str, list[tuple[float, float]]] = {}
         wall_start = perf_counter()
         batch = self.compile_batch(jobs, faults)
-        chosen, (finish, makespan, n_superjobs, failures) = self._simulate(
-            batch, arrivals, forced, lane_log
+        chosen, (finish, makespan, n_superjobs, failures), declines = (
+            self._simulate(batch, arrivals, forced, lane_log)
         )
         timing = ShardTiming(
             chosen, perf_counter() - wall_start, n, n_superjobs
         )
         return BatchExecutionReport(
-            job_reports=self._job_reports(batch, finish),
+            completion_times=tuple(finish),
             makespan=makespan,
             arrivals=None if arrivals is None else tuple(arrivals),
             n_superjobs=n_superjobs,
@@ -516,32 +623,12 @@ class PipelineExecutor:
             },
             backend_timings=(timing,),
             failures=failures,
-        )
-
-    def _job_reports(
-        self,
-        batch: "_backends.CompiledBatch",
-        finish: Sequence[float],
-    ) -> tuple[ExecutionReport, ...]:
-        """Every job's report: its super-job's fields, derived once per
-        super-job and shared (never copied) by its replicas, plus the
-        job's own completion time."""
-        templates = [
-            self._job_report(p, s, self._eq1_overhead(p, s), 0.0)
-            for p, s in batch.representatives
-        ]
-        fields = [
-            (t.phase_seconds, t.phase_times, t.scheduling_overhead, t.assignments)
-            for t in templates
-        ]
-        report = ExecutionReport
-        return tuple(
-            [
-                report(phases, times, overhead, total, assignments)
-                for (phases, times, overhead, assignments), total in zip(
-                    map(fields.__getitem__, batch.member_group), finish
-                )
-            ]
+            templates=tuple(
+                self._job_report(p, s, self._eq1_overhead(p, s), 0.0)
+                for p, s in batch.representatives
+            ),
+            template_index=tuple(batch.member_group),
+            declines=declines,
         )
 
     # ------------------------------------------------------------------
@@ -553,7 +640,7 @@ class PipelineExecutor:
         arrivals: list[float] | None,
         forced: "_backends.SimulationBackend | None",
         lane_log: dict[str, list[tuple[float, float]]],
-    ) -> tuple[str, "_backends.ShardResult"]:
+    ) -> tuple[str, "_backends.ShardResult", tuple[tuple[str, str], ...]]:
         """Time the compiled batch through the backend layer.
 
         The default walk tries every registered backend in the order
@@ -564,9 +651,11 @@ class PipelineExecutor:
         walks the same way.  ``forced`` pins one named backend and
         raises, naming its ``unsupported_reason`` for the compiled
         batch, when it declines.  ``lane_log`` collects the batch's
-        per-lane occupancy intervals.  Returns the chosen backend's name
-        and its result: the per-job completion times in batch order,
-        the makespan, the super-job count and the killed runs.
+        per-lane occupancy intervals.  Returns the chosen backend's name;
+        its result: the per-job completion times in batch order, the
+        makespan, the super-job count and the killed runs; and the
+        ``(name, unsupported_reason)`` of each backend that declined
+        first (a reason is asked for only after a decline).
         """
         if forced is not None:
             candidates: tuple = (forced,)
@@ -574,15 +663,20 @@ class PipelineExecutor:
             candidates = _backends.selection_order(
                 len(batch), len(batch.programs), arrivals is None
             )
+        declines = ()
         for candidate in candidates:
             result = candidate.simulate(self, batch, arrivals, lane_log)
             if result is not None:
-                return candidate.name, result
+                return candidate.name, result, declines
+            declines += (
+                (candidate.name, candidate.unsupported_reason(self, batch)),
+            )
+        # Only a forced backend's decline gets here: every auto walk
+        # ends on the engine, which declines nothing.
+        name, reason = declines[-1]
         raise SimulationError(
-            f"backend {forced.name!r} cannot simulate a "
-            f"{len(batch)}-job batch "
-            f"({forced.unsupported_reason(self, batch)}) and no fallback "
-            "is allowed"
+            f"backend {name!r} cannot simulate a {len(batch)}-job batch "
+            f"({reason}) and no fallback is allowed"
         )
 
     @staticmethod

@@ -35,8 +35,11 @@ per signature (or per signature and excluded targets, for a degraded
 placement) holding the schedule, the solo report and the SCA verdicts.
 A store miss places the job with the exact DP, cold.  So
 ``run_many([512] * 256)`` derives the 512-atom job once, the executor
-simulates its replicas as one super-job, and only the reports are per
-job.  :meth:`NdftFramework.register_target` drops both;
+simulates its replicas as one super-job, and the results are columns:
+one completion time per job, and one row per entry or super-job that a
+job's :class:`NdftRunResult` is built from only when a caller reads it
+(:class:`RunResultView`).  :meth:`NdftFramework.register_target` drops
+both;
 ``NdftFramework(memoize=False)`` re-derives everything per job — the
 serving benchmark's (:mod:`repro.experiments.scale_serving`) "before"
 measurement, asserted identical.
@@ -45,10 +48,12 @@ measurement, asserted identical.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import pickle
 import pickletools
 from dataclasses import dataclass, replace
 from itertools import repeat
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -64,6 +69,7 @@ from repro.core.cost_model import OffloadCostModel, serial_links
 from repro.core.executor import (
     BatchExecutionReport,
     ExecutionReport,
+    JobView,
     PipelineExecutor,
     lane_name,
 )
@@ -140,6 +146,23 @@ class NdftRunResult:
 
     def breakdown(self) -> dict[str, float]:
         return self.report.breakdown()
+
+
+class RunResultView(JobView):
+    """Every executed job's :class:`NdftRunResult`: ``rows`` maps each
+    executed entry of the call's table to its ``(problem, schedule,
+    sca_reports, memory_footprint_gb, replicated_footprint_gb)``,
+    ``row_index`` is each job's entry and ``column`` each job's
+    :class:`ExecutionReport` (usually the batch's
+    :class:`~repro.core.executor.ReportView`)."""
+
+    __slots__ = ()
+
+    def _build(self, row: tuple, report: ExecutionReport) -> NdftRunResult:
+        problem, schedule, sca_reports, memory, replicated = row
+        return NdftRunResult(
+            problem, schedule, report, sca_reports, memory, replicated
+        )
 
 
 @dataclass(slots=True)
@@ -250,6 +273,71 @@ def queueing_delays(
     return tuple(delays)
 
 
+def check_invariants(result: "NdftBatchResult") -> None:
+    """Raise :class:`SimulationError` naming every invariant ``result``
+    violates; return ``None`` when it holds them all:
+
+    - every completion latency is finite and >= 0, and every queueing
+      delay >= 0 (:func:`queueing_delays` decides, float residue and
+      all);
+    - every lane utilization lies in [0, 1] (up to 1e-9 above 1: a lane
+      busy for the whole span sums its interval lengths, each a
+      difference of absolute virtual times, back to the span only up
+      to float residue);
+    - under admission, submitted = admitted + deferred + shed, and the
+      jobs executed = admitted + deferred;
+    - under faults, completed + abandoned = the jobs executed, where a
+      job completed when one of its final-round attempts did, and the
+      result holds exactly the completed jobs.
+
+    It reads the result's columns only, so it builds no per-job
+    object."""
+    problems = []
+    latencies = result.completion_latencies
+    bad = [value for value in latencies if not (isfinite(value) and value >= 0.0)]
+    if bad:
+        problems.append(
+            f"{len(bad)} completion latencies are negative or not finite "
+            f"(first {bad[0]!r})"
+        )
+    try:
+        result.queueing_delays
+    except SimulationError as exc:
+        problems.append(f"a queueing delay is negative: {exc}")
+    for lane, value in sorted(result.lane_utilization.items()):
+        if not 0.0 <= value <= 1.0 + 1e-9:
+            problems.append(f"lane {lane} utilization {value!r} is outside [0, 1]")
+    admission, resilience = result.admission, result.resilience
+    executed = result.n_jobs if resilience is None else resilience.submitted
+    if admission is not None:
+        admitted, deferred = admission.admitted, admission.deferred
+        if admitted + deferred + admission.shed != admission.n_submitted:
+            problems.append(
+                f"submitted {admission.n_submitted} != admitted {admitted} "
+                f"+ deferred {deferred} + shed {admission.shed}"
+            )
+        if executed != admitted + deferred:
+            problems.append(
+                f"executed {executed} jobs != admitted {admitted} + "
+                f"deferred {deferred}"
+            )
+    if resilience is not None:
+        completed = sum(1 for attempt in resilience.attempts if attempt.completed)
+        if completed + resilience.abandoned != executed:
+            problems.append(
+                f"completed {completed} + abandoned {resilience.abandoned} "
+                f"!= executed {executed}"
+            )
+        if result.n_jobs != completed:
+            problems.append(
+                f"{result.n_jobs} job results, but {completed} jobs completed"
+            )
+    if problems:
+        raise SimulationError(
+            "batch result violates its invariants: " + "; ".join(problems)
+        )
+
+
 @dataclass(frozen=True)
 class NdftBatchResult:
     """A batch of jobs executed concurrently on one shared machine.
@@ -269,9 +357,15 @@ class NdftBatchResult:
     Degenerate batches (everything shed) degrade gracefully: empty
     latency tuples, 0.0 percentiles/means, 0.0 throughput — matching
     the executor's empty-report conventions rather than raising.
+
+    The result is columnar: ``jobs`` is a :class:`RunResultView` that
+    builds a job's :class:`NdftRunResult` only when a caller indexes or
+    iterates it (a plain tuple of results is accepted too), and every
+    aggregate reads :attr:`batch_report`'s columns.
+    :func:`check_invariants` checks the result's stated invariants.
     """
 
-    jobs: tuple[NdftRunResult, ...]
+    jobs: Sequence[NdftRunResult]
     batch_report: BatchExecutionReport
     #: What the same jobs cost run one at a time on a dedicated machine
     #: (the sum of standalone DES makespans).
@@ -411,9 +505,18 @@ class NdftBatchResult:
         """Per-job ``(label, completion seconds)`` in submission order
         (completion includes queueing for shared devices).  A batch may
         contain several jobs of the same size, so labels can repeat."""
+        jobs = self.jobs
+        if not isinstance(jobs, RunResultView):
+            return tuple(
+                (result.problem.label, result.report.total_time)
+                for result in jobs
+            )
+        labels = {key: row[0].label for key, row in jobs.rows.items()}
         return tuple(
-            (result.problem.label, result.report.total_time)
-            for result in self.jobs
+            zip(
+                map(labels.__getitem__, jobs.row_index),
+                self.batch_report.completion_times,
+            )
         )
 
 
@@ -474,9 +577,13 @@ class NdftFramework:
         #: LRU bound per memo structure (``None`` = unbounded).  Eviction
         #: is a capacity decision only: evicted entries are re-derived
         #: with identical values on the next miss.
-        if cache_size is not None and cache_size < 1:
+        if cache_size is not None and (
+            isinstance(cache_size, bool)
+            or not isinstance(cache_size, numbers.Integral)
+            or cache_size < 1
+        ):
             raise ConfigError(
-                f"cache_size must be >= 1 or None, got {cache_size}"
+                f"cache_size must be an integer >= 1 or None, got {cache_size!r}"
             )
         self.cache_size = cache_size
         #: ``(problem, builder)`` -> built pipeline.  Duplicate sizes
@@ -886,9 +993,11 @@ class NdftFramework:
 
         The front end is columnar: each distinct entry (atom counts by
         value, problems and pipelines by identity) is resolved once per
-        call into a table each job indexes; only the simulation and the
-        eager report and :class:`NdftRunResult` remain per job.  The
-        executor times the batch as one simulation, with
+        call into a table each job indexes; only the simulation remains
+        per job.  The result is columnar: a job's report and
+        :class:`NdftRunResult` are built only when a caller reads
+        :attr:`NdftBatchResult.jobs` (every aggregate reads the
+        columns).  The executor times the batch as one simulation, with
         signature-coalesced super-jobs; ``backend`` forces one named
         simulation backend (:mod:`repro.core.backends`; by default the
         batch walks the order
@@ -1103,6 +1212,8 @@ class NdftFramework:
                 ) from exc
             dead_at[placement] = death
 
+        # Every round's backend declines, in round order.
+        declines: tuple = ()
         # Residual (pipeline, signature, record) per checkpoint frontier,
         # built once per (job, frontier) within this call; the residual's
         # record persists across calls in the store under its own
@@ -1180,6 +1291,7 @@ class NdftFramework:
                 backend=backend,
                 faults=faults,
             )
+            declines += report.declines
             failed_runs = {failure.job: failure for failure in report.failures}
             new_runs = list(base_runs)
             for position, (job_index, attempt, _release, frontier) in enumerate(
@@ -1249,10 +1361,9 @@ class NdftFramework:
         abandoned = tuple(
             job_index for job_index in range(n) if job_index not in completed
         )
+        finish = report.completion_times
         end_to_end = tuple(
-            report.job_reports[completed[i]].total_time - releases0[i]
-            if i in completed
-            else None
+            finish[completed[i]] - releases0[i] if i in completed else None
             for i in range(n)
         )
         resilience = ResilienceReport(
@@ -1270,23 +1381,21 @@ class NdftFramework:
         # convention deprioritized admission set (latencies count from
         # the release the simulation actually used; end-to-end latency
         # from the original arrival lives on the resilience report).
+        # Its lanes and makespan still cover every run of the round, so
+        # its busy span starts at the round's first release.
         kept = sorted(completed)
-        kept_reports = tuple(report.job_reports[completed[i]] for i in kept)
-        kept_releases = tuple(runs[completed[i]][2] for i in kept)
-        out_arrivals = (
-            None
-            if arrivals is None and runs == base_runs
-            else kept_releases
-        )
-        batch_report = BatchExecutionReport(
-            job_reports=kept_reports,
-            makespan=report.makespan,
-            arrivals=out_arrivals,
-            n_superjobs=report.n_superjobs,
-            backend_jobs=report.backend_jobs,
-            lane_occupancy=report.lane_occupancy,
-            backend_timings=report.backend_timings,
-            failures=report.failures,
+        positions = [completed[i] for i in kept]
+        batch_report = replace(
+            report,
+            completion_times=tuple(map(finish.__getitem__, positions)),
+            template_index=tuple(map(report.template_index.__getitem__, positions)),
+            arrivals=(
+                None
+                if arrivals is None and runs == base_runs
+                else tuple(runs[position][2] for position in positions)
+            ),
+            declines=declines,
+            span_start=report.first_release,
         )
         # A degraded or resumed run ran its own record, so it assembles
         # from a one-run entry of its own.
@@ -1316,7 +1425,7 @@ class NdftFramework:
                 ),
             )
         return NdftBatchResult(
-            jobs=self._assemble(run_entries, run_index, kept_reports),
+            jobs=self._assemble(run_entries, run_index, batch_report.job_reports),
             batch_report=batch_report,
             solo_times=_solo_times(run_entries, run_index),
             admission=admission_result,
@@ -1422,13 +1531,15 @@ class NdftFramework:
         entries: list[_Entry],
         index: list[int],
         reports: Sequence[ExecutionReport],
-    ) -> tuple[NdftRunResult, ...]:
-        """Every executed job's :class:`NdftRunResult`, built eagerly from
-        its entry's fields and its own report.  SCA verdicts (kept on
-        the record: the analyzer sees only the pipeline and the rooflines
+    ) -> RunResultView:
+        """Every executed job's :class:`NdftRunResult`, as a view over
+        one row per executed entry and the jobs' ``reports``: a result
+        is built only when a caller reads it.  SCA verdicts (kept on the
+        record: the analyzer sees only the pipeline and the rooflines
         fixed at construction) and the footprint closed forms resolve
-        once per entry."""
-        fields = {}
+        once per entry, here, so a result read later costs no
+        analysis."""
+        rows = {}
         for position in set(index):
             entry = entries[position]
             record = entry.record
@@ -1437,21 +1548,14 @@ class NdftFramework:
                     [s.function for s in entry.pipeline.stages]
                 )
             n_atoms = entry.problem.n_atoms
-            fields[position] = (
+            rows[position] = (
                 entry.problem,
                 record.schedule,
                 record.sca,
                 footprint_ndft(n_atoms, NDP_RANKS, NDP_STACKS),
                 footprint_replicated(n_atoms, NDP_RANKS),
             )
-        result = NdftRunResult
-        return tuple(
-            [
-                result(problem, schedule, report, sca_reports, memory, replicated)
-                for (problem, schedule, sca_reports, memory, replicated), report
-                in zip(map(fields.__getitem__, index), reports)
-            ]
-        )
+        return RunResultView(rows, tuple(index), reports)
 
 
 def _solo_times(entries: list[_Entry], index: list[int]) -> tuple[float, ...]:

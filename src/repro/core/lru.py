@@ -14,13 +14,15 @@ a bad bound surfaces there as a :class:`~repro.errors.ConfigError`.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Hashable
 
 
 class LruCache:
     """A dict with LRU eviction and telemetry counters.
 
-    ``maxsize=None`` means unbounded (never evicts).  Recency is updated
+    ``maxsize=None`` means unbounded (never evicts); otherwise it is an
+    integer >= 1 (``bool`` refused).  Recency is updated
     on every :meth:`get` hit and :meth:`put`, so the evicted key is the
     one untouched for longest.  Counters (``hits``/``misses``/
     ``evictions``) survive :meth:`clear` — the framework drops cache
@@ -30,8 +32,14 @@ class LruCache:
     __slots__ = ("maxsize", "hits", "misses", "evictions", "_data")
 
     def __init__(self, maxsize: int | None = None):
-        if maxsize is not None and maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1 or None, got {maxsize}")
+        if maxsize is not None and (
+            isinstance(maxsize, bool)
+            or not isinstance(maxsize, numbers.Integral)
+            or maxsize < 1
+        ):
+            raise ValueError(
+                f"maxsize must be an integer >= 1 or None, got {maxsize!r}"
+            )
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0

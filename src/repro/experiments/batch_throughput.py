@@ -58,8 +58,10 @@ class BatchStudy:
     def job_rows(self) -> list[tuple[str, float, float]]:
         """(label, solo seconds, in-batch completion seconds) per job."""
         return [
-            (job.problem.label, solo, job.report.total_time)
-            for job, solo in zip(self.result.jobs, self.result.solo_times)
+            (label, solo, completion)
+            for (label, completion), solo in zip(
+                self.result.job_completion_times(), self.result.solo_times
+            )
         ]
 
 
@@ -99,15 +101,15 @@ def format_batch(study: BatchStudy) -> str:
             f"{'job':<10s} {'arrival (s)':>12s} {'done (s)':>10s} "
             f"{'latency (s)':>12s} {'queued (s)':>11s}",
         ]
-        for job, arrival, latency, queued in zip(
-            result.jobs,
+        for (label, completion), arrival, latency, queued in zip(
+            result.job_completion_times(),
             result.arrivals,
             result.completion_latencies,
             result.queueing_delays,
         ):
             lines.append(
-                f"{job.problem.label:<10s} {arrival:12.4f} "
-                f"{job.report.total_time:10.4f} {latency:12.4f} "
+                f"{label:<10s} {arrival:12.4f} "
+                f"{completion:10.4f} {latency:12.4f} "
                 f"{queued:11.4f}"
             )
         lines.append(

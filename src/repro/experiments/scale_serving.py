@@ -57,7 +57,12 @@ from typing import Sequence
 
 from repro.core.arrivals import AdmissionPolicy, poisson_arrivals
 from repro.core.faults import FaultPlan, RetryPolicy
-from repro.core.framework import NdftBatchResult, NdftFramework, queueing_delays
+from repro.core.framework import (
+    NdftBatchResult,
+    NdftFramework,
+    check_invariants,
+    queueing_delays,
+)
 from repro.fleet import FleetResult, WorkerPool
 
 #: Default batch-size sweep (jobs per ``run_many`` call).  The top end
@@ -142,7 +147,10 @@ def measure_run_many(
     (:mod:`repro.core.backends`) — the serve-bench A/B switch —
     ``admission`` applies an SLO-driven admission policy to the open
     queue, and ``faults``/``retry`` inject a deterministic fault plan
-    (:mod:`repro.core.faults`)."""
+    (:mod:`repro.core.faults`).  The returned result is checked with
+    :func:`~repro.core.framework.check_invariants` (every repeat
+    produces the same one), so a result that breaks one never reaches
+    the JSON."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     best = float("inf")
@@ -161,6 +169,7 @@ def measure_run_many(
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
     assert result is not None
+    check_invariants(result)
     return best, result
 
 
@@ -548,15 +557,12 @@ class ServeBenchReport:
 
 def _batch_results_equal(a: NdftBatchResult, b: NdftBatchResult) -> bool:
     """Full-value equality of two batch results: makespan, solo times and
-    every per-job execution report (exact floats, no tolerance)."""
+    every per-job result (exact floats, no tolerance).  The per-job
+    views compare column by column, building no per-job object."""
     return (
         a.makespan == b.makespan
         and a.solo_times == b.solo_times
-        and len(a.jobs) == len(b.jobs)
-        and all(
-            ja.report == jb.report and ja.schedule == jb.schedule
-            for ja, jb in zip(a.jobs, b.jobs)
-        )
+        and a.jobs == b.jobs
     )
 
 

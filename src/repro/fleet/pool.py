@@ -35,6 +35,7 @@ identical worker code in-process for exactly that comparison).
 from __future__ import annotations
 
 import multiprocessing
+import numbers
 import tempfile
 import time
 from pathlib import Path
@@ -81,7 +82,7 @@ def _serve_replica(payload: dict) -> dict:
     framework.save_caches(payload["out_snapshot"])
     return {
         "replica": payload["replica"],
-        "completions": [job.report.total_time for job in result.jobs],
+        "completions": result.batch_report.completion_times,
         "makespan": result.makespan,
         "busy_span": result.busy_span,
         "lane_busy_seconds": dict(result.lane_busy_seconds),
@@ -119,9 +120,14 @@ class WorkerPool:
         snapshot_path: Path | str | None = None,
         inline: bool = False,
     ):
-        if n_replicas < 1:
+        if (
+            isinstance(n_replicas, bool)
+            or not isinstance(n_replicas, numbers.Integral)
+            or n_replicas < 1
+        ):
             raise ConfigError(
-                f"a worker pool needs n_replicas >= 1, got {n_replicas}"
+                "a worker pool needs an integer n_replicas >= 1, got "
+                f"{n_replicas!r}"
             )
         self.n_replicas = n_replicas
         self.inline = inline

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.executor import PipelineExecutor
-from repro.core.framework import NdftFramework
+from repro.core.framework import NdftFramework, check_invariants
 from repro.core.sca import StaticCodeAnalyzer
 from repro.core.scheduler import CostAwareScheduler
 from repro.dft.basis import PlaneWaveBasis
@@ -95,3 +95,17 @@ def derivations(monkeypatch):
     count(PipelineExecutor, "execute", "solo")
     count(StaticCodeAnalyzer, "analyze_all", "sca")
     return counts
+
+
+@pytest.fixture
+def checked_results(monkeypatch):
+    """Every ``NdftFramework.run_many`` result built while the test runs
+    must hold :func:`~repro.core.framework.check_invariants`."""
+    run_many = NdftFramework.run_many
+
+    def checked(self, *args, **kwargs):
+        result = run_many(self, *args, **kwargs)
+        check_invariants(result)
+        return result
+
+    monkeypatch.setattr(NdftFramework, "run_many", checked)

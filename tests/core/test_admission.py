@@ -21,6 +21,9 @@ from repro.core.executor import BatchExecutionReport, PipelineExecutor
 from repro.core.framework import NdftFramework
 from repro.errors import ConfigError
 
+#: Every served batch a test here builds must hold check_invariants.
+pytestmark = pytest.mark.usefixtures("checked_results")
+
 #: The serve-bench default mix, repeated into a batch.
 MIX = (64, 128, 512, 1024)
 
@@ -43,6 +46,13 @@ class TestAdmissionPolicyValidation:
             AdmissionPolicy(slo_p99=0.0)
         with pytest.raises(ValueError):
             AdmissionPolicy(max_queue_depth=0)
+        # A bound that never acts, or acts as a value nobody wrote.
+        for slo in (float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="slo_p99"):
+                AdmissionPolicy(slo_p99=slo)
+        for depth in (float("nan"), True, 2.5):
+            with pytest.raises(ValueError, match="max_queue_depth"):
+                AdmissionPolicy(max_queue_depth=depth)
 
     def test_json_roundtrip_shape(self):
         policy = AdmissionPolicy(slo_p99=2.0, max_queue_depth=8)
@@ -340,7 +350,7 @@ class TestBusySpanAccounting:
         assert report.throughput == 4 / report.busy_span
 
     def test_empty_report_degrades_gracefully(self):
-        report = BatchExecutionReport(job_reports=(), makespan=0.0, arrivals=())
+        report = BatchExecutionReport(completion_times=(), makespan=0.0, arrivals=())
         assert report.n_jobs == 0
         assert report.completion_latencies == ()
         assert report.first_release == 0.0

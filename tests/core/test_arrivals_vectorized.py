@@ -95,6 +95,9 @@ class TestContract:
             poisson_arrivals(4, 0.0)
         with pytest.raises(ValueError):
             poisson_arrivals(4, -1.0)
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rate"):
+                poisson_arrivals(4, rate)
 
     def test_offsets_strictly_positive_and_increasing(self):
         offsets = poisson_arrivals(500, 5.0, seed=11)

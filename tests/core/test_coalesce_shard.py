@@ -21,6 +21,9 @@ from repro.core.scheduler import SchedulingPolicy
 from repro.dft.workload import problem_size
 from repro.errors import SimulationError
 
+#: Every served batch a test here builds must hold check_invariants.
+pytestmark = pytest.mark.usefixtures("checked_results")
+
 SIZES = (16, 64, 128, 512, 1024)
 
 

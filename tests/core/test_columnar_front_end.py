@@ -13,21 +13,29 @@ framework warmed from a snapshot, which must then derive nothing.  Under
 lethal faults, degraded and residual-pipeline records go through the
 store too.  The executor's super-job grouping is checked against a
 per-job reference, and its results against the forced engine.
+
+The results are columnar, so every accessor of a served batch is
+checked against the same quantity computed the eager way, from the
+per-job objects the views build, with exact floats in the same order.
 """
 
+import dataclasses
 import functools
 import tempfile
+from array import array
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.arrivals import AdmissionPolicy
+from repro.core.arrivals import AdmissionPolicy, percentile, poisson_arrivals
 from repro.core.faults import FaultPlan, RetryPolicy
-from repro.core.framework import NdftFramework
+from repro.core.framework import NdftFramework, check_invariants, queueing_delays
 from repro.core.pipeline import Pipeline, build_kpoint_pipeline, build_pipeline
 from repro.core.scheduler import SchedulingPolicy
 from repro.dft.workload import ProblemSize, problem_size
+from repro.experiments.scale_serving import job_mix
+from repro.fleet import WorkerPool
 
 SIZES = (16, 64, 128)
 BUILDERS = {"chain": build_pipeline, "kpoint": build_kpoint_pipeline}
@@ -171,6 +179,8 @@ class TestColumnarMatchesPerJob:
         loaded = serve(loaded_framework, *case)
         assert loaded_framework.cache_stats["entry_misses"] == 0
 
+        for result in (per_job, cached, evicting, loaded):
+            check_invariants(result)
         for result in (cached, evicting, loaded):
             assert_same_results(result, per_job)
         assert cached_framework.job_estimates(
@@ -192,6 +202,136 @@ class TestColumnarMatchesPerJob:
         per_job_timings = per_job.batch_report.backend_timings
         assert [t.n_jobs for t in per_job_timings] == [len(jobs)]
         assert per_job.batch_report.n_superjobs == len(batch)
+
+
+def same_floats(got, want):
+    """Exact equality of two float sequences, bit for bit and in order."""
+    return array("d", got).tobytes() == array("d", want).tobytes()
+
+
+def eager_percentile(latencies, q):
+    return percentile(latencies, q) if latencies else 0.0
+
+
+def assert_accessors_match_eager_objects(result, submitted_arrivals):
+    """Every accessor of ``result`` equals what the parent's eager
+    formulas give over per-job objects built here: by iteration, by
+    index and by slice, all three agreeing."""
+    n = len(result.jobs)
+    jobs = tuple(result.jobs)
+    reports = tuple(result.batch_report.job_reports)
+    assert len(jobs) == len(reports) == n == result.n_jobs
+    assert tuple(result.jobs[i] for i in range(n)) == jobs == result.jobs[:]
+    assert tuple(result.batch_report.job_reports[i] for i in range(n)) == reports
+    assert tuple(job.report for job in jobs) == reports
+    assert result.jobs == jobs and jobs == result.jobs
+    assert result.batch_report.job_reports == reports
+    for job in jobs:  # each view-built report is its own job's
+        assert job.report.assignments == job.schedule.assignments
+        assert job.report.phase_times == job.schedule.stage_times
+
+    arrivals = result.arrivals
+    if arrivals is None:
+        latencies = tuple(report.total_time for report in reports)
+    else:
+        latencies = tuple(
+            report.total_time - arrival
+            for report, arrival in zip(reports, arrivals)
+        )
+    assert same_floats(result.completion_latencies, latencies)
+    assert same_floats(
+        result.queueing_delays,
+        queueing_delays(latencies, result.solo_times, arrivals),
+    )
+    for q in (50.0, 99.0):
+        assert same_floats(
+            [result.latency_percentile(q)], [eager_percentile(latencies, q)]
+        )
+    assert same_floats(
+        [result.p50_latency, result.p99_latency],
+        [eager_percentile(latencies, 50.0), eager_percentile(latencies, 99.0)],
+    )
+    slo = latencies
+    if result.admission is not None:
+        slo = tuple(latencies[i] for i in result.admission.counted_indices)
+    assert same_floats(result.slo_latencies, slo)
+    assert same_floats(
+        [result.slo_p50_latency, result.slo_p99_latency],
+        [eager_percentile(slo, 50.0), eager_percentile(slo, 99.0)],
+    )
+    eager_times = tuple(
+        (job.problem.label, job.report.total_time) for job in jobs
+    )
+    assert result.job_completion_times() == eager_times
+    assert same_floats(
+        [time for _label, time in result.job_completion_times()],
+        [time for _label, time in eager_times],
+    )
+    occupancy = result.batch_report.lane_occupancy
+    busy = {
+        lane: sum(end - start for start, end in intervals)
+        for lane, intervals in occupancy.items()
+    }
+    assert result.lane_busy_seconds == busy
+    span = result.busy_span
+    assert result.lane_utilization == (
+        {lane: seconds / span for lane, seconds in busy.items()}
+        if span > 0
+        else {lane: 0.0 for lane in occupancy}
+    )
+    if result.resilience is not None:
+        abandoned = set(result.resilience.abandoned_jobs)
+        submitted = result.resilience.submitted
+        releases = submitted_arrivals or [0.0] * submitted
+        completed = [i for i in range(submitted) if i not in abandoned]
+        end_to_end = [None] * submitted
+        for job, i in zip(jobs, completed):
+            end_to_end[i] = job.report.total_time - releases[i]
+        got = result.resilience.end_to_end_latencies
+        assert [latency is None for latency in got] == [
+            latency is None for latency in end_to_end
+        ]
+        assert same_floats(
+            [latency for latency in got if latency is not None],
+            [latency for latency in end_to_end if latency is not None],
+        )
+    # A plain tuple of the same results reads the same everywhere.
+    spliced = dataclasses.replace(result, jobs=jobs)
+    assert spliced.jobs == result.jobs
+    assert spliced.job_completion_times() == result.job_completion_times()
+    assert spliced.n_jobs == result.n_jobs
+
+
+class TestColumnarAccessors:
+    @given(case=batches())
+    @example(case=lethal_case(build_pipeline, (0.02, 0.03), 0.09))
+    @example(case=lethal_case(build_kpoint_pipeline, (0.05, 0.06), 0.09))
+    @settings(max_examples=40, deadline=None)
+    def test_accessors_match_eager_objects(self, case):
+        _batch, _builder, mode, arrivals, _slo, _faults = case
+        result = serve(NdftFramework(), *case)
+        check_invariants(result)
+        if mode == "lethal-faults":
+            assert result.resilience is not None
+        assert_accessors_match_eager_objects(result, arrivals)
+
+    def test_fleet_completions_match_eager_objects(self):
+        """An inline two-replica pool: each replica's completions equal
+        the eager per-job reports of a plain ``run_many`` of its jobs."""
+        sizes = job_mix(32)
+        arrivals = poisson_arrivals(len(sizes), 3.0, seed=1)
+        for offsets in (None, arrivals):
+            with WorkerPool(2, inline=True) as pool:
+                fleet = pool.serve(sizes, arrivals=offsets)
+            assert len(fleet.replicas) == 2
+            for replica in fleet.replicas:
+                indices = replica.job_indices
+                result = NdftFramework().run_many(
+                    [sizes[i] for i in indices],
+                    arrivals=None if offsets is None else [offsets[i] for i in indices],
+                )
+                eager = [job.report.total_time for job in tuple(result.jobs)]
+                assert same_floats(replica.completion_times, eager)
 
 
 @functools.cache

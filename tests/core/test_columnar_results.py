@@ -1,0 +1,351 @@
+"""Columnar batch results: the per-job views, what they build, and
+``check_invariants``.
+
+``NdftBatchResult.jobs`` and ``BatchExecutionReport.job_reports`` are
+read-only views over columns (one completion time per job, one row per
+template, each job's template index); a job's ``NdftRunResult`` or
+``ExecutionReport`` is built only when a caller reads it.  The guards
+here count constructions through a patched ``__init__`` rather than
+timing anything: a warm ``run_many`` builds one report template per
+super-job and no per-job object on any path, and every aggregate reads
+the columns.  The view tests pin the sequence protocol the callers
+rely on, and the invariant tests trigger each of
+``check_invariants``' rules on a hand-built bad result.
+"""
+
+import dataclasses
+import math
+import pickle
+from collections import Counter
+
+import pytest
+
+from repro.core.arrivals import AdmissionDecision, AdmissionPolicy, poisson_arrivals
+from repro.core.executor import ExecutionReport, PipelineExecutor
+from repro.core.faults import RetryPolicy, poisson_fault_plan
+from repro.core.framework import NdftFramework, NdftRunResult, check_invariants
+from repro.core.pipeline import build_kpoint_pipeline
+from repro.errors import SimulationError
+from repro.experiments.scale_serving import job_mix
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts of ``ExecutionReport`` and ``NdftRunResult`` objects
+    constructed while the test runs, plus the super-jobs every
+    ``execute_many`` call simulated (``"superjobs"``)."""
+    counts: Counter = Counter()
+    for cls in (ExecutionReport, NdftRunResult):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    execute_many = PipelineExecutor.execute_many
+
+    def counted(self, *args, **kwargs):
+        report = execute_many(self, *args, **kwargs)
+        counts["superjobs"] += len(report.templates)
+        return report
+
+    monkeypatch.setattr(PipelineExecutor, "execute_many", counted)
+    return counts
+
+
+def _closed(framework):
+    return framework.run_many(job_mix(4096))
+
+
+def _open_admission(framework):
+    sizes = job_mix(512)
+    return framework.run_many(
+        sizes,
+        pipeline_builder=build_kpoint_pipeline,
+        arrivals=poisson_arrivals(len(sizes), 3.0, seed=1),
+        admission=AdmissionPolicy(slo_p99=2.0),
+    )
+
+
+def _faulted_retry(framework):
+    """Outages and a late NDP death: kills, resumed retries and degraded
+    placements, in two rounds."""
+    sizes = job_mix(256)
+    arrivals = poisson_arrivals(len(sizes), 2.0, seed=3)
+    horizon = arrivals[-1]
+    plan = poisson_fault_plan(
+        ["ndp", "link:cpu-ndp"],
+        mtbf=10.0,
+        mttr=1.0,
+        horizon=horizon,
+        seed=3,
+        permanent_after=0.8 * horizon,
+    )
+    return framework.run_many(
+        sizes,
+        arrivals=arrivals,
+        faults=plan,
+        retry=RetryPolicy(checkpoint=True, backoff_base=2.0 * horizon),
+    )
+
+
+class TestAllocationGuard:
+    @pytest.mark.parametrize(
+        "serve", [_closed, _open_admission, _faulted_retry], ids=lambda f: f.__name__
+    )
+    def test_warm_call_builds_no_per_job_object(self, constructions, serve):
+        framework = NdftFramework()
+        serve(framework)  # warm: placements, solo reports, SCA verdicts
+        constructions.clear()
+        result = serve(framework)
+        assert result.n_jobs > constructions["superjobs"] > 0
+        assert constructions["ExecutionReport"] <= constructions["superjobs"]
+        assert constructions["NdftRunResult"] == 0
+        if serve is _faulted_retry:
+            resilience = result.resilience
+            assert resilience.failed_attempts > 0
+            assert resilience.resumed_attempts > 0
+            assert resilience.degraded_attempts > 0
+
+        # Every aggregate reads the columns.
+        built = Counter(constructions)
+        result.completion_latencies
+        result.queueing_delays
+        result.p50_latency
+        result.p99_latency
+        result.slo_p99_latency
+        result.job_completion_times()
+        result.lane_utilization
+        result.throughput
+        check_invariants(result)
+        assert constructions == built
+
+        # Reading one job builds exactly that job's objects.
+        constructions.clear()
+        result.jobs[result.n_jobs // 2]
+        assert constructions == {"ExecutionReport": 1, "NdftRunResult": 1}
+        constructions.clear()
+        result.batch_report.job_reports[-1]
+        assert constructions == {"ExecutionReport": 1}
+
+
+@pytest.fixture(scope="module")
+def served():
+    """Two equal closed results from separate frameworks and one open
+    result, small enough to materialize."""
+    sizes = job_mix(12)
+    first = NdftFramework().run_many(sizes)
+    second = NdftFramework().run_many(sizes)
+    open_ = NdftFramework().run_many(
+        sizes, arrivals=poisson_arrivals(len(sizes), 3.0, seed=2)
+    )
+    return first, second, open_
+
+
+class TestViewSemantics:
+    def test_length_indexing_and_slices(self, served):
+        result, _second, _open = served
+        for view in (result.jobs, result.batch_report.job_reports):
+            eager = tuple(view)
+            assert len(view) == len(eager) == 12
+            assert view[0] == eager[0]
+            assert view[-1] == eager[-1] == eager[11]
+            assert view[-12] == eager[0]
+            for position in (12, -13):
+                with pytest.raises(IndexError):
+                    view[position]
+            for part in (slice(2, 5), slice(None, None, -1), slice(3, 3), slice(-4, None, 2)):
+                assert type(view[part]) is tuple
+                assert view[part] == eager[part]
+            assert list(reversed(view)) == list(reversed(eager))
+            assert view.index(eager[4]) == 4
+            assert eager[5] in view
+
+    def test_equality_from_either_side(self, served):
+        first, second, open_ = served
+        for view, other, different in (
+            (first.jobs, second.jobs, open_.jobs),
+            (
+                first.batch_report.job_reports,
+                second.batch_report.job_reports,
+                open_.batch_report.job_reports,
+            ),
+        ):
+            eager = tuple(view)
+            assert view == eager and eager == view
+            assert not (view != eager) and not (eager != view)
+            assert view == other and other == view  # another view
+            assert view != different and different != view
+            assert view != tuple(different) and tuple(different) != view
+            moved = eager[:3] + eager[4:5] + eager[3:4] + eager[5:]
+            assert view != moved and moved != view
+            assert view != eager[:-1] and eager[:-1] != view
+            assert view != list(eager)  # a list is not a tuple
+
+    def test_pickle_round_trip(self, served):
+        for result in served:
+            copy = pickle.loads(pickle.dumps(result))
+            assert type(copy.jobs) is type(result.jobs)
+            assert copy.jobs == result.jobs
+            assert copy.batch_report == result.batch_report
+            assert copy.completion_latencies == result.completion_latencies
+            assert copy.job_completion_times() == result.job_completion_times()
+
+    def test_replace_with_a_tuple(self, served):
+        result = served[2]
+        eager = tuple(result.jobs)
+        spliced = dataclasses.replace(result, jobs=eager)
+        assert spliced.jobs is eager
+        assert spliced.jobs == result.jobs
+        assert spliced.n_jobs == result.n_jobs
+        assert spliced.job_completion_times() == result.job_completion_times()
+        assert spliced.p99_latency == result.p99_latency
+
+
+@pytest.fixture(scope="module")
+def open_result():
+    sizes = job_mix(16)
+    return NdftFramework().run_many(
+        sizes, arrivals=poisson_arrivals(len(sizes), 3.0, seed=4)
+    )
+
+
+@pytest.fixture(scope="module")
+def shed_result():
+    sizes = job_mix(32)
+    result = NdftFramework().run_many(
+        sizes,
+        arrivals=poisson_arrivals(len(sizes), 3.0, seed=1),
+        admission=AdmissionPolicy(slo_p99=1.0),
+    )
+    assert result.admission.shed > 0
+    return result
+
+
+@pytest.fixture(scope="module")
+def faulted_result():
+    sizes = job_mix(16)
+    result = NdftFramework().run_many(
+        sizes,
+        arrivals=[i * 0.5 for i in range(len(sizes))],
+        faults=poisson_fault_plan(["ndp"], mtbf=1.0, mttr=0.2, horizon=8.0, seed=1),
+        retry=RetryPolicy(max_attempts=1),
+    )
+    assert result.resilience.abandoned > 0
+    return result
+
+
+def _with_completion(result, position, completion):
+    report = result.batch_report
+    times = list(report.completion_times)
+    times[position] = completion
+    return dataclasses.replace(
+        result,
+        batch_report=dataclasses.replace(report, completion_times=tuple(times)),
+    )
+
+
+class TestCheckInvariants:
+    def test_served_results_hold(self, open_result, shed_result, faulted_result):
+        for result in (open_result, shed_result, faulted_result):
+            check_invariants(result)
+
+    def test_negative_latency(self, open_result):
+        bad = _with_completion(open_result, 3, open_result.arrivals[3] - 1.0)
+        with pytest.raises(SimulationError, match="completion latencies"):
+            check_invariants(bad)
+
+    def test_non_finite_latency(self, open_result):
+        bad = _with_completion(open_result, 0, math.nan)
+        with pytest.raises(SimulationError, match="not finite"):
+            check_invariants(bad)
+
+    def test_negative_queueing_delay(self, open_result):
+        early = open_result.arrivals[5] + open_result.solo_times[5] / 2
+        bad = _with_completion(open_result, 5, early)
+        with pytest.raises(SimulationError, match="queueing delay") as caught:
+            check_invariants(bad)
+        assert "completion latencies" not in str(caught.value)
+
+    def test_utilization_residue_above_one_holds(self):
+        """A lane busy from release to completion sums its interval
+        lengths to a hair over the span: float residue, not a fault."""
+        result = NdftFramework().run_many([16], arrivals=[0.0058381400018659565])
+        assert result.lane_utilization["cpu"] > 1.0
+        check_invariants(result)
+
+    def test_lane_utilization_above_one(self, open_result):
+        report = open_result.batch_report
+        occupancy = dict(report.lane_occupancy)
+        occupancy["cpu"] = ((0.0, 2.0 * report.makespan),)
+        bad = dataclasses.replace(
+            open_result,
+            batch_report=dataclasses.replace(report, lane_occupancy=occupancy),
+        )
+        with pytest.raises(SimulationError, match="lane cpu utilization"):
+            check_invariants(bad)
+
+    def test_submitted_is_admitted_deferred_and_shed(self, shed_result):
+        admission = shed_result.admission
+        decisions = list(admission.decisions)
+        shed = [i for i, d in enumerate(decisions) if not d.admitted]
+        admitted = [i for i, d in enumerate(decisions) if d.admitted]
+        # One shed job counted as admitted and as deferred, two admitted
+        # jobs counted as shed: admitted + deferred still equals the
+        # executed jobs, but the three counts overshoot the submissions.
+        decisions[shed[0]] = dataclasses.replace(
+            decisions[shed[0]], admitted=True, deferred=True
+        )
+        for i in admitted[:2]:
+            decisions[i] = dataclasses.replace(decisions[i], admitted=False)
+        bad = dataclasses.replace(
+            shed_result,
+            admission=dataclasses.replace(admission, decisions=tuple(decisions)),
+        )
+        with pytest.raises(SimulationError, match="submitted") as caught:
+            check_invariants(bad)
+        assert "executed" not in str(caught.value)
+
+    def test_executed_is_admitted_and_deferred(self, shed_result):
+        admission = shed_result.admission
+        extra = AdmissionDecision(
+            index=admission.n_submitted,
+            label="Si_64",
+            arrival=0.0,
+            predicted_latency=0.0,
+            admitted=True,
+            deferred=False,
+            release=0.0,
+            reason=None,
+        )
+        bad = dataclasses.replace(
+            shed_result,
+            admission=dataclasses.replace(
+                admission, decisions=(*admission.decisions, extra)
+            ),
+        )
+        with pytest.raises(SimulationError, match="executed") as caught:
+            check_invariants(bad)
+        assert "submitted" not in str(caught.value)
+
+    def test_completed_and_abandoned_are_executed(self, faulted_result):
+        resilience = faulted_result.resilience
+        bad = dataclasses.replace(
+            faulted_result,
+            resilience=dataclasses.replace(
+                resilience,
+                abandoned_jobs=(*resilience.abandoned_jobs, resilience.submitted),
+            ),
+        )
+        with pytest.raises(SimulationError, match="abandoned") as caught:
+            check_invariants(bad)
+        assert "job results" not in str(caught.value)
+
+    def test_result_holds_the_completed_jobs(self, faulted_result):
+        bad = dataclasses.replace(
+            faulted_result, jobs=tuple(faulted_result.jobs)[:-1]
+        )
+        with pytest.raises(SimulationError, match="job results") as caught:
+            check_invariants(bad)
+        assert "abandoned" not in str(caught.value)

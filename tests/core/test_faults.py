@@ -40,6 +40,9 @@ from repro.dft.workload import problem_size
 from repro.errors import ConfigError, SimulationError
 from repro.hw.engine import resolve_degraded_service
 
+#: Every served batch a test here builds must hold check_invariants.
+pytestmark = pytest.mark.usefixtures("checked_results")
+
 SIZES = [64, 128, 512, 1024]
 
 
@@ -407,6 +410,22 @@ class TestTransientOutageRetry:
         res = framework.run_many(SIZES, faults=plan).resilience
         assert res.total_attempts > res.completed
         assert res.goodput < res.throughput_all_attempts
+
+    def test_busy_span_covers_the_failed_attempts(self, framework):
+        """A retried job's surviving run releases after its failure, but
+        the lanes were busy with the failed attempt first: the batch's
+        busy span starts at the round's first release, so utilization
+        stays within [0, 1] and throughput equals goodput."""
+        solo = framework.run_many([128]).makespan
+        plan = FaultPlan(outages=(("ndp", 0.5 * solo, 0.5 * solo + 0.005),))
+        result = framework.run_many(
+            [128], arrivals=[0.0], faults=plan, retry=RetryPolicy()
+        )
+        assert result.resilience.failed_attempts == 1
+        assert result.arrivals[0] > 0.0  # the retry's release
+        assert result.busy_span == result.makespan
+        assert all(0.0 <= u <= 1.0 for u in result.lane_utilization.values())
+        assert result.throughput == result.resilience.goodput
 
 
 class TestDeterminism:

@@ -46,6 +46,9 @@ from repro.dft.workload import problem_size
 from repro.errors import ConfigError, SimulationError
 from repro.hw.engine import inflate_service, resolve_degraded_service
 
+#: Every served batch a test here builds must hold check_invariants.
+pytestmark = pytest.mark.usefixtures("checked_results")
+
 SIZES = [64, 128, 512, 1024]
 BACKENDS = ["dag_replay", "vector_replay", "engine"]
 

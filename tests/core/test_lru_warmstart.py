@@ -55,6 +55,9 @@ class TestLruCache:
     def test_rejects_nonpositive_maxsize(self):
         with pytest.raises(ValueError):
             LruCache(maxsize=0)
+        for maxsize in (float("nan"), 2.5, True):
+            with pytest.raises(ValueError, match="maxsize"):
+                LruCache(maxsize)
 
 
 class TestBoundedFrameworkCaches:
@@ -92,7 +95,7 @@ class TestBoundedFrameworkCaches:
         assert framework.cache_size == NdftFramework.DEFAULT_CACHE_SIZE
         assert framework._store.maxsize == framework.cache_size
 
-    @pytest.mark.parametrize("cache_size", [0, -1])
+    @pytest.mark.parametrize("cache_size", [0, -1, float("nan"), 2.5, True])
     def test_rejects_nonpositive_cache_size(self, cache_size):
         with pytest.raises(ConfigError, match="cache_size"):
             NdftFramework(cache_size=cache_size)

@@ -19,15 +19,19 @@ import random
 import pytest
 
 from tests.core.dag_helpers import random_pipeline
-from repro.core.arrivals import poisson_arrivals
 from repro.core.backends import (
+    _ZERO_DURATION_REASON,
+    FAULT_PLAN_REASON,
+    UNPROVABLE_TIE_REASON,
     VECTOR_MIN_JOBS,
+    DagReplayBackend,
     VectorReplayBackend,
     backend_names,
     get_backend,
 )
 from repro.core.executor import PipelineExecutor, ShardTiming
-from repro.core.faults import FaultPlan
+from repro.core.arrivals import AdmissionPolicy, poisson_arrivals
+from repro.core.faults import FaultPlan, RetryPolicy, poisson_fault_plan
 from repro.core.framework import NdftFramework
 from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
 from repro.dft.workload import problem_size
@@ -384,6 +388,81 @@ class TestSelectionRule:
         assert attempts == [None]
         assert auto.backend_jobs == {"engine": VECTOR_MIN_JOBS}
         assert _identical(auto, executor.execute_many(jobs, backend="engine"))
+
+
+class TestDeclines:
+    """An auto walk records each backend that declined the batch before
+    one accepted it, with the reason a forced run would quote."""
+
+    def test_zero_duration_batch_records_both_replays(self):
+        executor, jobs = _zero_duration_toy_jobs(4)
+        report = executor.execute_many(jobs)
+        assert report.backend_jobs == {"engine": 4}
+        assert report.declines == (
+            ("dag_replay", _ZERO_DURATION_REASON),
+            ("vector_replay", _ZERO_DURATION_REASON),
+        )
+
+    def test_unprovable_waves_record_one_vector_decline(self, framework):
+        pipeline = random_pipeline(random.Random(0), 4)
+        jobs = [(pipeline, framework.scheduler.schedule(pipeline))]
+        report = framework.executor.execute_many(jobs * VECTOR_MIN_JOBS)
+        assert report.backend_jobs == {"dag_replay": VECTOR_MIN_JOBS}
+        assert report.declines == (("vector_replay", UNPROVABLE_TIE_REASON),)
+
+    def test_resilient_rounds_concatenate_in_order(self, monkeypatch):
+        """With ``dag_replay`` declining, every round of a faulted retry
+        walks to the engine; the result lists each round's declines."""
+        monkeypatch.setattr(DagReplayBackend, "simulate", lambda *args: None)
+        sizes = [64, 128, 512, 1024] * 2
+        result = NdftFramework().run_many(
+            sizes,
+            faults=FaultPlan(outages=(("ndp", 0.01, 0.02),)),
+            retry=RetryPolicy(),
+        )
+        assert result.resilience.failed_attempts > 0  # two rounds ran
+        per_round = (
+            ("dag_replay", _ZERO_DURATION_REASON),
+            ("vector_replay", FAULT_PLAN_REASON),
+        )
+        assert result.batch_report.declines == per_round * 2
+
+    def test_benchmark_batch_shapes_record_none(self):
+        sizes = [64, 128, 512, 1024] * 64
+        arrivals = poisson_arrivals(len(sizes), 3.0, seed=1)
+        horizon = arrivals[-1]
+        plan = poisson_fault_plan(
+            ["ndp", "link:cpu-ndp"],
+            mtbf=10.0,
+            mttr=1.0,
+            horizon=horizon,
+            seed=2,
+            permanent_after=0.8 * horizon,
+        )
+        framework = NdftFramework()
+        results = [
+            framework.run_many(sizes),
+            framework.run_many(
+                [512] * len(sizes), pipeline_builder=build_kpoint_pipeline
+            ),
+            framework.run_many(
+                sizes,
+                pipeline_builder=build_kpoint_pipeline,
+                arrivals=arrivals,
+                admission=AdmissionPolicy(slo_p99=2.0),
+            ),
+            framework.run_many(
+                sizes,
+                arrivals=arrivals,
+                faults=plan,
+                retry=RetryPolicy(checkpoint=True, backoff_base=2.0 * horizon),
+            ),
+            framework.run_many(sizes, arrivals=arrivals),
+        ]
+        assert results[1].batch_report.backend_jobs == {"vector_replay": 256}
+        assert results[3].resilience.failed_attempts > 0
+        for result in results:
+            assert result.batch_report.declines == ()
 
 
 class TestOneCompilePerCall:

@@ -225,8 +225,11 @@ class TestServeValidation:
     def test_rejects_nonpositive_replicas(self):
         with pytest.raises(ConfigError, match="n_replicas"):
             WorkerPool(0)
+        for n_replicas in (2.5, True):
+            with pytest.raises(ConfigError, match="n_replicas"):
+                WorkerPool(n_replicas, inline=True)
 
-    @pytest.mark.parametrize("cache_size", [0, -1])
+    @pytest.mark.parametrize("cache_size", [0, -1, float("nan"), 2.5, True])
     def test_rejects_nonpositive_cache_size(self, cache_size):
         with pytest.raises(ConfigError, match="cache_size"):
             WorkerPool(2, cache_size=cache_size)
