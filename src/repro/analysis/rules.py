@@ -443,7 +443,7 @@ class BackendContractRule:
                         "class defines no unsupported_reason"
                     ),
                     hint=(
-                        "add unsupported_reason(executor, batch) "
+                        "add unsupported_reason(batch) "
                         "returning a named *_REASON constant so forced-"
                         "backend errors can explain the decline"
                     ),

@@ -13,16 +13,20 @@
   granularities (instruction, basic block, function, kernel).
 - :mod:`repro.core.pipeline` — validated stage DAGs with data edges: the
   paper's LR-TDDFT chain plus branching (k-point) variants.
-- :mod:`repro.core.executor` — maps schedules onto the machine models via
-  the discrete-event engine: DAG-aware waits, branch overlap on distinct
-  devices, and batched multi-job execution on one shared machine as one
-  simulation, scaled out through signature-coalesced super-jobs
-  (bit-identical to the plain shared engine).
+- :mod:`repro.core.executor` — compiles schedules into per-super-job
+  programs (DAG-aware waits, boundary transfers on their wires), walks
+  the simulation backends and reports: batched multi-job execution on
+  one shared machine as one simulation, scaled out through
+  signature-coalesced super-jobs.  It holds no simulator.
 - :mod:`repro.core.backends` — the simulation-backend layer the executor
-  selects from per batch: the DAG FIFO replay (one cursor per replica
-  segment, join counters on fan-in stages; fault plans included), the
-  numpy wave replay and the generator engine fallback, all
-  bit-identical and pluggable via ``register_backend``.
+  selects from per batch, one contract (``simulate(batch, arrivals)``
+  returns completions, makespan, occupancy and failures, or ``None``
+  to decline): the DAG FIFO replay (one cursor per replica segment,
+  join counters on fan-in stages; fault plans included), the numpy
+  wave replay and the generator engine fallback, all bit-identical and
+  pluggable via ``register_backend``.
+- :mod:`repro.core.trace` — single-job Gantt timelines from the
+  generator engine's occupancy observer.
 - :mod:`repro.core.arrivals` — arrival processes (seeded Poisson),
   latency percentiles and the SLO-driven admission policy
   (shed/deprioritize) for the open-queue serving model.

@@ -15,13 +15,15 @@ scattered through the executor:
   it interns batch-wide and names (:attr:`CompiledBatch.lanes`).  No
   backend prices a boundary, regroups the batch or recompiles a job.
 - :class:`SimulationBackend` is the protocol — one
-  :meth:`~SimulationBackend.simulate` that returns per-job completion
-  times, the makespan, the super-job count and the runs a fault plan
-  killed, or ``None`` to decline a batch it cannot prove (e.g. several
+  :meth:`~SimulationBackend.simulate` over ``(batch, arrivals)`` that
+  returns the simulators' four outputs (per-job completion times, the
+  makespan, each resource's occupancy in grant order and the failure
+  rows), or ``None`` to decline a batch it cannot prove (e.g. several
   signatures for ``vector_replay``, a zero-duration task under a
-  degenerate cost model).  The executor keeps the completion times as
-  one column beside one report template per super-job, so no backend
-  touches a report; a decline's reason lands in the report's
+  degenerate cost model).  The executor files the occupancy under the
+  batch's lane names and keeps the completion times as one column
+  beside one report template per super-job, so no backend touches a
+  report or the executor; a decline's reason lands in the report's
   ``declines`` when the walk moves on.
 - Three backends ship registered, in fallback-preference order:
 
@@ -44,11 +46,12 @@ scattered through the executor:
                      Declines fault plans, cross-signature batches,
                      zero durations and tie patterns that need the
                      engine's banded hop cascade.
-  ``engine``         anything, through the generator
-                     :class:`repro.hw.engine.Engine` running the same
-                     programs, one process per stage of every job —
-                     the fallback for zero-duration tasks (with or
-                     without a fault plan) and the reference the
+  ``engine``         anything, via
+                     :func:`repro.hw.engine.run_engine_batch` — the
+                     generator :class:`repro.hw.engine.Engine` running
+                     the same programs, one process per stage of every
+                     job: the fallback for zero-duration tasks (with
+                     or without a fault plan) and the reference the
                      replays are verified against.
   =================  ==================================================
 
@@ -64,7 +67,7 @@ registry order.  Additional backends (e.g. a C-accelerated calendar)
 plug in via :func:`register_backend`.
 
 A backend that can decline also exposes
-``unsupported_reason(executor, batch)`` returning a human-readable
+``unsupported_reason(batch)`` returning a human-readable
 reason — the executor quotes it in the forced-backend error so callers
 learn *why* (zero-duration task, cross-signature interleaving, ...)
 instead of getting a bare refusal.  It reads the same compiled batch
@@ -86,22 +89,21 @@ plan across all three backends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
-from repro.core.faults import FaultPlan, RunFailure
+from repro.core.faults import FaultPlan
 from repro.errors import SimulationError
-from repro.hw.engine import replay_dag_batch
+from repro.hw.engine import replay_dag_batch, run_engine_batch
 from repro.hw.vector_replay import replay_vector_batch
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.executor import PipelineExecutor
-
-#: What ``simulate`` hands back: per-job completion times in batch
-#: order, the makespan, the number of signature-coalesced super-jobs,
-#: and the runs the batch's fault plan killed
-#: (:class:`~repro.core.faults.RunFailure`, in batch order; empty
-#: without a plan).
-ShardResult = tuple[list[float], float, int, tuple[RunFailure, ...]]
+#: What ``simulate`` hands back, :func:`repro.hw.engine.replay_dag_batch`'s
+#: outputs: per-job completion times in batch order, the makespan, each
+#: resource's ``(start, end)`` occupancy in grant order, and the runs the
+#: batch's fault plan killed as ``(job, time, resource, kind, stages)``
+#: rows in job order (empty without a plan).
+SimulationResult = tuple[
+    list[float], float, list[list[tuple[float, float]]], list[tuple]
+]
 
 
 @dataclass(slots=True)
@@ -155,24 +157,17 @@ class SimulationBackend(Protocol):
     name: str
 
     def simulate(
-        self,
-        executor: "PipelineExecutor",
-        batch: CompiledBatch,
-        arrivals: list[float] | None,
-        lane_log: dict[str, list[tuple[float, float]]],
-    ) -> ShardResult | None:
+        self, batch: CompiledBatch, arrivals: list[float] | None
+    ) -> SimulationResult | None:
         """Time the batch, or return ``None`` to decline it.
 
         ``arrivals`` are the jobs' release offsets (``None``: all at
-        t=0).  A backend that simulates the batch must also append
-        every resource occupancy it grants — ``(start, end)`` in grant
-        order — to ``lane_log`` under the resource's
-        :attr:`CompiledBatch.lanes` name; the intervals must be the
-        engine's exact floats (``end = grant + duration``), which is
-        what makes ``BatchExecutionReport.lane_occupancy``
-        backend-independent.  A backend that cannot honour
-        :attr:`CompiledBatch.faults` must decline.  A decline must
-        leave ``lane_log`` untouched."""
+        t=0).  Every output must be the engine's exact floats, the
+        occupancy included (``end = grant + duration``, indexed like
+        :attr:`CompiledBatch.lanes`), which is what makes
+        ``BatchExecutionReport.lane_occupancy`` backend-independent.  A
+        backend that cannot honour :attr:`CompiledBatch.faults` must
+        decline."""
         ...
 
 
@@ -201,53 +196,33 @@ def superjob_groups(jobs) -> tuple[list, list[int]]:
     return representatives, list(map(group_of_pair.__getitem__, map(id, jobs)))
 
 
-def _log_occupancy(lanes, occupancy, lane_log) -> None:
-    """File a replay's per-resource occupancy intervals under the
-    resources' lane names."""
-    for lane, intervals in zip(lanes, occupancy):
-        if intervals:
-            lane_log.setdefault(lane, []).extend(intervals)
-
-
 def _release_times(batch: CompiledBatch, arrivals) -> list[float]:
     return [0.0] * len(batch) if arrivals is None else arrivals
 
 
-def _run_failures(batch: CompiledBatch, failed) -> tuple[RunFailure, ...]:
-    """The replay's ``(job, time, resource, kind, stages)`` failure rows
-    as :class:`RunFailure` records: the resource by lane name, the
-    completed program stages by stage name, sorted."""
-    failures = []
-    for job, time, resource, kind, stages in failed:
-        pipeline = batch.representatives[batch.member_group[job]][0]
-        names = pipeline.topological_order
-        failures.append(
-            RunFailure(
-                job=job,
-                time=time,
-                lane=batch.lanes[resource],
-                kind=kind,
-                completed_stages=tuple(sorted(map(names.__getitem__, stages))),
-            )
-        )
-    return tuple(failures)
+def _fault_timelines(batch: CompiledBatch) -> list | None:
+    """Each resource's fault timeline under the batch's plan (``None``
+    for a healthy batch)."""
+    faults = batch.faults
+    return None if faults is None else list(map(faults.timeline, batch.lanes))
 
 
 class EngineBackend:
-    """The generator-engine reference path: declines nothing.
-
-    Lane accounting rides the executor's occupancy callback (the same
-    hook the trace observer uses): every device/wire occupancy lands in
-    ``lane_log`` with the engine's own start/end floats, which is the
-    reference the replays' grant-time recording is verified against."""
+    """The generator-engine reference path: declines nothing.  It
+    records every occupancy with the engine's own start/end floats,
+    which is the reference the replays' grant-time recording is
+    verified against."""
 
     name = "engine"
 
-    def simulate(self, executor, batch, arrivals, lane_log):
-        finish, makespan, failures = executor._run_engine(
-            batch, executor._lane_recorder(lane_log), arrivals
+    def simulate(self, batch, arrivals):
+        return run_engine_batch(
+            batch.programs,
+            batch.member_group,
+            arrivals,
+            len(batch.lanes),
+            _fault_timelines(batch),
         )
-        return finish, makespan, 0, failures
 
 
 #: Why the slim replays decline degenerate batches — quoted verbatim in
@@ -298,21 +273,18 @@ class DagReplayBackend:
 
     name = "dag_replay"
 
-    def simulate(self, executor, batch, arrivals, lane_log):
+    def simulate(self, batch, arrivals):
         if not batch.positive:
             return None
-        faults = batch.faults
-        finish, makespan, occupancy, failed = replay_dag_batch(
+        return replay_dag_batch(
             batch.programs,
             batch.member_group,
             _release_times(batch, arrivals),
             len(batch.lanes),
-            None if faults is None else list(map(faults.timeline, batch.lanes)),
+            _fault_timelines(batch),
         )
-        _log_occupancy(batch.lanes, occupancy, lane_log)
-        return finish, makespan, len(batch.programs), _run_failures(batch, failed)
 
-    def unsupported_reason(self, executor, batch) -> str:
+    def unsupported_reason(self, batch) -> str:
         return _ZERO_DURATION_REASON
 
 
@@ -333,7 +305,7 @@ class VectorReplayBackend:
 
     name = "vector_replay"
 
-    def simulate(self, executor, batch, arrivals, lane_log):
+    def simulate(self, batch, arrivals):
         if (
             batch.faults is not None
             or len(batch.programs) != 1
@@ -348,10 +320,9 @@ class VectorReplayBackend:
         if result is None:  # wave order unprovable: tie/interleaving
             return None
         finish, makespan, occupancy = result
-        _log_occupancy(batch.lanes, occupancy, lane_log)
-        return finish, makespan, 1, ()
+        return finish, makespan, occupancy, []
 
-    def unsupported_reason(self, executor, batch) -> str:
+    def unsupported_reason(self, batch) -> str:
         if batch.faults is not None:
             return FAULT_PLAN_REASON
         if len(batch.programs) != 1:

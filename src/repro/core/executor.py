@@ -1,4 +1,5 @@
-"""Pipeline executor: maps schedules onto the machine models via the DES.
+"""Pipeline executor: compiles schedules, walks the simulation backends
+and reports.
 
 The executor turns a :class:`~repro.core.scheduler.Schedule` into a
 discrete-event simulation in which each stage (1) waits for *all* of
@@ -18,19 +19,20 @@ signature-coalesced super-jobs and compiles each super-job once into
 a ``(stage_tasks, stage_preds)`` program — per stage in topological
 order, its ``(resource, duration)`` tasks (boundary transfers in
 in-edge order, then the device occupancy) and its predecessor indices
-— over resources it interns batch-wide and names (:func:`lane_name`).
-The replay backends (:mod:`repro.core.backends`) run those programs
-directly; the generator engine spawns one process per stage of every
-job from them.  :meth:`PipelineExecutor._eq1_overhead` prices the
-job's Eq. 1 overhead independently, in the scheduler's order, and
-fails loudly if the two ever drift.
+— over resources it interns batch-wide and names (:func:`lane_name`:
+device lanes after the placement, ``"cpu"``/``"ndp"``/``"gpu"``, and
+one lane per physical wire, ``"link:cpu-ndp"``, ...).  Every simulation
+backend (:mod:`repro.core.backends`) runs those programs;
+:meth:`PipelineExecutor._eq1_overhead` prices the job's Eq. 1 overhead
+independently, in the scheduler's order, and fails loudly if the two
+ever drift.
 
 Two entry points:
 
 - :meth:`PipelineExecutor.execute` — one job.  A single connected chain
   accrues its compiled task durations in order (the engine's exact
-  float additions, so the Fig. 7 totals do not move); a branching DAG,
-  or any job with an ``observer``, runs the engine on the program.
+  float additions, so the Fig. 7 totals do not move); any other shape
+  walks the backends on its one-job compiled batch, like any batch.
 - :meth:`PipelineExecutor.execute_many` — a batch of jobs on one shared
   set of device/link resources, timed as one simulation by one
   registered backend, under a fault plan too: the batching back-end of
@@ -39,14 +41,8 @@ Two entry points:
   super-job, and a :class:`ReportView` that builds a job's
   :class:`ExecutionReport` only when a caller reads it.
 
-:meth:`PipelineExecutor.execute` takes an ``observer`` callback
-(``lane, label, start, end``) that receives every occupancy interval of
-the job — device lanes are named after the placement
-(``"cpu"``/``"ndp"``/``"gpu"``) and labelled with the stage name,
-transfers land on one lane per physical wire (``"link:cpu-ndp"``,
-``"link:cpu-gpu"``, ...) labelled ``"src->dst"`` — which is how
-:mod:`repro.core.trace` rebuilds exact Gantt timelines without a second
-timing model.
+The executor holds no simulator: :mod:`repro.core.trace` runs the
+engine on a compiled job itself to rebuild exact Gantt timelines.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import isfinite
 from time import perf_counter
-from typing import Callable
 
 import repro.core.backends as _backends
 from repro.core.cost_model import OffloadCostModel
@@ -64,16 +59,7 @@ from repro.core.faults import FaultPlan, RunFailure
 from repro.core.pipeline import Pipeline
 from repro.core.scheduler import Placement, Schedule
 from repro.errors import SimulationError
-from repro.hw.engine import (
-    Engine,
-    Resource,
-    SimProcess,
-    resolve_degraded_service,
-)
 from repro.hw.timing import PhaseTime
-
-#: Trace callback: (lane, label, start_seconds, end_seconds).
-TraceObserver = Callable[[str, str, float, float], None]
 
 #: Prefix of every trace lane carrying boundary transfers; each physical
 #: wire gets its own lane ("link:cpu-ndp", "link:cpu-gpu", ...) because
@@ -85,8 +71,8 @@ def lane_name(key: object) -> str:
     """The trace-lane name of one simulated resource: a device lane for
     a :class:`Placement` (``"cpu"``/``"ndp"``/``"gpu"``), a wire lane
     for a placement-pair frozenset (``"link:cpu-ndp"``) — exactly the
-    names the engine's resources and the trace observer use, so lane
-    accounting keys agree across every backend."""
+    names every backend's occupancy and every trace event are filed
+    under, so lane accounting keys agree across backends."""
     if isinstance(key, frozenset):
         return LINK_LANE_PREFIX + ":" + "-".join(
             sorted(p.value for p in key)
@@ -210,7 +196,7 @@ class ShardTiming:
     simulating it, measured around the batch's compile and the whole
     backend walk, including any declined attempts.  ``n_jobs`` and
     ``n_superjobs`` are the batch's job count and signature-coalesced
-    super-job count (0 on the uncollapsed engine path).
+    super-job count (the compiled programs, whichever backend ran).
     """
 
     backend: str
@@ -234,9 +220,8 @@ class BatchExecutionReport:
     open queue (``None`` for the classic everyone-at-t=0 closed batch).
     ``n_superjobs``/``backend_jobs`` are observability for the scale-out
     fast path: how many signature-coalesced super-jobs the batch
-    contained (0 when it took the uncollapsed engine path), and how
-    many jobs each simulation backend (:mod:`repro.core.backends`)
-    timed.
+    compiled into (whichever backend ran), and how many jobs each
+    simulation backend (:mod:`repro.core.backends`) timed.
 
     ``lane_occupancy`` is the per-resource busy accounting every
     backend records while simulating: for each device or wire lane
@@ -258,12 +243,12 @@ class BatchExecutionReport:
     lane_occupancy: dict[str, tuple[tuple[float, float], ...]] = field(
         default_factory=dict
     )
-    #: The batch's wall time and size, one row per simulated batch —
-    #: the raw observability ``serve-bench``'s per-backend breakdown
-    #: reads.
+    #: The batch's wall time and size, one row per simulated batch (a
+    #: faulted ``run_many`` simulates one batch per retry round) — the
+    #: raw observability ``serve-bench``'s per-backend breakdown reads.
     backend_timings: tuple[ShardTiming, ...] = ()
     #: Runs killed by fault-plan events (:class:`repro.core.faults.
-    #: RunFailure`), in deterministic fault-event order; always empty
+    #: RunFailure`), in batch order; always empty
     #: without a fault plan.  A failed run's completion time is its
     #: fail time (the truncated attempt).
     failures: tuple = ()
@@ -365,65 +350,37 @@ class BatchExecutionReport:
         return totals
 
 
-class _RunFaultState:
-    """Shared mutable fault flag for one simulated run.
-
-    Every stage process of a job holds the same instance; the first
-    fault that kills a task wins (deterministic: failures happen at
-    fault-event instants processed in engine order) and later stages
-    observe it and fall through.  ``completed`` collects the stages
-    whose device occupancy finished — including stages already in
-    service on another lane when the failure struck, whose committed
-    occupancies run to completion — which is the checkpoint frontier a
-    ``RetryPolicy(checkpoint=True)`` resume starts past."""
-
-    __slots__ = ("failed_at", "lane", "kind", "completed")
-
-    def __init__(self) -> None:
-        self.failed_at: float | None = None
-        self.lane: str | None = None
-        self.kind: str | None = None
-        self.completed: list[str] = []
-
-    def fail(self, time: float, lane: str, kind: str) -> None:
-        if self.failed_at is None:
-            self.failed_at = time
-            self.lane = lane
-            self.kind = kind
-
-
 @dataclass(slots=True)
 class PipelineExecutor:
-    """Runs scheduled pipelines through the discrete-event engine."""
+    """Compiles scheduled pipelines and times them through the
+    simulation backends."""
 
     cost_model: OffloadCostModel
 
     # ------------------------------------------------------------------
     # Single job
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        pipeline: Pipeline,
-        schedule: Schedule,
-        observer: TraceObserver | None = None,
-    ) -> ExecutionReport:
+    def execute(self, pipeline: Pipeline, schedule: Schedule) -> ExecutionReport:
         """One job on a dedicated machine, priced from its compiled
         program.  An uncontended single chain needs no event loop:
         every stage waits on its unique predecessor before touching any
         resource, so the makespan is the task durations accrued in
         program order — the additions the engine performs, so the
-        floats are bit-identical.  Any other shape, or any
-        ``observer`` (even a no-op, which is how the tests cross-check
-        the two), runs the engine."""
+        floats are bit-identical.  Any other shape walks the backends
+        on its one-job compiled batch (:meth:`_simulate`), as a batch
+        does."""
         overhead_total = self._eq1_overhead(pipeline, schedule)
-        if observer is None and self._is_single_chain(pipeline):
+        if self._is_single_chain(pipeline):
             total = 0.0
             for tasks in self._compile_job(pipeline, schedule, {})[0]:
                 for _resource, duration in tasks:
                     total += duration
         else:
             batch = self.compile_batch([(pipeline, schedule)])
-            total = self._run_engine(batch, observer)[0][0]
+            _name, (completions, *_), _declines = self._simulate(
+                batch, None, None
+            )
+            total = completions[0]
         return self._job_report(pipeline, schedule, overhead_total, total)
 
     @staticmethod
@@ -495,8 +452,8 @@ class PipelineExecutor:
         frozensets) batch-wide, in first-use order, so replicas and
         distinct super-jobs contend on the same indices.  This is the
         executor's one boundary-pricing walk: change pricing here and
-        the replays, the engine and the solo chain stay in lockstep
-        (with :meth:`_eq1_overhead`'s independent cross-check)."""
+        every backend and the solo chain stay in lockstep (with
+        :meth:`_eq1_overhead`'s independent cross-check)."""
         assignments = schedule.assignments
         stage_times = schedule.stage_times
         boundary_cost = self.cost_model.boundary_cost
@@ -556,9 +513,10 @@ class PipelineExecutor:
         replay (first, for large closed single-signature batches), or
         the generator engine as the fallback for zero-duration tasks.
         Backends return completion times, which the report keeps as
-        one column beside one template per super-job; a job's
+        one column beside one template per super-job (a job's
         :class:`ExecutionReport` is built only when a caller reads
-        :attr:`BatchExecutionReport.job_reports`.  Backends that
+        :attr:`BatchExecutionReport.job_reports`), and each resource's
+        occupancy, which it files under the batch's lane names.  Backends that
         declined the batch on the way land in
         :attr:`BatchExecutionReport.declines` with their reasons.
 
@@ -566,7 +524,8 @@ class PipelineExecutor:
         benchmark's A/B switch); a forced backend that cannot simulate
         the batch raises :class:`SimulationError` naming the reason
         instead of silently falling back.  ``backend="engine"`` is the
-        uncollapsed generator DES the replays are verified against.
+        generator DES, one process per stage of every job, that the
+        replays are verified against.
 
         Results are bit-identical whichever backend simulates (every
         backend reproduces the engine's floats on every batch it
@@ -603,12 +562,12 @@ class PipelineExecutor:
                     f"negative arrival offset: {min(arrivals)}"
                 )
         forced = None if backend is None else _backends.get_backend(backend)
-        lane_log: dict[str, list[tuple[float, float]]] = {}
         wall_start = perf_counter()
         batch = self.compile_batch(jobs, faults)
-        chosen, (finish, makespan, n_superjobs, failures), declines = (
-            self._simulate(batch, arrivals, forced, lane_log)
+        chosen, (finish, makespan, occupancy, failed), declines = (
+            self._simulate(batch, arrivals, forced)
         )
+        n_superjobs = len(batch.programs)
         timing = ShardTiming(
             chosen, perf_counter() - wall_start, n, n_superjobs
         )
@@ -619,10 +578,12 @@ class PipelineExecutor:
             n_superjobs=n_superjobs,
             backend_jobs={chosen: n},
             lane_occupancy={
-                lane: tuple(intervals) for lane, intervals in lane_log.items()
+                lane: tuple(intervals)
+                for lane, intervals in zip(batch.lanes, occupancy)
+                if intervals
             },
             backend_timings=(timing,),
-            failures=failures,
+            failures=self._run_failures(batch, failed),
             templates=tuple(
                 self._job_report(p, s, self._eq1_overhead(p, s), 0.0)
                 for p, s in batch.representatives
@@ -632,15 +593,14 @@ class PipelineExecutor:
         )
 
     # ------------------------------------------------------------------
-    # Batch internals: the backend walk, the engine path
+    # Batch internals: the backend walk
     # ------------------------------------------------------------------
+    @staticmethod
     def _simulate(
-        self,
         batch: "_backends.CompiledBatch",
         arrivals: list[float] | None,
         forced: "_backends.SimulationBackend | None",
-        lane_log: dict[str, list[tuple[float, float]]],
-    ) -> tuple[str, "_backends.ShardResult", tuple[tuple[str, str], ...]]:
+    ) -> tuple[str, "_backends.SimulationResult", tuple[tuple[str, str], ...]]:
         """Time the compiled batch through the backend layer.
 
         The default walk tries every registered backend in the order
@@ -650,12 +610,11 @@ class PipelineExecutor:
         walk always terminates.  A batch compiled under a fault plan
         walks the same way.  ``forced`` pins one named backend and
         raises, naming its ``unsupported_reason`` for the compiled
-        batch, when it declines.  ``lane_log`` collects the batch's
-        per-lane occupancy intervals.  Returns the chosen backend's name;
-        its result: the per-job completion times in batch order, the
-        makespan, the super-job count and the killed runs; and the
-        ``(name, unsupported_reason)`` of each backend that declined
-        first (a reason is asked for only after a decline).
+        batch, when it declines.  Returns the chosen backend's name; its
+        result (completion times in batch order, the makespan, each
+        resource's occupancy and the failure rows); and the ``(name,
+        unsupported_reason)`` of each backend that declined first (a
+        reason is asked for only after a decline).
         """
         if forced is not None:
             candidates: tuple = (forced,)
@@ -665,12 +624,10 @@ class PipelineExecutor:
             )
         declines = ()
         for candidate in candidates:
-            result = candidate.simulate(self, batch, arrivals, lane_log)
+            result = candidate.simulate(batch, arrivals)
             if result is not None:
                 return candidate.name, result, declines
-            declines += (
-                (candidate.name, candidate.unsupported_reason(self, batch)),
-            )
+            declines += ((candidate.name, candidate.unsupported_reason(batch)),)
         # Only a forced backend's decline gets here: every auto walk
         # ends on the engine, which declines nothing.
         name, reason = declines[-1]
@@ -678,84 +635,6 @@ class PipelineExecutor:
             f"backend {name!r} cannot simulate a {len(batch)}-job batch "
             f"({reason}) and no fallback is allowed"
         )
-
-    @staticmethod
-    def _lane_recorder(
-        lane_log: dict[str, list[tuple[float, float]]]
-    ) -> TraceObserver:
-        """An observer filing every occupancy under its lane in
-        ``lane_log`` — the engine path's lane accounting."""
-
-        def record(lane, _label, start, end):
-            lane_log.setdefault(lane, []).append((start, end))
-
-        return record
-
-    def _run_engine(
-        self,
-        batch: "_backends.CompiledBatch",
-        observer: TraceObserver | None,
-        arrivals: Sequence[float] | None = None,
-    ) -> tuple[list[float], float, tuple[RunFailure, ...]]:
-        """The uncollapsed path: every job of ``batch`` as stage
-        processes on one shared engine, spawned from its super-job's
-        program (the pre-coalescing semantics, and the reference the
-        replays are verified against).  Returns per-job completion
-        times, the makespan and the killed runs; ``observer`` sees every
-        occupancy with the engine's own start/end floats.
-
-        Under the batch's fault plan, each lane's timeline is looked up
-        once and each job gets a shared mutable fault state: the first
-        task of the job hit by an outage window or a permanent lane death
-        marks the whole job failed at that instant, remaining stages fall
-        through (holding nothing past their current occupancy), and the
-        run is reported under its batch index."""
-        fault_plan = batch.faults
-        engine = Engine()
-        lanes = [engine.resource(1, lane) for lane in batch.lanes]
-        templates = []
-        for (pipeline, _schedule), program in zip(
-            batch.representatives, batch.programs
-        ):
-            names = pipeline.topological_order
-            labels = (
-                None
-                if observer is None
-                else self._task_labels(names, program)
-            )
-            templates.append((program, names, labels))
-        timelines = states = None
-        if fault_plan is not None:
-            timelines = list(map(fault_plan.timeline, batch.lanes))
-            states = [_RunFaultState() for _ in batch.member_group]
-        spawned = [
-            self._spawn_job(
-                engine,
-                lanes,
-                *templates[group],
-                observer,
-                release=None if arrivals is None else arrivals[job],
-                timelines=timelines,
-                fault_state=None if states is None else states[job],
-            )
-            for job, group in enumerate(batch.member_group)
-        ]
-        makespan = engine.run()
-        finish = [self._finish_time(processes) for processes in spawned]
-        failures = ()
-        if states is not None:
-            failures = tuple(
-                RunFailure(
-                    job=position,
-                    time=state.failed_at,
-                    lane=state.lane,
-                    kind=state.kind,
-                    completed_stages=tuple(sorted(state.completed)),
-                )
-                for position, state in enumerate(states)
-                if state.failed_at is not None
-            )
-        return finish, makespan, failures
 
     @staticmethod
     def schedule_lanes(schedule: Schedule) -> tuple[str, ...]:
@@ -771,155 +650,26 @@ class PipelineExecutor:
     # Internals
     # ------------------------------------------------------------------
     @staticmethod
-    def _task_labels(
-        names: Sequence[str],
-        program: tuple[list[list[tuple[int, float]]], list[tuple[int, ...]]],
-    ) -> list[list[str]]:
-        """Each compiled task's trace label: ``"src->dst"`` for a
-        boundary transfer, the stage name for its device occupancy.  A
-        stage's transfers are its predecessors placed on another device
-        (a stage's device is its last task's resource), in in-edge
-        order — exactly the tasks :meth:`_compile_job` emitted."""
-        stage_tasks, stage_preds = program
-        device = [tasks[-1][0] for tasks in stage_tasks]
-        return [
-            [
-                *(
-                    f"{names[pred]}->{name}"
-                    for pred in preds
-                    if device[pred] != device[stage]
-                ),
-                name,
-            ]
-            for stage, (name, preds) in enumerate(zip(names, stage_preds))
-        ]
-
-    def _spawn_job(
-        self,
-        engine: Engine,
-        lanes: list[Resource],
-        program: tuple[list[list[tuple[int, float]]], list[tuple[int, ...]]],
-        names: Sequence[str],
-        labels: list[list[str]] | None,
-        observer: TraceObserver | None,
-        release: float | None = None,
-        timelines: list | None = None,
-        fault_state: "_RunFaultState | None" = None,
-    ) -> list[SimProcess]:
-        """Spawn one process per stage of ``program`` (in topological
-        order, so every predecessor process exists before its
-        dependents) and return them.  ``lanes`` holds the engine
-        resource of each compiled resource index; ``names`` and
-        ``labels`` (``None`` when nothing observes) name the stages and
-        tasks for the observer.
-        ``release`` delays the job's entry stages to that arrival offset
-        (downstream stages inherit it through the predecessor waits).
-
-        ``timelines``/``fault_state`` mark a faulted run: ``timelines``
-        holds each resource's fault timeline
-        (:meth:`repro.core.faults.FaultPlan.timeline`, ``None`` for a
-        healthy lane), every occupancy runs through it (on a lane
-        without fault events that yields exactly the plain
-        acquire/timeout/release commands), and once any stage of the
-        job fails, the remaining
-        tasks fall through — they still pass their acquire/release
-        pairs (so FIFO queues drain and nothing deadlocks) but occupy no
-        time on the lane.  Without a fault state the plain yields run
-        unconditionally: the empty-plan bit-identity contract requires
-        the no-fault event stream to be untouched."""
-        stage_tasks, stage_preds = program
-
-        def stage_process(stage: int, predecessors: list[SimProcess]):
-            if release is not None and not predecessors:
-                yield engine.timeout(release)
-            for predecessor in predecessors:
-                yield predecessor
-            for task, (resource, duration) in enumerate(stage_tasks[stage]):
-                lane = lanes[resource]
-                yield lane.acquire()
-                if fault_state is None:
-                    start = engine.now
-                    yield engine.timeout(duration)
-                    if observer is not None:
-                        observer(
-                            lane.name, labels[stage][task], start, engine.now
-                        )
-                elif fault_state.failed_at is not None or not (
-                    yield from self._occupy_faulted(
-                        engine,
-                        timelines[resource],
-                        fault_state,
-                        lane.name,
-                        duration,
-                        observer,
-                        None if labels is None else labels[stage][task],
-                    )
-                ):
-                    yield lane.release()
-                    return
-                yield lane.release()
-            if fault_state is not None:
-                # Every occupancy of the stage finished — even if another
-                # stage of the job failed mid-flight, these were
-                # committed and ran to completion, so the stage belongs
-                # to the checkpoint frontier a resume may start past.
-                fault_state.completed.append(names[stage])
-
-        processes: list[SimProcess] = []
-        for stage, preds in enumerate(stage_preds):
-            processes.append(
-                engine.spawn(
-                    stage_process(stage, [processes[p] for p in preds]),
-                    name=names[stage],
+    def _run_failures(
+        batch: "_backends.CompiledBatch", failed
+    ) -> tuple[RunFailure, ...]:
+        """A backend's ``(job, time, resource, kind, stages)`` failure
+        rows as :class:`RunFailure` records: the resource by lane name,
+        the completed program stages by stage name, sorted."""
+        failures = []
+        for job, time, resource, kind, stages in failed:
+            pipeline = batch.representatives[batch.member_group[job]][0]
+            names = pipeline.topological_order
+            failures.append(
+                RunFailure(
+                    job=job,
+                    time=time,
+                    lane=batch.lanes[resource],
+                    kind=kind,
+                    completed_stages=tuple(sorted(map(names.__getitem__, stages))),
                 )
             )
-        return processes
-
-    @staticmethod
-    def _occupy_faulted(
-        engine: Engine,
-        timeline: tuple | None,
-        fault_state: "_RunFaultState",
-        lane: str,
-        duration: float,
-        observer: TraceObserver | None,
-        label: str,
-    ):
-        """Occupy ``lane`` for ``duration`` under its fault
-        ``timeline`` (``None``: the lane carries no fault event).
-
-        The caller already holds the lane's resource.  A task granted
-        inside an outage window waits the window out (no failure); a
-        window starting mid-service — or the lane's permanent death —
-        kills the job at that instant and marks ``fault_state``.
-        Slowdown windows never kill: they inflate the occupancy to the
-        piecewise wall time the fault plan resolved.  Yields engine
-        commands; returns True when the occupancy completed, False when
-        the job failed (the caller releases and bails out).
-        """
-        grant = engine.now
-        if timeline is None:
-            service, wall, fail_time, kind = grant, duration, None, None
-        else:
-            service, wall, fail_time, kind = resolve_degraded_service(
-                *timeline, grant, duration
-            )
-        if fail_time is None:
-            if service > grant:
-                yield engine.timeout(service - grant)
-            start = engine.now
-            yield engine.timeout(wall)
-            if observer is not None:
-                observer(lane, label, start, engine.now)
-            return True
-        if fail_time > grant:
-            yield engine.timeout(fail_time - grant)
-        if observer is not None and engine.now > service:
-            # The truncated occupancy [service, fail): real busy time the
-            # lane spent on work that was then thrown away.
-            observer(lane, label, service, engine.now)
-        fault_state.fail(engine.now, lane, kind)
-        return False
+        return tuple(failures)
 
     @staticmethod
     def _check_overhead(overhead_total: float, schedule: Schedule) -> None:
@@ -931,13 +681,6 @@ class PipelineExecutor:
                 "executor and scheduler disagree on Eq. 1 overhead: "
                 f"{overhead_total} vs {expected_overhead}"
             )
-
-    @staticmethod
-    def _finish_time(processes: list[SimProcess]) -> float:
-        finishes = [p.finish_time for p in processes]
-        if any(f is None for f in finishes):
-            raise SimulationError("job finished with unfinished stages")
-        return max(finishes)
 
     @staticmethod
     def _job_report(

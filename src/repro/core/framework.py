@@ -683,7 +683,8 @@ class NdftFramework:
         """Per-backend observability across every ``run_many`` call —
         the ``cache_stats``-style counters for the executor's backend
         layer (:mod:`repro.core.backends`): jobs simulated under each
-        registered backend's name, plus host wall seconds under
+        registered backend's name (a faulted call counts every retry
+        round's runs), plus host wall seconds under
         ``"<name>_wall_seconds"``.  Every registered backend appears,
         zero-counted until used."""
         stats: dict[str, int | float] = {
@@ -1002,7 +1003,7 @@ class NdftFramework:
         simulation backend (:mod:`repro.core.backends`; by default the
         batch walks the order
         :func:`~repro.core.backends.selection_order` derives from its
-        shape, and ``backend="engine"`` is the uncollapsed reference).
+        shape, and ``backend="engine"`` is the generator-engine reference).
         Results are bit-identical whichever backend simulates.
 
         ``admission`` applies an SLO-driven
@@ -1042,6 +1043,8 @@ class NdftFramework:
                 "retry= only makes sense under fault injection: pass "
                 "faults= (a FaultPlan) alongside it"
             )
+        if arrivals is not None:
+            arrivals = validate_arrivals(arrivals, len(batch))
         builder = pipeline_builder or build_pipeline
         entries, index = self._resolve_batch(batch, builder)
         admission_result = None
@@ -1179,7 +1182,9 @@ class NdftFramework:
         the failure that caused it, and failures only happen at the
         plan's fault-event instants, the run list stabilizes after at
         most one round per (event, attempt) pair — the final round *is*
-        the consistent execution, and everything reported comes from it.
+        the consistent execution, and everything reported comes from it
+        except the simulation's own record: every round's backend rows,
+        job counts and declines, in round order.
 
         Runs released at-or-after a lane's permanent death whose base
         placement touches the dead target are re-placed through the
@@ -1198,9 +1203,7 @@ class NdftFramework:
         :attr:`ResilienceReport.work_saved_seconds`.
         """
         n = len(index)
-        releases0 = (
-            [0.0] * n if arrivals is None else [float(a) for a in arrivals]
-        )
+        releases0 = [0.0] * n if arrivals is None else list(arrivals)
         dead_at: dict[Placement, float] = {}
         for lane, death in faults.dead_lanes().items():
             try:
@@ -1212,8 +1215,11 @@ class NdftFramework:
                 ) from exc
             dead_at[placement] = death
 
-        # Every round's backend declines, in round order.
+        # Every round's simulation: its backend rows and declines in
+        # round order, and the jobs each backend simulated.
+        timings: tuple = ()
         declines: tuple = ()
+        backend_jobs: dict[str, int] = {}
         # Residual (pipeline, signature, record) per checkpoint frontier,
         # built once per (job, frontier) within this call; the residual's
         # record persists across calls in the store under its own
@@ -1291,7 +1297,10 @@ class NdftFramework:
                 backend=backend,
                 faults=faults,
             )
+            timings += report.backend_timings
             declines += report.declines
+            for name, count in report.backend_jobs.items():
+                backend_jobs[name] = backend_jobs.get(name, 0) + count
             failed_runs = {failure.job: failure for failure in report.failures}
             new_runs = list(base_runs)
             for position, (job_index, attempt, _release, frontier) in enumerate(
@@ -1328,8 +1337,6 @@ class NdftFramework:
                 "fault retry loop did not reach a fixpoint within "
                 f"{max_rounds} rounds"
             )
-
-        self._record_backends(report)
 
         # Outcomes: each job has at most one non-failed run (its last
         # attempt); every run of the converged round becomes an
@@ -1382,7 +1389,8 @@ class NdftFramework:
         # the release the simulation actually used; end-to-end latency
         # from the original arrival lives on the resilience report).
         # Its lanes and makespan still cover every run of the round, so
-        # its busy span starts at the round's first release.
+        # its busy span starts at the round's first release; its backend
+        # rows, job counts and declines cover every round.
         kept = sorted(completed)
         positions = [completed[i] for i in kept]
         batch_report = replace(
@@ -1394,9 +1402,12 @@ class NdftFramework:
                 if arrivals is None and runs == base_runs
                 else tuple(runs[position][2] for position in positions)
             ),
+            backend_jobs=backend_jobs,
+            backend_timings=timings,
             declines=declines,
             span_start=report.first_release,
         )
+        self._record_backends(batch_report)
         # A degraded or resumed run ran its own record, so it assembles
         # from a one-run entry of its own.
         run_entries = list(entries)
@@ -1448,7 +1459,6 @@ class NdftFramework:
                 "admission control acts on an open queue: pass arrivals= "
                 "(e.g. poisson_arrivals) alongside admission="
             )
-        arrivals = validate_arrivals(arrivals, len(index))
         decisions = plan_admission(
             admission,
             arrivals,

@@ -1,15 +1,17 @@
 """Execution timeline: turn a schedule into trace events and ASCII Gantt.
 
-The DES executor reports only totals; this module captures its exact
+The executor reports only totals; this module captures a job's exact
 occupancy intervals — one lane per device plus one per inter-device
 wire — which the examples render as an ASCII Gantt chart and the tests
-use to check the executor's serialization (no overlapping occupancy on a
-lane, transfers strictly between producer and consumer).
+use to check the simulation's serialization (no overlapping occupancy on
+a lane, transfers strictly between producer and consumer).
 
-Since the DAG generalization the timeline is no longer replayed by a
-separate clock walk: :func:`build_timeline` runs the real executor with a
-trace observer attached, so branch overlap, device contention and link
-serialization appear in the events exactly as the DES resolved them.
+The timeline is not replayed by a separate clock walk:
+:func:`build_timeline` compiles the job as the executor does and runs
+the generator engine (:func:`repro.hw.engine.run_engine_batch`) on it
+with an occupancy observer, so branch overlap, device contention and
+link serialization appear in the events exactly as the DES resolved
+them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.core.executor import PipelineExecutor
 from repro.core.pipeline import Pipeline
 from repro.core.scheduler import Schedule
 from repro.errors import SimulationError
+from repro.hw.engine import run_engine_batch
 
 
 @dataclass(frozen=True)
@@ -47,15 +50,40 @@ def build_timeline(
     """Execute the schedule through the DES, recording every occupancy
     interval.  Works for any DAG: each stage waits for all predecessors,
     boundary transfers occupy the link lane, and independent branches on
-    different devices show up as overlapping events on distinct lanes."""
-    events: list[TraceEvent] = []
+    different devices show up as overlapping events on distinct lanes.
+
+    A device occupancy is labelled with its stage's name; a transfer
+    with ``"src->dst"``, its predecessor placed on another device (a
+    stage's transfers are those predecessors, in in-edge order, before
+    its device occupancy — the tasks the executor compiled)."""
     executor = PipelineExecutor(cost_model=cost_model)
-    executor.execute(
-        pipeline,
-        schedule,
-        observer=lambda lane, label, start, end: events.append(
-            TraceEvent(lane, label, start, end)
-        ),
+    # The executor's Eq. 1 cross-check: a schedule priced under another
+    # cost model fails loudly instead of drawing wrong transfers.
+    executor._eq1_overhead(pipeline, schedule)
+    batch = executor.compile_batch([(pipeline, schedule)])
+    stage_tasks, stage_preds = batch.programs[0]
+    names = pipeline.topological_order
+    device = [tasks[-1][0] for tasks in stage_tasks]
+    labels = [
+        [
+            *(
+                f"{names[pred]}->{name}"
+                for pred in preds
+                if device[pred] != device[stage]
+            ),
+            name,
+        ]
+        for stage, (name, preds) in enumerate(zip(names, stage_preds))
+    ]
+    events: list[TraceEvent] = []
+
+    def observe(resource, _job, stage, task, start, end) -> None:
+        events.append(
+            TraceEvent(batch.lanes[resource], labels[stage][task], start, end)
+        )
+
+    run_engine_batch(
+        batch.programs, batch.member_group, None, len(batch.lanes), observer=observe
     )
     events.sort(key=lambda e: (e.start, e.end, e.lane))
     return events

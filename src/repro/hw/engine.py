@@ -1,11 +1,26 @@
-"""Discrete-event simulation engine.
+"""Discrete-event simulation: the generator engine and the batch replay.
 
-A compact generator-based DES in the simpy style: processes are Python
-generators that yield *commands* (wait for time, acquire/release a
-resource), the engine advances virtual time over a heap of pending events.
-The pipeline executor (:mod:`repro.core.executor`) uses it to serialize
-phases on execution units and to model contention on the host link when
-several offloaded stages transfer concurrently.
+Two simulators of a compiled batch live here, with one contract.  Both
+take ``(programs, job_program, arrivals, n_resources, faults)`` — one
+``(stage_tasks, stage_preds)`` program per super-job, each job's
+program, release offsets, the resource count and optional per-lane
+fault timelines — and return per-job completions, the makespan, each
+resource's occupancy in grant order and the failure rows, bit-identical
+to each other:
+
+- :func:`run_engine_batch` spawns one :class:`Engine` process per stage
+  of every job: the reference the replays are verified against, and the
+  fallback for zero-duration tasks;
+- :func:`replay_dag_batch` replays the same batch with one calendar
+  event per occupancy.
+
+:func:`resolve_degraded_service` is the fault kernel both share, and the
+simulation backends (:mod:`repro.core.backends`) wrap them.
+
+The engine is a compact generator-based DES in the simpy style:
+processes are Python generators that yield *commands* (wait for time,
+acquire/release a resource), and the engine advances virtual time over a
+heap of pending events.
 
 Supported commands (yield values):
 
@@ -14,9 +29,8 @@ Supported commands (yield values):
 - ``resource.release()`` — give a unit back (resumes a waiter if any).
 - another :class:`SimProcess` — resume when that process finishes.
 
-The hot loop is deliberately allocation-lean: at serving scale
-(:meth:`repro.core.executor.PipelineExecutor.execute_many` with hundreds
-of jobs) the simulator itself, not the modeled hardware, becomes the
+The hot loop is deliberately allocation-lean: on a batch of hundreds
+of jobs the simulator itself, not the modeled hardware, becomes the
 bottleneck, so
 
 - every participant class uses ``__slots__`` (no per-instance dict),
@@ -38,7 +52,7 @@ import heapq
 import itertools
 from collections import deque
 from itertools import accumulate, chain, repeat
-from typing import Generator
+from typing import Callable, Generator
 
 from repro.errors import SimulationError
 
@@ -243,80 +257,130 @@ class Engine:
 
 
 # ---------------------------------------------------------------------------
-# Array-based event calendar (used by the batch replay)
+# The engine's batch driver (the reference the replays are verified against)
 # ---------------------------------------------------------------------------
 
+#: Occupancy callback: (resource, job, stage, task, start, end).
+OccupancyObserver = Callable[[int, int, int, int, float, float], None]
 
-class EventCalendar:
-    """Array-backed event calendar: an index heap over parallel arrays.
 
-    The generator engine's heap stores ``(time, seq, process)`` triples —
-    one 3-tuple allocation per event.  At replay scale (one event per
-    occupancy, 10k-job batches) the calendar trims that constant factor:
-    the heap holds only ``(time, event_id)`` pairs and the event payload
-    lives in a preallocated parallel array indexed by the id.  Event ids
-    are the replay's monotonic ``seq`` counter, so the heap's tie-break
-    on the second element *is* the engine's FIFO seq contract — no
-    separate tie key is stored or compared.
+def run_engine_batch(
+    programs: "list",
+    job_program: "list[int]",
+    arrivals: "list[float] | None",
+    n_resources: int,
+    faults: "list | None" = None,
+    observer: OccupancyObserver | None = None,
+) -> tuple[list[float], float, list[list[tuple[float, float]]], list[tuple]]:
+    """A batch on one shared :class:`Engine`, one process per stage of
+    every job, with :func:`replay_dag_batch`'s inputs and outputs.
 
-    The replay knows its event budget up front (one release event per
-    entry segment plus exactly one completion per task, and under a
-    fault plan at most one more event per task), so the payload array
-    is sized once and never reallocates; :meth:`push` still grows it on
-    demand for open-ended consumers.
+    Stages are spawned job by job in topological order, so every
+    predecessor process exists before its dependents.  A stage waits on
+    each predecessor in in-edge order, then acquires, occupies and
+    releases each task's resource in turn.  ``arrivals`` delays a job's
+    entry stages to its release offset; ``None`` is the closed batch,
+    whose event stream has no release timeouts.
 
-    The hot loop in :func:`replay_dag_batch` operates on :attr:`heap` /
-    :attr:`payload` directly (bound to locals) rather than through these
-    methods — the methods are the documented API for tests and lighter
-    consumers.
-    """
+    Under ``faults`` (one timeline per resource, as for the replay) every
+    occupancy resolves against its lane's timeline
+    (:func:`resolve_degraded_service`): a grant inside an outage waits
+    it out, a kill records the truncated occupancy if it is not empty
+    and marks the job's first failure, and a slowdown inflates the
+    service.  A failed job's remaining tasks still acquire and release
+    their resources, so FIFO queues drain, but occupy no time and end
+    their stage.  Without ``faults`` the plain yields run
+    unconditionally, so an empty plan leaves the event stream untouched.
 
-    __slots__ = ("heap", "payload", "seq")
+    ``observer`` sees ``(resource, job, stage, task, start, end)`` for
+    every occupancy as it is recorded."""
+    engine = Engine()
+    timeout = engine.timeout
+    lanes = [engine.resource(1, f"resource {r}") for r in range(n_resources)]
+    occupancy: list[list[tuple[float, float]]] = [[] for _ in range(n_resources)]
+    n = len(job_program)
+    failed: list | None = None if faults is None else [None] * n
+    completed = [] if failed is None else [[] for _ in range(n)]
 
-    def __init__(self, capacity: int = 0):
-        #: Min-heap of ``(time, event_id)`` pairs.
-        self.heap: list[tuple[float, int]] = []
-        #: ``payload[event_id]`` is the event's payload object.
-        self.payload: list = [None] * capacity
-        #: Next event id; monotone, doubles as the FIFO tie-breaker.
-        self.seq = 0
+    def record(resource, job, stage, task, start, end) -> None:
+        occupancy[resource].append((start, end))
+        if observer is not None:
+            observer(resource, job, stage, task, start, end)
 
-    def seed(self, entries) -> None:
-        """Bulk-load ``(time, payload)`` pairs pre-sorted by (time,
-        arrival order).  Consecutive ids over nondecreasing times make
-        the backing list a valid heap as-is — no sift needed."""
-        heap = self.heap
-        payload = self.payload
-        seq = self.seq
-        for time, item in entries:
-            if seq < len(payload):
-                payload[seq] = item
-            else:
-                payload.append(item)
-            heap.append((time, seq))
-            seq += 1
-        self.seq = seq
-
-    def push(self, time: float, item) -> None:
-        eid = self.seq
-        if eid < len(self.payload):
-            self.payload[eid] = item
+    def occupy_faulted(resource, duration, job, stage, task):
+        """Occupy the held ``resource`` under its fault timeline.  Yields
+        engine commands; returns True when the occupancy completed,
+        False when it killed the job (the caller releases and ends the
+        stage)."""
+        grant = engine.now
+        timeline = faults[resource]
+        if timeline is None:
+            service, wall, fail_time, kind = grant, duration, None, None
         else:
-            self.payload.append(item)
-        heapq.heappush(self.heap, (time, eid))
-        self.seq = eid + 1
+            service, wall, fail_time, kind = resolve_degraded_service(
+                *timeline, grant, duration
+            )
+        if fail_time is None:
+            if service > grant:
+                yield timeout(service - grant)
+            start = engine.now
+            yield timeout(wall)
+            record(resource, job, stage, task, start, engine.now)
+            return True
+        if fail_time > grant:
+            yield timeout(fail_time - grant)
+        if engine.now > service:
+            # The truncated occupancy [service, fail): busy time the lane
+            # spent on work that was then thrown away.
+            record(resource, job, stage, task, service, engine.now)
+        if failed[job] is None:
+            failed[job] = (engine.now, resource, kind)
+        return False
 
-    def pop(self):
-        """Remove and return the earliest ``(time, payload)`` event
-        (FIFO among same-time events)."""
-        time, eid = heapq.heappop(self.heap)
-        return time, self.payload[eid]
+    def stage_process(job, stage, tasks, predecessors, release):
+        if release is not None and not predecessors:
+            yield timeout(release)
+        for predecessor in predecessors:
+            yield predecessor
+        for task, (resource, duration) in enumerate(tasks):
+            lane = lanes[resource]
+            yield lane.acquire()
+            if failed is None:
+                start = engine.now
+                yield timeout(duration)
+                record(resource, job, stage, task, start, engine.now)
+            elif failed[job] is not None or not (
+                yield from occupy_faulted(resource, duration, job, stage, task)
+            ):
+                yield lane.release()
+                return
+            yield lane.release()
+        if failed is not None:
+            completed[job].append(stage)
 
-    def __len__(self) -> int:
-        return len(self.heap)
-
-    def __bool__(self) -> bool:
-        return bool(self.heap)
+    spawned = []
+    for job, program in enumerate(job_program):
+        stage_tasks, stage_preds = programs[program]
+        release = None if arrivals is None else arrivals[job]
+        processes: list[SimProcess] = []
+        for stage, preds in enumerate(stage_preds):
+            predecessors = [processes[p] for p in preds]
+            process = stage_process(
+                job, stage, stage_tasks[stage], predecessors, release
+            )
+            processes.append(engine.spawn(process))
+        spawned.append(processes)
+    makespan = engine.run()
+    completions = [
+        max(process.finish_time for process in processes)
+        for processes in spawned
+    ]
+    failures = []
+    if failed is not None:
+        for job, failure in enumerate(failed):
+            if failure is not None:
+                failures.append((job, *failure, tuple(sorted(completed[job]))))
+    return completions, makespan, occupancy, failures
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +419,9 @@ class EventCalendar:
 #            park on the first unfinished one, or fall through to the
 #            first task's acquire in the same band.
 # - RESOLVE: START under a fault plan: resolve the grant against the
-#            lane's fault timeline (the executor's ``_occupy_faulted``),
-#            or, for a job that already failed, pass the grant through
-#            as a ghost.
+#            lane's fault timeline (as :func:`run_engine_batch`'s
+#            faulted occupancy does), or, for a job that already failed,
+#            pass the grant through as a ghost.
 _A_START = 0
 _A_ACQUIRE = 1
 _A_NOTIFY = 2
@@ -458,8 +522,8 @@ def replay_dag_batch(
     ``faults`` (``None``: a healthy machine) holds one entry per
     resource: ``None`` for a lane without fault events, else its
     ``(windows, slowdowns, dead_at)`` timeline for
-    :func:`resolve_degraded_service`.  The replay then reproduces the
-    executor's fault-aware stage processes command for command: a grant
+    :func:`resolve_degraded_service`.  The replay then reproduces
+    :func:`run_engine_batch`'s stage processes command for command: a grant
     to a job that already failed is a *ghost* (it releases the lane in
     its own band and ends its stage); any other grant resolves against
     its lane's timeline — a plain or slowed service completes at
@@ -471,9 +535,9 @@ def replay_dag_batch(
     a kill at the grant is a ghost that also marks the failure.  A job
     completes when its last stage ends, ghosts included.  Each failure
     is ``(job, time, resource, kind, stages)`` in job order, where
-    ``stages`` are the program stages whose every task completed
-    normally — stages that were in service elsewhere when the failure
-    struck count too.
+    ``stages`` are the program stages (ascending) whose every task
+    completed normally — stages that were in service elsewhere when the
+    failure struck count too.
 
     The replay keeps one cursor per *replica-segment* plus a join
     counter (``wait_index``) per fan-in: a segment head requests its
@@ -563,7 +627,8 @@ def replay_dag_batch(
 
     # Event budget: one release event per entry segment plus one
     # completion per task, and under faults at most one more event per
-    # task (an outage wait-out) — the payload array never reallocates.
+    # task (an outage wait-out or a kill) — the payload list is sized
+    # once and never reallocates.
     budget = sum(map(n_tasks_of.__getitem__, job_program))
     healthy = faults is None
     if healthy:
@@ -597,11 +662,14 @@ def replay_dag_batch(
                     break
             nxt.append((rs << 3) | _A_NOTIFY)
 
-    calendar = EventCalendar(len(entry_events) + budget)
-    calendar.seed(entry_events)
-    heap = calendar.heap
-    payload = calendar.payload
-    seq = calendar.seq
+    # The calendar: a heap of (time, event id) pairs over a preallocated
+    # payload list.  Event ids are the engine's monotonic seq, so the
+    # heap's tie-break on the id *is* its FIFO contract.  The entry
+    # releases take the first ids in sorted order, which is a valid heap
+    # as it stands.
+    seq = len(entry_events)
+    payload = [rs for _release, rs in entry_events] + [None] * budget
+    heap = [(release, eid) for eid, (release, _rs) in enumerate(entry_events)]
     pop = heapq.heappop
     push = heapq.heappush
 
@@ -839,13 +907,13 @@ def replay_dag_batch(
                 cutoff = aborted.get(rs, len(rs_tasks[rs]))
                 completed.extend(stage for stage, end in stages if end <= cutoff)
                 rs += 1
-            failures.append((job, *failure, tuple(completed)))
+            failures.append((job, *failure, tuple(sorted(completed))))
     return completions, makespan, occupancy, failures
 
 
 # ---------------------------------------------------------------------------
-# Fault-window service resolution (shared by the replay above and the
-# executor's fault-aware engine path)
+# Fault-window service resolution (shared by the replay above and
+# run_engine_batch)
 # ---------------------------------------------------------------------------
 
 

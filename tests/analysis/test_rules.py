@@ -156,11 +156,11 @@ FAILED_REASON = "it cannot"
 
 class GoodBackend:
     name = "good"
-    def simulate(self, executor, batch, arrivals, lane_log):
+    def simulate(self, batch, arrivals):
         if not batch:
             return None
-        return [], 0.0, 0
-    def unsupported_reason(self, executor, batch):
+        return [], 0.0, [], []
+    def unsupported_reason(self, batch):
         return FAILED_REASON
 
 def register_backend(backend):
@@ -174,20 +174,20 @@ REASON = "named"
 
 class ForgottenBackend:
     name = "forgotten"
-    def simulate(self, executor, batch, arrivals, lane_log):
+    def simulate(self, batch, arrivals):
         try:
-            return [], 0.0, 0
+            return [], 0.0, [], []
         except Exception:
             return None
-    def unsupported_reason(self, executor, batch):
+    def unsupported_reason(self, batch):
         return "an inline reason"
 
 class SilentBackend:
     name = "silent"
-    def simulate(self, executor, batch, arrivals, lane_log):
+    def simulate(self, batch, arrivals):
         if not batch:
             return None
-        return [], 0.0, 0
+        return [], 0.0, [], []
 
 def register_backend(backend):
     pass

@@ -14,12 +14,13 @@ import random
 
 import pytest
 
-from repro.core.arrivals import percentile, poisson_arrivals
+from repro.core.arrivals import AdmissionPolicy, percentile, poisson_arrivals
+from repro.core.faults import FaultPlan
 from repro.core.framework import NdftFramework, queueing_delays
 from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
 from repro.core.scheduler import SchedulingPolicy
 from repro.dft.workload import problem_size
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 
 #: Every served batch a test here builds must hold check_invariants.
 pytestmark = pytest.mark.usefixtures("checked_results")
@@ -298,16 +299,16 @@ class TestOneSimulationPerBatch:
         assert report.n_superjobs == 4
 
     def test_forced_engine_runs_every_job_uncollapsed(self, framework):
-        """The reference path coalesces nothing: no super-jobs, every
-        job its own engine process."""
+        """The reference path spawns every job as engine processes of
+        its own, from the batch's compiled super-job programs."""
         jobs = _jobs(framework, [(64, build_pipeline)] * 4)
         auto = framework.executor.execute_many(jobs)
         forced = framework.executor.execute_many(jobs, backend="engine")
         assert auto.n_superjobs == 1
-        assert forced.n_superjobs == 0
+        assert forced.n_superjobs == 1
         assert forced.backend_jobs == {"engine": 4}
         assert [(t.backend, t.n_superjobs)
-                for t in forced.backend_timings] == [("engine", 0)]
+                for t in forced.backend_timings] == [("engine", 1)]
         assert forced.job_reports == auto.job_reports
 
 
@@ -402,15 +403,23 @@ class TestArrivals:
         assert late == pytest.approx(1e6 + solo, rel=1e-12)
 
     def test_arrival_validation(self, framework):
-        with pytest.raises(SimulationError):
-            framework.run_many([64, 64], arrivals=[0.0])
-        with pytest.raises(SimulationError):
-            framework.run_many([64, 64], arrivals=[0.0, -1.0])
+        # One check on every run_many path: plain, faulted and under
+        # admission control raise the same ConfigError for the same list.
+        paths = (
+            {},
+            {"faults": FaultPlan()},
+            {"admission": AdmissionPolicy(slo_p99=1e9)},
+        )
+        for kwargs in paths:
+            with pytest.raises(ConfigError, match="arrival offsets"):
+                framework.run_many([64, 64], arrivals=[0.0], **kwargs)
+            with pytest.raises(ConfigError, match="non-negative"):
+                framework.run_many([64, 64], arrivals=[0.0, -1.0], **kwargs)
         # A non-finite offset would complete at nan or inf, and each
         # backend would report a different wrong number.
         for bad in (float("nan"), float("inf"), float("-inf")):
             for backend in (None, "engine"):
-                with pytest.raises(SimulationError, match="finite"):
+                with pytest.raises(ConfigError, match="finite"):
                     framework.run_many(
                         [64, 128, 512], arrivals=[0.0, bad, 1.0], backend=backend
                     )

@@ -26,7 +26,7 @@ from repro.core.pipeline import Edge, Pipeline, Stage, build_kpoint_pipeline, bu
 from repro.core.scheduler import Placement, Schedule, SchedulingPolicy
 from repro.dft.workload import problem_size
 from repro.errors import SimulationError
-from repro.hw.engine import EventCalendar
+from repro.hw.engine import Engine, replay_dag_batch, run_engine_batch
 from repro.hw.interconnect import HostLink
 from repro.hw.timing import PhaseTime
 from repro.model import KernelWorkload
@@ -336,6 +336,44 @@ def _random_toy_job(rng, label, cost_model):
     return pipeline, schedule
 
 
+def _assert_simulators_agree(executor, jobs, arrivals, plan=None):
+    """``run_engine_batch`` and ``replay_dag_batch`` on the executor's
+    compiled batch return equal raw four-tuples, and the engine's
+    observer sees exactly the occupancy it returns, in grant order per
+    resource, each occupancy named by the job, stage and task that
+    compiled onto that resource."""
+    batch = executor.compile_batch(jobs, plan)
+    timelines = (
+        None
+        if batch.faults is None
+        else list(map(batch.faults.timeline, batch.lanes))
+    )
+    seen = [[] for _ in batch.lanes]
+
+    def observe(resource, job, stage, task, start, end):
+        stage_tasks = batch.programs[batch.member_group[job]][0]
+        assert stage_tasks[stage][task][0] == resource
+        seen[resource].append((start, end))
+
+    engine = run_engine_batch(
+        batch.programs,
+        batch.member_group,
+        arrivals,
+        len(batch.lanes),
+        timelines,
+        observer=observe,
+    )
+    replay = replay_dag_batch(
+        batch.programs,
+        batch.member_group,
+        [0.0] * len(jobs) if arrivals is None else arrivals,
+        len(batch.lanes),
+        timelines,
+    )
+    assert engine == replay
+    assert seen == engine[2]
+
+
 class TestCompactedSegmentTieStorms:
     """The DAG replay runs each single-successor -> single-predecessor
     run of stages as one segment.  Round-number durations make almost
@@ -368,6 +406,7 @@ class TestCompactedSegmentTieStorms:
                 assert fast.job_reports == engine.job_reports
                 assert fast.makespan == engine.makespan
                 assert fast.lane_occupancy == engine.lane_occupancy
+                _assert_simulators_agree(executor, jobs, arrivals)
 
 
 def _random_fault_plans(rng):
@@ -440,6 +479,7 @@ class TestFaultTieStorms:
                     assert fast.makespan == engine.makespan
                     assert fast.lane_occupancy == engine.lane_occupancy
                     assert fast.failures == engine.failures
+                    _assert_simulators_agree(executor, jobs, arrivals, plan)
                     for failure in engine.failures:
                         dead_at = plan.dead_lanes().get(failure.lane)
                         if dead_at is not None and failure.time > dead_at:
@@ -564,7 +604,7 @@ class TestBackendFallbacks:
         fast = executor.execute_many(jobs)
         slow = executor.execute_many(jobs, backend="engine")
         assert fast.backend_jobs == {"engine": 3}
-        assert fast.n_superjobs == 0
+        assert fast.n_superjobs == 1
         assert fast.job_reports == slow.job_reports
         assert fast.makespan == slow.makespan
 
@@ -594,6 +634,38 @@ class TestBackendFallbacks:
             executor.execute_many(
                 [(pipeline, schedule)] * 3, backend="dag_replay", faults=plan
             )
+
+    def test_solo_dag_walks_the_backends(self, framework, monkeypatch):
+        """A solo job that is not a single chain runs the ordinary
+        backend walk on its one-job batch: ``dag_replay`` prices it,
+        bit-identically to the engine, and the engine never runs."""
+        pipeline = build_kpoint_pipeline(problem_size(256), n_kpoints=2)
+        schedule = framework.scheduler.schedule(pipeline)
+        reference = framework.executor.execute_many(
+            [(pipeline, schedule)], backend="engine"
+        ).job_reports[0]
+        runs = []
+        monkeypatch.setattr(Engine, "run", lambda engine: runs.append(engine))
+        assert framework.executor.execute(pipeline, schedule) == reference
+        assert runs == []
+
+    def test_zero_duration_solo_job_falls_back_to_engine(self):
+        """A zero-duration stage declines both replays for a solo job
+        as for a batch, so the walk ends on the engine."""
+        cost_model = _round_cost_model()
+        executor = PipelineExecutor(cost_model=cost_model)
+        pipeline = _toy_dag(
+            "z", ("a", "b", "c"), (("a", "b", 0.0), ("a", "c", 0.0))
+        )
+        schedule = _toy_schedule(
+            pipeline,
+            (Placement.CPU, Placement.CPU, Placement.NDP),
+            (1.0, 0.0, 1.0),
+            cost_model,
+        )
+        batch = executor.execute_many([(pipeline, schedule)])
+        assert batch.backend_jobs == {"engine": 1}
+        assert executor.execute(pipeline, schedule) == batch.job_reports[0]
 
 
 class TestBackendRegistry:
@@ -650,34 +722,3 @@ class TestBackendRegistry:
         assert stats["engine"] == 0
         framework.run_many([64], backend="engine")
         assert framework.backend_stats["engine"] == 1
-
-
-class TestEventCalendar:
-    def test_pop_orders_by_time_then_fifo(self):
-        calendar = EventCalendar(4)
-        calendar.push(2.0, "late")
-        calendar.push(1.0, "early")
-        calendar.push(1.0, "early-second")
-        calendar.push(0.5, "first")
-        drained = [calendar.pop() for _ in range(len(calendar))]
-        assert drained == [
-            (0.5, "first"),
-            (1.0, "early"),
-            (1.0, "early-second"),
-            (2.0, "late"),
-        ]
-
-    def test_seed_bulk_load_is_a_valid_heap(self):
-        calendar = EventCalendar(3)
-        calendar.seed([(0.0, "a"), (0.0, "b"), (1.0, "c")])
-        calendar.push(0.5, "d")
-        drained = [calendar.pop()[1] for _ in range(len(calendar))]
-        assert drained == ["a", "b", "d", "c"]
-
-    def test_payload_grows_beyond_capacity(self):
-        calendar = EventCalendar(1)
-        for i in range(5):
-            calendar.push(float(i), i)
-        assert [calendar.pop()[1] for _ in range(len(calendar))] == list(
-            range(5)
-        )

@@ -428,6 +428,31 @@ class TestTransientOutageRetry:
         assert result.throughput == result.resilience.goodput
 
 
+    def test_every_round_reports_its_simulation(self):
+        """A retried call simulates its run list once per round: the
+        result keeps one backend row per round, in round order, sums
+        the rounds' jobs, and the framework's stats count every
+        simulated run and its wall time."""
+        framework = NdftFramework()
+        solo = framework.run_many([128]).makespan
+        plan = FaultPlan(outages=(("ndp", 0.5 * solo, 0.5 * solo + 0.005),))
+        before = framework.backend_stats
+        result = framework.run_many([128], faults=plan, retry=RetryPolicy())
+        report = result.batch_report
+        # Round one runs the job and loses it; round two runs it and its
+        # retry, which completes.
+        assert [(t.backend, t.n_jobs) for t in report.backend_timings] == [
+            ("dag_replay", 1),
+            ("dag_replay", 2),
+        ]
+        assert report.backend_jobs == {"dag_replay": 3}
+        after = framework.backend_stats
+        assert after["dag_replay"] - before["dag_replay"] == 3
+        assert after["dag_replay_wall_seconds"] - before[
+            "dag_replay_wall_seconds"
+        ] == pytest.approx(sum(t.wall_seconds for t in report.backend_timings))
+
+
 class TestDeterminism:
     def test_same_plan_same_report_across_calls(self, framework):
         _healthy, t0, t1 = _ndp_window(framework, SIZES)

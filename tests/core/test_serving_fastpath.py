@@ -2,8 +2,8 @@
 
 The fast path must be invisible: a single uncontended chain job computed
 analytically has to match the full discrete-event simulation bit for bit
-(the Fig. 7 totals ride on it).  Passing any observer — even a no-op —
-forces the full DES, which is how these tests obtain the reference.
+(the Fig. 7 totals ride on it).  The one-job batch forced onto the
+generator engine is the full-DES reference.
 
 The batch executor's contract at serving scale is fairness and
 determinism: contended resources grant FIFO in submission order, and
@@ -20,8 +20,11 @@ from repro.dft.workload import problem_size
 from repro.hw.engine import Engine
 
 
-def _noop_observer(*_args):
-    pass
+def _engine_report(framework, pipeline, schedule):
+    """The job's report from the full generator DES."""
+    return framework.executor.execute_many(
+        [(pipeline, schedule)], backend="engine"
+    ).job_reports[0]
 
 
 class TestAnalyticChainFastPath:
@@ -30,9 +33,7 @@ class TestAnalyticChainFastPath:
         pipeline = build_pipeline(problem_size(n_atoms))
         schedule = framework.scheduler.schedule(pipeline)
         fast = framework.executor.execute(pipeline, schedule)
-        des = framework.executor.execute(
-            pipeline, schedule, observer=_noop_observer
-        )
+        des = _engine_report(framework, pipeline, schedule)
         assert fast.total_time == des.total_time  # exact, no tolerance
         assert fast.scheduling_overhead == des.scheduling_overhead
         assert fast.phase_seconds == des.phase_seconds
@@ -50,9 +51,7 @@ class TestAnalyticChainFastPath:
         pipeline = build_pipeline(problem_size(256))
         schedule = framework.scheduler.schedule(pipeline, policy)
         fast = framework.executor.execute(pipeline, schedule)
-        des = framework.executor.execute(
-            pipeline, schedule, observer=_noop_observer
-        )
+        des = _engine_report(framework, pipeline, schedule)
         assert fast.total_time == des.total_time
 
     def test_branching_dag_not_eligible(self, framework):
@@ -62,9 +61,7 @@ class TestAnalyticChainFastPath:
         assert not PipelineExecutor._is_single_chain(pipeline)
         schedule = framework.scheduler.schedule(pipeline)
         plain = framework.executor.execute(pipeline, schedule)
-        observed = framework.executor.execute(
-            pipeline, schedule, observer=_noop_observer
-        )
+        observed = _engine_report(framework, pipeline, schedule)
         assert plain.total_time == observed.total_time
 
     def test_chain_forest_not_eligible(self, framework):

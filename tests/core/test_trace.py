@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.cost_model import OffloadCostModel
 from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
 from repro.core.scheduler import SchedulingPolicy
 from repro.core.trace import (
@@ -13,6 +14,7 @@ from repro.core.trace import (
 )
 from repro.dft.workload import problem_size
 from repro.errors import SimulationError
+from repro.hw.interconnect import HostLink
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,18 @@ class TestTimeline:
             )
             assert stage_events[src].end <= event.start
             assert event.end <= stage_events[dst].start
+
+    def test_schedule_from_another_cost_model_is_refused(self, traced):
+        """The trace prices transfers with the cost model it is given;
+        one that disagrees with the schedule's Eq. 1 overhead fails
+        loudly instead of drawing wrong transfers."""
+        pipeline, schedule, _events = traced
+        other = OffloadCostModel(
+            host_link=HostLink(bandwidth=1.0, base_latency=0.0),
+            context_switch=0.25,
+        )
+        with pytest.raises(SimulationError, match="Eq. 1 overhead"):
+            build_timeline(pipeline, schedule, other)
 
     def test_overlap_detection(self):
         events = [

@@ -219,40 +219,28 @@ class TestForcedUnsupportedReasons:
 
 
 class TestLateDeclineLeavesNoTrace:
-    """A decline must have zero side effects: ``simulate`` returns
-    ``None`` and the shared lane log is untouched, so the fallback
-    backend starts from a clean slate."""
+    """A decline is a bare ``None`` from ``simulate``: a backend only
+    returns results, so the fallback backend starts from a clean
+    slate."""
 
-    def test_direct_simulate_decline_keeps_lane_log_clean(self, framework):
+    def test_direct_simulate_decline_returns_none(self, framework):
         jobs = _jobs(framework, [(64, build_pipeline)] * 30)
         arrivals = [round(i * 0.01, 4) for i in range(30)]
         backend = get_backend("vector_replay")
-        lane_log = {"sentinel": [(0.0, 1.0)]}
         result = backend.simulate(
-            framework.executor,
-            framework.executor.compile_batch(jobs),
-            arrivals,
-            lane_log,
+            framework.executor.compile_batch(jobs), arrivals
         )
         assert result is None
-        assert lane_log == {"sentinel": [(0.0, 1.0)]}
 
     def test_direct_simulate_mixed_signature_decline(self, framework):
         jobs = _jobs(
             framework, [(64, build_pipeline), (128, build_pipeline)]
         )
         backend = get_backend("vector_replay")
-        lane_log = {}
         assert (
-            backend.simulate(
-                framework.executor,
-                framework.executor.compile_batch(jobs),
-                None,
-                lane_log,
-            )
+            backend.simulate(framework.executor.compile_batch(jobs), None)
             is None
         )
-        assert lane_log == {}
 
 
 class TestBackendTimings:
@@ -303,7 +291,7 @@ class TestBackendTimings:
         cases = (
             (mixed, {}, "dag_replay", 3),
             (single, {}, "vector_replay", 1),
-            (mixed, {"backend": "engine"}, "engine", 0),
+            (mixed, {"backend": "engine"}, "engine", 3),
             (mixed, {"faults": outage}, "dag_replay", 3),
         )
         for jobs, kwargs, backend, n_superjobs in cases:
