@@ -98,6 +98,7 @@ class RuleConfig:
     #: :mod:`repro.errors` hierarchy.
     error_scope: tuple[str, ...] = (
         "repro.cli",
+        "repro.core.faults",
         "repro.core.framework",
         "repro.fleet",
     )

@@ -528,7 +528,10 @@ def main(argv: list[str] | None = None) -> int:
         "--fault-seed",
         type=int,
         default=0,
-        help="seed for the fault plan's outage draw (default 0)",
+        help=(
+            "seed for the fault plan's outage and shock draws; slowdowns "
+            "draw under seed + 1 (default 0)"
+        ),
     )
     parser.add_argument(
         "--fault-horizon",

@@ -26,7 +26,10 @@ Plans compose: :meth:`FaultPlan.merge` unions two plans' timelines
 :func:`shock_fault_plan` — one shared seeded clock striking whole lane
 *groups* at once — layers on top of independent per-lane
 :func:`poisson_fault_plan` windows and :func:`slowdown_fault_plan`
-degradation.
+degradation.  Each drawing helper records its name and keyword
+arguments in the plan's ``provenance``, and a merge concatenates the
+records in call order, so a composed plan's JSON descriptor redraws it:
+call each record's helper with its parameters and merge the results.
 
 Plans are plain data and deterministic: the same plan (or the same
 ``seed`` via the drawing helpers) always yields the same failure set,
@@ -52,7 +55,7 @@ from __future__ import annotations
 import hashlib
 import numbers
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import inf, isfinite
 
 from repro.errors import ConfigError
@@ -208,15 +211,19 @@ def _normalize_slowdowns(
     return tuple(normalized)
 
 
-def _merged_meta(a, b):
-    """Provenance metadata of a merged plan: kept when unambiguous
-    (one side unset, or both agree), dropped otherwise — the composed
-    timeline is still fully described by the digest."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a == b else None
+def _drawn(helper: str, **params) -> tuple:
+    """A drawing helper's provenance: its name and keyword arguments,
+    so ``getattr(faults, helper)(**dict(params))`` draws it again."""
+    return ((helper, tuple(params.items())),)
+
+
+def _json_native(value):
+    """Tuples as lists, recursively, as JSON loads them back."""
+    return [_json_native(v) for v in value] if isinstance(value, tuple) else value
+
+
+#: The timeline row of a lane without fault events.
+_NO_EVENTS: tuple = ((), (), None)
 
 
 @dataclass(frozen=True)
@@ -231,21 +238,17 @@ class FaultPlan:
     windows (plain ``(lane, start, end, factor)`` tuples are accepted
     too).  Everything is normalized on construction: sorted, merged
     (outages) or overlap-rejected (slowdowns) per lane, and clamped at
-    the lane's permanent death time.  ``seed``/``mtbf``/``mttr``/
-    ``horizon``/``shock_rate``/``shock_groups`` are provenance metadata
-    recorded by the drawing helpers and carried into benchmark
-    descriptors; :meth:`merge` keeps each field only when unambiguous.
+    the lane's permanent death time.  ``provenance`` holds one
+    ``(helper, params)`` record per drawing-helper call that built the
+    plan, ``params`` being that call's ``(keyword, value)`` pairs;
+    :meth:`merge` concatenates the records, and a plan built from
+    explicit windows has none (its digest identifies it).
     """
 
     outages: tuple[tuple[str, float, float], ...] = ()
     permanent: tuple[tuple[str, float], ...] = ()
     slowdowns: tuple[SlowdownWindow, ...] = ()
-    seed: int | None = None
-    mtbf: float | None = None
-    mttr: float | None = None
-    horizon: float | None = None
-    shock_rate: float | None = None
-    shock_groups: tuple[tuple[str, ...], ...] | None = None
+    provenance: tuple[tuple[str, tuple[tuple[str, object], ...]], ...] = ()
 
     def __post_init__(self) -> None:
         dead: dict[str, float] = {}
@@ -272,49 +275,23 @@ class FaultPlan:
             if lane in dead:
                 dead_at = min(dead_at, dead[lane])
             dead[lane] = dead_at
+        object.__setattr__(self, "permanent", tuple(sorted(dead.items())))
+        object.__setattr__(self, "outages", _normalize_outages(self.outages, dead))
         object.__setattr__(
-            self,
-            "permanent",
-            tuple(sorted(dead.items())),
+            self, "slowdowns", _normalize_slowdowns(self.slowdowns, dead)
         )
-        object.__setattr__(
-            self,
-            "outages",
-            _normalize_outages(tuple(self.outages), dead),
-        )
-        object.__setattr__(
-            self,
-            "slowdowns",
-            _normalize_slowdowns(tuple(self.slowdowns), dead),
-        )
-        windows: dict[str, list[tuple[float, float]]] = {}
+        # One (windows, slowdowns, dead_at) row per lane with an event.
+        rows = {lane: ([], [], dead_at) for lane, dead_at in self.permanent}
         for lane, start, end in self.outages:
-            windows.setdefault(lane, []).append((start, end))
-        object.__setattr__(
-            self,
-            "_windows",
-            {lane: tuple(spans) for lane, spans in windows.items()},
-        )
-        object.__setattr__(self, "_dead", dict(self.permanent))
-        slow: dict[str, list[tuple[float, float, float]]] = {}
-        for window in self.slowdowns:
-            slow.setdefault(window.lane, []).append(
-                (window.start, window.end, window.factor)
-            )
-        object.__setattr__(
-            self,
-            "_slow",
-            {lane: tuple(spans) for lane, spans in slow.items()},
-        )
-        if self.shock_groups is not None:
-            object.__setattr__(
-                self,
-                "shock_groups",
-                tuple(
-                    tuple(str(lane) for lane in group)
-                    for group in self.shock_groups
-                ),
-            )
+            rows.setdefault(lane, ([], [], None))[0].append((start, end))
+        for w in self.slowdowns:
+            row = rows.setdefault(w.lane, ([], [], None))
+            row[1].append((w.start, w.end, w.factor))
+        timelines = {
+            lane: (tuple(windows), tuple(slow), dead_at)
+            for lane, (windows, slow, dead_at) in rows.items()
+        }
+        object.__setattr__(self, "_timelines", timelines)
 
     # ------------------------------------------------------------------
     # Queries
@@ -327,11 +304,7 @@ class FaultPlan:
     @property
     def lanes(self) -> frozenset[str]:
         """All lanes with at least one fault event (slowdowns included)."""
-        return (
-            frozenset(self._windows)
-            | frozenset(self._dead)
-            | frozenset(self._slow)
-        )
+        return frozenset(self._timelines)
 
     def affects(self, lanes) -> bool:
         """True when any of ``lanes`` carries a fault event — an outage
@@ -339,12 +312,8 @@ class FaultPlan:
         executor's predicate for simulating a batch under the plan: a
         batch that occupies no affected lane runs exactly as without
         one."""
-        windows = self._windows
-        dead = self._dead
-        slow = self._slow
-        return any(
-            lane in windows or lane in dead or lane in slow for lane in lanes
-        )
+        timelines = self._timelines
+        return any(lane in timelines for lane in lanes)
 
     def timeline(
         self, lane: str
@@ -353,30 +322,25 @@ class FaultPlan:
         :func:`repro.hw.engine.resolve_degraded_service`, or ``None``
         when the lane carries no fault event (its services run exactly
         as on a healthy machine)."""
-        windows = self._windows.get(lane, ())
-        slowdowns = self._slow.get(lane, ())
-        dead_at = self._dead.get(lane)
-        if not windows and not slowdowns and dead_at is None:
-            return None
-        return windows, slowdowns, dead_at
+        return self._timelines.get(lane)
 
     def windows_for(self, lane: str) -> tuple[tuple[float, float], ...]:
-        return self._windows.get(lane, ())
+        return self._timelines.get(lane, _NO_EVENTS)[0]
 
     def slowdowns_for(
         self, lane: str
     ) -> tuple[tuple[float, float, float], ...]:
         """The lane's ``(start, end, factor)`` slowdown spans, sorted
         and non-overlapping."""
-        return self._slow.get(lane, ())
+        return self._timelines.get(lane, _NO_EVENTS)[1]
 
     def slowdown_lanes(self) -> frozenset[str]:
         """Lanes with at least one slowdown window."""
-        return frozenset(self._slow)
+        return frozenset(window.lane for window in self.slowdowns)
 
     def dead_lanes(self) -> dict[str, float]:
         """Mapping of device lane -> permanent failure time."""
-        return dict(self._dead)
+        return dict(self.permanent)
 
     def event_times(self) -> tuple[float, ...]:
         """Sorted distinct fault event times (window starts + deaths).
@@ -387,7 +351,7 @@ class FaultPlan:
         service but never kills it, so it cannot create a retry.
         """
         times = {start for _lane, start, _end in self.outages}
-        times.update(self._dead.values())
+        times.update(dead_at for _lane, dead_at in self.permanent)
         return tuple(sorted(times))
 
     # ------------------------------------------------------------------
@@ -401,19 +365,13 @@ class FaultPlan:
         across the two plans are rejected, as within one plan).  This
         is how a correlated-shock plan (:func:`shock_fault_plan`)
         composes with independent :func:`poisson_fault_plan` windows.
-        Provenance metadata survives only where unambiguous; the digest
-        and JSON descriptor always describe the composed timeline.
+        The provenance records concatenate, this plan's first.
         """
         return FaultPlan(
             outages=self.outages + other.outages,
             permanent=self.permanent + other.permanent,
             slowdowns=self.slowdowns + other.slowdowns,
-            seed=_merged_meta(self.seed, other.seed),
-            mtbf=_merged_meta(self.mtbf, other.mtbf),
-            mttr=_merged_meta(self.mttr, other.mttr),
-            horizon=_merged_meta(self.horizon, other.horizon),
-            shock_rate=_merged_meta(self.shock_rate, other.shock_rate),
-            shock_groups=_merged_meta(self.shock_groups, other.shock_groups),
+            provenance=self.provenance + other.provenance,
         )
 
     # ------------------------------------------------------------------
@@ -444,24 +402,22 @@ class FaultPlan:
         """JSON-safe descriptor for benchmark reports.
 
         Two plans compare equal through this descriptor iff their
-        normalized fault timelines match — ``bench_compare`` uses it to
-        refuse trending across mismatched plans, and to gate
-        availability/goodput only at matching descriptors.  A composed
-        plan (:meth:`merge`) is fully described: the digest covers the
-        merged timeline and the shock/slowdown fields say which shapes
-        contributed.
+        normalized fault timelines and their provenance match —
+        ``bench_compare`` uses it to refuse trending across mismatched
+        plans, and to gate availability/goodput only at matching
+        descriptors.  A composed plan (:meth:`merge`) is fully
+        described: the digest covers the merged timeline, and
+        ``provenance`` lists each drawn component as
+        ``{"helper": name, **params}``, which redraws it.
         """
         return {
-            "seed": self.seed,
-            "mtbf": self.mtbf,
-            "mttr": self.mttr,
-            "horizon": self.horizon,
-            "shock_rate": self.shock_rate,
-            "shock_groups": (
-                None
-                if self.shock_groups is None
-                else [list(group) for group in self.shock_groups]
-            ),
+            "provenance": [
+                {
+                    "helper": helper,
+                    **{key: _json_native(value) for key, value in params},
+                }
+                for helper, params in self.provenance
+            ],
             "lanes": sorted(self.lanes),
             "n_outages": len(self.outages),
             "n_permanent": len(self.permanent),
@@ -551,14 +507,7 @@ class RetryPolicy:
         return delay
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff_base": self.backoff_base,
-            "backoff_factor": self.backoff_factor,
-            "backoff_max": self.backoff_max,
-            "job_timeout": self.job_timeout,
-            "checkpoint": self.checkpoint,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -752,10 +701,11 @@ def poisson_fault_plan(
     _positive_finite("mtbf", mtbf)
     _positive_finite("mttr", mttr)
     _positive_finite("horizon", horizon)
+    lanes = tuple(sorted(str(lane) for lane in lanes))
     generator = random.Random(seed)
     outages: list[tuple[str, float, float]] = []
     permanent: list[tuple[str, float]] = []
-    for lane in sorted(str(lane) for lane in lanes):
+    for lane in lanes:
         now = 0.0
         while True:
             now += generator.expovariate(1.0 / mtbf)
@@ -774,10 +724,15 @@ def poisson_fault_plan(
     return FaultPlan(
         outages=tuple(outages),
         permanent=tuple(permanent),
-        seed=seed,
-        mtbf=mtbf,
-        mttr=mttr,
-        horizon=horizon,
+        provenance=_drawn(
+            "poisson_fault_plan",
+            lanes=lanes,
+            mtbf=mtbf,
+            mttr=mttr,
+            horizon=horizon,
+            seed=seed,
+            permanent_after=permanent_after,
+        ),
     )
 
 
@@ -844,11 +799,14 @@ def shock_fault_plan(
             outages.append((lane, now, now + duration))
     return FaultPlan(
         outages=tuple(outages),
-        seed=seed,
-        mttr=mttr,
-        horizon=horizon,
-        shock_rate=rate,
-        shock_groups=group_list,
+        provenance=_drawn(
+            "shock_fault_plan",
+            groups=group_list,
+            rate=rate,
+            mttr=mttr,
+            horizon=horizon,
+            seed=seed,
+        ),
     )
 
 
@@ -876,9 +834,10 @@ def slowdown_fault_plan(
             f"slowdown factor must be finite and > 1.0 (an inflation), got "
             f"{factor!r}"
         )
+    lanes = tuple(sorted(str(lane) for lane in lanes))
     generator = random.Random(seed)
     slowdowns: list[SlowdownWindow] = []
-    for lane in sorted(str(lane) for lane in lanes):
+    for lane in lanes:
         now = 0.0
         while True:
             now += generator.expovariate(1.0 / mtbf)
@@ -889,8 +848,13 @@ def slowdown_fault_plan(
             now += duration
     return FaultPlan(
         slowdowns=tuple(slowdowns),
-        seed=seed,
-        mtbf=mtbf,
-        mttr=mttr,
-        horizon=horizon,
+        provenance=_drawn(
+            "slowdown_fault_plan",
+            lanes=lanes,
+            mtbf=mtbf,
+            mttr=mttr,
+            horizon=horizon,
+            factor=factor,
+            seed=seed,
+        ),
     )

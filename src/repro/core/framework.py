@@ -1036,7 +1036,7 @@ class NdftFramework:
         ``resumed_stages``/``work_saved_seconds``.  An *empty* plan is
         bit-identical to no plan across every backend.
         """
-        if not batch:
+        if len(batch) == 0:
             raise ConfigError("run_many needs at least one job")
         if retry is not None and faults is None:
             raise ConfigError(
@@ -1153,7 +1153,7 @@ class NdftFramework:
         estimates, so routing and shedding predict with one model; both
         come once per entry of :meth:`run_many`'s per-call table, and
         ride the entry store (a size seen before costs a lookup)."""
-        if not batch:
+        if len(batch) == 0:
             raise ConfigError("job_estimates needs at least one job")
         builder = pipeline_builder or build_pipeline
         entries, index = self._resolve_batch(batch, builder)

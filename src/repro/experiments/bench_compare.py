@@ -89,6 +89,16 @@ def _points_by_batch_size(report: dict) -> dict[int, dict]:
     return {point["batch_size"]: point for point in report.get("points", ())}
 
 
+def _differing_keys(a: dict, b: dict) -> list[str]:
+    """Sorted keys whose values differ, a key absent on one side
+    included."""
+    return sorted(
+        key
+        for key in a.keys() | b.keys()
+        if key not in a or key not in b or a[key] != b[key]
+    )
+
+
 def _version_minor(version: str | None) -> str | None:
     if version is None:
         return None
@@ -173,9 +183,10 @@ def compare_serving_reports(
     # post-fault latencies measured under one fault plan (or none) are a
     # different experiment from another's — a retried batch is
     # legitimately slower than a healthy one.  The descriptor carries
-    # the plan's seed/mtbf/mttr and a digest of its normalized fault
-    # timeline, so two explicit plans compare by content.  Files
-    # predating the field (no "faults" key) read as faults-off.
+    # the provenance of each drawn component (helper and parameters)
+    # and a digest of the normalized fault timeline, so two explicit
+    # plans compare by content.  Files predating the field (no "faults"
+    # key) read as faults-off.
     faults_committed = committed.get("faults")
     faults_fresh = fresh.get("faults")
     if faults_committed != faults_fresh:
@@ -186,10 +197,26 @@ def compare_serving_reports(
             digest = (descriptor.get("plan") or {}).get("digest")
             return f"plan {digest}" if digest else "on"
 
+        label = _plan_label(faults_committed)
+        fresh_label = _plan_label(faults_fresh)
+        if label == fresh_label and label.startswith("plan "):
+            # One timeline, described differently: name what differs.
+            differing = [
+                f"{part}.{key}"
+                for part in ("plan", "retry")
+                for key in _differing_keys(
+                    faults_committed.get(part) or {}, faults_fresh.get(part) or {}
+                )
+            ]
+            return [
+                f"committed and fresh reports share the fault timeline of "
+                f"{label}, but their fault descriptors differ in "
+                f"{', '.join(differing)}; they cannot be trended against "
+                "each other"
+            ]
         return [
             "committed and fresh reports were measured under different "
-            f"fault plans ({_plan_label(faults_committed)} vs "
-            f"{_plan_label(faults_fresh)}) and cannot be trended against "
+            f"fault plans ({label} vs {fresh_label}) and cannot be trended against "
             "each other"
         ]
     # Same refusal for the fleet size: an N-replica aggregate throughput

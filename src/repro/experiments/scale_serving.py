@@ -918,20 +918,19 @@ def format_serve_bench(report: ServeBenchReport, cached: bool = True) -> str:
                 f"{len(plan.outages)} outage window(s)",
                 f"{len(plan.permanent)} permanent failure(s)",
             ]
-            if plan.shock_rate is not None:
-                shapes.append(
-                    f"correlated shocks at {plan.shock_rate:g}/s over "
-                    f"{len(plan.shock_groups)} group(s)"
-                )
             if plan.slowdowns:
                 shapes.append(
                     f"{len(plan.slowdowns)} slowdown window(s) "
                     f"({', '.join(sorted(plan.slowdown_lanes()))})"
                 )
+            drawn = "".join(
+                f"{helper} seed {dict(params)['seed']}, "
+                for helper, params in plan.provenance
+            )
             lines.append(
                 f"faults: {', '.join(shapes)} on "
                 f"{', '.join(sorted(plan.lanes)) or 'no lanes'} "
-                f"(seed {plan.seed}, digest {plan.digest()}); retry up to "
+                f"({drawn}digest {plan.digest()}); retry up to "
                 f"{retry.max_attempts} attempts, backoff "
                 f"{retry.backoff_base:g}s x{retry.backoff_factor:g}"
                 + (", checkpoint/resume on" if checkpointing else "")

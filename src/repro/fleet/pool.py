@@ -192,25 +192,36 @@ class WorkerPool:
     ) -> FleetResult:
         """Route ``batch`` across the fleet and simulate it.
 
-        ``batch`` entries are atom counts (the fleet routes by size;
-        arbitrary pipeline objects do not cross a process boundary).
+        ``batch`` entries are integer atom counts, NumPy integers
+        included and ``bool`` not (the fleet routes by size; arbitrary
+        pipeline objects do not cross a process boundary).
         ``arrivals`` turns the batch into an open queue exactly as in
         :meth:`~repro.core.framework.NdftFramework.run_many` — each
         worker receives the global release offsets of its jobs, so all
-        replicas share one virtual timeline.  ``rounds`` repeats the
-        identical simulation per worker inside one measured wall
-        (sustained-serving measurement; results are bit-identical
-        across rounds).
+        replicas share one virtual timeline.  ``rounds`` (an integer
+        >= 1) repeats the identical simulation per worker inside one
+        measured wall (sustained-serving measurement; results are
+        bit-identical across rounds).
         """
-        if rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {rounds}")
+        if (
+            isinstance(rounds, bool)
+            or not isinstance(rounds, numbers.Integral)
+            or rounds < 1
+        ):
+            raise ConfigError(f"rounds must be an integer >= 1, got {rounds!r}")
+        rounds = int(rounds)
         sizes = []
         for entry in batch:
-            if isinstance(entry, bool) or not isinstance(entry, int):
-                raise ConfigError(
-                    "fleet serving routes by problem size: batch entries "
-                    f"must be int atom counts, got {entry!r}"
-                )
+            # Exact ints skip the check: an isinstance test against the
+            # numbers.Integral ABC is over ten times slower than a type
+            # test, and this loop runs once per job.
+            if type(entry) is not int:
+                if isinstance(entry, bool) or not isinstance(entry, numbers.Integral):
+                    raise ConfigError(
+                        "fleet serving routes by problem size: batch entries "
+                        f"must be int atom counts, got {entry!r}"
+                    )
+                entry = int(entry)
             sizes.append(entry)
         if not sizes:
             raise ConfigError("serve needs at least one job")

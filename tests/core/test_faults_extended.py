@@ -103,7 +103,9 @@ class TestShockFaultPlan:
         two = shock_fault_plan(["cpu", ("link:cpu-ndp", "ndp")], **kwargs)
         assert one == two
         assert one.digest() == two.digest()
-        assert one.shock_groups == (("cpu",), ("link:cpu-ndp", "ndp"))
+        ((helper, params),) = one.provenance
+        assert helper == "shock_fault_plan"
+        assert dict(params)["groups"] == (("cpu",), ("link:cpu-ndp", "ndp"))
         other = shock_fault_plan(
             [("ndp", "link:cpu-ndp"), "cpu"], **dict(kwargs, seed=12)
         )
@@ -140,24 +142,32 @@ class TestShockFaultPlan:
         assert merged.digest() != shocks.digest()
         # Merge order does not matter: same normalized timeline.
         assert merged.digest() == shocks.merge(noise).digest()
-        # Unambiguous metadata survives (same seed/mttr/horizon); the
-        # shock provenance rides through untouched.
-        assert merged.seed == 7
-        assert merged.horizon == 60.0
-        assert merged.shock_rate == 0.1
-        assert merged.shock_groups == shocks.shock_groups
+        # The provenance is the noise record followed by the shock
+        # record, each as its helper drew it.
+        assert merged.provenance == noise.provenance + shocks.provenance
+        assert [helper for helper, _params in merged.provenance] == [
+            "poisson_fault_plan",
+            "shock_fault_plan",
+        ]
         descriptor = merged.to_json_dict()
-        assert descriptor["shock_rate"] == 0.1
-        assert descriptor["shock_groups"] == [["link:cpu-ndp", "ndp"]]
+        assert descriptor["provenance"][1] == {
+            "helper": "shock_fault_plan",
+            "groups": [["link:cpu-ndp", "ndp"]],
+            "rate": 0.1,
+            "mttr": 2.0,
+            "horizon": 60.0,
+            "seed": 7,
+        }
         assert descriptor["digest"] == merged.digest()
 
-    def test_merge_drops_ambiguous_metadata(self):
+    def test_merge_keeps_both_components_seeds(self):
         a = poisson_fault_plan(["ndp"], mtbf=5.0, mttr=0.5, horizon=60.0, seed=1)
         b = poisson_fault_plan(["cpu"], mtbf=9.0, mttr=0.5, horizon=60.0, seed=2)
-        merged = a.merge(b)
-        assert merged.seed is None
-        assert merged.mtbf is None
-        assert merged.mttr == 0.5
+        records = [dict(params) for _helper, params in a.merge(b).provenance]
+        assert [(r["lanes"], r["mtbf"], r["seed"]) for r in records] == [
+            (("ndp",), 5.0, 1),
+            (("cpu",), 9.0, 2),
+        ]
 
     def test_correlated_shock_kills_jobs_as_a_fleet_event(self, framework):
         """A shock window covering both the ndp device and its wire is
@@ -169,8 +179,6 @@ class TestShockFaultPlan:
                 ("ndp", t0, t1),
                 ("link:cpu-ndp", t0, t1),
             ),
-            shock_rate=1.0,
-            shock_groups=(("link:cpu-ndp", "ndp"),),
         )
         result = framework.run_many(SIZES, faults=plan)
         res = result.resilience
@@ -615,9 +623,41 @@ class TestCliFaultSetup:
             framework,
         )
         assert plan.windows_for("ndp")
-        assert plan.shock_rate == 0.2
-        assert plan.shock_groups == (framework.fault_lanes(),)
         assert plan.slowdowns
+        assert [(helper, dict(params)) for helper, params in plan.provenance] == [
+            (
+                "poisson_fault_plan",
+                dict(
+                    lanes=("ndp",),
+                    mtbf=10.0,
+                    mttr=1.0,
+                    horizon=60.0,
+                    seed=0,
+                    permanent_after=None,
+                ),
+            ),
+            (
+                "shock_fault_plan",
+                dict(
+                    groups=(framework.fault_lanes(),),
+                    rate=0.2,
+                    mttr=1.0,
+                    horizon=60.0,
+                    seed=0,
+                ),
+            ),
+            (
+                "slowdown_fault_plan",
+                dict(
+                    lanes=("ndp",),
+                    mtbf=10.0,
+                    mttr=1.0,
+                    horizon=60.0,
+                    factor=2.0,
+                    seed=1,  # seed + 1 decorrelates slowdowns from outages
+                ),
+            ),
+        ]
         assert retry.checkpoint is True
 
     def test_checkpoint_without_faults_rejected(self, framework):

@@ -212,6 +212,28 @@ class TestCompareServingReports:
         explicit_off = dict(_report([(16, 990.0)]), faults=None)
         assert compare_serving_reports(healthy, explicit_off) == []
 
+    def test_same_timeline_refusal_names_the_differing_keys(self):
+        """Two descriptors of one fault timeline (equal digests) that
+        differ elsewhere are still refused, and the refusal says that
+        the timeline matched and which descriptor keys differ."""
+
+        def _faulted(plan, retry):
+            return dict(_report([(16, 500.0)]), faults={"plan": plan, "retry": retry})
+
+        committed = _faulted(
+            {"seed": None, "mtbf": 10.0, "digest": "abc123"}, {"max_attempts": 3}
+        )
+        fresh = _faulted(
+            {"provenance": [], "mtbf": 10.0, "digest": "abc123"},
+            {"max_attempts": 4},
+        )
+        (failure,) = compare_serving_reports(committed, fresh)
+        assert "share the fault timeline of plan abc123" in failure
+        assert (
+            "differ in plan.provenance, plan.seed, retry.max_attempts;" in failure
+        )
+        assert "cannot be trended" in failure
+
     def test_mismatched_replica_counts_are_refused(self):
         """A fleet aggregate (--replicas N) is legitimately a multiple
         of the single-process throughput: trending across different

@@ -7,6 +7,7 @@ pool defaults to; the inline pool runs the identical worker code
 in-process and is the deterministic reference.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.arrivals import poisson_arrivals
@@ -245,6 +246,21 @@ class TestServeValidation:
                 pool.serve([64, "128"])
             with pytest.raises(ConfigError, match="atom counts"):
                 pool.serve([True])
+            # NumPy integer sizes are atom counts, as run_many takes them.
+            as_int = pool.serve([64, 128, 512])
+            as_numpy = pool.serve([np.int64(64), np.int64(128), np.int64(512)])
+        assert as_numpy.plan == as_int.plan
+        assert as_numpy.completion_times == as_int.completion_times
+
+    def test_numpy_array_batches(self):
+        framework = NdftFramework()
+        sizes = np.array([64, 128])
+        assert framework.job_estimates(sizes) == framework.job_estimates([64, 128])
+        as_array = framework.run_many(sizes).batch_report
+        as_list = framework.run_many([64, 128]).batch_report
+        assert as_array.completion_times == as_list.completion_times
+        with pytest.raises(ConfigError, match="at least one job"):
+            framework.run_many(np.array([], dtype=np.int64))
 
     def test_rejects_misaligned_arrivals(self):
         with WorkerPool(1, inline=True) as pool:
@@ -256,5 +272,6 @@ class TestServeValidation:
 
     def test_rejects_nonpositive_rounds(self):
         with WorkerPool(1, inline=True) as pool:
-            with pytest.raises(ConfigError, match="rounds"):
-                pool.serve([64], rounds=0)
+            for rounds in (0, True, 2.5, "2"):
+                with pytest.raises(ConfigError, match="rounds"):
+                    pool.serve([64], rounds=rounds)
