@@ -32,6 +32,7 @@ from repro.experiments.scale_serving import (
     measure_run_many,
     run_fleet_bench,
     run_serve_bench,
+    write_json,
 )
 from repro.fleet import WorkerPool
 
@@ -123,10 +124,11 @@ def test_serving_sweep_emits_bench_json(tmp_path):
     previous PR's record, regenerated deliberately, and the CI trend
     gate diffs fresh measurements against it.)"""
     report = run_serve_bench(batch_sizes=(16, 64, 256), repeats=2)
-    assert all(p.results_identical for p in report.points)
-    path = report.write_json(tmp_path / "BENCH_serving.json")
+    assert all(p["results_identical"] for p in report["points"])
+    path = write_json(report, tmp_path / "BENCH_serving.json")
     assert path.exists()
     payload = json.loads(path.read_text())
+    assert payload == report
     assert payload["metadata"]["python"]
     assert payload["metadata"]["platform"]
     for point in payload["points"]:
@@ -143,8 +145,8 @@ def test_serving_sweep_emits_bench_json(tmp_path):
         assert arrival["mean_queueing_delay_seconds"] >= 0.0
     # Throughput-oriented sanity: bigger batches amortize better, so
     # cached jobs/sec should not collapse as the batch grows.
-    first, last = report.points[0], report.points[-1]
-    assert last.jobs_per_second_cached > first.jobs_per_second_cached * 0.5
+    first, last = payload["points"][0], payload["points"][-1]
+    assert last["jobs_per_second_cached"] > first["jobs_per_second_cached"] * 0.5
 
 
 def test_scaleout_batch_des_speedup():
@@ -344,9 +346,9 @@ def test_fleet_bench_emits_replica_breakdown(tmp_path):
     report = run_fleet_bench(
         batch_sizes=(16, 64), repeats=1, replicas=2, rounds=2
     )
-    assert report.replicas == 2
-    path = report.write_json(tmp_path / "BENCH_serving.json")
+    path = write_json(report, tmp_path / "BENCH_serving.json")
     payload = json.loads(path.read_text())
+    assert payload == report
     assert payload["replicas"] == 2
     for point in payload["points"]:
         fleet = point["fleet"]

@@ -100,6 +100,7 @@ class RuleConfig:
         "repro.cli",
         "repro.core.faults",
         "repro.core.framework",
+        "repro.experiments.scale_serving",
         "repro.fleet",
     )
 

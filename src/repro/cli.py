@@ -288,6 +288,7 @@ def _batch(args, framework) -> str:
 
 def _serve_bench(args, framework) -> str:
     from repro.experiments.scale_serving import (
+        BENCH_JSON_PATH,
         DEFAULT_ARRIVAL_RATE,
         DEFAULT_BATCH_SIZES,
         DEFAULT_MIX,
@@ -295,13 +296,13 @@ def _serve_bench(args, framework) -> str:
         format_serve_bench,
         run_fleet_bench,
         run_serve_bench,
+        write_json,
     )
 
     batch_sizes = (
         tuple(args.batch_sizes) if args.batch_sizes else DEFAULT_BATCH_SIZES
     )
     mix = tuple(args.atoms) if args.atoms else DEFAULT_MIX
-    cached = not args.no_cache
     arrival_rate = (
         DEFAULT_ARRIVAL_RATE if args.arrival_rate is None else args.arrival_rate
     )
@@ -342,23 +343,22 @@ def _serve_bench(args, framework) -> str:
             arrival_seed=args.arrival_seed,
             backend=args.backend,
         )
-        path = report.write_json(args.json) if args.json else report.write_json()
-        return format_serve_bench(report) + f"\nwrote {path}"
-    report = run_serve_bench(
-        batch_sizes=batch_sizes,
-        mix=mix,
-        repeats=args.repeats,
-        cached=cached,
-        arrival_rate=arrival_rate,
-        arrival_seed=args.arrival_seed,
-        backend=args.backend,
-        arrival_sweep_rates=arrival_sweep_rates,
-        admission=_admission_policy(args),
-        faults=faults,
-        retry=retry,
-    )
-    path = report.write_json(args.json) if args.json else report.write_json()
-    return format_serve_bench(report, cached=cached) + f"\nwrote {path}"
+    else:
+        report = run_serve_bench(
+            batch_sizes=batch_sizes,
+            mix=mix,
+            repeats=args.repeats,
+            cached=not args.no_cache,
+            arrival_rate=arrival_rate,
+            arrival_seed=args.arrival_seed,
+            backend=args.backend,
+            arrival_sweep_rates=arrival_sweep_rates,
+            admission=_admission_policy(args),
+            faults=faults,
+            retry=retry,
+        )
+    path = write_json(report, args.json or BENCH_JSON_PATH)
+    return format_serve_bench(report) + f"\nwrote {path}"
 
 
 _COMMANDS = {

@@ -695,12 +695,19 @@ def poisson_fault_plan(
     ``Exp(mttr)`` each, truncated at ``horizon``.  ``permanent_after``
     (optional) additionally kills each *device* lane permanently at its
     first outage start past that time.  ``mtbf``, ``mttr`` and
-    ``horizon`` must be finite and positive.  Deterministic given
-    ``seed``.
+    ``horizon`` must be finite and positive, and ``permanent_after``
+    ``None`` or finite and >= 0.  Deterministic given ``seed``.
     """
     _positive_finite("mtbf", mtbf)
     _positive_finite("mttr", mttr)
     _positive_finite("horizon", horizon)
+    if permanent_after is not None and not (
+        isfinite(permanent_after) and permanent_after >= 0.0
+    ):
+        raise ConfigError(
+            "permanent_after must be None or finite and >= 0, got "
+            f"{permanent_after!r}"
+        )
     lanes = tuple(sorted(str(lane) for lane in lanes))
     generator = random.Random(seed)
     outages: list[tuple[str, float, float]] = []
@@ -823,8 +830,9 @@ def slowdown_fault_plan(
     but each drawn window is a :class:`SlowdownWindow` at ``factor``
     instead of an outage — the lane keeps serving, ``factor``× slower,
     and nothing is killed.  ``mtbf``, ``mttr`` and ``horizon`` must be
-    finite and positive.  Deterministic given ``seed``; compose with
-    outage plans via :meth:`FaultPlan.merge`.
+    finite and positive, and the lanes distinct (two draws on one lane
+    would overlap).  Deterministic given ``seed``; compose with outage
+    plans via :meth:`FaultPlan.merge`.
     """
     _positive_finite("mtbf", mtbf)
     _positive_finite("mttr", mttr)
@@ -835,6 +843,12 @@ def slowdown_fault_plan(
             f"{factor!r}"
         )
     lanes = tuple(sorted(str(lane) for lane in lanes))
+    repeated = sorted({a for a, b in zip(lanes, lanes[1:]) if a == b})
+    if repeated:
+        raise ConfigError(
+            f"slowdown_fault_plan got lane(s) {', '.join(map(repr, repeated))} "
+            "more than once; each lane draws one slowdown series"
+        )
     generator = random.Random(seed)
     slowdowns: list[SlowdownWindow] = []
     for lane in lanes:

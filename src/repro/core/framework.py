@@ -273,9 +273,10 @@ def queueing_delays(
     return tuple(delays)
 
 
-def check_invariants(result: "NdftBatchResult") -> None:
-    """Raise :class:`SimulationError` naming every invariant ``result``
-    violates; return ``None`` when it holds them all:
+def serving_problems(result) -> list[str]:
+    """The violated invariants of any served batch — a batch result or
+    a fleet's, read through their shared ``completion_latencies``,
+    ``queueing_delays`` and ``lane_utilization``:
 
     - every completion latency is finite and >= 0, and every queueing
       delay >= 0 (:func:`queueing_delays` decides, float residue and
@@ -283,15 +284,7 @@ def check_invariants(result: "NdftBatchResult") -> None:
     - every lane utilization lies in [0, 1] (up to 1e-9 above 1: a lane
       busy for the whole span sums its interval lengths, each a
       difference of absolute virtual times, back to the span only up
-      to float residue);
-    - under admission, submitted = admitted + deferred + shed, and the
-      jobs executed = admitted + deferred;
-    - under faults, completed + abandoned = the jobs executed, where a
-      job completed when one of its final-round attempts did, and the
-      result holds exactly the completed jobs.
-
-    It reads the result's columns only, so it builds no per-job
-    object."""
+      to float residue)."""
     problems = []
     latencies = result.completion_latencies
     bad = [value for value in latencies if not (isfinite(value) and value >= 0.0)]
@@ -307,6 +300,24 @@ def check_invariants(result: "NdftBatchResult") -> None:
     for lane, value in sorted(result.lane_utilization.items()):
         if not 0.0 <= value <= 1.0 + 1e-9:
             problems.append(f"lane {lane} utilization {value!r} is outside [0, 1]")
+    return problems
+
+
+def check_invariants(result: "NdftBatchResult") -> None:
+    """Raise :class:`SimulationError` naming every invariant ``result``
+    violates; return ``None`` when it holds them all:
+
+    - the latency, queueing-delay and utilization invariants of
+      :func:`serving_problems`;
+    - under admission, submitted = admitted + deferred + shed, and the
+      jobs executed = admitted + deferred;
+    - under faults, completed + abandoned = the jobs executed, where a
+      job completed when one of its final-round attempts did, and the
+      result holds exactly the completed jobs.
+
+    It reads the result's columns only, so it builds no per-job
+    object."""
+    problems = serving_problems(result)
     admission, resilience = result.admission, result.resilience
     executed = result.n_jobs if resilience is None else resilience.submitted
     if admission is not None:

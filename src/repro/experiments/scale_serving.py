@@ -5,44 +5,51 @@ extension (:meth:`repro.core.framework.NdftFramework.run_many`) pushes
 whole batches through one shared machine.  At serving scale the limiting
 factor is no longer the modeled hardware but the simulator itself — how
 many jobs per *wall-clock* second the scheduling + DES stack can turn
-around.  This driver measures exactly that:
+around.  This driver measures exactly that: it sweeps batch sizes (16 →
+65536 by default) over a round-robin mix of a few Si_N sizes, times
+``run_many`` with the serving fast path on and, up to
+:data:`UNCACHED_COMPARE_MAX` jobs, with ``memoize=False`` (checking both
+give identical results: the fast path is an optimization, never an
+approximation), measures each point once more as an *open queue*
+(seeded Poisson arrivals) for p50/p99 latency and queueing delay,
+records which simulation backends ran and their wall seconds
+(``--backend`` forces one), optionally sweeps offered load for the
+latency-vs-load curve and its saturation knee (``--arrival-sweep``),
+and writes ``BENCH_serving.json`` with host metadata for the CI trend
+gate (:mod:`repro.experiments.bench_compare`).  Every measurement uses a
+fresh framework (cold caches), so the speedup is what one ``run_many``
+call gains from intra-batch deduplication alone.
 
-- sweep batch sizes (16 → 65536 by default, ``--batch-sizes`` to
-  override) over a mixed job population (a handful of distinct Si_N
-  sizes, round-robin);
-- time ``run_many`` wall-clock with the serving fast path on (signature
-  memoization + analytic solo runs) and, for comparison, with
-  ``memoize=False`` — the "before" path that re-schedules, re-analyzes
-  and re-solo-times every job (skipped above
-  :data:`UNCACHED_COMPARE_MAX` jobs, where the baseline would dominate
-  the sweep's wall clock);
-- cross-check that both paths produce *identical* batch results (same
-  makespan, same solo times, same per-job reports) — the fast path is an
-  optimization, never an approximation;
-- measure each point once more as an *open queue* (seeded Poisson
-  arrivals at ``--arrival-rate`` jobs of virtual time per second) and
-  record the p50/p99 completion latency and mean queueing delay — the
-  serving-model metrics;
-- record the per-point simulation-backend breakdown (who actually timed
-  the batch — DAG replay, wave replay or the generator engine; see
-  :mod:`repro.core.backends`) and the per-backend wall seconds
-  (``backend_wall_seconds``), with ``--backend`` forcing one backend
-  for every measurement (the replay-vs-engine A/B switch);
-- optionally sweep offered load (``--arrival-sweep``): the same mix at
-  each rate of a grid, recording the latency-vs-load curve, per-point
-  per-lane utilization (which device or wire the load saturates), the
-  shed rate under the requested admission policy (0.0 when admission is
-  off), and the saturation knee with its dominant lane
-  (:func:`run_arrival_sweep`);
-- emit the measurements as ``BENCH_serving.json`` — tagged with host
-  metadata (Python version, platform, CPU count) so CI trend
-  comparisons (:mod:`repro.experiments.bench_compare`) are
-  interpretable — to anchor the serving performance trajectory across
-  PRs.
+The report *is* the JSON it writes: one function builds each JSON
+object, so every key is written in one place, and
+:func:`format_serve_bench` reads the same dicts ``bench_compare`` reads.
+The schema (``null`` where a measurement is off or skipped):
 
-Every measurement uses a fresh framework (cold caches), so the reported
-speedup is what one ``run_many`` call gains from intra-batch
-deduplication alone; caches composing across calls only improve on it.
+- report (:func:`serve_report`): ``benchmark``, ``unit``, ``fast_path``
+  (false for ``--no-cache``, whose cached columns then hold the
+  baseline), ``replicas``, ``backend`` (the forced one), ``admission``
+  (the policy), ``faults`` (``plan``: the fault descriptor, ``retry``:
+  the retry policy), ``metadata`` (:func:`host_metadata`), ``mix``,
+  ``repeats``, ``points``, ``arrival_sweep``;
+- point (:func:`serve_point`): ``batch_size``, ``n_distinct_signatures``,
+  ``wall_seconds_cached``, ``jobs_per_second_cached``,
+  ``wall_seconds_uncached``, ``jobs_per_second_uncached``,
+  ``wall_speedup``, ``makespan_seconds``,
+  ``simulated_throughput_jobs_per_second``, ``results_identical``,
+  ``backend_jobs``, ``backend_wall_seconds``, ``fleet``, ``arrival``;
+- fleet (:func:`fleet_point`): ``replicas``, ``rounds``,
+  ``wall_seconds``, ``jobs_per_second_wall``,
+  ``virtual_throughput_jobs_per_second``, ``imbalance_ratio``,
+  ``replica_jobs``, ``replica_utilization``, ``merged_entries``;
+- open-queue point (:func:`arrival_point`; a point's ``arrival`` and
+  each sweep point): ``rate_jobs_per_second``, ``seed``,
+  ``wall_seconds``, ``makespan_seconds``, ``p50_latency_seconds``,
+  ``p99_latency_seconds``, ``mean_queueing_delay_seconds``,
+  ``lane_utilization``, ``dominant_lane``, ``shed_rate``, ``admitted``,
+  ``shed``, ``resilience`` (the fault run's resilience record);
+- arrival sweep (:func:`run_arrival_sweep`): ``batch_size``, ``seed``,
+  ``knee_latency_factor``, ``knee_rate_jobs_per_second``,
+  ``knee_dominant_lane``, ``points``.
 """
 
 from __future__ import annotations
@@ -51,19 +58,15 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 from typing import Sequence
 
 from repro.core.arrivals import AdmissionPolicy, poisson_arrivals
 from repro.core.faults import FaultPlan, RetryPolicy
-from repro.core.framework import (
-    NdftBatchResult,
-    NdftFramework,
-    check_invariants,
-    queueing_delays,
-)
-from repro.fleet import FleetResult, WorkerPool
+from repro.core.framework import NdftBatchResult, NdftFramework, check_invariants
+from repro.errors import ConfigError
+from repro.fleet import FleetResult, WorkerPool, check_fleet_invariants
 
 #: Default batch-size sweep (jobs per ``run_many`` call).  The top end
 #: (65536) is two orders of magnitude past the pre-``vector_replay``
@@ -93,6 +96,13 @@ DEFAULT_SWEEP_BATCH = 256
 #: A sweep point is past the saturation knee once its p99 latency
 #: exceeds this multiple of the lowest-rate point's p99.
 KNEE_LATENCY_FACTOR = 2.0
+#: Identical simulations per fleet serve call (sustained-serving
+#: measurement): enough rounds that per-call routing/dispatch overhead
+#: amortizes the way a long-running service amortizes it, few enough
+#: that the smoke sweeps stay quick.
+DEFAULT_FLEET_ROUNDS = 8
+
+
 def _repo_root() -> Path:
     """The checkout root (where pyproject.toml lives) when running from
     a source tree; the current directory for installed copies, where
@@ -111,8 +121,39 @@ BENCH_JSON_PATH = _repo_root() / "BENCH_serving.json"
 def job_mix(batch_size: int, mix: tuple[int, ...] = DEFAULT_MIX) -> list[int]:
     """The batch served at one sweep point: ``mix`` repeated round-robin."""
     if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if not mix:
+        raise ConfigError("the job mix needs at least one size")
     return [mix[i % len(mix)] for i in range(batch_size)]
+
+
+def _sweep_rates(rates: Sequence[float]) -> list[float]:
+    """An arrival sweep's offered loads, ascending.  Refuses an empty
+    grid and any rate that is not finite and positive."""
+    if not rates:
+        raise ConfigError("arrival sweep needs at least one rate")
+    if not all(isfinite(rate) and rate > 0 for rate in rates):
+        raise ConfigError(
+            f"arrival rates must be finite and positive, got {rates!r}"
+        )
+    return sorted(rates)
+
+
+def _checked_batches(
+    batch_sizes: Sequence[int],
+    mix: tuple[int, ...],
+    arrival_rate: float | None,
+    sweep_rates: Sequence[float] | None = None,
+) -> list[list[int]]:
+    """Each sweep point's batch, once every input is checked, so a bad
+    batch size, open-queue rate (``None`` or ``<= 0`` turns it off, and
+    ``nan`` or ``inf`` is refused) or sweep rate fails before anything
+    is measured."""
+    if arrival_rate is not None and not (arrival_rate <= 0 or isfinite(arrival_rate)):
+        raise ConfigError(f"arrival_rate must be finite, got {arrival_rate!r}")
+    if sweep_rates:
+        _sweep_rates(sweep_rates)
+    return [job_mix(batch_size, mix) for batch_size in batch_sizes]
 
 
 def host_metadata() -> dict:
@@ -142,17 +183,13 @@ def measure_run_many(
 
     A fresh framework per repeat keeps every measurement cold-cache; the
     minimum over repeats is the standard noise filter for wall-clock
-    micro-measurements.  ``arrivals`` forwards release offsets (the
-    open-queue serving mode), ``backend`` forces one simulation backend
-    (:mod:`repro.core.backends`) — the serve-bench A/B switch —
-    ``admission`` applies an SLO-driven admission policy to the open
-    queue, and ``faults``/``retry`` inject a deterministic fault plan
-    (:mod:`repro.core.faults`).  The returned result is checked with
+    micro-measurements.  The other arguments go to ``run_many``.  The
+    returned result is checked with
     :func:`~repro.core.framework.check_invariants` (every repeat
     produces the same one), so a result that breaks one never reaches
     the JSON."""
     if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
     best = float("inf")
     result: NdftBatchResult | None = None
     for _ in range(repeats):
@@ -173,227 +210,156 @@ def measure_run_many(
     return best, result
 
 
-def dominant_lane(lane_utilization: dict) -> str | None:
-    """The most-utilized device/wire lane — the saturation suspect.
-    Ties break on the lane name so the verdict is deterministic;
-    ``None`` for an empty (fully shed) measurement."""
-    if not lane_utilization:
-        return None
-    return max(sorted(lane_utilization), key=lambda lane: lane_utilization[lane])
+def arrival_point(
+    rate: float,
+    seed: int | None,
+    wall: float,
+    result: NdftBatchResult | FleetResult,
+) -> dict:
+    """The open-queue point one measured result describes, a batch's
+    or a fleet's.  ``dominant_lane`` is the most-utilized lane (ties
+    break on the name; ``None`` when nothing ran).  With admission off
+    every submitted job counts as admitted — under faults too, where
+    ``result.n_jobs`` counts only the completed jobs.  A batch reports
+    the SLO-counted (post-shed) percentiles, which leave out deferred
+    jobs: their latency runs from the *deferred* release and would
+    deflate the curve where the backlog is worst."""
+    if isinstance(result, FleetResult):
+        admission = resilience = None
+        p50, p99 = result.p50_latency, result.p99_latency
+        admitted = result.n_jobs
+    else:
+        admission, resilience = result.admission, result.resilience
+        p50, p99 = result.slo_p50_latency, result.slo_p99_latency
+        admitted = result.n_jobs if resilience is None else resilience.submitted
+    lanes = dict(result.lane_utilization)
+    return {
+        "rate_jobs_per_second": rate,
+        "seed": seed,
+        "wall_seconds": wall,
+        "makespan_seconds": result.makespan,
+        "p50_latency_seconds": p50,
+        "p99_latency_seconds": p99,
+        "mean_queueing_delay_seconds": result.mean_queueing_delay,
+        "lane_utilization": lanes,
+        "dominant_lane": max(sorted(lanes), key=lanes.__getitem__, default=None),
+        "shed_rate": 0.0 if admission is None else admission.shed_rate,
+        "admitted": admitted if admission is None else admission.admitted,
+        "shed": 0 if admission is None else admission.shed,
+        "resilience": None if resilience is None else resilience.to_json_dict(),
+    }
 
 
-@dataclass(frozen=True)
-class ArrivalPoint:
-    """One open-queue measurement: the job mix released by a seeded
-    Poisson process at ``rate`` instead of all at t=0 — a serve-bench
-    point's companion run, or one offered-load point of the
-    latency-vs-load sweep.
-
-    ``lane_utilization`` is the per-device/per-wire busy fraction over
-    the busy span, and :attr:`dominant_lane` says *where* the load
-    goes; ``shed_rate``/``admitted``/``shed`` describe the admission
-    outcome (rate 0.0 and a full batch when admission is off).  Latency
-    percentiles are the SLO-counted (post-shed) ones when a policy ran:
-    identical to the executed-batch percentiles in ``shed`` mode,
-    excluding deferred jobs in ``deprioritize`` mode — a deferred job's
-    latency is measured from its *deferred* release, so folding it into
-    the tail would deflate the curve exactly where the backlog is
-    worst."""
-
-    rate: float
-    wall_seconds: float
-    makespan: float
-    p50_latency: float
-    p99_latency: float
-    mean_queueing_delay: float
-    lane_utilization: dict = None  # type: ignore[assignment]
-    shed_rate: float = 0.0
-    admitted: int | None = None
-    shed: int = 0
-    #: Resilience summary under fault injection (availability, goodput,
-    #: recovered/abandoned, post-fault percentiles); ``None`` when no
-    #: fault plan ran.
-    resilience: dict | None = None
-    #: The arrival process's seed.
-    seed: int | None = None
-
-    @classmethod
-    def from_result(
-        cls, rate: float, seed: int | None, wall: float, result: NdftBatchResult
-    ) -> "ArrivalPoint":
-        """The point one measured ``run_many`` result describes.  With
-        admission off every submitted job counts as admitted — under
-        faults too, where ``result.n_jobs`` counts only the completed
-        jobs, so abandoned ones would otherwise vanish."""
-        if result.admission is None:
-            shed_rate, shed = 0.0, 0
-            admitted = (
-                result.n_jobs
-                if result.resilience is None
-                else result.resilience.submitted
-            )
-        else:
-            report = result.admission
-            shed_rate, admitted, shed = report.shed_rate, report.admitted, report.shed
-        return cls(
-            rate=rate,
-            seed=seed,
-            wall_seconds=wall,
-            makespan=result.makespan,
-            p50_latency=result.slo_p50_latency,
-            p99_latency=result.slo_p99_latency,
-            mean_queueing_delay=result.mean_queueing_delay,
-            lane_utilization=dict(result.lane_utilization),
-            shed_rate=shed_rate,
-            admitted=admitted,
-            shed=shed,
-            resilience=(
-                None
-                if result.resilience is None
-                else result.resilience.to_json_dict()
-            ),
-        )
-
-    @property
-    def dominant_lane(self) -> str | None:
-        return dominant_lane(self.lane_utilization or {})
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rate_jobs_per_second": self.rate,
-            "seed": self.seed,
-            "wall_seconds": self.wall_seconds,
-            "makespan_seconds": self.makespan,
-            "p50_latency_seconds": self.p50_latency,
-            "p99_latency_seconds": self.p99_latency,
-            "mean_queueing_delay_seconds": self.mean_queueing_delay,
-            "lane_utilization": self.lane_utilization,
-            "dominant_lane": self.dominant_lane,
-            "shed_rate": self.shed_rate,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "resilience": self.resilience,
-        }
+def fleet_point(result: FleetResult) -> dict:
+    """The fleet breakdown of one sweep point: the sustained-serving
+    wall of ``rounds`` simulations, the router's load split and each
+    replica's share of the fleet busy span."""
+    return {
+        "replicas": result.n_replicas,
+        "rounds": result.rounds,
+        "wall_seconds": result.wall_seconds,
+        "jobs_per_second_wall": result.jobs_per_second_wall,
+        "virtual_throughput_jobs_per_second": result.throughput,
+        "imbalance_ratio": result.imbalance_ratio,
+        "replica_jobs": list(result.plan.replica_job_counts),
+        "replica_utilization": list(result.replica_utilization),
+        "merged_entries": result.merged_entries,
+    }
 
 
-@dataclass(frozen=True)
-class FleetPoint:
-    """The fleet (multi-process) breakdown of one sweep point.
-
-    Wall numbers are *sustained-serving* measurements: each serve call
-    repeats the identical simulation ``rounds`` times inside one
-    measured wall on a warm pool, so process start-up and dispatch
-    overhead amortize the way a long-running service amortizes them.
-    ``replica_jobs``/``replica_utilization`` are the router's load split
-    and each replica's share of the fleet busy span; virtual-time
-    numbers are bit-identical to a single-process run of the same
-    assignment."""
-
-    replicas: int
-    rounds: int
-    wall_seconds: float
-    jobs_per_second_wall: float
-    virtual_throughput: float
-    imbalance_ratio: float
-    replica_jobs: tuple[int, ...]
-    replica_utilization: tuple[float, ...]
-    merged_entries: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "replicas": self.replicas,
-            "rounds": self.rounds,
-            "wall_seconds": self.wall_seconds,
-            "jobs_per_second_wall": self.jobs_per_second_wall,
-            "virtual_throughput_jobs_per_second": self.virtual_throughput,
-            "imbalance_ratio": self.imbalance_ratio,
-            "replica_jobs": list(self.replica_jobs),
-            "replica_utilization": list(self.replica_utilization),
-            "merged_entries": self.merged_entries,
-        }
-
-
-@dataclass(frozen=True)
-class ServePoint:
-    """One sweep point: a batch of ``batch_size`` mixed-size jobs."""
-
-    batch_size: int
-    n_distinct: int
-    wall_seconds_cached: float
-    #: ``None`` when the uncached baseline was skipped (``--no-cache``
-    #: runs only the baseline, cached-only sweeps skip the comparison).
-    wall_seconds_uncached: float | None
-    makespan: float
-    simulated_throughput: float
-    results_identical: bool | None
-    #: Open-queue companion measurement (``None`` when disabled).
-    arrival: ArrivalPoint | None = None
-    #: Jobs per simulation backend in the reference run — the
-    #: per-backend breakdown of who actually timed the batch.
-    backend_jobs: dict | None = None
-    #: Wall seconds per simulation backend in the reference run (see
-    #: :attr:`repro.core.executor.BatchExecutionReport.backend_wall_seconds`)
-    #: — where the simulator's own time went.
-    backend_wall_seconds: dict | None = None
-    #: Multi-process breakdown (``serve-bench --replicas N``); ``None``
-    #: for single-process sweeps.
-    fleet: FleetPoint | None = None
-
-    @property
-    def jobs_per_second_cached(self) -> float:
-        return self.batch_size / self.wall_seconds_cached
-
-    @property
-    def jobs_per_second_uncached(self) -> float | None:
-        if self.wall_seconds_uncached is None:
-            return None
-        return self.batch_size / self.wall_seconds_uncached
-
-    @property
-    def wall_speedup(self) -> float | None:
-        """Fast-path gain: uncached wall time over cached wall time."""
-        if self.wall_seconds_uncached is None:
-            return None
-        return self.wall_seconds_uncached / self.wall_seconds_cached
+def serve_point(
+    sizes: list[int],
+    wall: float,
+    wall_uncached: float | None,
+    reference: NdftBatchResult | FleetResult,
+    identical: bool | None,
+    arrival: dict | None,
+) -> dict:
+    """One sweep point: ``sizes`` served closed in ``wall`` seconds
+    (per round for a fleet), the uncached baseline's wall, the result
+    the virtual-time columns come from, whether the cached and uncached
+    results matched, and the open-queue point."""
+    if isinstance(reference, FleetResult):
+        backend_jobs, backend_wall = reference.backend_jobs, None
+        fleet = fleet_point(reference)
+    else:
+        report, fleet = reference.batch_report, None
+        backend_jobs = dict(report.backend_jobs)
+        backend_wall = dict(report.backend_wall_seconds)
+    n = len(sizes)
+    return {
+        "batch_size": n,
+        "n_distinct_signatures": len(set(sizes)),
+        "wall_seconds_cached": wall,
+        "jobs_per_second_cached": n / wall,
+        "wall_seconds_uncached": wall_uncached,
+        "jobs_per_second_uncached": (
+            None if wall_uncached is None else n / wall_uncached
+        ),
+        "wall_speedup": None if wall_uncached is None else wall_uncached / wall,
+        "makespan_seconds": reference.makespan,
+        "simulated_throughput_jobs_per_second": reference.throughput,
+        "results_identical": identical,
+        "backend_jobs": backend_jobs,
+        "backend_wall_seconds": backend_wall,
+        "fleet": fleet,
+        "arrival": arrival,
+    }
 
 
-@dataclass(frozen=True)
-class ArrivalSweep:
-    """Latency vs offered load over a rate grid, plus the saturation
-    knee: the lowest swept rate whose p99 latency exceeds
-    :data:`KNEE_LATENCY_FACTOR` times the baseline p99 — the lowest
-    swept rate with a *positive* p99, so a degenerate 0.0 baseline
-    cannot declare every later point a knee (``None`` while every point
-    stays under it).  ``knee_dominant_lane`` is the most-utilized lane
-    at the knee point — which device or wire the knee comes from — and
-    what the CI trend gate pins (a silently changed bottleneck class is
-    a modeling regression even when the latencies still pass)."""
+def serve_report(
+    mix: Sequence[int],
+    repeats: int,
+    points: list[dict],
+    fast_path: bool = True,
+    replicas: int = 1,
+    backend: str | None = None,
+    admission: AdmissionPolicy | None = None,
+    faults: FaultPlan | None = None,
+    retry: RetryPolicy | None = None,
+    arrival_sweep: dict | None = None,
+) -> dict:
+    """The whole sweep.  The admission policy, the fault plan and the
+    replica count are recorded so trend comparisons refuse to mix files
+    measured under different ones."""
+    return {
+        "benchmark": "scale_serving",
+        "unit": "wall-clock seconds per run_many call (best of repeats)",
+        "fast_path": fast_path,
+        "replicas": replicas,
+        "backend": backend,
+        "admission": None if admission is None else admission.to_json_dict(),
+        "faults": (
+            None
+            if faults is None
+            else {
+                "plan": faults.to_json_dict(),
+                "retry": (retry or RetryPolicy()).to_json_dict(),
+            }
+        ),
+        "metadata": host_metadata(),
+        "mix": list(mix),
+        "repeats": repeats,
+        "points": points,
+        "arrival_sweep": arrival_sweep,
+    }
 
-    batch_size: int
-    seed: int
-    points: tuple[ArrivalPoint, ...]
-    knee_rate: float | None
-    knee_dominant_lane: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "knee_latency_factor": KNEE_LATENCY_FACTOR,
-            "knee_rate_jobs_per_second": self.knee_rate,
-            "knee_dominant_lane": self.knee_dominant_lane,
-            "points": [p.to_json_dict() for p in self.points],
-        }
+def write_json(report: dict, path: Path | str = BENCH_JSON_PATH) -> Path:
+    """Write ``report`` as indented JSON; returns the path."""
+    path = Path(path)
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    return path
 
 
 def find_saturation_knee(
-    points: Sequence[ArrivalPoint],
+    points: Sequence[dict],
     factor: float = KNEE_LATENCY_FACTOR,
 ) -> float | None:
     """The lowest swept rate whose p99 latency exceeds ``factor`` times
     the baseline p99 — the point the latency-vs-load curve turns the
     corner.  ``None`` when no point exceeds it (the sweep never reached
-    saturation).
+    saturation).  ``points`` are :func:`arrival_point` dicts.
 
     The baseline is the lowest-rate point with a *positive* p99.  A
     0.0 baseline (a degenerate sweep where the lowest-rate batch saw no
@@ -401,18 +367,33 @@ def find_saturation_knee(
     aggressive admission policy) used to make ``factor * baseline == 0``
     and every later point "knee"; such points now merely advance the
     baseline search, and a sweep whose every p99 is 0.0 has no knee."""
-    if not points:
-        return None
-    ordered = sorted(points, key=lambda p: p.rate)
+    ordered = sorted(points, key=lambda p: p["rate_jobs_per_second"])
     baseline = next(
-        (p.p99_latency for p in ordered if p.p99_latency > 0.0), None
+        (
+            p["p99_latency_seconds"]
+            for p in ordered
+            if p["p99_latency_seconds"] > 0.0
+        ),
+        None,
     )
     if baseline is None:
         return None
     for point in ordered:
-        if point.p99_latency > factor * baseline:
-            return point.rate
+        if point["p99_latency_seconds"] > factor * baseline:
+            return point["rate_jobs_per_second"]
     return None
+
+
+def _open_point(
+    sizes: list[int], rate: float, seed: int, repeats: int, memoize: bool, **options
+) -> dict:
+    """Measure ``sizes`` released by a seeded Poisson process at ``rate``
+    (``options`` go to :func:`measure_run_many`)."""
+    offsets = poisson_arrivals(len(sizes), rate, seed=seed)
+    wall, result = measure_run_many(
+        sizes, memoize, repeats, arrivals=offsets, **options
+    )
+    return arrival_point(rate, seed, wall, result)
 
 
 def run_arrival_sweep(
@@ -426,144 +407,33 @@ def run_arrival_sweep(
     admission: AdmissionPolicy | None = None,
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
-) -> ArrivalSweep:
+) -> dict:
     """Sweep offered load over ``rates``: the same ``batch_size``-job mix
-    released by a seeded Poisson process at each rate, recording the
-    latency-vs-load curve (with per-lane utilization and, under
-    ``admission``, the shed rate per point) and the saturation knee
-    with its dominant lane.  ``faults``/``retry`` inject the same
-    deterministic fault plan at every rate (availability and goodput
-    land in each point's ``resilience`` record)."""
-    if not rates:
-        raise ValueError("arrival sweep needs at least one rate")
-    if any(rate <= 0 for rate in rates):
-        raise ValueError(f"arrival rates must be positive, got {rates!r}")
+    released by a seeded Poisson process at each rate, under the same
+    admission policy and fault plan, recording the latency-vs-load
+    curve and the saturation knee (:func:`find_saturation_knee`).
+    ``knee_dominant_lane`` is the most-utilized lane at the knee — the
+    device or wire the knee comes from — which the CI trend gate pins:
+    a silently changed bottleneck is a modeling regression even when
+    the latencies still pass."""
+    rates = _sweep_rates(rates)
     sizes = job_mix(batch_size, mix)
-    points = []
-    for rate in sorted(rates):
-        offsets = poisson_arrivals(len(sizes), rate, seed=seed)
-        wall, result = measure_run_many(
-            sizes,
-            memoize=memoize,
-            repeats=repeats,
-            arrivals=offsets,
-            backend=backend,
-            admission=admission,
-            faults=faults,
-            retry=retry,
-        )
-        points.append(ArrivalPoint.from_result(rate, seed, wall, result))
-    knee_rate = find_saturation_knee(points)
-    knee_dominant = None
-    if knee_rate is not None:
-        knee_dominant = next(
-            point.dominant_lane
-            for point in points
-            if point.rate == knee_rate
-        )
-    return ArrivalSweep(
-        batch_size=batch_size,
-        seed=seed,
-        points=tuple(points),
-        knee_rate=knee_rate,
-        knee_dominant_lane=knee_dominant,
-    )
-
-
-@dataclass(frozen=True)
-class ServeBenchReport:
-    """The whole sweep, ready to print or serialize."""
-
-    mix: tuple[int, ...]
-    repeats: int
-    points: tuple[ServePoint, ...]
-    #: False for a ``--no-cache`` sweep: the "cached" columns then hold
-    #: baseline numbers, and trend comparisons must not consume them.
-    fast_path: bool = True
-    #: Forced simulation backend (``None`` = registry auto-selection).
-    backend: str | None = None
-    #: Latency-vs-load sweep (``--arrival-sweep``), when requested.
-    arrival_sweep: ArrivalSweep | None = None
-    #: Admission policy applied to every open-queue measurement
-    #: (``None`` = admission off; recorded so trend comparisons refuse
-    #: mixing files measured under different policies).
-    admission: AdmissionPolicy | None = None
-    #: Fault plan injected into every open-queue measurement (``None`` =
-    #: faults off; recorded — with its retry policy — so trend
-    #: comparisons refuse mixing files measured under different plans).
-    faults: FaultPlan | None = None
-    retry: RetryPolicy | None = None
-    #: Worker-process replica count the sweep was measured with
-    #: (``serve-bench --replicas N``); 1 = the classic single-process
-    #: sweep.  Recorded so trend comparisons refuse mixing fleet sizes.
-    replicas: int = 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "benchmark": "scale_serving",
-            "unit": "wall-clock seconds per run_many call (best of repeats)",
-            "fast_path": self.fast_path,
-            "replicas": self.replicas,
-            "backend": self.backend,
-            "admission": (
-                None if self.admission is None else self.admission.to_json_dict()
-            ),
-            "faults": (
-                None
-                if self.faults is None
-                else {
-                    "plan": self.faults.to_json_dict(),
-                    "retry": (self.retry or RetryPolicy()).to_json_dict(),
-                }
-            ),
-            "metadata": host_metadata(),
-            "mix": list(self.mix),
-            "repeats": self.repeats,
-            "points": [
-                {
-                    "batch_size": p.batch_size,
-                    "n_distinct_signatures": p.n_distinct,
-                    "wall_seconds_cached": p.wall_seconds_cached,
-                    "jobs_per_second_cached": p.jobs_per_second_cached,
-                    "wall_seconds_uncached": p.wall_seconds_uncached,
-                    "jobs_per_second_uncached": p.jobs_per_second_uncached,
-                    "wall_speedup": p.wall_speedup,
-                    "makespan_seconds": p.makespan,
-                    "simulated_throughput_jobs_per_second": p.simulated_throughput,
-                    "results_identical": p.results_identical,
-                    "backend_jobs": p.backend_jobs,
-                    "backend_wall_seconds": p.backend_wall_seconds,
-                    "fleet": (
-                        None if p.fleet is None else p.fleet.to_json_dict()
-                    ),
-                    "arrival": (
-                        None if p.arrival is None else p.arrival.to_json_dict()
-                    ),
-                }
-                for p in self.points
-            ],
-            "arrival_sweep": (
-                None
-                if self.arrival_sweep is None
-                else self.arrival_sweep.to_json_dict()
-            ),
-        }
-
-    def write_json(self, path: Path | str = BENCH_JSON_PATH) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
-        return path
-
-
-def _batch_results_equal(a: NdftBatchResult, b: NdftBatchResult) -> bool:
-    """Full-value equality of two batch results: makespan, solo times and
-    every per-job result (exact floats, no tolerance).  The per-job
-    views compare column by column, building no per-job object."""
-    return (
-        a.makespan == b.makespan
-        and a.solo_times == b.solo_times
-        and a.jobs == b.jobs
-    )
+    options = dict(backend=backend, admission=admission, faults=faults, retry=retry)
+    points = [
+        _open_point(sizes, rate, seed, repeats, memoize, **options) for rate in rates
+    ]
+    knee = find_saturation_knee(points)
+    return {
+        "batch_size": batch_size,
+        "seed": seed,
+        "knee_latency_factor": KNEE_LATENCY_FACTOR,
+        "knee_rate_jobs_per_second": knee,
+        "knee_dominant_lane": next(
+            (p["dominant_lane"] for p in points if p["rate_jobs_per_second"] == knee),
+            None,
+        ),
+        "points": points,
+    }
 
 
 def run_serve_bench(
@@ -579,127 +449,62 @@ def run_serve_bench(
     admission: AdmissionPolicy | None = None,
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
-) -> ServeBenchReport:
-    """Run the sweep.
+) -> dict:
+    """Run the sweep and return its report (:func:`serve_report`).
 
-    ``cached=False`` is the escape hatch (CLI ``--no-cache``): measure
-    only the memoization-free baseline.  With ``cached=True`` and
-    ``compare_uncached=True`` (the default) each point measures both
-    paths and verifies their results are identical.
-
-    ``arrival_rate`` additionally measures each point as an open queue —
-    the same mix released by a seeded Poisson process — and records the
-    p50/p99 completion latency, mean queueing delay, per-lane
-    utilization and admission outcome (``None`` or ``<= 0`` disables
-    the extra run).
-
-    ``backend`` forces one registered simulation backend for every
-    measured batch — the A/B switch for replay-vs-engine comparisons
-    (``serve-bench --backend engine``).  ``arrival_sweep_rates``
-    additionally runs the latency-vs-load sweep
-    (:func:`run_arrival_sweep`) over those offered loads and records it
-    (with its saturation knee and the knee's dominant lane) in the
-    report.  ``admission`` applies an SLO-driven admission policy to
-    every open-queue measurement (the closed t=0 batches are never
-    subject to admission) and is recorded in the report so trend
-    comparisons can refuse mixed-policy files.
-
-    ``faults``/``retry`` inject a deterministic fault plan
-    (:mod:`repro.core.faults`) into every *open-queue* measurement —
-    like admission, the closed t=0 wall-clock points measure the
-    healthy fast path — and record availability/goodput per point plus
-    the plan descriptor at the report's top level, which
-    ``bench_compare`` uses to refuse cross-fault-plan trending.
-    """
+    ``cached=False`` (CLI ``--no-cache``) measures only the
+    memoization-free baseline; otherwise each point up to
+    :data:`UNCACHED_COMPARE_MAX` jobs measures both paths (unless
+    ``compare_uncached`` is off) and checks their results are identical
+    to the last float.  ``arrival_rate`` (``None`` or ``<= 0``: off)
+    measures each point once more as an open queue, and
+    ``arrival_sweep_rates`` adds the latency-vs-load sweep
+    (:func:`run_arrival_sweep`).  ``backend`` forces one simulation
+    backend for every measurement.  ``admission`` and ``faults``/
+    ``retry`` apply to the open-queue measurements only: the closed t=0
+    points measure the healthy fast path.  Every input is checked
+    before the first measurement."""
+    batches = _checked_batches(batch_sizes, mix, arrival_rate, arrival_sweep_rates)
+    options = dict(backend=backend, admission=admission, faults=faults, retry=retry)
     points = []
-    for batch_size in batch_sizes:
-        sizes = job_mix(batch_size, mix)
-        n_distinct = len(set(sizes))
-        uncached_wall = uncached_result = None
-        compare_here = compare_uncached and batch_size <= UNCACHED_COMPARE_MAX
-        if not cached or compare_here:
-            uncached_wall, uncached_result = measure_run_many(
-                sizes, memoize=False, repeats=repeats, backend=backend
+    for sizes in batches:
+        uncached_wall = uncached = identical = arrival = None
+        if not cached or (compare_uncached and len(sizes) <= UNCACHED_COMPARE_MAX):
+            uncached_wall, uncached = measure_run_many(
+                sizes, False, repeats, backend=backend
             )
-        if cached:
-            cached_wall, cached_result = measure_run_many(
-                sizes, memoize=True, repeats=repeats, backend=backend
-            )
-            identical = (
-                _batch_results_equal(cached_result, uncached_result)
-                if uncached_result is not None
-                else None
-            )
-            reference = cached_result
+        if not cached:  # baseline only: report it as the main column
+            wall, reference, uncached_wall = uncached_wall, uncached, None
         else:
-            assert uncached_wall is not None and uncached_result is not None
-            cached_wall, identical, reference = uncached_wall, None, uncached_result
-            uncached_wall = None  # baseline-only: report it as the main column
-        arrival = None
+            wall, reference = measure_run_many(sizes, True, repeats, backend=backend)
+            if uncached is not None:
+                # Exact floats; the per-job views compare column by
+                # column, building no per-job object.
+                identical = (
+                    reference.makespan == uncached.makespan
+                    and reference.solo_times == uncached.solo_times
+                    and reference.jobs == uncached.jobs
+                )
         if arrival_rate is not None and arrival_rate > 0:
-            offsets = poisson_arrivals(
-                len(sizes), arrival_rate, seed=arrival_seed
-            )
-            arrival_wall, arrival_result = measure_run_many(
-                sizes,
-                memoize=cached,
-                repeats=repeats,
-                arrivals=offsets,
-                backend=backend,
-                admission=admission,
-                faults=faults,
-                retry=retry,
-            )
-            arrival = ArrivalPoint.from_result(
-                arrival_rate, arrival_seed, arrival_wall, arrival_result
+            arrival = _open_point(
+                sizes, arrival_rate, arrival_seed, repeats, cached, **options
             )
         points.append(
-            ServePoint(
-                batch_size=batch_size,
-                n_distinct=n_distinct,
-                wall_seconds_cached=cached_wall,
-                wall_seconds_uncached=uncached_wall,
-                makespan=reference.makespan,
-                simulated_throughput=reference.throughput,
-                results_identical=identical,
-                arrival=arrival,
-                backend_jobs=dict(reference.batch_report.backend_jobs),
-                backend_wall_seconds=dict(
-                    reference.batch_report.backend_wall_seconds
-                ),
-            )
+            serve_point(sizes, wall, uncached_wall, reference, identical, arrival)
         )
-    arrival_sweep = None
+    sweep = None
     if arrival_sweep_rates:
-        arrival_sweep = run_arrival_sweep(
-            rates=tuple(arrival_sweep_rates),
+        sweep = run_arrival_sweep(
+            arrival_sweep_rates,
             mix=mix,
             repeats=repeats,
             seed=arrival_seed,
             memoize=cached,
-            backend=backend,
-            admission=admission,
-            faults=faults,
-            retry=retry,
+            **options,
         )
-    return ServeBenchReport(
-        mix=tuple(mix),
-        repeats=repeats,
-        points=tuple(points),
-        fast_path=cached,
-        backend=backend,
-        arrival_sweep=arrival_sweep,
-        admission=admission,
-        faults=faults,
-        retry=retry,
+    return serve_report(
+        mix, repeats, points, fast_path=cached, arrival_sweep=sweep, **options
     )
-
-
-#: Identical simulations per fleet serve call (sustained-serving
-#: measurement): enough rounds that per-call routing/dispatch overhead
-#: amortizes the way a long-running service amortizes it, few enough
-#: that the smoke sweeps stay quick.
-DEFAULT_FLEET_ROUNDS = 8
 
 
 def _measure_fleet(
@@ -713,12 +518,14 @@ def _measure_fleet(
     """Best-of-``repeats`` fleet serve on a warm pool (the caller pays
     the pool's one-time warm-up first).  Virtual-time results are
     identical every repeat — only the measured wall varies — so the
-    returned result is simply the fastest repeat's."""
+    returned result is simply the fastest repeat's.  Every result is
+    checked with :func:`~repro.fleet.check_fleet_invariants`."""
     best: FleetResult | None = None
     for _ in range(repeats):
         result = pool.serve(
             sizes, arrivals=arrivals, backend=backend, rounds=rounds
         )
+        check_fleet_invariants(result)
         if best is None or result.wall_seconds < best.wall_seconds:
             best = result
     assert best is not None
@@ -734,33 +541,28 @@ def run_fleet_bench(
     arrival_seed: int = 0,
     backend: str | None = None,
     rounds: int = DEFAULT_FLEET_ROUNDS,
-) -> ServeBenchReport:
+) -> dict:
     """The fleet (multi-process) sweep behind ``serve-bench --replicas``.
 
-    Each point serves the same round-robin mix through a
-    :class:`~repro.fleet.WorkerPool` of ``replicas`` worker processes:
-    the deterministic router splits the stream, workers start warm from
-    the shared cache snapshot, and the measured wall is sustained
-    serving (``rounds`` identical simulations per call, best of
-    ``repeats`` calls on a warm pool — the first serve, which pays
-    process start-up and cold derivation, is a discarded warm-up).
-    The classic single-process columns are reused so the trend gates
-    apply unchanged: ``wall_seconds_cached`` is the per-round fleet
-    wall, hence ``jobs_per_second_cached`` is the sustained aggregate
-    fleet throughput; the uncached comparison is skipped (fleet workers
-    are warm by construction — that is the point) and the per-point
-    ``fleet`` record carries the replica breakdown.  The open-queue
-    measurement feeds the whole fleet from one Poisson stream and
-    reports fleet-wide p50/p99.
-    """
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    Each point serves the mix through a :class:`~repro.fleet.WorkerPool`
+    of ``replicas`` worker processes, warm from the shared snapshot.
+    The measured wall is sustained serving: ``rounds`` identical
+    simulations per call, best of ``repeats`` calls, after a discarded
+    warm-up serve that pays process start-up and cold derivation.  The
+    single-process columns carry the fleet so the trend gates apply
+    unchanged: ``wall_seconds_cached`` is the per-round fleet wall, and
+    the uncached comparison is skipped (the workers are warm by
+    construction).  The open queue feeds the whole fleet from one
+    Poisson stream; its queueing delays run against the router's solo
+    estimates."""
+    for name, value in (
+        ("replicas", replicas), ("rounds", rounds), ("repeats", repeats)
+    ):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+    batches = _checked_batches(batch_sizes, mix, arrival_rate)
     points = []
-    for batch_size in batch_sizes:
-        sizes = job_mix(batch_size, mix)
-        n_distinct = len(set(sizes))
+    for sizes in batches:
         with WorkerPool(replicas) as pool:
             pool.serve(sizes)  # warm-up: spawn + derivation + snapshot
             closed = _measure_fleet(
@@ -768,9 +570,7 @@ def run_fleet_bench(
             )
             arrival = None
             if arrival_rate is not None and arrival_rate > 0:
-                offsets = poisson_arrivals(
-                    len(sizes), arrival_rate, seed=arrival_seed
-                )
+                offsets = poisson_arrivals(len(sizes), arrival_rate, seed=arrival_seed)
                 open_result = _measure_fleet(
                     pool,
                     sizes,
@@ -779,72 +579,33 @@ def run_fleet_bench(
                     arrivals=offsets,
                     backend=backend,
                 )
-                solo_times, _lanes = pool.framework.job_estimates(sizes)
-                delays = queueing_delays(
-                    open_result.completion_latencies,
-                    solo_times,
-                    open_result.arrivals,
+                arrival = arrival_point(
+                    arrival_rate,
+                    arrival_seed,
+                    open_result.wall_seconds / rounds,
+                    open_result,
                 )
-                arrival = ArrivalPoint(
-                    rate=arrival_rate,
-                    seed=arrival_seed,
-                    wall_seconds=open_result.wall_seconds / rounds,
-                    makespan=open_result.makespan,
-                    p50_latency=open_result.p50_latency,
-                    p99_latency=open_result.p99_latency,
-                    mean_queueing_delay=sum(delays) / len(delays),
-                    lane_utilization=dict(open_result.lane_utilization),
-                    admitted=open_result.n_jobs,
-                )
-        points.append(
-            ServePoint(
-                batch_size=batch_size,
-                n_distinct=n_distinct,
-                wall_seconds_cached=closed.wall_seconds / rounds,
-                wall_seconds_uncached=None,
-                makespan=closed.makespan,
-                simulated_throughput=closed.throughput,
-                results_identical=None,
-                arrival=arrival,
-                backend_jobs=dict(closed.backend_jobs),
-                backend_wall_seconds=None,
-                fleet=FleetPoint(
-                    replicas=replicas,
-                    rounds=rounds,
-                    wall_seconds=closed.wall_seconds,
-                    jobs_per_second_wall=closed.jobs_per_second_wall,
-                    virtual_throughput=closed.throughput,
-                    imbalance_ratio=closed.imbalance_ratio,
-                    replica_jobs=closed.plan.replica_job_counts,
-                    replica_utilization=closed.replica_utilization,
-                    merged_entries=closed.merged_entries,
-                ),
-            )
-        )
-    return ServeBenchReport(
-        mix=tuple(mix),
-        repeats=repeats,
-        points=tuple(points),
-        fast_path=True,
-        backend=backend,
-        replicas=replicas,
-    )
+        wall = closed.wall_seconds / rounds
+        points.append(serve_point(sizes, wall, None, closed, None, arrival))
+    return serve_report(mix, repeats, points, replicas=replicas, backend=backend)
 
 
-def format_serve_bench(report: ServeBenchReport, cached: bool = True) -> str:
-    mode = "fast path (memoized)" if cached else "baseline (--no-cache)"
+def format_serve_bench(report: dict) -> str:
+    """The console summary of a serve-bench report (the JSON dict)."""
+    mode = "fast path (memoized)" if report["fast_path"] else "baseline (--no-cache)"
     lines = [
         f"Scale serving - wall-clock simulator throughput, {mode}",
-        f"job mix: {', '.join(f'Si_{n}' for n in report.mix)} (round-robin), "
-        f"best of {report.repeats}",
+        f"job mix: {', '.join(f'Si_{n}' for n in report['mix'])} (round-robin), "
+        f"best of {report['repeats']}",
     ]
-    if report.backend is not None:
-        lines.append(f"forced simulation backend: {report.backend}")
-    fleet_points = [p for p in report.points if p.fleet is not None]
-    if report.replicas != 1 or fleet_points:
-        rounds = fleet_points[0].fleet.rounds if fleet_points else 1
+    if report["backend"] is not None:
+        lines.append(f"forced simulation backend: {report['backend']}")
+    points = report["points"]
+    fleet_points = [p for p in points if p["fleet"] is not None]
+    if report["replicas"] != 1 or fleet_points:
+        rounds = fleet_points[0]["fleet"]["rounds"] if fleet_points else 1
         lines.append(
-            f"fleet: {report.replicas} worker replicas, sustained over "
+            f"fleet: {report['replicas']} worker replicas, sustained over "
             f"{rounds} rounds per measurement (warm pool, shared snapshot)"
         )
     lines.append(
@@ -852,31 +613,18 @@ def format_serve_bench(report: ServeBenchReport, cached: bool = True) -> str:
         f"{'no-cache (s)':>13s} {'speedup':>8s} {'identical':>10s} "
         f"{'backends':>20s}"
     )
-    for p in report.points:
-        uncached = (
-            f"{p.wall_seconds_uncached:13.4f}"
-            if p.wall_seconds_uncached is not None
-            else f"{'-':>13s}"
-        )
-        speedup = (
-            f"{p.wall_speedup:7.2f}x" if p.wall_speedup is not None else f"{'-':>8s}"
-        )
-        identical = (
-            {True: "yes", False: "NO"}[p.results_identical]
-            if p.results_identical is not None
-            else "-"
-        )
-        backends = (
-            "-"
-            if not p.backend_jobs
-            else ",".join(
-                f"{name}:{count}" for name, count in sorted(p.backend_jobs.items())
-            )
+    for p in points:
+        uncached, speedup = p["wall_seconds_uncached"], p["wall_speedup"]
+        identical = {True: "yes", False: "NO", None: "-"}[p["results_identical"]]
+        backends = ",".join(
+            f"{name}:{count}" for name, count in sorted(p["backend_jobs"].items())
         )
         lines.append(
-            f"{p.batch_size:6d} {p.wall_seconds_cached:10.4f} "
-            f"{p.jobs_per_second_cached:10.1f} {uncached} {speedup} "
-            f"{identical:>10s} {backends:>20s}"
+            f"{p['batch_size']:6d} {p['wall_seconds_cached']:10.4f} "
+            f"{p['jobs_per_second_cached']:10.1f} "
+            + (f"{'-':>13s}" if uncached is None else f"{uncached:13.4f}")
+            + (f" {'-':>8s}" if speedup is None else f" {speedup:7.2f}x")
+            + f" {identical:>10s} {backends or '-':>20s}"
         )
     if fleet_points:
         lines.append("\nfleet breakdown (closed batches):")
@@ -885,59 +633,55 @@ def format_serve_bench(report: ServeBenchReport, cached: bool = True) -> str:
             f"{'imbalance':>10s} {'replica jobs':>20s} {'merged':>7s}"
         )
         for p in fleet_points:
-            f = p.fleet
-            split = "/".join(str(count) for count in f.replica_jobs)
+            f = p["fleet"]
+            split = "/".join(str(count) for count in f["replica_jobs"])
             lines.append(
-                f"{p.batch_size:6d} {f.jobs_per_second_wall:12.1f} "
-                f"{f.virtual_throughput:15.1f} {f.imbalance_ratio:9.3f} "
-                f"{split:>20s} {f.merged_entries:7d}"
+                f"{p['batch_size']:6d} {f['jobs_per_second_wall']:12.1f} "
+                f"{f['virtual_throughput_jobs_per_second']:15.1f} "
+                f"{f['imbalance_ratio']:9.3f} {split:>20s} "
+                f"{f['merged_entries']:7d}"
             )
-    arrivals = [p for p in report.points if p.arrival is not None]
+    arrivals = [p for p in points if p["arrival"] is not None]
     if arrivals:
-        rate = arrivals[0].arrival.rate
+        first = arrivals[0]["arrival"]
         lines.append(
-            f"\nopen queue (Poisson arrivals at {rate:g} jobs/s, "
-            f"seed {arrivals[0].arrival.seed}):"
+            f"\nopen queue (Poisson arrivals at {first['rate_jobs_per_second']:g} "
+            f"jobs/s, seed {first['seed']}):"
         )
-        if report.admission is not None:
-            policy = report.admission
+        policy = report["admission"]
+        if policy is not None:
             criteria = []
-            if policy.slo_p99 is not None:
-                criteria.append(f"slo_p99 {policy.slo_p99:g} s")
-            if policy.max_queue_depth is not None:
-                criteria.append(f"max_queue_depth {policy.max_queue_depth}")
-            lines.append(
-                f"admission: {policy.mode} past {', '.join(criteria)}"
-            )
-        checkpointing = False
-        if report.faults is not None:
-            plan = report.faults
-            retry = report.retry or RetryPolicy()
-            checkpointing = retry.checkpoint
+            if policy["slo_p99"] is not None:
+                criteria.append(f"slo_p99 {policy['slo_p99']:g} s")
+            if policy["max_queue_depth"] is not None:
+                criteria.append(f"max_queue_depth {policy['max_queue_depth']}")
+            lines.append(f"admission: {policy['mode']} past {', '.join(criteria)}")
+        faults = report["faults"]
+        checkpointing = faults is not None and faults["retry"]["checkpoint"]
+        if faults is not None:
+            plan, retry = faults["plan"], faults["retry"]
             shapes = [
-                f"{len(plan.outages)} outage window(s)",
-                f"{len(plan.permanent)} permanent failure(s)",
+                f"{plan['n_outages']} outage window(s)",
+                f"{plan['n_permanent']} permanent failure(s)",
             ]
-            if plan.slowdowns:
+            if plan["n_slowdowns"]:
                 shapes.append(
-                    f"{len(plan.slowdowns)} slowdown window(s) "
-                    f"({', '.join(sorted(plan.slowdown_lanes()))})"
+                    f"{plan['n_slowdowns']} slowdown window(s) "
+                    f"({', '.join(plan['slowdown_lanes'])})"
                 )
             drawn = "".join(
-                f"{helper} seed {dict(params)['seed']}, "
-                for helper, params in plan.provenance
+                f"{record['helper']} seed {record['seed']}, "
+                for record in plan["provenance"]
             )
             lines.append(
                 f"faults: {', '.join(shapes)} on "
-                f"{', '.join(sorted(plan.lanes)) or 'no lanes'} "
-                f"({drawn}digest {plan.digest()}); retry up to "
-                f"{retry.max_attempts} attempts, backoff "
-                f"{retry.backoff_base:g}s x{retry.backoff_factor:g}"
+                f"{', '.join(plan['lanes']) or 'no lanes'} "
+                f"({drawn}digest {plan['digest']}); retry up to "
+                f"{retry['max_attempts']} attempts, backoff "
+                f"{retry['backoff_base']:g}s x{retry['backoff_factor']:g}"
                 + (", checkpoint/resume on" if checkpointing else "")
             )
-        fault_cols = (
-            "" if report.faults is None else f" {'avail':>6s} {'goodput':>9s}"
-        )
+        fault_cols = "" if faults is None else f" {'avail':>6s} {'goodput':>9s}"
         if checkpointing:
             fault_cols += f" {'resumed':>8s} {'saved (s)':>10s}"
         lines.append(
@@ -946,57 +690,61 @@ def format_serve_bench(report: ServeBenchReport, cached: bool = True) -> str:
             + fault_cols
         )
         for p in arrivals:
-            a = p.arrival
-            fault_cells = ""
-            if a.resilience is not None:
+            a, fault_cells = p["arrival"], ""
+            resilience = a["resilience"]
+            if resilience is not None:
                 fault_cells = (
-                    f" {a.resilience['availability']:5.0%} "
-                    f"{a.resilience['goodput']:9.1f}"
+                    f" {resilience['availability']:5.0%} "
+                    f"{resilience['goodput']:9.1f}"
                 )
                 if checkpointing:
                     fault_cells += (
-                        f" {a.resilience['resumed_stages']:8d} "
-                        f"{a.resilience['work_saved_seconds']:10.4f}"
+                        f" {resilience['resumed_stages']:8d} "
+                        f"{resilience['work_saved_seconds']:10.4f}"
                     )
             lines.append(
-                f"{p.batch_size:6d} {a.wall_seconds:10.4f} "
-                f"{a.p50_latency:12.4f} {a.p99_latency:12.4f} "
-                f"{a.mean_queueing_delay:12.4f} {a.shed_rate:5.0%}"
+                f"{p['batch_size']:6d} {a['wall_seconds']:10.4f} "
+                f"{a['p50_latency_seconds']:12.4f} "
+                f"{a['p99_latency_seconds']:12.4f} "
+                f"{a['mean_queueing_delay_seconds']:12.4f} {a['shed_rate']:5.0%}"
                 + fault_cells
             )
-    sweep = report.arrival_sweep
+    sweep = report["arrival_sweep"]
     if sweep is not None:
         lines.append(
-            f"\nlatency vs offered load ({sweep.batch_size} jobs, "
-            f"seed {sweep.seed}):"
+            f"\nlatency vs offered load ({sweep['batch_size']} jobs, "
+            f"seed {sweep['seed']}):"
         )
         lines.append(
             f"{'rate':>6s} {'p50 lat (s)':>12s} {'p99 lat (s)':>12s} "
             f"{'queue delay':>12s} {'makespan (s)':>13s} {'shed':>6s} "
             f"{'busiest lane':>18s}"
         )
-        for point in sweep.points:
-            busiest = point.dominant_lane
+        for point in sweep["points"]:
+            busiest = point["dominant_lane"]
             utilization = (
                 "-"
                 if busiest is None
-                else f"{busiest} {point.lane_utilization[busiest]:.0%}"
+                else f"{busiest} {point['lane_utilization'][busiest]:.0%}"
             )
             lines.append(
-                f"{point.rate:6.2f} {point.p50_latency:12.4f} "
-                f"{point.p99_latency:12.4f} "
-                f"{point.mean_queueing_delay:12.4f} {point.makespan:13.3f} "
-                f"{point.shed_rate:5.0%} {utilization:>18s}"
+                f"{point['rate_jobs_per_second']:6.2f} "
+                f"{point['p50_latency_seconds']:12.4f} "
+                f"{point['p99_latency_seconds']:12.4f} "
+                f"{point['mean_queueing_delay_seconds']:12.4f} "
+                f"{point['makespan_seconds']:13.3f} "
+                f"{point['shed_rate']:5.0%} {utilization:>18s}"
             )
-        if sweep.knee_rate is None:
+        knee = sweep["knee_rate_jobs_per_second"]
+        if knee is None:
             lines.append(
                 "saturation knee: not reached "
                 f"(p99 stayed within {KNEE_LATENCY_FACTOR:g}x of baseline)"
             )
         else:
             lines.append(
-                f"saturation knee: ~{sweep.knee_rate:g} jobs/s "
+                f"saturation knee: ~{knee:g} jobs/s "
                 f"(first rate with p99 > {KNEE_LATENCY_FACTOR:g}x baseline; "
-                f"dominant lane: {sweep.knee_dominant_lane})"
+                f"dominant lane: {sweep['knee_dominant_lane']})"
             )
     return "\n".join(lines)

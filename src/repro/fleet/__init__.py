@@ -7,11 +7,12 @@ backlog-aware routing and shared warm cache snapshots.
 - :mod:`repro.fleet.pool` — ``WorkerPool``: spawn-safe worker
   processes, the shared-snapshot warm-start/merge-back lifecycle;
 - :mod:`repro.fleet.result` — ``FleetResult``/``ReplicaSummary``
-  aggregation (fleet throughput, p50/p99, utilization, imbalance).
+  aggregation (fleet throughput, p50/p99, queueing delay, utilization,
+  imbalance) and ``check_fleet_invariants``.
 """
 
 from repro.fleet.pool import WorkerPool
-from repro.fleet.result import FleetResult, ReplicaSummary
+from repro.fleet.result import FleetResult, ReplicaSummary, check_fleet_invariants
 from repro.fleet.router import RoutingPlan, route_jobs
 
 __all__ = [
@@ -19,5 +20,6 @@ __all__ = [
     "ReplicaSummary",
     "RoutingPlan",
     "WorkerPool",
+    "check_fleet_invariants",
     "route_jobs",
 ]

@@ -297,6 +297,7 @@ class WorkerPool:
         return FleetResult(
             plan=plan,
             arrivals=arrivals,
+            solo_times=solo_times,
             replicas=tuple(summaries),
             wall_seconds=wall,
             rounds=rounds,

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.arrivals import percentile
+from repro.core.framework import queueing_delays, serving_problems
+from repro.errors import SimulationError
 from repro.fleet.router import RoutingPlan
 
 
@@ -56,15 +58,19 @@ class FleetResult:
     """A batch served by the whole fleet.
 
     ``arrivals`` is the global release stream (``None`` = closed batch,
-    every job at t=0 on its replica); ``rounds`` is how many times each
-    worker repeated the identical simulation inside the measured wall
-    (sustained-serving measurement — results are bit-identical across
-    rounds, only the wall accumulates).  ``merged_entries`` counts the
-    never-seen cache entries the post-run merge-back folded from the
-    workers into the shared snapshot."""
+    every job at t=0 on its replica); ``solo_times`` are the per-job
+    solo estimates the router placed the jobs by
+    (:meth:`~repro.core.framework.NdftFramework.job_estimates`), the
+    baseline of :attr:`queueing_delays`.  ``rounds`` is how many times
+    each worker repeated the identical simulation inside the measured
+    wall (sustained-serving measurement — results are bit-identical
+    across rounds, only the wall accumulates).  ``merged_entries``
+    counts the never-seen cache entries the post-run merge-back folded
+    from the workers into the shared snapshot."""
 
     plan: RoutingPlan
     arrivals: tuple[float, ...] | None
+    solo_times: tuple[float, ...]
     replicas: tuple[ReplicaSummary, ...]
     wall_seconds: float
     rounds: int = 1
@@ -101,6 +107,20 @@ class FleetResult:
             completion - release
             for completion, release in zip(completions, self.arrivals)
         )
+
+    @property
+    def queueing_delays(self) -> tuple[float, ...]:
+        """Per-job :func:`~repro.core.framework.queueing_delays` against
+        :attr:`solo_times`, global submission order."""
+        return queueing_delays(
+            self.completion_latencies, self.solo_times, self.arrivals
+        )
+
+    @property
+    def mean_queueing_delay(self) -> float:
+        """Average :attr:`queueing_delays`; 0.0 for an empty batch."""
+        delays = self.queueing_delays
+        return sum(delays) / len(delays) if delays else 0.0
 
     def latency_percentile(self, q: float) -> float:
         latencies = self.completion_latencies
@@ -205,3 +225,31 @@ class FleetResult:
             for name, count in summary.backend_jobs.items():
                 totals[name] = totals.get(name, 0) + count
         return totals
+
+
+def check_fleet_invariants(result: FleetResult) -> None:
+    """Raise :class:`SimulationError` naming every invariant a served
+    fleet batch violates; return ``None`` when it holds them all: the
+    latency, queueing-delay (against :attr:`FleetResult.solo_times`)
+    and utilization invariants of
+    :func:`~repro.core.framework.serving_problems`, and every submitted
+    job routed to exactly one replica and completed there once.  The
+    last one matters because :attr:`FleetResult.completion_times`
+    reads 0.0 for a job its replica returned no completion for."""
+    problems = serving_problems(result)
+    held = sorted(index for s in result.replicas for index in s.job_indices)
+    if held != list(range(result.n_jobs)):
+        problems.append(
+            f"the replicas hold {len(held)} jobs, not each of the "
+            f"{result.n_jobs} submitted jobs once"
+        )
+    for s in result.replicas:
+        if len(s.completion_times) != s.n_jobs:
+            problems.append(
+                f"replica {s.replica} completed {len(s.completion_times)} "
+                f"of its {s.n_jobs} routed jobs"
+            )
+    if problems:
+        raise SimulationError(
+            "fleet result violates its invariants: " + "; ".join(problems)
+        )

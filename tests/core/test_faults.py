@@ -204,6 +204,17 @@ class TestFaultPlanConstruction:
                 with pytest.raises(ConfigError, match=name):
                     poisson_fault_plan(["ndp"], **dict(base, **{name: value}))
 
+    def test_poisson_permanent_after_validation(self):
+        """``permanent_after`` is ``None`` or finite and >= 0.  ``nan``
+        used to draw no death and a descriptor unequal to itself after
+        a JSON round trip; a negative time drew the plan ``0.0`` draws."""
+        base = dict(mtbf=5.0, mttr=1.0, horizon=60.0, seed=1)
+        for value in (nan, -5.0, -inf, inf):
+            with pytest.raises(ConfigError, match="permanent_after"):
+                poisson_fault_plan(["ndp", "cpu"], permanent_after=value, **base)
+        plan = poisson_fault_plan(["ndp"], permanent_after=0.0, **base)
+        assert list(plan.dead_lanes()) == ["ndp"]
+
     def test_poisson_permanent_after_kills_device_lanes(self):
         plan = poisson_fault_plan(
             ["ndp"], mtbf=2.0, mttr=0.5, horizon=100.0, seed=3,

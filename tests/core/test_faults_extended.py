@@ -236,6 +236,17 @@ class TestSlowdownWindows:
                 with pytest.raises(ConfigError, match=name):
                     slowdown_fault_plan(["ndp"], **dict(base, **{name: value}))
 
+    def test_slowdown_fault_plan_refuses_duplicate_lanes(self):
+        """A repeated lane is refused before the draw, by name: walking
+        it twice drew overlapping windows (refused as an overlap that
+        did not name the duplicate) or two window series on one lane."""
+        for seed in range(8):
+            with pytest.raises(ConfigError, match="'ndp' more than once"):
+                slowdown_fault_plan(
+                    ["ndp", "cpu", "ndp"],
+                    mtbf=5.0, mttr=1.0, horizon=60.0, factor=2.0, seed=seed,
+                )
+
     def test_digest_backward_stable_without_slowdowns(self):
         """A slowdown-free plan hashes exactly what it did before
         slowdowns existed — committed benchmark descriptors stay valid —

@@ -61,20 +61,14 @@ class TestOtherSweeps:
 
 class TestArrivalSweep:
     def test_knee_detection(self):
-        from repro.experiments.scale_serving import (
-            ArrivalPoint,
-            find_saturation_knee,
-        )
+        from repro.experiments.scale_serving import find_saturation_knee
 
         def point(rate, p99):
-            return ArrivalPoint(
-                rate=rate,
-                wall_seconds=0.0,
-                makespan=0.0,
-                p50_latency=p99 / 2,
-                p99_latency=p99,
-                mean_queueing_delay=0.0,
-            )
+            return {
+                "rate_jobs_per_second": rate,
+                "p50_latency_seconds": p99 / 2,
+                "p99_latency_seconds": p99,
+            }
 
         flat = [point(1.0, 1.0), point(2.0, 1.1), point(3.0, 1.3)]
         assert find_saturation_knee(flat) is None
@@ -89,20 +83,14 @@ class TestArrivalSweep:
         made ``factor * baseline == 0``, so *every* later point with any
         latency at all "kneed".  The baseline must instead advance to
         the first positive p99."""
-        from repro.experiments.scale_serving import (
-            ArrivalPoint,
-            find_saturation_knee,
-        )
+        from repro.experiments.scale_serving import find_saturation_knee
 
         def point(rate, p99):
-            return ArrivalPoint(
-                rate=rate,
-                wall_seconds=0.0,
-                makespan=0.0,
-                p50_latency=p99 / 2,
-                p99_latency=p99,
-                mean_queueing_delay=0.0,
-            )
+            return {
+                "rate_jobs_per_second": rate,
+                "p50_latency_seconds": p99 / 2,
+                "p99_latency_seconds": p99,
+            }
 
         # Flat-after-zero: no knee (1.1 < 2x the 1.0 baseline).
         flat = [point(1.0, 0.0), point(2.0, 1.0), point(3.0, 1.1)]
@@ -121,34 +109,31 @@ class TestArrivalSweep:
         from repro.experiments.scale_serving import run_arrival_sweep
 
         sweep = run_arrival_sweep(rates=(1.0, 30.0), batch_size=8, repeats=1)
-        for point in sweep.points:
-            assert set(point.lane_utilization) == {
-                "cpu",
-                "ndp",
-                "link:cpu-ndp",
-            }
-            assert point.shed_rate == 0.0
-            assert point.admitted == 8 and point.shed == 0
-            assert point.dominant_lane in point.lane_utilization
-        low, high = sweep.points
+        for point in sweep["points"]:
+            lanes = point["lane_utilization"]
+            assert set(lanes) == {"cpu", "ndp", "link:cpu-ndp"}
+            assert point["shed_rate"] == 0.0
+            assert point["admitted"] == 8 and point["shed"] == 0
+            assert point["dominant_lane"] in lanes
+        low, high = sweep["points"]
         assert (
-            high.lane_utilization[high.dominant_lane]
-            > low.lane_utilization[low.dominant_lane]
+            high["lane_utilization"][high["dominant_lane"]]
+            > low["lane_utilization"][low["dominant_lane"]]
         )
-        assert sweep.knee_rate == 30.0
-        assert sweep.knee_dominant_lane == high.dominant_lane
+        assert sweep["knee_rate_jobs_per_second"] == 30.0
+        assert sweep["knee_dominant_lane"] == high["dominant_lane"]
 
     def test_sweep_points_carry_the_sweep_seed(self):
         """Sweep points are serve-bench's open-queue points: each one
-        records the arrival process's seed, in its JSON too."""
+        records the arrival process's seed, as the sweep does."""
         from repro.experiments.scale_serving import run_arrival_sweep
 
         sweep = run_arrival_sweep(
             rates=(1.0, 2.0), batch_size=8, repeats=1, seed=5
         )
-        for point in sweep.points:
-            assert point.seed == 5
-            assert point.to_json_dict()["seed"] == 5
+        assert sweep["seed"] == 5
+        for point in sweep["points"]:
+            assert point["seed"] == 5
 
     def test_sweep_with_admission_sheds_and_caps_p99(self):
         """Admission in the sweep: past the knee the shed rate is
@@ -163,11 +148,11 @@ class TestArrivalSweep:
             repeats=1,
             admission=AdmissionPolicy(slo_p99=slo),
         )
-        (point,) = sweep.points
-        assert point.shed > 0
-        assert point.shed_rate > 0.0
-        assert point.admitted + point.shed == 16
-        assert point.p99_latency <= slo
+        (point,) = sweep["points"]
+        assert point["shed"] > 0
+        assert point["shed_rate"] > 0.0
+        assert point["admitted"] + point["shed"] == 16
+        assert point["p99_latency_seconds"] <= slo
 
     def test_sweep_finds_the_knee_past_capacity(self):
         """Offered load far beyond the mix's simulated capacity
@@ -177,17 +162,18 @@ class TestArrivalSweep:
         sweep = run_arrival_sweep(
             rates=(1.0, 50.0), batch_size=16, repeats=1
         )
-        low, high = sweep.points
-        assert low.rate == 1.0 and high.rate == 50.0
-        assert high.p99_latency > low.p99_latency
-        assert sweep.knee_rate == 50.0
+        low, high = sweep["points"]
+        assert low["rate_jobs_per_second"] == 1.0
+        assert high["rate_jobs_per_second"] == 50.0
+        assert high["p99_latency_seconds"] > low["p99_latency_seconds"]
+        assert sweep["knee_rate_jobs_per_second"] == 50.0
 
     def test_sweep_validation(self):
         from repro.experiments.scale_serving import run_arrival_sweep
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             run_arrival_sweep(rates=())
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             run_arrival_sweep(rates=(1.0, -2.0))
 
 

@@ -13,7 +13,7 @@ from repro.cli import main
 from repro.core.arrivals import AdmissionPolicy, poisson_arrivals
 from repro.core.faults import FaultPlan, RetryPolicy
 from repro.core.framework import NdftFramework
-from repro.experiments.scale_serving import ArrivalPoint
+from repro.experiments.scale_serving import arrival_point
 
 #: The CI fault-injection smoke's flags: at 64 jobs two of them are
 #: abandoned.
@@ -50,8 +50,12 @@ def test_shed_stats_reports_the_submitted_count():
     )
     assert result.resilience.abandoned >= 1
     assert result.n_jobs < len(sizes)
-    point = ArrivalPoint.from_result(1.0, 0, 0.0, result)
-    assert (point.shed_rate, point.admitted, point.shed) == (0.0, len(sizes), 0)
+    point = arrival_point(1.0, 0, 0.0, result)
+    assert (point["shed_rate"], point["admitted"], point["shed"]) == (
+        0.0,
+        len(sizes),
+        0,
+    )
 
 
 def test_from_result_reports_the_admission_outcome():
@@ -64,12 +68,16 @@ def test_from_result_reports_the_admission_outcome():
     )
     report = result.admission
     assert report.shed > 0  # past the knee, so the controller sheds
-    point = ArrivalPoint.from_result(30.0, 0, 0.5, result)
-    assert (point.shed_rate, point.admitted, point.shed) == (
+    point = arrival_point(30.0, 0, 0.5, result)
+    assert (point["shed_rate"], point["admitted"], point["shed"]) == (
         report.shed_rate,
         report.admitted,
         report.shed,
     )
-    assert (point.rate, point.seed, point.wall_seconds) == (30.0, 0, 0.5)
-    assert point.p99_latency == result.slo_p99_latency
-    assert point.resilience is None
+    assert (
+        point["rate_jobs_per_second"],
+        point["seed"],
+        point["wall_seconds"],
+    ) == (30.0, 0, 0.5)
+    assert point["p99_latency_seconds"] == result.slo_p99_latency
+    assert point["resilience"] is None

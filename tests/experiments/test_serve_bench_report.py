@@ -1,0 +1,99 @@
+"""serve-bench's report: every key the committed baselines carry is
+still written, and bad inputs are refused before anything is measured."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+from repro.errors import ConfigError
+from repro.experiments import scale_serving
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: CI's fault-injection smoke flags (``.github/workflows/ci.yml``).
+FAULT_FLAGS = [
+    "--mtbf", "10", "--mttr", "1", "--fault-seed", "7",
+    "--shock-rate", "0.2", "--slowdown-factor", "2.0", "--checkpoint",
+]
+
+#: Objects whose keys vary from run to run or host to host: the key
+#: itself must be written, its contents are compared as a map.
+MAPS = {"backend_jobs", "backend_wall_seconds", "lane_utilization", "metadata"}
+
+
+def key_paths(node, prefix="$"):
+    """Every key path in a JSON value; list items share a ``[]`` step."""
+    paths = set()
+    if isinstance(node, dict):
+        for key, value in node.items():
+            path = f"{prefix}.{key}"
+            paths.add(path)
+            if key not in MAPS:
+                paths |= key_paths(value, path)
+    elif isinstance(node, list):
+        for item in node:
+            paths |= key_paths(item, f"{prefix}[]")
+    return paths
+
+
+@pytest.mark.parametrize(
+    ("baseline", "flags"),
+    [
+        ("BENCH_serving.json", []),
+        ("BENCH_faults.json", FAULT_FLAGS),
+        ("BENCH_fleet.json", ["--replicas", "2"]),
+    ],
+)
+def test_fresh_report_carries_every_committed_key(baseline, flags, tmp_path):
+    """The mode CI trends against ``baseline``, at toy size, writes
+    every key path the committed file carries (newer keys may add)."""
+    committed = json.loads((ROOT / baseline).read_text())
+    path = tmp_path / baseline
+    argv = ["serve-bench", "--batch-sizes", "4", "--repeats", "1"]
+    assert main([*argv, *flags, "--json", str(path)]) == 0
+    fresh = json.loads(path.read_text())
+    assert not key_paths(committed) - key_paths(fresh)
+
+
+@pytest.fixture
+def no_measurement(monkeypatch):
+    """Fail any measurement or fleet the benchmark starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("measured before checking its inputs")
+
+    monkeypatch.setattr(scale_serving, "measure_run_many", refuse)
+    monkeypatch.setattr(scale_serving, "WorkerPool", refuse)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(batch_sizes=(16, 65536, 0)),
+        dict(batch_sizes=(16,), arrival_sweep_rates=(1.0, -2.0)),
+        dict(batch_sizes=(16,), arrival_sweep_rates=(1.0, float("nan"))),
+        dict(batch_sizes=(16,), arrival_rate=float("inf")),
+        dict(batch_sizes=(16,), arrival_rate=float("nan")),
+        dict(batch_sizes=(16,), mix=()),
+    ],
+)
+def test_serve_bench_checks_inputs_first(no_measurement, kwargs):
+    with pytest.raises(ConfigError):
+        scale_serving.run_serve_bench(repeats=1, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(batch_sizes=(16, 0)),
+        dict(replicas=0),
+        dict(rounds=0),
+        dict(repeats=0),
+        dict(arrival_rate=float("inf")),
+    ],
+)
+def test_fleet_bench_checks_inputs_first(no_measurement, kwargs):
+    with pytest.raises(ConfigError):
+        scale_serving.run_fleet_bench(**{"batch_sizes": (16,), **kwargs})
