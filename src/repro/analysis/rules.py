@@ -98,8 +98,10 @@ class RuleConfig:
     #: :mod:`repro.errors` hierarchy.
     error_scope: tuple[str, ...] = (
         "repro.cli",
+        "repro.core.arrivals",
         "repro.core.faults",
         "repro.core.framework",
+        "repro.experiments.bench_compare",
         "repro.experiments.scale_serving",
         "repro.fleet",
     )

@@ -97,9 +97,9 @@ def poisson_arrivals(
     each draw, exactly as ``Random.expovariate`` does.
     """
     if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
     if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"arrival rate must be finite and > 0, got {rate}")
+        raise ConfigError(f"arrival rate must be finite and > 0, got {rate}")
     uniforms = np.random.RandomState(_mt_seed_key(seed)).random_sample(n_jobs)
     np.subtract(1.0, uniforms, out=uniforms)
     # math.log, not np.log: the SIMD log differs from libm by one ulp on
@@ -117,9 +117,9 @@ def _poisson_arrivals_loop(
     """The original scalar sampler, kept as the bit-compatibility oracle
     for :func:`poisson_arrivals` (regression-tested, not served)."""
     if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
     if rate <= 0:
-        raise ValueError(f"arrival rate must be > 0, got {rate}")
+        raise ConfigError(f"arrival rate must be > 0, got {rate}")
     generator = random.Random(seed)
     now = 0.0
     offsets = []
@@ -181,12 +181,12 @@ class AdmissionPolicy:
 
     def __post_init__(self):
         if self.mode not in ADMISSION_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"admission mode must be one of {ADMISSION_MODES}, "
                 f"got {self.mode!r}"
             )
         if self.slo_p99 is None and self.max_queue_depth is None:
-            raise ValueError(
+            raise ConfigError(
                 "an admission policy needs slo_p99 and/or max_queue_depth"
             )
         slo = self.slo_p99
@@ -195,14 +195,14 @@ class AdmissionPolicy:
             or not isinstance(slo, numbers.Real)
             or not (math.isfinite(slo) and slo > 0)
         ):
-            raise ValueError(f"slo_p99 must be finite and > 0, got {slo!r}")
+            raise ConfigError(f"slo_p99 must be finite and > 0, got {slo!r}")
         depth = self.max_queue_depth
         if depth is not None and (
             isinstance(depth, bool)
             or not isinstance(depth, numbers.Integral)
             or depth < 1
         ):
-            raise ValueError(
+            raise ConfigError(
                 f"max_queue_depth must be an integer >= 1, got {depth!r}"
             )
 
@@ -263,7 +263,7 @@ def plan_admission(
     """
     n = len(arrivals)
     if not (len(solo_times) == len(lanes) == len(labels) == n):
-        raise ValueError(
+        raise ConfigError(
             "arrivals, solo_times, lanes and labels must align: got "
             f"{n}/{len(solo_times)}/{len(lanes)}/{len(labels)}"
         )

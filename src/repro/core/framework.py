@@ -273,6 +273,87 @@ def queueing_delays(
     return tuple(delays)
 
 
+class ServedBatch:
+    """Serving statistics implemented once for a batch result and a
+    fleet's, read from a subclass's per-job ``completion_latencies``,
+    ``solo_times`` and ``arrivals``, its ``n_jobs``, ``busy_span`` and
+    ``admission``.  A fleet has neither admission nor resilience, so
+    both default to ``None`` and its SLO percentiles are its plain
+    ones.  An empty batch reads 0.0."""
+
+    admission: AdmissionResult | None = None
+    resilience: ResilienceReport | None = None
+
+    def latency_percentile(self, q: float) -> float:
+        """The ``q``-th completion-latency percentile over the executed
+        jobs; 0.0 for an empty (fully shed) batch."""
+        latencies = self.completion_latencies
+        if not latencies:
+            return 0.0
+        return percentile(latencies, q)
+
+    @property
+    def p50_latency(self) -> float:
+        return self.latency_percentile(50.0)
+
+    @property
+    def p99_latency(self) -> float:
+        return self.latency_percentile(99.0)
+
+    @property
+    def slo_latencies(self) -> tuple[float, ...]:
+        """Latencies of the jobs counted toward the SLO: everything
+        executed when admission is off, the admitted subset under a
+        policy (shed jobs never execute; deferred jobs are excluded)."""
+        latencies = self.completion_latencies
+        if self.admission is None:
+            return latencies
+        return tuple(latencies[i] for i in self.admission.counted_indices)
+
+    def slo_latency_percentile(self, q: float) -> float:
+        """Post-shed percentile over :attr:`slo_latencies` (0.0 when
+        nothing was admitted)."""
+        latencies = self.slo_latencies
+        if not latencies:
+            return 0.0
+        return percentile(latencies, q)
+
+    @property
+    def slo_p50_latency(self) -> float:
+        return self.slo_latency_percentile(50.0)
+
+    @property
+    def slo_p99_latency(self) -> float:
+        return self.slo_latency_percentile(99.0)
+
+    @property
+    def queueing_delays(self) -> tuple[float, ...]:
+        """Per-job :func:`queueing_delays`, in submission order."""
+        return queueing_delays(
+            self.completion_latencies, self.solo_times, self.arrivals
+        )
+
+    @property
+    def mean_queueing_delay(self) -> float:
+        """Average queueing delay; 0.0 for an empty (fully shed) batch,
+        matching :attr:`throughput`'s degenerate convention."""
+        delays = self.queueing_delays
+        if not delays:
+            return 0.0
+        return sum(delays) / len(delays)
+
+    @property
+    def throughput(self) -> float:
+        """Jobs per second of shared-machine time — the busy span, so
+        an open queue's idle arrival ramp does not dilute the rate.
+        For the t=0 batch the busy span *is* the makespan, so the
+        closed-batch numbers are unchanged."""
+        span = self.busy_span
+        if span <= 0:
+            return 0.0
+        return self.n_jobs / span
+
+
 def serving_problems(result) -> list[str]:
     """The violated invariants of any served batch — a batch result or
     a fleet's, read through their shared ``completion_latencies``,
@@ -350,7 +431,7 @@ def check_invariants(result: "NdftBatchResult") -> None:
 
 
 @dataclass(frozen=True)
-class NdftBatchResult:
+class NdftBatchResult(ServedBatch):
     """A batch of jobs executed concurrently on one shared machine.
 
     When the batch ran as an open queue (``run_many(..., arrivals=...)``)
@@ -364,10 +445,6 @@ class NdftBatchResult:
     submitted job, and the ``slo_*`` accessors give the post-shed
     percentiles (admitted jobs only — identical to ``p50``/``p99`` in
     ``shed`` mode, excluding deferred jobs in ``deprioritize`` mode).
-
-    Degenerate batches (everything shed) degrade gracefully: empty
-    latency tuples, 0.0 percentiles/means, 0.0 throughput — matching
-    the executor's empty-report conventions rather than raising.
 
     The result is columnar: ``jobs`` is a :class:`RunResultView` that
     builds a job's :class:`NdftRunResult` only when a caller indexes or
@@ -406,64 +483,6 @@ class NdftBatchResult:
         """Per-job completion minus release, in submission order."""
         return self.batch_report.completion_latencies
 
-    def latency_percentile(self, q: float) -> float:
-        """The ``q``-th completion-latency percentile over the executed
-        jobs; 0.0 for an empty (fully shed) batch."""
-        latencies = self.completion_latencies
-        if not latencies:
-            return 0.0
-        return percentile(latencies, q)
-
-    @property
-    def p50_latency(self) -> float:
-        return self.latency_percentile(50.0)
-
-    @property
-    def p99_latency(self) -> float:
-        return self.latency_percentile(99.0)
-
-    @property
-    def slo_latencies(self) -> tuple[float, ...]:
-        """Latencies of the jobs counted toward the SLO: everything
-        executed when admission is off, the admitted subset under a
-        policy (shed jobs never execute; deferred jobs are excluded)."""
-        latencies = self.completion_latencies
-        if self.admission is None:
-            return latencies
-        return tuple(latencies[i] for i in self.admission.counted_indices)
-
-    def slo_latency_percentile(self, q: float) -> float:
-        """Post-shed percentile over :attr:`slo_latencies` (0.0 when
-        nothing was admitted)."""
-        latencies = self.slo_latencies
-        if not latencies:
-            return 0.0
-        return percentile(latencies, q)
-
-    @property
-    def slo_p50_latency(self) -> float:
-        return self.slo_latency_percentile(50.0)
-
-    @property
-    def slo_p99_latency(self) -> float:
-        return self.slo_latency_percentile(99.0)
-
-    @property
-    def queueing_delays(self) -> tuple[float, ...]:
-        """Per-job :func:`queueing_delays`, in submission order."""
-        return queueing_delays(
-            self.completion_latencies, self.solo_times, self.arrivals
-        )
-
-    @property
-    def mean_queueing_delay(self) -> float:
-        """Average queueing delay; 0.0 for an empty (fully shed) batch,
-        matching :attr:`throughput`'s degenerate convention."""
-        delays = self.queueing_delays
-        if not delays:
-            return 0.0
-        return sum(delays) / len(delays)
-
     @property
     def makespan(self) -> float:
         """Aggregate completion time of the whole batch."""
@@ -473,14 +492,6 @@ class NdftBatchResult:
     def busy_span(self) -> float:
         """First release to last completion (== makespan at t=0)."""
         return self.batch_report.busy_span
-
-    @property
-    def throughput(self) -> float:
-        """Jobs per second of shared-machine time — the busy span, so
-        an open queue's idle arrival ramp does not dilute the rate.
-        For the t=0 batch the busy span *is* the makespan, so the
-        closed-batch numbers are unchanged."""
-        return self.batch_report.throughput
 
     @property
     def lane_busy_seconds(self) -> dict[str, float]:

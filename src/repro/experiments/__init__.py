@@ -29,10 +29,9 @@ from repro.experiments.ablations import (
     run_policy_ablation,
     run_shared_memory_ablation,
 )
-from repro.experiments.batch_throughput import BatchStudy, run_batch_study
+from repro.experiments.batch_throughput import run_batch_study
 
 __all__ = [
-    "BatchStudy",
     "run_batch_study",
     "Comparison",
     "format_table",

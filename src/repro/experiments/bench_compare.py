@@ -80,6 +80,8 @@ import json
 import sys
 from pathlib import Path
 
+from repro.errors import ConfigError
+
 #: Maximum tolerated drop of ``jobs_per_second_cached``: fresh must be
 #: at least ``(1 - MAX_REGRESSION) * committed`` at every shared size.
 DEFAULT_MAX_REGRESSION = 0.30
@@ -139,7 +141,7 @@ def compare_serving_reports(
     A baseline-only (``--no-cache``) file or a sweep with no shared
     sizes is always a failure: the gate is misconfigured, not passing."""
     if not 0.0 <= max_regression < 1.0:
-        raise ValueError(
+        raise ConfigError(
             f"max_regression must be in [0, 1), got {max_regression}"
         )
     if hosts_match is None:
@@ -463,9 +465,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     committed = json.loads(args.committed.read_text())
     fresh = json.loads(args.fresh.read_text())
-    failures = compare_serving_reports(
-        committed, fresh, max_regression=args.max_regression
-    )
+    try:
+        failures = compare_serving_reports(committed, fresh, args.max_regression)
+    except ConfigError as exc:
+        parser.error(str(exc))
     print(format_comparison(committed, fresh, failures))
     return 1 if failures else 0
 

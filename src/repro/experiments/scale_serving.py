@@ -184,10 +184,10 @@ def measure_run_many(
     A fresh framework per repeat keeps every measurement cold-cache; the
     minimum over repeats is the standard noise filter for wall-clock
     micro-measurements.  The other arguments go to ``run_many``.  The
-    returned result is checked with
-    :func:`~repro.core.framework.check_invariants` (every repeat
-    produces the same one), so a result that breaks one never reaches
-    the JSON."""
+    returned result is the fastest repeat's, whose backend walls lie
+    inside the returned wall; it is checked with
+    :func:`~repro.core.framework.check_invariants`, so a result that
+    breaks one never reaches the JSON."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     best = float("inf")
@@ -195,7 +195,7 @@ def measure_run_many(
     for _ in range(repeats):
         framework = NdftFramework(memoize=memoize)
         start = time.perf_counter()
-        result = framework.run_many(
+        run = framework.run_many(
             sizes,
             arrivals=arrivals,
             backend=backend,
@@ -204,7 +204,8 @@ def measure_run_many(
             retry=retry,
         )
         elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
+        if elapsed < best:
+            best, result = elapsed, run
     assert result is not None
     check_invariants(result)
     return best, result
@@ -220,26 +221,21 @@ def arrival_point(
     or a fleet's.  ``dominant_lane`` is the most-utilized lane (ties
     break on the name; ``None`` when nothing ran).  With admission off
     every submitted job counts as admitted — under faults too, where
-    ``result.n_jobs`` counts only the completed jobs.  A batch reports
-    the SLO-counted (post-shed) percentiles, which leave out deferred
+    ``result.n_jobs`` counts only the completed jobs.  The percentiles
+    are the SLO-counted (post-shed) ones, which leave out deferred
     jobs: their latency runs from the *deferred* release and would
-    deflate the curve where the backlog is worst."""
-    if isinstance(result, FleetResult):
-        admission = resilience = None
-        p50, p99 = result.p50_latency, result.p99_latency
-        admitted = result.n_jobs
-    else:
-        admission, resilience = result.admission, result.resilience
-        p50, p99 = result.slo_p50_latency, result.slo_p99_latency
-        admitted = result.n_jobs if resilience is None else resilience.submitted
+    deflate the curve where the backlog is worst (a fleet's are its
+    plain ones)."""
+    admission, resilience = result.admission, result.resilience
+    admitted = result.n_jobs if resilience is None else resilience.submitted
     lanes = dict(result.lane_utilization)
     return {
         "rate_jobs_per_second": rate,
         "seed": seed,
         "wall_seconds": wall,
         "makespan_seconds": result.makespan,
-        "p50_latency_seconds": p50,
-        "p99_latency_seconds": p99,
+        "p50_latency_seconds": result.slo_p50_latency,
+        "p99_latency_seconds": result.slo_p99_latency,
         "mean_queueing_delay_seconds": result.mean_queueing_delay,
         "lane_utilization": lanes,
         "dominant_lane": max(sorted(lanes), key=lanes.__getitem__, default=None),

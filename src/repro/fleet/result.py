@@ -6,18 +6,18 @@ deterministic routing plan, one :class:`ReplicaSummary` per replica
 :class:`~repro.core.framework.NdftBatchResult`, reduced to picklable
 plain data for the process boundary), and the fleet rollups the serving
 benchmark quotes — aggregate throughput, p50/p99 completion latency over
-*all* jobs, per-replica utilization and the imbalance ratio.  Everything
-except the measured wall seconds is pure virtual-time arithmetic, so two
-runs with the same plan produce equal results no matter how the worker
-processes interleaved.
+*all* jobs, per-replica utilization and the imbalance ratio.  Its
+percentiles, queueing delays and throughput are a batch result's own
+(:class:`~repro.core.framework.ServedBatch`).  Everything except the
+wall seconds is pure virtual-time arithmetic, so two runs with the same
+plan produce equal results no matter how the workers interleaved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.arrivals import percentile
-from repro.core.framework import queueing_delays, serving_problems
+from repro.core.framework import ServedBatch, serving_problems
 from repro.errors import SimulationError
 from repro.fleet.router import RoutingPlan
 
@@ -45,28 +45,23 @@ class ReplicaSummary:
     def n_jobs(self) -> int:
         return len(self.job_indices)
 
-    @property
-    def throughput(self) -> float:
-        """Jobs per second of this replica's busy span (virtual)."""
-        if self.busy_span <= 0:
-            return 0.0
-        return self.n_jobs / self.busy_span
-
 
 @dataclass(frozen=True)
-class FleetResult:
+class FleetResult(ServedBatch):
     """A batch served by the whole fleet.
 
     ``arrivals`` is the global release stream (``None`` = closed batch,
     every job at t=0 on its replica); ``solo_times`` are the per-job
     solo estimates the router placed the jobs by
     (:meth:`~repro.core.framework.NdftFramework.job_estimates`), the
-    baseline of :attr:`queueing_delays`.  ``rounds`` is how many times
-    each worker repeated the identical simulation inside the measured
-    wall (sustained-serving measurement — results are bit-identical
-    across rounds, only the wall accumulates).  ``merged_entries``
-    counts the never-seen cache entries the post-run merge-back folded
-    from the workers into the shared snapshot."""
+    baseline of :attr:`queueing_delays`.  A fleet serves with no
+    admission policy, so its ``slo_*`` percentiles equal its plain
+    ones.  ``rounds`` is how many times each worker repeated the
+    identical simulation inside the measured wall (sustained-serving
+    measurement — results are bit-identical across rounds, only the
+    wall accumulates).  ``merged_entries`` counts the never-seen cache
+    entries the post-run merge-back folded from the workers into the
+    shared snapshot."""
 
     plan: RoutingPlan
     arrivals: tuple[float, ...] | None
@@ -109,34 +104,6 @@ class FleetResult:
         )
 
     @property
-    def queueing_delays(self) -> tuple[float, ...]:
-        """Per-job :func:`~repro.core.framework.queueing_delays` against
-        :attr:`solo_times`, global submission order."""
-        return queueing_delays(
-            self.completion_latencies, self.solo_times, self.arrivals
-        )
-
-    @property
-    def mean_queueing_delay(self) -> float:
-        """Average :attr:`queueing_delays`; 0.0 for an empty batch."""
-        delays = self.queueing_delays
-        return sum(delays) / len(delays) if delays else 0.0
-
-    def latency_percentile(self, q: float) -> float:
-        latencies = self.completion_latencies
-        if not latencies:
-            return 0.0
-        return percentile(latencies, q)
-
-    @property
-    def p50_latency(self) -> float:
-        return self.latency_percentile(50.0)
-
-    @property
-    def p99_latency(self) -> float:
-        return self.latency_percentile(99.0)
-
-    @property
     def makespan(self) -> float:
         """Last completion across the fleet (virtual)."""
         return max((s.makespan for s in self.replicas), default=0.0)
@@ -153,21 +120,10 @@ class FleetResult:
         return max(completions) - first_release
 
     @property
-    def throughput(self) -> float:
-        """Fleet jobs per second of virtual busy span.  N replicas
-        draining in parallel finish the span sooner, so this scales
-        with the fleet — it is the virtual-time counterpart of the
-        measured :attr:`jobs_per_second_wall`."""
-        span = self.busy_span
-        if span <= 0:
-            return 0.0
-        return self.n_jobs / span
-
-    @property
     def jobs_per_second_wall(self) -> float:
         """Measured host throughput: jobs simulated (all rounds) per
         wall second of the whole serve call — routing, dispatch,
-        simulation and merge-back included."""
+        simulation and merge-back included (virtual: :attr:`throughput`)."""
         if self.wall_seconds <= 0:
             return 0.0
         return (self.n_jobs * self.rounds) / self.wall_seconds

@@ -34,24 +34,24 @@ def _mix(n):
 
 class TestAdmissionPolicyValidation:
     def test_needs_at_least_one_criterion(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             AdmissionPolicy()
 
     def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             AdmissionPolicy(slo_p99=1.0, mode="drop")
 
     def test_rejects_nonpositive_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             AdmissionPolicy(slo_p99=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             AdmissionPolicy(max_queue_depth=0)
         # A bound that never acts, or acts as a value nobody wrote.
         for slo in (float("nan"), float("inf"), True):
-            with pytest.raises(ValueError, match="slo_p99"):
+            with pytest.raises(ConfigError, match="slo_p99"):
                 AdmissionPolicy(slo_p99=slo)
         for depth in (float("nan"), True, 2.5):
-            with pytest.raises(ValueError, match="max_queue_depth"):
+            with pytest.raises(ConfigError, match="max_queue_depth"):
                 AdmissionPolicy(max_queue_depth=depth)
 
     def test_json_roundtrip_shape(self):
@@ -66,7 +66,7 @@ class TestAdmissionPolicyValidation:
 class TestPlanAdmission:
     def test_misaligned_inputs_rejected(self):
         policy = AdmissionPolicy(slo_p99=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             plan_admission(policy, [0.0, 1.0], [1.0], [("cpu",)], ["a"])
 
     def test_slo_sheds_backlogged_lane(self):

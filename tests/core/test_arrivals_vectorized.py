@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.arrivals import _poisson_arrivals_loop, poisson_arrivals
+from repro.errors import ConfigError
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -89,14 +90,14 @@ class TestBitCompatibilityWithLoop:
 
 class TestContract:
     def test_validation_unchanged(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             poisson_arrivals(0, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             poisson_arrivals(4, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             poisson_arrivals(4, -1.0)
         for rate in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="rate"):
+            with pytest.raises(ConfigError, match="rate"):
                 poisson_arrivals(4, rate)
 
     def test_offsets_strictly_positive_and_increasing(self):

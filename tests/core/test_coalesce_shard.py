@@ -319,9 +319,9 @@ class TestArrivals:
         assert a == b
         assert all(x <= y for x, y in zip(a, a[1:]))
         assert poisson_arrivals(100, rate=2.0, seed=8) != a
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             poisson_arrivals(0, rate=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             poisson_arrivals(10, rate=0.0)
 
     def test_percentile(self):

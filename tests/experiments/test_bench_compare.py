@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.experiments.bench_compare import (
     compare_serving_reports,
     format_comparison,
@@ -68,7 +69,7 @@ class TestCompareServingReports:
         assert compare_serving_reports(committed, fresh) == []
 
     def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             compare_serving_reports(_report([]), _report([]), max_regression=1.0)
 
     def test_absent_new_fields_are_not_regressions(self):
@@ -468,6 +469,19 @@ class TestMain:
         fresh.write_text(json.dumps(_report([(16, 10.0)])))
         assert main([str(committed), str(fresh)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("tolerance", ["1.5", "nan", "-0.1"])
+    def test_bad_tolerance_is_a_usage_error(self, tmp_path, capsys, tolerance):
+        """A tolerance outside [0, 1) exits 2 with argparse's one-line
+        error, not a traceback."""
+        committed = tmp_path / "committed.json"
+        committed.write_text(json.dumps(_report([(16, 1000.0)])))
+        args = [str(committed), str(committed), "--max-regression", tolerance]
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: max_regression must be in [0, 1), got {tolerance}" in err
 
     def test_custom_tolerance(self, tmp_path, capsys):
         committed = tmp_path / "committed.json"

@@ -226,6 +226,22 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["batch", "--policy", "nonsense"])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--arrival-rate", "nan"],
+            ["--arrival-rate", "inf"],
+            ["--arrival-rate", "2", "--slo-p99", "nan"],
+            ["--arrival-rate", "2", "--max-queue-depth", "0"],
+        ],
+    )
+    def test_batch_refuses_bad_open_queue_inputs(self, flags):
+        """serve-bench's rule: a nan rate does not silently serve the
+        closed batch, and an inf rate or a bad admission bound is a
+        ConfigError, not a ValueError from the arrival layer."""
+        with pytest.raises(ConfigError):
+            main(["batch", "--atoms", "64", "128", *flags])
+
     def test_serve_bench(self, capsys, tmp_path):
         json_path = tmp_path / "BENCH_serving.json"
         assert (

@@ -1,12 +1,15 @@
 """serve-bench's report: every key the committed baselines carry is
-still written, and bad inputs are refused before anything is measured."""
+still written, bad inputs are refused before anything is measured, and
+a point's wall and result come from the same repeat."""
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import main
+from repro.core.framework import NdftFramework
 from repro.errors import ConfigError
 from repro.experiments import scale_serving
 
@@ -97,3 +100,26 @@ def test_serve_bench_checks_inputs_first(no_measurement, kwargs):
 def test_fleet_bench_checks_inputs_first(no_measurement, kwargs):
     with pytest.raises(ConfigError):
         scale_serving.run_fleet_bench(**{"batch_sizes": (16,), **kwargs})
+
+
+def test_measure_run_many_returns_the_fastest_repeats_result(monkeypatch):
+    """The published wall and the published backend breakdown come from
+    the same repeat: with the middle of three repeats scripted to be the
+    fastest, its result object is the one returned."""
+    # start/stop pairs: 3 s, then 1 s, then 2 s.
+    clock = iter([0.0, 3.0, 10.0, 11.0, 20.0, 22.0])
+    monkeypatch.setattr(
+        scale_serving, "time", SimpleNamespace(perf_counter=lambda: next(clock))
+    )
+    runs = []
+    run_many = NdftFramework.run_many
+
+    def recorded(self, *args, **kwargs):
+        runs.append(run_many(self, *args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(NdftFramework, "run_many", recorded)
+    wall, result = scale_serving.measure_run_many([64, 128], True, repeats=3)
+    assert len(runs) == 3
+    assert wall == 1.0
+    assert result is runs[1]
