@@ -305,16 +305,6 @@ class BatchExecutionReport:
         return self.makespan - self.first_release
 
     @property
-    def throughput(self) -> float:
-        """Jobs per second of shared-machine time (the busy span, so an
-        open queue's arrival ramp does not dilute the rate; identical
-        to jobs/makespan for the t=0 batch)."""
-        span = self.busy_span
-        if span <= 0:
-            return 0.0
-        return self.n_jobs / span
-
-    @property
     def lane_busy_seconds(self) -> dict[str, float]:
         """Busy (occupied) seconds per device/wire lane, summed over
         the occupancy intervals in grant order."""

@@ -463,8 +463,18 @@ def main(argv: list[str] | None = None) -> int:
         help="tolerated fractional throughput drop (default: 0.30)",
     )
     args = parser.parse_args(argv)
-    committed = json.loads(args.committed.read_text())
-    fresh = json.loads(args.fresh.read_text())
+    reports = []
+    for path in (args.committed, args.fresh):
+        # A missing or malformed input is a usage error (exit 2), which
+        # CI must not mistake for a regression (exit 1).
+        try:
+            report = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            parser.error(f"cannot read {path}: {exc}")
+        if not isinstance(report, dict):
+            parser.error(f"cannot read {path}: not a JSON object")
+        reports.append(report)
+    committed, fresh = reports
     try:
         failures = compare_serving_reports(committed, fresh, args.max_regression)
     except ConfigError as exc:

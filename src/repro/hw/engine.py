@@ -448,14 +448,14 @@ def _segments(program, with_stages: bool = False) -> tuple:
 
     Predecessors and initial watchers are stored as offsets from the
     segment's own index, so every replica of the program shares them.
-    Returns ``(tasks, preds, watchers, heads, n_tasks, stages)``:
-    per-segment task lists, predecessor offsets (in-edge order),
-    initial watcher offsets (registration order: a head parks on its
-    first predecessor), the entry segments, the program's task count,
-    and — only ``with_stages``, which a fault plan needs, else ``None``
-    — per segment its ``(stage, end)`` pairs in order: the program
-    stage and the index one past its last task, which is where a stage
-    cut short by a fault hands over to the next."""
+    Returns ``(tasks, preds, watchers, heads, stages)``: per-segment
+    task lists, predecessor offsets (in-edge order), initial watcher
+    offsets (registration order: a head parks on its first
+    predecessor), the entry segments, and — only ``with_stages``, which
+    a fault plan needs, else ``None`` — per segment its ``(stage,
+    end)`` pairs in order: the program stage and the index one past its
+    last task, which is where a stage cut short by a fault hands over
+    to the next."""
     stage_tasks, stage_preds = program
     fan_out = [0] * len(stage_tasks)
     for preds in stage_preds:
@@ -488,7 +488,7 @@ def _segments(program, with_stages: bool = False) -> tuple:
         if preds:
             watchers[seg + preds[0]] += (-preds[0],)
     heads = tuple(seg for seg, preds in enumerate(preds_of) if not preds)
-    return tasks, preds_of, watchers, heads, sum(map(len, tasks)), stages
+    return tasks, preds_of, watchers, heads, stages
 
 
 def replay_dag_batch(
@@ -543,10 +543,11 @@ def replay_dag_batch(
     counter (``wait_index``) per fan-in: a segment head requests its
     first task only after every predecessor segment of its own replica
     has finished, which is exactly the ``yield predecessor`` wait chain
-    the engine's stage processes perform.  The calendar carries one
-    event per occupancy (plus one release event per entry segment, and
-    one per outage wait-out or kill); everything else — releases,
-    grants, ghosts, StopIteration fan-out wake-ups, finished-
+    the engine's stage processes perform.  The calendar is the entry
+    segments' releases, sorted once and read by a cursor, merged with a
+    heap of in-flight events: one per occupancy, outage wait-out or
+    kill, so never more than one per lane.  Everything else — lane
+    releases, grants, ghosts, StopIteration fan-out wake-ups, finished-
     predecessor skips — is zero-duration and resolves inside the
     same-instant cascade.
 
@@ -591,8 +592,8 @@ def replay_dag_batch(
     # order the engine allocates the release timeouts' seqs in.
     # ------------------------------------------------------------------
     compiled = [_segments(program, faults is not None) for program in programs]
-    tasks_of, preds_of, watchers_of, heads_of, n_tasks_of, stages_of = (
-        [columns[i] for columns in compiled] for i in range(6)
+    tasks_of, preds_of, watchers_of, heads_of, stages_of = (
+        [columns[i] for columns in compiled] for i in range(5)
     )
     job_tasks = list(map(tasks_of.__getitem__, job_program))
     rs_tasks = list(chain.from_iterable(job_tasks))
@@ -625,11 +626,6 @@ def replay_dag_batch(
     completions = [0.0] * n
     makespan = 0.0
 
-    # Event budget: one release event per entry segment plus one
-    # completion per task, and under faults at most one more event per
-    # task (an outage wait-out or a kill) — the payload list is sized
-    # once and never reallocates.
-    budget = sum(map(n_tasks_of.__getitem__, job_program))
     healthy = faults is None
     if healthy:
         start = _A_START
@@ -637,7 +633,6 @@ def replay_dag_batch(
         # Every grant resolves against the fault plan, and every
         # instant goes through the hop bands.
         start = _A_RESOLVE
-        budget *= 2
         job_base = list(accumulate(map(len, job_tasks), initial=0))
         failed: list = [None] * n  # job -> (time, resource, kind)
         deferred: dict[int, tuple] = {}  # rs -> its pending fault event
@@ -662,21 +657,42 @@ def replay_dag_batch(
                     break
             nxt.append((rs << 3) | _A_NOTIFY)
 
-    # The calendar: a heap of (time, event id) pairs over a preallocated
-    # payload list.  Event ids are the engine's monotonic seq, so the
-    # heap's tie-break on the id *is* its FIFO contract.  The entry
-    # releases take the first ids in sorted order, which is a valid heap
-    # as it stands.
-    seq = len(entry_events)
-    payload = [rs for _release, rs in entry_events] + [None] * budget
-    heap = [(release, eid) for eid, (release, _rs) in enumerate(entry_events)]
+    # The calendar: the sorted entry releases, read by a cursor, merged
+    # with a heap of (time, seq, rs) triples for the in-flight events —
+    # one occupancy, outage wait-out or kill (``~rs``) per busy lane, so
+    # the heap never holds more events than there are lanes.  ``seq``
+    # follows the engine's monotonic seq, so the heap's tie-break on it
+    # *is* the engine's FIFO contract.  The engine gives the releases
+    # its first seqs, so at an equal time a release precedes every heap
+    # event: the heap top goes first only when strictly earlier.
+    # ``releases`` ends in an infinite sentinel, bound once, so reading
+    # the next release never runs off the list.
+    release_rs = [rs for _release, rs in entry_events]
+    releases = [release for release, _rs in entry_events]
+    n_releases = len(releases)
+    releases.append(float("inf"))
+    next_release = releases[0]
+    released = 0
+    seq = 0
+    heap: list[tuple[float, int, int]] = []
     pop = heapq.heappop
     push = heapq.heappush
 
-    while heap:
-        time, eid = pop(heap)
-        rs = payload[eid]
-        if healthy and (not heap or heap[0][0] != time):
+    while True:
+        if heap and heap[0][0] < next_release:
+            time, _seq, rs = pop(heap)
+        elif released < n_releases:
+            time = next_release
+            rs = release_rs[released]
+            released += 1
+            next_release = releases[released]
+        else:
+            break
+        if (
+            healthy
+            and next_release != time
+            and (not heap or heap[0][0] != time)
+        ):
             # Tie-free instant — the overwhelmingly common case with
             # real (float) durations.  No other event shares the
             # cascade, so grant, cursor advance and next-request resolve
@@ -694,10 +710,9 @@ def replay_dag_batch(
                 queue = waiters[resource]
                 if queue:
                     waiter = queue.popleft()
-                    payload[seq] = waiter
                     end = time + rs_tasks[waiter][cursor[waiter]][1]
                     occupancy[resource].append((time, end))
-                    push(heap, (end, seq))
+                    push(heap, (end, seq, waiter))
                     seq += 1
                 else:
                     busy[resource] = False
@@ -709,10 +724,9 @@ def replay_dag_batch(
                         waiters[resource].append(rs)
                     else:
                         busy[resource] = True
-                        payload[seq] = rs
                         end = time + tasks[index][1]
                         occupancy[resource].append((time, end))
-                        push(heap, (end, seq))
+                        push(heap, (end, seq, rs))
                         seq += 1
                     continue
                 stage_done[rs] = True
@@ -734,37 +748,40 @@ def replay_dag_batch(
                     waiters[resource].append(rs)
                 else:
                     busy[resource] = True
-                    payload[seq] = rs
                     end = time + tasks[0][1]
                     occupancy[resource].append((time, end))
-                    push(heap, (end, seq))
+                    push(heap, (end, seq, rs))
                     seq += 1
                 continue
         else:
             # Same-instant collision (or a faulted batch): full banded
             # cascade emulation.
             band = [rs]
+            while next_release == time:
+                band.append(release_rs[released])
+                released += 1
+                next_release = releases[released]
             while heap and heap[0][0] == time:
-                band.append(payload[pop(heap)[1]])
-            # Band 0: every calendar event at this instant in seq order.
-            # Completions release first (grant ahead of the finisher's
-            # own cascade); release events request their entry segment's
-            # first task at this pop, like the engine's post-timeout
-            # resume.
+                band.append(pop(heap)[2])
+            # Band 0: every calendar event at this instant in seq order —
+            # the cursor's remaining releases, then the heap's events,
+            # whose seqs all come after theirs.  Completions release
+            # first (grant ahead of the finisher's own cascade); release
+            # events request their entry segment's first task at this
+            # pop, like the engine's post-timeout resume.
             nxt: list[int] = []
             for rs in band:
                 if rs < 0:
-                    # A fault event (payload ``~rs``): the outage a
+                    # A fault event (pushed as ``~rs``): the outage a
                     # grant landed in is over, or a kill strikes.
                     rs = ~rs
                     service, wall, kind = deferred.pop(rs)
                     index = cursor[rs]
                     resource = rs_tasks[rs][index][0]
                     if kind is None:
-                        payload[seq] = rs
                         end = time + wall
                         occupancy[resource].append((time, end))
-                        push(heap, (end, seq))
+                        push(heap, (end, seq, rs))
                         seq += 1
                         continue
                     if time > service:
@@ -806,11 +823,10 @@ def replay_dag_batch(
                 code = action & 7
                 rs = action >> 3
                 if code == _A_START:
-                    payload[seq] = rs
                     resource, duration, _hop = rs_tasks[rs][cursor[rs]]
                     end = time + duration
                     occupancy[resource].append((time, end))
-                    push(heap, (end, seq))
+                    push(heap, (end, seq, rs))
                     seq += 1
                 elif code == _A_ACQUIRE:
                     resource = rs_tasks[rs][cursor[rs]][0]
@@ -874,20 +890,17 @@ def replay_dag_batch(
                         if fail_time is None:
                             if service > time:
                                 # Granted inside an outage: wait it out.
-                                payload[seq] = ~rs
                                 deferred[rs] = (service, wall, None)
-                                end = time + (service - time)
+                                push(heap, (time + (service - time), seq, ~rs))
                             else:
-                                payload[seq] = rs
                                 end = time + wall
                                 occupancy[resource].append((time, end))
-                            push(heap, (end, seq))
+                                push(heap, (end, seq, rs))
                             seq += 1
                             continue
                         if fail_time > time:
-                            payload[seq] = ~rs
                             deferred[rs] = (service, wall, kind)
-                            push(heap, (time + (fail_time - time), seq))
+                            push(heap, (time + (fail_time - time), seq, ~rs))
                             seq += 1
                             continue
                         # A death before the grant: the kill is a ghost.

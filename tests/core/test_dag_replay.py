@@ -5,17 +5,21 @@ the ``dag_replay`` backend) must reproduce the generator engine's floats
 bit for bit on *branching* pipelines — k-point DAGs, random synthetic
 DAGs, constructed exact-time tie storms on fan-in joins and on compacted
 single-predecessor segments, with and without a fault plan — as
-``tests/core/test_coalesce_shard.py`` pins it on chains.  This file
+``tests/core/test_coalesce_shard.py`` pins it on chains.  Its
+calendar heap holds at most one pending event per lane, and its sorted
+entry releases merge with that heap in the engine's order.  This file
 also covers the backend registry semantics: selection order, forced
 backends, the zero-duration fallback, and the framework's
 ``backend_stats`` counters.
 """
 
+import heapq
 import random
 
 import pytest
 
 from tests.core.dag_helpers import random_pipeline
+from repro.core.arrivals import poisson_arrivals
 from repro.core.backends import backend_names, get_backend
 from repro.core.cost_model import OffloadCostModel
 from repro.core.executor import PipelineExecutor
@@ -336,6 +340,30 @@ def _random_toy_job(rng, label, cost_model):
     return pipeline, schedule
 
 
+def _fault_timelines(batch):
+    """The per-lane fault timelines ``replay_dag_batch`` takes."""
+    if batch.faults is None:
+        return None
+    return list(map(batch.faults.timeline, batch.lanes))
+
+
+def _assert_backends_agree(executor, jobs, arrivals, plan=None):
+    """``dag_replay`` and the engine report the same batch, and so do
+    the two raw simulators."""
+    fast = executor.execute_many(
+        jobs, arrivals=arrivals, backend="dag_replay", faults=plan
+    )
+    engine = executor.execute_many(
+        jobs, arrivals=arrivals, backend="engine", faults=plan
+    )
+    assert fast.job_reports == engine.job_reports
+    assert fast.makespan == engine.makespan
+    assert fast.lane_occupancy == engine.lane_occupancy
+    assert fast.failures == engine.failures
+    _assert_simulators_agree(executor, jobs, arrivals, plan)
+    return fast
+
+
 def _assert_simulators_agree(executor, jobs, arrivals, plan=None):
     """``run_engine_batch`` and ``replay_dag_batch`` on the executor's
     compiled batch return equal raw four-tuples, and the engine's
@@ -343,11 +371,7 @@ def _assert_simulators_agree(executor, jobs, arrivals, plan=None):
     resource, each occupancy named by the job, stage and task that
     compiled onto that resource."""
     batch = executor.compile_batch(jobs, plan)
-    timelines = (
-        None
-        if batch.faults is None
-        else list(map(batch.faults.timeline, batch.lanes))
-    )
+    timelines = _fault_timelines(batch)
     seen = [[] for _ in batch.lanes]
 
     def observe(resource, job, stage, task, start, end):
@@ -397,16 +421,7 @@ class TestCompactedSegmentTieStorms:
             rng.shuffle(jobs)
             round_arrivals = [rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in jobs]
             for arrivals in (None, round_arrivals):
-                fast = executor.execute_many(
-                    jobs, arrivals=arrivals, backend="dag_replay"
-                )
-                engine = executor.execute_many(
-                    jobs, arrivals=arrivals, backend="engine"
-                )
-                assert fast.job_reports == engine.job_reports
-                assert fast.makespan == engine.makespan
-                assert fast.lane_occupancy == engine.lane_occupancy
-                _assert_simulators_agree(executor, jobs, arrivals)
+                _assert_backends_agree(executor, jobs, arrivals)
 
 
 def _random_fault_plans(rng):
@@ -467,20 +482,10 @@ class TestFaultTieStorms:
             round_arrivals = [rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in jobs]
             for plan in _random_fault_plans(rng):
                 for arrivals in (None, round_arrivals):
-                    fast = executor.execute_many(
-                        jobs, arrivals=arrivals, backend="dag_replay",
-                        faults=plan,
+                    report = _assert_backends_agree(
+                        executor, jobs, arrivals, plan
                     )
-                    engine = executor.execute_many(
-                        jobs, arrivals=arrivals, backend="engine",
-                        faults=plan,
-                    )
-                    assert fast.job_reports == engine.job_reports
-                    assert fast.makespan == engine.makespan
-                    assert fast.lane_occupancy == engine.lane_occupancy
-                    assert fast.failures == engine.failures
-                    _assert_simulators_agree(executor, jobs, arrivals, plan)
-                    for failure in engine.failures:
+                    for failure in report.failures:
                         dead_at = plan.dead_lanes().get(failure.lane)
                         if dead_at is not None and failure.time > dead_at:
                             kills_at_grant += 1
@@ -488,6 +493,143 @@ class TestFaultTieStorms:
                             kills_after_grant += 1
         # The storm reaches both kinds of kill.
         assert kills_after_grant and kills_at_grant
+
+
+class _HeapProbe:
+    """Stands in for :mod:`heapq` in :mod:`repro.hw.engine` and records
+    the largest heap it sees, at every push *and* pop: a calendar that
+    starts full shows only at its pops."""
+
+    def __init__(self):
+        self.peak = 0
+
+    def heappush(self, heap, item):
+        heapq.heappush(heap, item)
+        self.peak = max(self.peak, len(heap))
+
+    def heappop(self, heap):
+        self.peak = max(self.peak, len(heap))
+        return heapq.heappop(heap)
+
+
+class TestCalendarBound:
+    """The replay's heap holds only in-flight events — one occupancy,
+    outage wait-out or kill per busy lane — while the entry releases
+    wait in a sorted list, so the heap never holds more events than the
+    batch has lanes, however many jobs are still to be released."""
+
+    @staticmethod
+    def _peak(monkeypatch, batch, arrivals):
+        probe = _HeapProbe()
+        monkeypatch.setattr("repro.hw.engine.heapq", probe)
+        replay_dag_batch(
+            batch.programs,
+            batch.member_group,
+            arrivals,
+            len(batch.lanes),
+            _fault_timelines(batch),
+        )
+        return probe.peak
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_storms_hold_one_event_per_lane(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        cost_model = _round_cost_model()
+        executor = PipelineExecutor(cost_model=cost_model)
+        for shard in range(4):
+            templates = [
+                _random_toy_job(rng, f"t{shard}_{k}_", cost_model)
+                for k in range(rng.randint(1, 4))
+            ]
+            jobs = [
+                job for job in templates for _ in range(rng.randint(1, 6))
+            ]
+            rng.shuffle(jobs)
+            round_arrivals = [rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in jobs]
+            for plan in (None, *_random_fault_plans(rng)):
+                batch = executor.compile_batch(jobs, plan)
+                for arrivals in ([0.0] * len(jobs), round_arrivals):
+                    peak = self._peak(monkeypatch, batch, arrivals)
+                    assert 0 < peak <= len(batch.lanes)
+
+    def test_open_chain_mix_holds_one_event_per_lane(
+        self, monkeypatch, framework
+    ):
+        rng = random.Random(0)
+        sizes = [rng.choice(SIZES) for _ in range(2048)]
+        batch = framework.executor.compile_batch(
+            _jobs(framework, [(n_atoms, build_pipeline) for n_atoms in sizes])
+        )
+        arrivals = poisson_arrivals(len(sizes), 2.0, seed=0)
+        peak = self._peak(monkeypatch, batch, arrivals)
+        assert 0 < peak <= len(batch.lanes)
+
+
+class TestReleaseEdges:
+    """Where the sorted releases meet the heap: a release at the very
+    instant of a completion (the release goes first, as its engine seq
+    is older), a heap that empties while releases remain, and a batch
+    with no release at all."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_second_wave_released_on_completion_instants(self, seed):
+        rng = random.Random(seed)
+        cost_model = _round_cost_model()
+        executor = PipelineExecutor(cost_model=cost_model)
+        templates = [
+            _random_toy_job(rng, f"w{k}_", cost_model) for k in range(3)
+        ]
+        wave = [job for job in templates for _ in range(rng.randint(1, 4))]
+        rng.shuffle(wave)
+        for plan in (None, *_random_fault_plans(rng)):
+            batch = executor.compile_batch(wave, plan)
+            occupancy = replay_dag_batch(
+                batch.programs,
+                batch.member_group,
+                [0.0] * len(wave),
+                len(batch.lanes),
+                _fault_timelines(batch),
+            )[2]
+            # The first wave alone ends occupancies at these instants;
+            # the second wave is released on them, so at least the
+            # earliest collides with a completion in the joint batch.
+            ends = sorted({end for lane in occupancy for _start, end in lane})
+            second = [ends[i % len(ends)] for i in range(len(wave))]
+            report = _assert_backends_agree(
+                executor, wave + wave, [0.0] * len(wave) + second, plan
+            )
+            assert ends[0] in {
+                end
+                for lane in report.lane_occupancy.values()
+                for _start, end in lane
+            }
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_heap_empties_while_releases_remain(self, seed):
+        """Each job is released half a second after every earlier one
+        has finished, so the calendar drains between releases."""
+        rng = random.Random(seed)
+        cost_model = _round_cost_model()
+        executor = PipelineExecutor(cost_model=cost_model)
+        jobs = [_random_toy_job(rng, f"s{k}_", cost_model) for k in range(6)]
+        for plan in (None, *_random_fault_plans(rng)):
+            arrivals = [0.0]
+            for k in range(1, len(jobs)):
+                previous = executor.execute_many(
+                    jobs[:k], arrivals=arrivals, backend="engine", faults=plan
+                )
+                arrivals.append(previous.makespan + 0.5)
+            report = _assert_backends_agree(executor, jobs, arrivals, plan)
+            assert all(
+                done < release
+                for done, release in zip(report.completion_times, arrivals[1:])
+            )
+
+    def test_empty_batch(self):
+        empty = ([], 0.0, [[], [], []], [])
+        assert run_engine_batch([], [], [], 3) == empty
+        assert replay_dag_batch([], [], [], 3) == empty
+        assert replay_dag_batch([], [], [], 3, [None] * 3) == empty
 
 
 class TestLaneOccupancyEquivalence:

@@ -470,6 +470,39 @@ class TestMain:
         assert main([str(committed), str(fresh)]) == 1
         capsys.readouterr()
 
+    def test_missing_input_is_a_usage_error(self, tmp_path, capsys):
+        """A missing committed or fresh file exits 2 with one error
+        line, so CI cannot mistake it for a regression (exit 1)."""
+        present = tmp_path / "present.json"
+        present.write_text(json.dumps(_report([(16, 1000.0)])))
+        missing = tmp_path / "missing.json"
+        for args in ([missing, present], [present, missing]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(list(map(str, args)))
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert f"error: cannot read {missing}: " in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["truncated", "list"])
+    def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, kind):
+        """A file cut off mid-write (not valid JSON) or JSON that is not
+        an object exits 2 with one error line, not a traceback."""
+        present = tmp_path / "present.json"
+        text = json.dumps(_report([(16, 1000.0)]))
+        present.write_text(text)
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(
+            text[: len(text) // 2] if kind == "truncated" else "[]"
+        )
+        for args in ([malformed, present], [present, malformed]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(list(map(str, args)))
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert f"error: cannot read {malformed}: " in err
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize("tolerance", ["1.5", "nan", "-0.1"])
     def test_bad_tolerance_is_a_usage_error(self, tmp_path, capsys, tolerance):
         """A tolerance outside [0, 1) exits 2 with argparse's one-line
