@@ -41,6 +41,7 @@ import sys
 
 from repro.core.framework import NdftFramework
 from repro.core.scheduler import SchedulingPolicy
+from repro.errors import ConfigError
 
 
 def _backend_choices() -> list[str]:
@@ -51,16 +52,18 @@ def _backend_choices() -> list[str]:
 
 def _admission_policy(args):
     """The AdmissionPolicy the --slo-p99 / --max-queue-depth /
-    --admission-mode flags describe, or ``None`` when neither criterion
-    was given (admission off — the pre-admission behavior)."""
+    --admission-mode (default shed) flags describe, or ``None`` when no
+    criterion was given (admission off, so a mode alone is refused)."""
     if args.slo_p99 is None and args.max_queue_depth is None:
+        if args.admission_mode is not None:
+            raise ConfigError("--admission-mode needs --slo-p99 or --max-queue-depth")
         return None
     from repro.core.arrivals import AdmissionPolicy
 
     return AdmissionPolicy(
         slo_p99=args.slo_p99,
         max_queue_depth=args.max_queue_depth,
-        mode=args.admission_mode,
+        mode=args.admission_mode or "shed",
     )
 
 
@@ -68,8 +71,6 @@ def _check_fault_lanes(lanes, framework, flag: str) -> None:
     """Reject lane names the configured system does not expose: a fault
     window on an unknown lane silently never fires, which reads as a
     suspiciously-perfect availability number."""
-    from repro.errors import ConfigError
-
     valid = framework.fault_lanes()
     for lane in lanes:
         if lane not in valid:
@@ -96,7 +97,6 @@ def _fault_setup(args, framework):
         shock_fault_plan,
         slowdown_fault_plan,
     )
-    from repro.errors import ConfigError
 
     plan = None
 
@@ -313,8 +313,6 @@ def _serve_bench(args, framework) -> str:
         )
     faults, retry = _fault_setup(args, framework)
     if args.replicas is not None:
-        from repro.errors import ConfigError
-
         if args.replicas < 1:
             raise ConfigError(
                 f"--replicas needs a positive fleet size, got {args.replicas}"
@@ -489,11 +487,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--admission-mode",
         choices=["shed", "deprioritize"],
-        default="shed",
+        default=None,
         help=(
-            "what to do with over-SLO arrivals: shed (reject outright, "
-            "default) or deprioritize (defer behind the backlog, "
-            "excluded from the SLO percentiles)"
+            "what to do with arrivals that violate --slo-p99 or "
+            "--max-queue-depth (one of which it needs): shed (reject "
+            "outright, default) or deprioritize (defer behind the "
+            "backlog, excluded from the SLO percentiles)"
         ),
     )
     parser.add_argument(

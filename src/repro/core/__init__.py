@@ -44,6 +44,7 @@
 from repro.core.arrivals import (
     AdmissionDecision,
     AdmissionPolicy,
+    AdmissionResult,
     percentile,
     plan_admission,
     poisson_arrivals,
@@ -84,7 +85,6 @@ from repro.core.executor import (
     PipelineExecutor,
 )
 from repro.core.framework import (
-    AdmissionResult,
     NdftBatchResult,
     NdftFramework,
     NdftRunResult,

@@ -30,8 +30,9 @@ in-flight jobs) and what to do with violators (``shed`` drops them,
 ``deprioritize`` defers them behind the backlog), and
 :func:`plan_admission` applies it deterministically over a batch's
 arrival order using each job's memoized solo-time estimate and a
-per-lane backlog model.  :meth:`repro.core.framework.NdftFramework.run_many`
-consumes the plan before simulating.
+per-lane backlog model, returning the plan as the per-job columns of an
+:class:`AdmissionResult`; :meth:`repro.core.framework.NdftFramework.run_many`
+consumes it before simulating.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
+from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +58,7 @@ __all__ = [
     "ADMISSION_MODES",
     "AdmissionDecision",
     "AdmissionPolicy",
+    "AdmissionResult",
     "percentile",
     "plan_admission",
     "poisson_arrivals",
@@ -237,14 +240,91 @@ class AdmissionDecision:
     reason: str | None
 
 
+@dataclass(frozen=True)
+class AdmissionResult:
+    """What :func:`plan_admission` computed for one submitted batch, as
+    columns over *every submitted job* in submission order — shed jobs
+    included, though they never reach the simulator and so have no
+    entry in the batch result's ``jobs``.
+
+    ``labels`` and ``arrivals`` are the planner's inputs: ``arrivals``
+    are the *submitted* offsets, where a batch result's own
+    ``arrivals`` are the releases its simulation used.  ``reasons[i]``
+    names the criterion job ``i`` violated (``"slo_p99"`` /
+    ``"queue_depth"``), ``None`` if it was admitted; ``policy.mode``
+    says whether violators were shed or deferred.  ``counted_indices``
+    maps into the *executed* jobs: the positions whose latencies count
+    toward the post-shed SLO percentiles (admitted jobs; deferred jobs
+    execute but are excluded)."""
+
+    policy: AdmissionPolicy
+    labels: tuple[str, ...]
+    arrivals: tuple[float, ...]
+    predicted_latencies: tuple[float, ...]
+    releases: tuple[float, ...]
+    reasons: tuple[str | None, ...]
+    counted_indices: tuple[int, ...]
+
+    @property
+    def n_submitted(self) -> int:
+        return len(self.arrivals)
+
+    @property
+    def admitted(self) -> int:
+        """Jobs admitted inside the SLO window."""
+        return self.reasons.count(None)
+
+    @property
+    def shed(self) -> int:
+        """Jobs rejected outright (never simulated)."""
+        violators = len(self.reasons) - self.admitted
+        return violators if self.policy.mode == "shed" else 0
+
+    @property
+    def deferred(self) -> int:
+        """Jobs deprioritized: executed at a deferred release."""
+        violators = len(self.reasons) - self.admitted
+        return violators if self.policy.mode == "deprioritize" else 0
+
+    @property
+    def shed_rate(self) -> float:
+        """Fraction of submitted jobs rejected outright."""
+        return self.shed / self.n_submitted if self.n_submitted else 0.0
+
+    @property
+    def shed_labels(self) -> tuple[str, ...]:
+        """Labels of the shed jobs, in submission order (a batch may
+        shed several jobs of the same size, so labels can repeat)."""
+        if self.policy.mode != "shed":
+            return ()
+        pairs = zip(self.labels, self.reasons)
+        return tuple(label for label, reason in pairs if reason is not None)
+
+    @property
+    def decisions(self) -> tuple[AdmissionDecision, ...]:
+        """One :class:`AdmissionDecision` per submitted job, in
+        submission order, built from the columns on each read."""
+        admitted = [reason is None for reason in self.reasons]
+        deferring = self.policy.mode == "deprioritize"
+        deferred = [deferring and not admit for admit in admitted]
+        return tuple(
+            map(
+                AdmissionDecision, count(), self.labels, self.arrivals,
+                self.predicted_latencies, admitted, deferred, self.releases,
+                self.reasons,
+            )
+        )
+
+
 def plan_admission(
     policy: AdmissionPolicy,
     arrivals: Sequence[float],
     solo_times: Sequence[float],
     lanes: Sequence[tuple],
     labels: Sequence[str],
-) -> tuple[AdmissionDecision, ...]:
-    """Apply ``policy`` over a batch, in arrival order.
+) -> AdmissionResult:
+    """Apply ``policy`` over a batch, in arrival order, and return its
+    :class:`AdmissionResult`.
 
     The backlog model is deliberately conservative: an admitted job is
     charged to *every* lane its placement touches (devices and crossing
@@ -257,9 +337,12 @@ def plan_admission(
     distinct signature; ``lanes[i]`` is job ``i``'s lane-name tuple
     (:meth:`repro.core.executor.PipelineExecutor.schedule_lanes`).
 
+    A shed job charges no lane.  A deferred job releases at its lanes'
+    drain (for a depth violation, at least the earliest in-flight
+    completion, so deferral is never a no-op) and charges its lanes
+    until that release plus its solo time, out of the in-flight count.
     Ties on the arrival instant are broken by submission index, exactly
-    like the simulator's release order.  Returns one decision per job,
-    in submission order.
+    like the simulator's release order.
     """
     n = len(arrivals)
     if not (len(solo_times) == len(lanes) == len(labels) == n):
@@ -267,11 +350,17 @@ def plan_admission(
             "arrivals, solo_times, lanes and labels must align: got "
             f"{n}/{len(solo_times)}/{len(lanes)}/{len(labels)}"
         )
+    arrivals = tuple(map(float, arrivals))
+    slo, depth = policy.slo_p99, policy.max_queue_depth
+    shedding = policy.mode == "shed"
     lane_free: dict = {}
     in_flight: list[float] = []  # predicted completions of admitted jobs
-    decisions: list[AdmissionDecision | None] = [None] * n
-    for i in sorted(range(n), key=lambda j: (arrivals[j], j)):
-        arrival = float(arrivals[i])
+    latencies = [0.0] * n
+    releases = list(arrivals)
+    reasons: list[str | None] = [None] * n
+    # A stable sort keeps submission order among equal arrivals.
+    for i in sorted(range(n), key=arrivals.__getitem__):
+        arrival = arrivals[i]
         while in_flight and in_flight[0] <= arrival:
             heapq.heappop(in_flight)
         start = arrival
@@ -279,63 +368,27 @@ def plan_admission(
             free = lane_free.get(lane)
             if free is not None and free > start:
                 start = free
-        predicted_completion = start + solo_times[i]
-        predicted_latency = predicted_completion - arrival
-        reason = None
-        if (
-            policy.max_queue_depth is not None
-            and len(in_flight) >= policy.max_queue_depth
-        ):
-            reason = "queue_depth"
-        elif policy.slo_p99 is not None and predicted_latency > policy.slo_p99:
-            reason = "slo_p99"
-        if reason is None:
-            for lane in lanes[i]:
-                lane_free[lane] = predicted_completion
-            heapq.heappush(in_flight, predicted_completion)
-            decisions[i] = AdmissionDecision(
-                index=i,
-                label=labels[i],
-                arrival=arrival,
-                predicted_latency=predicted_latency,
-                admitted=True,
-                deferred=False,
-                release=arrival,
-                reason=None,
-            )
-        elif policy.mode == "shed":
-            decisions[i] = AdmissionDecision(
-                index=i,
-                label=labels[i],
-                arrival=arrival,
-                predicted_latency=predicted_latency,
-                admitted=False,
-                deferred=False,
-                release=arrival,
-                reason=reason,
-            )
+        completion = start + solo_times[i]
+        latency = latencies[i] = completion - arrival
+        if depth is not None and len(in_flight) >= depth:
+            reasons[i] = "queue_depth"
+            start = max(start, in_flight[0])  # deferred past a completion
+        elif slo is not None and latency > slo:
+            reasons[i] = "slo_p99"
         else:
-            # Deprioritize: defer the release to the predicted drain of
-            # whatever the job violated — its lanes' backlog, and (for a
-            # depth violation, where the lanes may well be idle) at
-            # least the earliest in-flight completion, so deferral is
-            # never a no-op that re-admits the job at its own arrival.
-            release = start
-            if reason == "queue_depth" and in_flight and in_flight[0] > release:
-                release = in_flight[0]
-            completion = release + solo_times[i]
-            for lane in lanes[i]:
-                lane_free[lane] = completion
-            decisions[i] = AdmissionDecision(
-                index=i,
-                label=labels[i],
-                arrival=arrival,
-                predicted_latency=predicted_latency,
-                admitted=False,
-                deferred=True,
-                release=release,
-                reason=reason,
-            )
-    return tuple(decisions)  # type: ignore[arg-type]
-
-
+            heapq.heappush(in_flight, completion)
+        if reasons[i] is not None:
+            if shedding:
+                continue
+            releases[i] = start
+            completion = start + solo_times[i]
+        for lane in lanes[i]:
+            lane_free[lane] = completion
+    if shedding:  # the executed jobs are exactly the admitted ones
+        counted = tuple(range(reasons.count(None)))
+    else:
+        counted = tuple(i for i, reason in enumerate(reasons) if reason is None)
+    return AdmissionResult(
+        policy, tuple(labels), arrivals, tuple(latencies), tuple(releases),
+        tuple(reasons), counted,
+    )

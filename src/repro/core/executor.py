@@ -218,9 +218,9 @@ class BatchExecutionReport:
 
     ``arrivals`` is the per-job release offset when the batch ran as an
     open queue (``None`` for the classic everyone-at-t=0 closed batch).
-    ``n_superjobs``/``backend_jobs`` are observability for the scale-out
-    fast path: how many signature-coalesced super-jobs the batch
-    compiled into (whichever backend ran), and how many jobs each
+    ``n_superjobs``/:attr:`backend_jobs` are observability for the
+    scale-out fast path: how many signature-coalesced super-jobs the
+    batch compiled into (whichever backend ran), and how many jobs each
     simulation backend (:mod:`repro.core.backends`) timed.
 
     ``lane_occupancy`` is the per-resource busy accounting every
@@ -237,8 +237,6 @@ class BatchExecutionReport:
     makespan: float
     arrivals: tuple[float, ...] | None = None
     n_superjobs: int = 0
-    #: Jobs simulated per backend name, e.g. ``{"dag_replay": 512}``.
-    backend_jobs: dict[str, int] = field(default_factory=dict)
     #: Occupancy intervals per lane, in grant order (see class docs).
     lane_occupancy: dict[str, tuple[tuple[float, float], ...]] = field(
         default_factory=dict
@@ -326,6 +324,15 @@ class BatchExecutionReport:
             lane: busy / span
             for lane, busy in self.lane_busy_seconds.items()
         }
+
+    @property
+    def backend_jobs(self) -> dict[str, int]:
+        """Jobs simulated per backend name, e.g. ``{"dag_replay": 512}``,
+        totalled over :attr:`backend_timings` in first-seen order."""
+        totals: dict[str, int] = {}
+        for timing in self.backend_timings:
+            totals[timing.backend] = totals.get(timing.backend, 0) + timing.n_jobs
+        return totals
 
     @property
     def backend_wall_seconds(self) -> dict[str, float]:
@@ -566,7 +573,6 @@ class PipelineExecutor:
             makespan=makespan,
             arrivals=None if arrivals is None else tuple(arrivals),
             n_superjobs=n_superjobs,
-            backend_jobs={chosen: n},
             lane_occupancy={
                 lane: tuple(intervals)
                 for lane, intervals in zip(batch.lanes, occupancy)

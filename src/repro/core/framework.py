@@ -52,14 +52,14 @@ import numbers
 import pickle
 import pickletools
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import compress, repeat
 from math import isfinite
 from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.core.arrivals import (
-    AdmissionDecision,
     AdmissionPolicy,
+    AdmissionResult,
     percentile,
     plan_admission,
     validate_arrivals,
@@ -185,58 +185,6 @@ class _Entry:
     pipeline: Pipeline
     signature: JobSignature | None
     record: _Record
-
-
-@dataclass(frozen=True)
-class AdmissionResult:
-    """What the admission controller did to one submitted batch.
-
-    ``decisions`` covers *every submitted job* in submission order —
-    including shed jobs, which never reach the simulator and therefore
-    have no entry in the result's ``jobs``.  ``counted_indices`` maps
-    into the *executed* jobs tuple: the positions whose latencies count
-    toward the post-shed SLO percentiles (admitted jobs; deprioritized
-    jobs execute but are excluded)."""
-
-    policy: AdmissionPolicy
-    decisions: tuple[AdmissionDecision, ...]
-    counted_indices: tuple[int, ...]
-
-    @property
-    def n_submitted(self) -> int:
-        return len(self.decisions)
-
-    @property
-    def admitted(self) -> int:
-        """Jobs admitted inside the SLO window."""
-        return sum(1 for d in self.decisions if d.admitted)
-
-    @property
-    def shed(self) -> int:
-        """Jobs rejected outright (never simulated)."""
-        return sum(
-            1 for d in self.decisions if not d.admitted and not d.deferred
-        )
-
-    @property
-    def deferred(self) -> int:
-        """Jobs deprioritized: executed at a deferred release."""
-        return sum(1 for d in self.decisions if d.deferred)
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of submitted jobs rejected outright."""
-        if not self.decisions:
-            return 0.0
-        return self.shed / len(self.decisions)
-
-    @property
-    def shed_labels(self) -> tuple[str, ...]:
-        """Labels of the shed jobs, in submission order (a batch may
-        shed several jobs of the same size, so labels can repeat)."""
-        return tuple(
-            d.label for d in self.decisions if not d.admitted and not d.deferred
-        )
 
 
 def queueing_delays(
@@ -475,7 +423,8 @@ class NdftBatchResult(ServedBatch):
     def arrivals(self) -> tuple[float, ...] | None:
         """Per-job release offsets, or ``None`` for the t=0 batch.
         Under ``deprioritize`` admission these are the *actual*
-        (possibly deferred) releases the simulation used."""
+        (possibly deferred) releases the simulation used, where
+        ``admission.arrivals`` are the submitted offsets."""
         return self.batch_report.arrivals
 
     @property
@@ -1034,9 +983,12 @@ class NdftFramework:
         predicted from its memoized solo-time estimate plus the current
         backlog on its placement's lanes, violators are shed (never
         simulated) or deprioritized (released after the predicted
-        drain), and the result's :attr:`NdftBatchResult.admission`
-        records every decision.  The plan is deterministic — the same
-        arrivals and policy always shed the same set.
+        drain), and the result's :attr:`NdftBatchResult.admission` is
+        the planner's :class:`~repro.core.arrivals.AdmissionResult`:
+        each submitted job's predicted latency, release and violated
+        criterion as columns, with per-job decisions built only when
+        read.  The plan is deterministic — the same arrivals and policy
+        always shed the same set.
 
         ``faults`` injects a deterministic
         :class:`~repro.core.faults.FaultPlan`; ``retry`` (default
@@ -1238,10 +1190,9 @@ class NdftFramework:
             dead_at[placement] = death
 
         # Every round's simulation: its backend rows and declines in
-        # round order, and the jobs each backend simulated.
+        # round order.
         timings: tuple = ()
         declines: tuple = ()
-        backend_jobs: dict[str, int] = {}
         # Residual (pipeline, signature, record) per checkpoint frontier,
         # built once per (job, frontier) within this call; the residual's
         # record persists across calls in the store under its own
@@ -1321,8 +1272,6 @@ class NdftFramework:
             )
             timings += report.backend_timings
             declines += report.declines
-            for name, count in report.backend_jobs.items():
-                backend_jobs[name] = backend_jobs.get(name, 0) + count
             failed_runs = {failure.job: failure for failure in report.failures}
             new_runs = list(base_runs)
             for position, (job_index, attempt, _release, frontier) in enumerate(
@@ -1424,7 +1373,6 @@ class NdftFramework:
                 if arrivals is None and runs == base_runs
                 else tuple(runs[position][2] for position in positions)
             ),
-            backend_jobs=backend_jobs,
             backend_timings=timings,
             declines=declines,
             span_start=report.first_release,
@@ -1474,40 +1422,26 @@ class NdftFramework:
     ) -> tuple[list[int], list[float], AdmissionResult]:
         """Run the admission controller over a resolved batch and
         return the executed subset: table indices, (possibly deferred)
-        releases, and the full decision record.  Solo times, lanes and
+        releases, and the admission record.  Solo times, lanes and
         labels are derived once per entry of the table."""
         if arrivals is None:
             raise ConfigError(
                 "admission control acts on an open queue: pass arrivals= "
                 "(e.g. poisson_arrivals) alongside admission="
             )
-        decisions = plan_admission(
+        record = plan_admission(
             admission,
             arrivals,
             _solo_times(entries, index),
             _per_job([_schedule_lanes(e.record.schedule) for e in entries], index),
             _per_job([e.problem.label for e in entries], index),
         )
-        executed = [
-            i
-            for i, decision in enumerate(decisions)
-            if decision.admitted or decision.deferred
-        ]
-        counted = tuple(
-            position
-            for position, i in enumerate(executed)
-            if decisions[i].admitted
-        )
-        admission_result = AdmissionResult(
-            policy=admission,
-            decisions=decisions,
-            counted_indices=counted,
-        )
-        return (
-            [index[i] for i in executed],
-            [decisions[i].release for i in executed],
-            admission_result,
-        )
+        releases = record.releases
+        if admission.mode == "shed":  # shed jobs never reach the simulator
+            admitted = [reason is None for reason in record.reasons]
+            index = list(compress(index, admitted))
+            releases = compress(releases, admitted)
+        return index, list(releases), record
 
     # ------------------------------------------------------------------
     # Internals

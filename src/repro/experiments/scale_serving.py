@@ -280,8 +280,7 @@ def serve_point(
         fleet = fleet_point(reference)
     else:
         report, fleet = reference.batch_report, None
-        backend_jobs = dict(report.backend_jobs)
-        backend_wall = dict(report.backend_wall_seconds)
+        backend_jobs, backend_wall = report.backend_jobs, report.backend_wall_seconds
     n = len(sizes)
     return {
         "batch_size": n,
@@ -436,7 +435,6 @@ def run_serve_bench(
     batch_sizes: tuple[int, ...] = DEFAULT_BATCH_SIZES,
     mix: tuple[int, ...] = DEFAULT_MIX,
     repeats: int = 3,
-    compare_uncached: bool = True,
     cached: bool = True,
     arrival_rate: float | None = DEFAULT_ARRIVAL_RATE,
     arrival_seed: int = 0,
@@ -450,22 +448,30 @@ def run_serve_bench(
 
     ``cached=False`` (CLI ``--no-cache``) measures only the
     memoization-free baseline; otherwise each point up to
-    :data:`UNCACHED_COMPARE_MAX` jobs measures both paths (unless
-    ``compare_uncached`` is off) and checks their results are identical
-    to the last float.  ``arrival_rate`` (``None`` or ``<= 0``: off)
-    measures each point once more as an open queue, and
-    ``arrival_sweep_rates`` adds the latency-vs-load sweep
-    (:func:`run_arrival_sweep`).  ``backend`` forces one simulation
-    backend for every measurement.  ``admission`` and ``faults``/
-    ``retry`` apply to the open-queue measurements only: the closed t=0
-    points measure the healthy fast path.  Every input is checked
-    before the first measurement."""
+    :data:`UNCACHED_COMPARE_MAX` jobs measures both paths and checks
+    their results are identical to the last float.  ``arrival_rate``
+    (``None`` or ``<= 0``: off) measures each point once more as an
+    open queue, and ``arrival_sweep_rates`` adds the latency-vs-load
+    sweep (:func:`run_arrival_sweep`).  ``backend`` forces one
+    simulation backend for every measurement.  ``admission`` and
+    ``faults``/``retry`` apply to the open-queue measurements only (the
+    closed t=0 points measure the healthy fast path), so without one
+    they are refused.  Every input is checked before the first
+    measurement."""
     batches = _checked_batches(batch_sizes, mix, arrival_rate, arrival_sweep_rates)
+    open_queue = arrival_rate is not None and arrival_rate > 0
+    if not (open_queue or arrival_sweep_rates) and any(
+        option is not None for option in (admission, faults, retry)
+    ):
+        raise ConfigError(
+            "admission, faults and retry act on open-queue measurements "
+            "only: pass an arrival rate > 0 or an arrival sweep"
+        )
     options = dict(backend=backend, admission=admission, faults=faults, retry=retry)
     points = []
     for sizes in batches:
         uncached_wall = uncached = identical = arrival = None
-        if not cached or (compare_uncached and len(sizes) <= UNCACHED_COMPARE_MAX):
+        if not cached or len(sizes) <= UNCACHED_COMPARE_MAX:
             uncached_wall, uncached = measure_run_many(
                 sizes, False, repeats, backend=backend
             )
@@ -481,7 +487,7 @@ def run_serve_bench(
                     and reference.solo_times == uncached.solo_times
                     and reference.jobs == uncached.jobs
                 )
-        if arrival_rate is not None and arrival_rate > 0:
+        if open_queue:
             arrival = _open_point(
                 sizes, arrival_rate, arrival_seed, repeats, cached, **options
             )

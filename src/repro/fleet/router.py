@@ -4,16 +4,17 @@ One arrival stream feeds N replica frameworks; something has to decide
 which replica simulates which job, and that decision must be *pure
 virtual-time arithmetic* — never a function of which worker process
 happened to report first — or the fleet's results would depend on OS
-scheduling.  :func:`route_jobs` therefore reuses the exact backlog model
-:func:`repro.core.arrivals.plan_admission` applies at admission time:
-each replica carries a per-lane drain clock, a job's predicted start on
-a replica is ``max(arrival, that replica's drain time over the job's
-lanes)``, its predicted completion adds the memoized solo estimate, and
-the job goes to the replica with the *shortest predicted completion*
-(join-shortest-predicted-backlog), ties broken by replica index.  The
-model deliberately serializes shared lanes — the same conservative
-choice the admission controller makes — because an over-estimated
-backlog merely spreads load earlier, which is the safe direction.
+scheduling.  :func:`route_jobs` therefore applies the same backlog model
+as :func:`repro.core.arrivals.plan_admission` (a test pins the two to
+the bit on one replica): each replica carries a per-lane drain clock, a
+job's predicted start on a replica is ``max(arrival, that replica's
+drain time over the job's lanes)``, its predicted completion adds the
+memoized solo estimate, and the job goes to the replica with the
+*shortest predicted completion* (join-shortest-predicted-backlog), ties
+broken by replica index.  The model deliberately serializes shared
+lanes — the same conservative choice the admission controller makes —
+because an over-estimated backlog merely spreads load earlier, which is
+the safe direction.
 
 Same arrivals + same solo estimates ⇒ same :class:`RoutingPlan`, always:
 the router runs entirely in the parent, before any worker exists.

@@ -10,16 +10,26 @@ batching speedup under an open queue, and graceful degenerate (empty /
 fully shed) batches in both report classes.
 """
 
+import heapq
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.arrivals import (
+    ADMISSION_MODES,
+    AdmissionDecision,
     AdmissionPolicy,
     plan_admission,
     poisson_arrivals,
 )
 from repro.core.executor import BatchExecutionReport, PipelineExecutor
 from repro.core.framework import NdftFramework
+from repro.core.pipeline import build_kpoint_pipeline
 from repro.errors import ConfigError
+from repro.experiments.scale_serving import job_mix
+from repro.fleet.router import route_jobs
 
 #: Every served batch a test here builds must hold check_invariants.
 pytestmark = pytest.mark.usefixtures("checked_results")
@@ -80,7 +90,7 @@ class TestPlanAdmission:
             [1.0, 1.0, 1.0],
             [("cpu",)] * 3,
             ["a", "b", "c"],
-        )
+        ).decisions
         assert [d.admitted for d in decisions] == [True, True, False]
         assert decisions[2].reason == "slo_p99"
         assert decisions[2].predicted_latency == 3.0
@@ -93,7 +103,7 @@ class TestPlanAdmission:
             [1.0, 1.0],
             [("cpu",), ("ndp",)],
             ["a", "b"],
-        )
+        ).decisions
         assert all(d.admitted for d in decisions)
 
     def test_queue_depth_bounds_in_flight(self):
@@ -107,7 +117,7 @@ class TestPlanAdmission:
             [1.0, 1.0, 1.0],
             [("cpu",)] * 3,
             ["a", "b", "c"],
-        )
+        ).decisions
         assert [d.admitted for d in decisions] == [True, False, True]
         assert decisions[1].reason == "queue_depth"
 
@@ -119,7 +129,7 @@ class TestPlanAdmission:
             [1.0, 1.0, 1.0],
             [("cpu",)] * 3,
             ["a", "b", "c"],
-        )
+        ).decisions
         assert [d.deferred for d in decisions] == [False, False, True]
         # Deferred to the predicted lane drain (two admitted solos).
         assert decisions[2].release == 2.0
@@ -136,7 +146,7 @@ class TestPlanAdmission:
             [1.0, 1.0],
             [("cpu",), ("ndp",)],  # disjoint lanes: no backlog signal
             ["a", "b"],
-        )
+        ).decisions
         assert decisions[0].admitted and decisions[1].deferred
         assert decisions[1].reason == "queue_depth"
         assert decisions[1].release == 1.0  # job a's predicted completion
@@ -149,7 +159,7 @@ class TestPlanAdmission:
             [1.0, 1.0],
             [("cpu",)] * 2,
             ["first", "second"],
-        )
+        ).decisions
         assert decisions[0].admitted and not decisions[1].admitted
 
     def test_plan_is_deterministic(self):
@@ -161,6 +171,150 @@ class TestPlanAdmission:
         first = plan_admission(policy, arrivals, solos, lanes, labels)
         second = plan_admission(policy, arrivals, solos, lanes, labels)
         assert first == second
+
+
+def _per_decision_plan(policy, arrivals, solo_times, lanes, labels):
+    """The planner as it was when it built one AdmissionDecision per
+    job in three branches: the reference the columnar plan reproduces
+    field for field."""
+    n = len(arrivals)
+    lane_free: dict = {}
+    in_flight: list[float] = []
+    decisions = [None] * n
+    for i in sorted(range(n), key=lambda j: (arrivals[j], j)):
+        arrival = float(arrivals[i])
+        while in_flight and in_flight[0] <= arrival:
+            heapq.heappop(in_flight)
+        start = arrival
+        for lane in lanes[i]:
+            free = lane_free.get(lane)
+            if free is not None and free > start:
+                start = free
+        predicted_completion = start + solo_times[i]
+        predicted_latency = predicted_completion - arrival
+        reason = None
+        if (
+            policy.max_queue_depth is not None
+            and len(in_flight) >= policy.max_queue_depth
+        ):
+            reason = "queue_depth"
+        elif policy.slo_p99 is not None and predicted_latency > policy.slo_p99:
+            reason = "slo_p99"
+        if reason is None:
+            for lane in lanes[i]:
+                lane_free[lane] = predicted_completion
+            heapq.heappush(in_flight, predicted_completion)
+            decisions[i] = AdmissionDecision(
+                i, labels[i], arrival, predicted_latency, True, False, arrival, None
+            )
+        elif policy.mode == "shed":
+            decisions[i] = AdmissionDecision(
+                i, labels[i], arrival, predicted_latency, False, False, arrival, reason
+            )
+        else:
+            release = start
+            if reason == "queue_depth" and in_flight and in_flight[0] > release:
+                release = in_flight[0]
+            completion = release + solo_times[i]
+            for lane in lanes[i]:
+                lane_free[lane] = completion
+            decisions[i] = AdmissionDecision(
+                i, labels[i], arrival, predicted_latency, False, True, release, reason
+            )
+    return tuple(decisions)
+
+
+#: Device and wire lanes a generated job may occupy: jobs drawing
+#: overlapping subsets share lanes, others are disjoint.
+LANES = ("cpu", "ndp", "link:cpu-ndp")
+
+
+@st.composite
+def planner_inputs(draw):
+    """A policy under one of three criterion settings and either mode,
+    and a batch whose arrivals often tie (a coarse grid) and whose
+    jobs' lanes are shared or disjoint."""
+    n = draw(st.integers(1, 24))
+    arrivals = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from((0.0, 0.5, 1.0, 2.0)), st.floats(0.0, 4.0)
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    solos = draw(st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n))
+    lanes = draw(
+        st.lists(
+            st.sets(st.sampled_from(LANES), min_size=1).map(sorted).map(tuple),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    criteria = draw(st.sampled_from(("slo", "depth", "both")))
+    policy = AdmissionPolicy(
+        slo_p99=None if criteria == "depth" else draw(st.floats(0.05, 4.0)),
+        max_queue_depth=None if criteria == "slo" else draw(st.integers(1, 4)),
+        mode=draw(st.sampled_from(ADMISSION_MODES)),
+    )
+    return policy, arrivals, solos, lanes, [f"job{i}" for i in range(n)]
+
+
+def _assert_router_agrees(arrivals, solos, lanes):
+    """With one replica and a policy that never binds, the router's
+    predicted completion minus the arrival is the planner's predicted
+    latency, to the last bit."""
+    n = len(arrivals)
+    result = plan_admission(
+        AdmissionPolicy(max_queue_depth=n), arrivals, solos, lanes, ["j"] * n
+    )
+    assert result.admitted == n
+    routed = route_jobs(1, arrivals, solos, lanes)
+    assert result.predicted_latencies == tuple(
+        completion - arrival
+        for completion, arrival in zip(routed.predicted_completions, arrivals)
+    )
+
+
+class TestPlannerReferences:
+    @given(case=planner_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_columns_match_the_per_decision_planner(self, case):
+        result = plan_admission(*case)
+        reference = _per_decision_plan(*case)
+        assert result.decisions == reference
+        shed = [d for d in reference if not d.admitted and not d.deferred]
+        executed = [d for d in reference if d.admitted or d.deferred]
+        assert result.n_submitted == len(reference)
+        assert result.admitted == sum(d.admitted for d in reference)
+        assert result.deferred == sum(d.deferred for d in reference)
+        assert result.shed == len(shed)
+        assert result.shed_labels == tuple(d.label for d in shed)
+        assert result.counted_indices == tuple(
+            position for position, d in enumerate(executed) if d.admitted
+        )
+
+    @given(case=planner_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_router_applies_the_admission_backlog_model(self, case):
+        _policy, arrivals, solos, lanes, _labels = case
+        _assert_router_agrees(arrivals, solos, lanes)
+
+    @pytest.fixture(scope="class")
+    def kpoint_estimates(self):
+        sizes = job_mix(1024)
+        return NdftFramework().job_estimates(sizes, build_kpoint_pipeline)
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["poisson", "tied"])
+    def test_router_applies_the_admission_backlog_model_on_kpoint_jobs(
+        self, kpoint_estimates, tied
+    ):
+        solos, lanes = kpoint_estimates
+        arrivals = poisson_arrivals(len(solos), 3.0, seed=0)
+        if tied:  # whole seconds: many jobs arrive together
+            arrivals = [float(math.floor(a)) for a in arrivals]
+        _assert_router_agrees(arrivals, solos, lanes)
 
 
 class TestRunManyAdmission:
@@ -246,6 +400,27 @@ class TestRunManyAdmission:
         assert first.admission.decisions == second.admission.decisions
         assert first.admission.shed_labels == second.admission.shed_labels
         assert first.completion_latencies == second.completion_latencies
+
+    def test_serving_builds_no_decision(self, overload, monkeypatch):
+        """The record is columns: serving an admitted batch builds no
+        AdmissionDecision, and reading ``decisions`` builds exactly one
+        per submitted job."""
+        built = []
+        init = AdmissionDecision.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AdmissionDecision, "__init__", counted)
+        sizes, arrivals = overload
+        result = NdftFramework().run_many(
+            sizes, arrivals=arrivals, admission=AdmissionPolicy(slo_p99=2.0)
+        )
+        assert result.admission.shed > 0
+        assert built == []
+        decisions = result.admission.decisions
+        assert len(built) == len(decisions) == result.admission.n_submitted
 
     def test_admission_off_is_bit_identical(self, overload):
         """run_many without admission= must reproduce the pre-admission

@@ -20,7 +20,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.arrivals import AdmissionDecision, AdmissionPolicy, poisson_arrivals
+from repro.core.arrivals import AdmissionPolicy, poisson_arrivals
 from repro.core.executor import ExecutionReport, PipelineExecutor
 from repro.core.faults import RetryPolicy, poisson_fault_plan
 from repro.core.framework import NdftFramework, NdftRunResult, check_invariants
@@ -288,20 +288,14 @@ class TestCheckInvariants:
 
     def test_submitted_is_admitted_deferred_and_shed(self, shed_result):
         admission = shed_result.admission
-        decisions = list(admission.decisions)
-        shed = [i for i, d in enumerate(decisions) if not d.admitted]
-        admitted = [i for i, d in enumerate(decisions) if d.admitted]
-        # One shed job counted as admitted and as deferred, two admitted
-        # jobs counted as shed: admitted + deferred still equals the
-        # executed jobs, but the three counts overshoot the submissions.
-        decisions[shed[0]] = dataclasses.replace(
-            decisions[shed[0]], admitted=True, deferred=True
-        )
-        for i in admitted[:2]:
-            decisions[i] = dataclasses.replace(decisions[i], admitted=False)
+        reasons = list(admission.reasons)
+        # One shed job's reason goes missing: the columns no longer
+        # align, so the counts fall one short of the submissions while
+        # admitted + deferred still equals the executed jobs.
+        del reasons[next(i for i, r in enumerate(reasons) if r is not None)]
         bad = dataclasses.replace(
             shed_result,
-            admission=dataclasses.replace(admission, decisions=tuple(decisions)),
+            admission=dataclasses.replace(admission, reasons=tuple(reasons)),
         )
         with pytest.raises(SimulationError, match="submitted") as caught:
             check_invariants(bad)
@@ -309,20 +303,16 @@ class TestCheckInvariants:
 
     def test_executed_is_admitted_and_deferred(self, shed_result):
         admission = shed_result.admission
-        extra = AdmissionDecision(
-            index=admission.n_submitted,
-            label="Si_64",
-            arrival=0.0,
-            predicted_latency=0.0,
-            admitted=True,
-            deferred=False,
-            release=0.0,
-            reason=None,
-        )
+        # One more admitted job in every column, but none more executed.
         bad = dataclasses.replace(
             shed_result,
             admission=dataclasses.replace(
-                admission, decisions=(*admission.decisions, extra)
+                admission,
+                labels=(*admission.labels, "Si_64"),
+                arrivals=(*admission.arrivals, 0.0),
+                predicted_latencies=(*admission.predicted_latencies, 0.0),
+                releases=(*admission.releases, 0.0),
+                reasons=(*admission.reasons, None),
             ),
         )
         with pytest.raises(SimulationError, match="executed") as caught:

@@ -233,12 +233,16 @@ class TestCli:
             ["--arrival-rate", "inf"],
             ["--arrival-rate", "2", "--slo-p99", "nan"],
             ["--arrival-rate", "2", "--max-queue-depth", "0"],
+            ["--arrival-rate", "2", "--admission-mode", "deprioritize"],
+            ["--admission-mode", "shed"],
         ],
     )
     def test_batch_refuses_bad_open_queue_inputs(self, flags):
         """serve-bench's rule: a nan rate does not silently serve the
-        closed batch, and an inf rate or a bad admission bound is a
-        ConfigError, not a ValueError from the arrival layer."""
+        closed batch, an inf rate or a bad admission bound is a
+        ConfigError, not a ValueError from the arrival layer, and an
+        admission mode with no criterion to act on does not serve with
+        admission off."""
         with pytest.raises(ConfigError):
             main(["batch", "--atoms", "64", "128", *flags])
 

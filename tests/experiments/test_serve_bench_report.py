@@ -9,6 +9,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cli import main
+from repro.core.arrivals import AdmissionPolicy
+from repro.core.faults import RetryPolicy, poisson_fault_plan
 from repro.core.framework import NdftFramework
 from repro.errors import ConfigError
 from repro.experiments import scale_serving
@@ -20,6 +22,10 @@ FAULT_FLAGS = [
     "--mtbf", "10", "--mttr", "1", "--fault-seed", "7",
     "--shock-rate", "0.2", "--slowdown-factor", "2.0", "--checkpoint",
 ]
+
+#: An admission policy and a fault plan for the input checks.
+POLICY = AdmissionPolicy(slo_p99=2.0)
+PLAN = poisson_fault_plan(lanes=["ndp"], mtbf=10.0, mttr=1.0, horizon=60.0)
 
 #: Objects whose keys vary from run to run or host to host: the key
 #: itself must be written, its contents are compared as a map.
@@ -80,6 +86,10 @@ def no_measurement(monkeypatch):
         dict(batch_sizes=(16,), arrival_rate=float("inf")),
         dict(batch_sizes=(16,), arrival_rate=float("nan")),
         dict(batch_sizes=(16,), mix=()),
+        # Settings that act on the open queue only, with it off.
+        dict(batch_sizes=(16,), arrival_rate=0.0, admission=POLICY),
+        dict(batch_sizes=(16,), arrival_rate=None, faults=PLAN),
+        dict(batch_sizes=(16,), arrival_rate=0.0, faults=PLAN, retry=RetryPolicy()),
     ],
 )
 def test_serve_bench_checks_inputs_first(no_measurement, kwargs):
