@@ -270,6 +270,29 @@ def _batch(args, framework) -> str:
         run_batch_study,
     )
 
+    # serve-bench's flags that batch does not apply.  --repeats and the
+    # fault settings with defaults (--mttr, ...) act only beside one of them.
+    ignored = [
+        flag
+        for flag, given in (
+            ("--batch-sizes", args.batch_sizes is not None),
+            ("--no-cache", args.no_cache),
+            ("--arrival-sweep", args.arrival_sweep is not None),
+            ("--backend", args.backend is not None),
+            ("--mtbf", args.mtbf is not None),
+            ("--shock-rate", args.shock_rate is not None),
+            ("--shock-groups", args.shock_groups is not None),
+            ("--slowdown-factor", args.slowdown_factor is not None),
+            ("--checkpoint", args.checkpoint),
+            ("--replicas", args.replicas is not None),
+            ("--json", args.json is not None),
+        )
+        if given
+    ]
+    if ignored:
+        raise ConfigError(
+            f"serve-bench flags that batch does not apply: {', '.join(ignored)}"
+        )
     policy = SchedulingPolicy(args.policy)
     if policy is not framework.policy:
         framework = NdftFramework(policy=policy)

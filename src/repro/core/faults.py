@@ -46,8 +46,9 @@ set), up to ``max_attempts`` tries and an optional per-job timeout.
 ``checkpoint=True`` additionally records each failed run's completed-
 stage frontier, so the retry re-enters as a *residual pipeline* (the
 suffix past the checkpoint) instead of redoing finished work.
-:class:`ResilienceReport` is the per-batch summary surfaced on
-``NdftBatchResult.resilience``.
+:class:`ResilienceReport`, surfaced on ``NdftBatchResult.resilience``,
+holds the retry loop's attempts as columns; an :class:`AttemptRecord`
+is built from them only when a caller reads ``attempts``.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from __future__ import annotations
 import hashlib
 import numbers
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from math import inf, isfinite
 
 from repro.errors import ConfigError
@@ -556,23 +557,50 @@ class AttemptRecord:
 
 @dataclass(frozen=True)
 class ResilienceReport:
-    """Per-batch resilience summary (``NdftBatchResult.resilience``).
-
-    ``attempts`` lists every simulated attempt of the final fixpoint
-    round; ``end_to_end_latencies`` maps each submitted job to its
-    original-arrival→final-completion latency (``None`` when abandoned);
-    ``busy_span`` covers *all* attempts of the final round, so
-    ``goodput`` (completed jobs over the span) is directly comparable to
-    ``throughput_all_attempts`` (work attempted over the same span).
+    """What the retry loop computed for one batch
+    (``NdftBatchResult.resilience``): the converged round's attempts as
+    columns in run order, ``failures[i]`` being attempt ``i``'s
+    :class:`RunFailure` or ``None`` when it completed; :attr:`attempts`
+    builds one :class:`AttemptRecord` per attempt from them on each read.
+    ``end_to_end_latencies`` maps each submitted job to its
+    original-arrival→final-completion latency (``None`` when
+    abandoned); ``busy_span`` covers every attempt of the round, so
+    ``goodput`` is directly comparable to ``throughput_all_attempts``.
     """
 
     plan: FaultPlan
     retry: RetryPolicy
-    attempts: tuple[AttemptRecord, ...] = ()
     submitted: int = 0
     abandoned_jobs: tuple[int, ...] = ()
-    end_to_end_latencies: tuple[float | None, ...] = field(default=())
+    end_to_end_latencies: tuple[float | None, ...] = ()
     busy_span: float = 0.0
+    job_indices: tuple[int, ...] = ()
+    attempt_numbers: tuple[int, ...] = ()
+    releases: tuple[float, ...] = ()
+    frontiers: tuple[tuple[str, ...], ...] = ()
+    failures: tuple[RunFailure | None, ...] = ()
+    degraded: tuple[bool, ...] = ()
+    work_saved: tuple[float, ...] = ()
+
+    @property
+    def attempts(self) -> tuple[AttemptRecord, ...]:
+        """One :class:`AttemptRecord` per attempt of the converged
+        round, in run order, built from the columns on each read."""
+        columns = zip(
+            self.job_indices, self.attempt_numbers, self.releases,
+            self.failures, self.degraded, self.frontiers, self.work_saved,
+        )
+        return tuple(
+            AttemptRecord(
+                job_index, attempt, release, failure is None,
+                None if failure is None else failure.time,
+                None if failure is None else failure.lane,
+                None if failure is None else failure.kind,
+                degraded, frontier, work_saved,
+            )
+            for job_index, attempt, release, failure, degraded, frontier, work_saved
+            in columns
+        )
 
     @property
     def completed(self) -> int:
@@ -584,39 +612,38 @@ class ResilienceReport:
 
     @property
     def total_attempts(self) -> int:
-        return len(self.attempts)
+        return len(self.failures)
 
     @property
     def failed_attempts(self) -> int:
-        return sum(1 for record in self.attempts if not record.completed)
+        return self.total_attempts - self.failures.count(None)
 
     @property
     def recovered(self) -> int:
         """Jobs that completed on a retry (attempt > 1)."""
-        return sum(
-            1 for record in self.attempts if record.completed and record.attempt > 1
-        )
+        pairs = zip(self.failures, self.attempt_numbers)
+        return sum(1 for failure, attempt in pairs if failure is None and attempt > 1)
 
     @property
     def degraded_attempts(self) -> int:
-        return sum(1 for record in self.attempts if record.degraded)
+        return self.degraded.count(True)
 
     @property
     def resumed_attempts(self) -> int:
         """Attempts that re-entered past a checkpointed frontier."""
-        return sum(1 for record in self.attempts if record.frontier)
+        return sum(1 for frontier in self.frontiers if frontier)
 
     @property
     def resumed_stages(self) -> int:
         """Total checkpointed stages skipped across the final round's
         resumed attempts (``RetryPolicy(checkpoint=True)``)."""
-        return sum(len(record.frontier) for record in self.attempts)
+        return sum(map(len, self.frontiers))
 
     @property
     def work_saved_seconds(self) -> float:
         """Virtual seconds of completed-stage work the checkpoint
         resumes did not redo, summed over the final round's attempts."""
-        return sum(record.work_saved for record in self.attempts)
+        return sum(self.work_saved)
 
     @property
     def availability(self) -> float:

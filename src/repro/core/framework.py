@@ -73,12 +73,7 @@ from repro.core.executor import (
     PipelineExecutor,
     lane_name,
 )
-from repro.core.faults import (
-    AttemptRecord,
-    FaultPlan,
-    ResilienceReport,
-    RetryPolicy,
-)
+from repro.core.faults import FaultPlan, ResilienceReport, RetryPolicy
 from repro.core.lru import LruCache
 from repro.core.pipeline import Pipeline, build_pipeline
 from repro.core.sca import ScaReport, StaticCodeAnalyzer
@@ -362,7 +357,7 @@ def check_invariants(result: "NdftBatchResult") -> None:
                 f"deferred {deferred}"
             )
     if resilience is not None:
-        completed = sum(1 for attempt in resilience.attempts if attempt.completed)
+        completed = resilience.failures.count(None)
         if completed + resilience.abandoned != executed:
             problems.append(
                 f"completed {completed} + abandoned {resilience.abandoned} "
@@ -1158,7 +1153,9 @@ class NdftFramework:
         most one round per (event, attempt) pair — the final round *is*
         the consistent execution, and everything reported comes from it
         except the simulation's own record: every round's backend rows,
-        job counts and declines, in round order.
+        job counts and declines, in round order.  The
+        :class:`ResilienceReport` keeps the final round's run lists as its
+        columns and builds no per-attempt object.
 
         Runs released at-or-after a lane's permanent death whose base
         placement touches the dead target are re-placed through the
@@ -1310,32 +1307,15 @@ class NdftFramework:
             )
 
         # Outcomes: each job has at most one non-failed run (its last
-        # attempt); every run of the converged round becomes an
-        # AttemptRecord.
-        completed: dict[int, int] = {}
-        records = []
-        for position, (job_index, attempt, release, frontier) in enumerate(
-            runs
-        ):
-            failure = failed_runs.get(position)
-            degraded = run_meta[position][3]
-            work_saved = run_meta[position][4]
-            if failure is None:
-                completed[job_index] = position
-            records.append(
-                AttemptRecord(
-                    job_index=job_index,
-                    attempt=attempt,
-                    release=release,
-                    completed=failure is None,
-                    failure_time=None if failure is None else failure.time,
-                    failure_lane=None if failure is None else failure.lane,
-                    failure_kind=None if failure is None else failure.kind,
-                    degraded=degraded,
-                    frontier=frontier,
-                    work_saved=work_saved,
-                )
-            )
+        # attempt).  The converged round's runs are the report's columns.
+        job_indices, attempt_numbers, releases, frontiers = zip(*runs)
+        _jobs, _signatures, _records, degraded, work_saved = zip(*run_meta)
+        failures = tuple(map(failed_runs.get, range(len(runs))))
+        completed = {
+            job_index: position
+            for position, job_index in enumerate(job_indices)
+            if failures[position] is None
+        }
         abandoned = tuple(
             job_index for job_index in range(n) if job_index not in completed
         )
@@ -1347,11 +1327,17 @@ class NdftFramework:
         resilience = ResilienceReport(
             plan=faults,
             retry=retry,
-            attempts=tuple(records),
             submitted=n,
             abandoned_jobs=abandoned,
             end_to_end_latencies=end_to_end,
             busy_span=report.busy_span,
+            job_indices=job_indices,
+            attempt_numbers=attempt_numbers,
+            releases=releases,
+            frontiers=frontiers,
+            failures=failures,
+            degraded=degraded,
+            work_saved=work_saved,
         )
 
         # The surfaced batch covers the jobs that completed, in
@@ -1371,7 +1357,7 @@ class NdftFramework:
             arrivals=(
                 None
                 if arrivals is None and runs == base_runs
-                else tuple(runs[position][2] for position in positions)
+                else tuple(map(releases.__getitem__, positions))
             ),
             backend_timings=timings,
             declines=declines,

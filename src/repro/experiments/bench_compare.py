@@ -101,6 +101,29 @@ def _differing_keys(a: dict, b: dict) -> list[str]:
     )
 
 
+def _fault_plan_label(descriptor: dict | None) -> str:
+    """A fault descriptor named compactly, by its timeline's digest."""
+    if not descriptor:
+        return "off"
+    digest = (descriptor.get("plan") or {}).get("digest")
+    return f"plan {digest}" if digest else "on"
+
+
+#: The settings that make two reports different experiments, not two
+#: points of one trend (an engine-forced sweep is several times slower;
+#: the module docstring gives the other reasons), as (report key, how a
+#: refusal names them, what a missing or null key reads as: a file
+#: predating the key was measured without the setting).  A fault
+#: descriptor holds its components' provenance and its timeline's
+#: digest, so two explicit plans compare by content.
+_EXPERIMENT_SETTINGS = (
+    ("backend", "under different simulation backends ({} vs {})", "auto"),
+    ("admission", "under different admission policies ({} vs {})", "off"),
+    ("faults", "under different fault plans ({} vs {})", None),
+    ("replicas", "with different fleet sizes ({} vs {} replicas)", 1),
+)
+
+
 def _version_minor(version: str | None) -> str | None:
     if version is None:
         return None
@@ -153,86 +176,33 @@ def compare_serving_reports(
                 "only); its throughput columns hold baseline numbers and "
                 "cannot be trended"
             ]
-    # A forced simulation backend (--backend) is a different experiment:
-    # an engine-forced sweep is legitimately several times slower than
-    # the auto-selected replays, so trending the two against each other
-    # produces spurious verdicts in both directions.  Files predating
-    # the field (no "backend" key) read as auto-selected.
-    backend_committed = committed.get("backend")
-    backend_fresh = fresh.get("backend")
-    if backend_committed != backend_fresh:
+    for key, what, default in _EXPERIMENT_SETTINGS:
+        before = committed.get(key) or default
+        after = fresh.get(key) or default
+        if before == after:
+            continue
+        if key == "faults":
+            label, fresh_label = _fault_plan_label(before), _fault_plan_label(after)
+            if label == fresh_label and label.startswith("plan "):
+                # One timeline, described differently: name what differs.
+                differing = [
+                    f"{part}.{name}"
+                    for part in ("plan", "retry")
+                    for name in _differing_keys(
+                        before.get(part) or {}, after.get(part) or {}
+                    )
+                ]
+                return [
+                    "committed and fresh reports share the fault timeline of "
+                    f"{label}, but their fault descriptors differ in "
+                    f"{', '.join(differing)}; they cannot be trended against "
+                    "each other"
+                ]
+            before, after = label, fresh_label
         return [
-            "committed and fresh reports were measured under different "
-            f"simulation backends ({backend_committed or 'auto'} vs "
-            f"{backend_fresh or 'auto'}) and cannot be trended against "
+            "committed and fresh reports were measured "
+            f"{what.format(before, after)} and cannot be trended against "
             "each other"
-        ]
-    # Mirror of the forced-backend refusal for admission control: shed
-    # rates, lane utilization and post-shed latencies measured under one
-    # policy are a different experiment from another's (or from no
-    # policy at all).  Files predating the field (no "admission" key)
-    # read as admission-off.
-    admission_committed = committed.get("admission")
-    admission_fresh = fresh.get("admission")
-    if admission_committed != admission_fresh:
-        return [
-            "committed and fresh reports were measured under different "
-            f"admission policies ({admission_committed or 'off'} vs "
-            f"{admission_fresh or 'off'}) and cannot be trended against "
-            "each other"
-        ]
-    # Same refusal for fault injection: availability, goodput and
-    # post-fault latencies measured under one fault plan (or none) are a
-    # different experiment from another's — a retried batch is
-    # legitimately slower than a healthy one.  The descriptor carries
-    # the provenance of each drawn component (helper and parameters)
-    # and a digest of the normalized fault timeline, so two explicit
-    # plans compare by content.  Files predating the field (no "faults"
-    # key) read as faults-off.
-    faults_committed = committed.get("faults")
-    faults_fresh = fresh.get("faults")
-    if faults_committed != faults_fresh:
-
-        def _plan_label(descriptor):
-            if not descriptor:
-                return "off"
-            digest = (descriptor.get("plan") or {}).get("digest")
-            return f"plan {digest}" if digest else "on"
-
-        label = _plan_label(faults_committed)
-        fresh_label = _plan_label(faults_fresh)
-        if label == fresh_label and label.startswith("plan "):
-            # One timeline, described differently: name what differs.
-            differing = [
-                f"{part}.{key}"
-                for part in ("plan", "retry")
-                for key in _differing_keys(
-                    faults_committed.get(part) or {}, faults_fresh.get(part) or {}
-                )
-            ]
-            return [
-                f"committed and fresh reports share the fault timeline of "
-                f"{label}, but their fault descriptors differ in "
-                f"{', '.join(differing)}; they cannot be trended against "
-                "each other"
-            ]
-        return [
-            "committed and fresh reports were measured under different "
-            f"fault plans ({label} vs {fresh_label}) and cannot be trended against "
-            "each other"
-        ]
-    # Same refusal for the fleet size: an N-replica aggregate throughput
-    # is legitimately a multiple of the single-process number, so
-    # trending files with different --replicas counts produces spurious
-    # verdicts in both directions.  Files predating the field (no
-    # "replicas" key) read as a single replica.
-    replicas_committed = committed.get("replicas") or 1
-    replicas_fresh = fresh.get("replicas") or 1
-    if replicas_committed != replicas_fresh:
-        return [
-            "committed and fresh reports were measured with different "
-            f"fleet sizes ({replicas_committed} vs {replicas_fresh} "
-            "replicas) and cannot be trended against each other"
         ]
     failures = []
     knee_lanes = _comparable_knee_lanes(committed, fresh)

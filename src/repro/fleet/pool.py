@@ -58,6 +58,8 @@ def _serve_replica(payload: dict) -> dict:
     """One worker's whole serve step: build the replica framework, load
     the shared snapshot (same fingerprint-refusal rules as any load),
     simulate the routed jobs ``rounds`` times, persist what it learned.
+    It returns the replica's :class:`ReplicaSummary` fields but
+    ``job_indices``, which the parent routed, under the same names.
 
     Top-level function, plain-data payload, plain-data return — the
     spawn-context contract.  Also called in-process by ``inline`` pools:
@@ -82,7 +84,7 @@ def _serve_replica(payload: dict) -> dict:
     framework.save_caches(payload["out_snapshot"])
     return {
         "replica": payload["replica"],
-        "completions": result.batch_report.completion_times,
+        "completion_times": result.batch_report.completion_times,
         "makespan": result.makespan,
         "busy_span": result.busy_span,
         "lane_busy_seconds": dict(result.lane_busy_seconds),
@@ -267,38 +269,18 @@ class WorkerPool:
             self.framework.save_caches(self.snapshot_path)
 
         by_replica = {entry["replica"]: entry for entry in raw}
-        summaries = []
-        for replica in range(self.n_replicas):
-            entry = by_replica.get(replica)
-            if entry is None:
-                summaries.append(
-                    ReplicaSummary(
-                        replica=replica,
-                        job_indices=(),
-                        completion_times=(),
-                        makespan=0.0,
-                        busy_span=0.0,
-                    )
-                )
-                continue
-            summaries.append(
-                ReplicaSummary(
-                    replica=replica,
-                    job_indices=plan.jobs_for(replica),
-                    completion_times=tuple(entry["completions"]),
-                    makespan=entry["makespan"],
-                    busy_span=entry["busy_span"],
-                    lane_busy_seconds=entry["lane_busy_seconds"],
-                    backend_jobs=entry["backend_jobs"],
-                    wall_seconds=entry["wall_seconds"],
-                )
-            )
+        summaries = tuple(
+            ReplicaSummary(job_indices=plan.jobs_for(replica), **by_replica[replica])
+            if replica in by_replica
+            else ReplicaSummary(replica, (), (), 0.0, 0.0)
+            for replica in range(self.n_replicas)
+        )
         wall = time.perf_counter() - started
         return FleetResult(
             plan=plan,
             arrivals=arrivals,
             solo_times=solo_times,
-            replicas=tuple(summaries),
+            replicas=summaries,
             wall_seconds=wall,
             rounds=rounds,
             merged_entries=merged,

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.arrivals import AdmissionPolicy, poisson_arrivals
 from repro.core.executor import ExecutionReport, PipelineExecutor
-from repro.core.faults import RetryPolicy, poisson_fault_plan
+from repro.core.faults import AttemptRecord, RetryPolicy, poisson_fault_plan
 from repro.core.framework import NdftFramework, NdftRunResult, check_invariants
 from repro.core.pipeline import build_kpoint_pipeline
 from repro.errors import SimulationError
@@ -31,11 +31,11 @@ from repro.experiments.scale_serving import job_mix
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """Counts of ``ExecutionReport`` and ``NdftRunResult`` objects
-    constructed while the test runs, plus the super-jobs every
-    ``execute_many`` call simulated (``"superjobs"``)."""
+    """Counts of ``ExecutionReport``, ``NdftRunResult`` and
+    ``AttemptRecord`` objects constructed while the test runs, plus the
+    super-jobs every ``execute_many`` call simulated (``"superjobs"``)."""
     counts: Counter = Counter()
-    for cls in (ExecutionReport, NdftRunResult):
+    for cls in (ExecutionReport, NdftRunResult, AttemptRecord):
         init = cls.__init__
 
         def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
@@ -102,6 +102,7 @@ class TestAllocationGuard:
         assert result.n_jobs > constructions["superjobs"] > 0
         assert constructions["ExecutionReport"] <= constructions["superjobs"]
         assert constructions["NdftRunResult"] == 0
+        assert constructions["AttemptRecord"] == 0
         if serve is _faulted_retry:
             resilience = result.resilience
             assert resilience.failed_attempts > 0
@@ -128,6 +129,30 @@ class TestAllocationGuard:
         constructions.clear()
         result.batch_report.job_reports[-1]
         assert constructions == {"ExecutionReport": 1}
+        if serve is _faulted_retry:
+            # Reading the attempts builds one record per attempt, and
+            # every count is the same count over those records.
+            constructions.clear()
+            records = resilience.attempts
+            assert constructions == {"AttemptRecord": resilience.total_attempts}
+            assert resilience.failed_attempts == sum(
+                not record.completed for record in records
+            )
+            assert resilience.recovered == sum(
+                record.completed and record.attempt > 1 for record in records
+            )
+            assert resilience.degraded_attempts == sum(
+                record.degraded for record in records
+            )
+            assert resilience.resumed_attempts == sum(
+                bool(record.frontier) for record in records
+            )
+            assert resilience.resumed_stages == sum(
+                len(record.frontier) for record in records
+            )
+            assert resilience.work_saved_seconds == sum(
+                record.work_saved for record in records
+            )
 
 
 @pytest.fixture(scope="module")

@@ -235,6 +235,17 @@ class TestCli:
             ["--arrival-rate", "2", "--max-queue-depth", "0"],
             ["--arrival-rate", "2", "--admission-mode", "deprioritize"],
             ["--admission-mode", "shed"],
+            ["--batch-sizes", "16"],
+            ["--no-cache"],
+            ["--arrival-sweep"],
+            ["--backend", "engine"],
+            ["--arrival-rate", "2", "--mtbf", "10"],
+            ["--arrival-rate", "2", "--shock-rate", "0.5"],
+            ["--shock-groups", "ndp"],
+            ["--arrival-rate", "2", "--slowdown-factor", "2"],
+            ["--checkpoint"],
+            ["--replicas", "2"],
+            ["--json", "batch.json"],
         ],
     )
     def test_batch_refuses_bad_open_queue_inputs(self, flags):
@@ -242,7 +253,8 @@ class TestCli:
         closed batch, an inf rate or a bad admission bound is a
         ConfigError, not a ValueError from the arrival layer, and an
         admission mode with no criterion to act on does not serve with
-        admission off."""
+        admission off.  Nor does batch serve while ignoring a flag only
+        serve-bench applies."""
         with pytest.raises(ConfigError):
             main(["batch", "--atoms", "64", "128", *flags])
 
