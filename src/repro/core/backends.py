@@ -17,14 +17,14 @@ scattered through the executor:
 - :class:`SimulationBackend` is the protocol — one
   :meth:`~SimulationBackend.simulate` over ``(batch, arrivals)`` that
   returns the simulators' four outputs (per-job completion times, the
-  makespan, each resource's occupancy in grant order and the failure
-  rows), or ``None`` to decline a batch it cannot prove (e.g. several
-  signatures for ``vector_replay``, a zero-duration task under a
-  degenerate cost model).  The executor files the occupancy under the
-  batch's lane names and keeps the completion times as one column
-  beside one report template per super-job, so no backend touches a
-  report or the executor; a decline's reason lands in the report's
-  ``declines`` when the walk moves on.
+  makespan, each resource's occupancy as start and end columns in grant
+  order and the failure rows), or ``None`` to decline a batch it cannot
+  prove (e.g. several signatures for ``vector_replay``, a zero-duration
+  task under a degenerate cost model).  The executor files the
+  occupancy under the batch's lane names and keeps the completion
+  times as one column beside one report template per super-job, so no
+  backend touches a report or the executor; a decline's reason lands
+  in the report's ``declines`` when the walk moves on.
 - Three backends ship registered, in fallback-preference order:
 
   =================  ==================================================
@@ -98,11 +98,13 @@ from repro.hw.vector_replay import replay_vector_batch
 
 #: What ``simulate`` hands back, :func:`repro.hw.engine.replay_dag_batch`'s
 #: outputs: per-job completion times in batch order, the makespan, each
-#: resource's ``(start, end)`` occupancy in grant order, and the runs the
-#: batch's fault plan killed as ``(job, time, resource, kind, stages)``
-#: rows in job order (empty without a plan).
+#: resource's occupancy as a ``(starts, ends)`` pair of float columns in
+#: grant order (``occupancy[r][0][i]`` and ``occupancy[r][1][i]`` are
+#: resource ``r``'s ``i``-th grant and its end; no tuple per occupancy),
+#: and the runs the batch's fault plan killed as ``(job, time, resource,
+#: kind, stages)`` rows in job order (empty without a plan).
 SimulationResult = tuple[
-    list[float], float, list[list[tuple[float, float]]], list[tuple]
+    list[float], float, list[tuple[list[float], list[float]]], list[tuple]
 ]
 
 
@@ -163,11 +165,12 @@ class SimulationBackend(Protocol):
 
         ``arrivals`` are the jobs' release offsets (``None``: all at
         t=0).  Every output must be the engine's exact floats, the
-        occupancy included (``end = grant + duration``, indexed like
-        :attr:`CompiledBatch.lanes`), which is what makes
-        ``BatchExecutionReport.lane_occupancy`` backend-independent.  A
-        backend that cannot honour :attr:`CompiledBatch.faults` must
-        decline."""
+        occupancy included: one ``(starts, ends)`` pair of float
+        columns per resource, indexed like :attr:`CompiledBatch.lanes`,
+        with ``ends[i] = starts[i] + duration`` in grant order — which
+        is what makes ``BatchExecutionReport.lane_occupancy``
+        backend-independent.  A backend that cannot honour
+        :attr:`CompiledBatch.faults` must decline."""
         ...
 
 

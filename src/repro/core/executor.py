@@ -38,8 +38,9 @@ Two entry points:
   registered backend, under a fault plan too: the batching back-end of
   :meth:`repro.core.framework.NdftFramework.run_many`.  Its report is
   columnar: one completion time per job, one report template per
-  super-job, and a :class:`ReportView` that builds a job's
-  :class:`ExecutionReport` only when a caller reads it.
+  super-job, a :class:`ReportView` that builds a job's
+  :class:`ExecutionReport` only when a caller reads it, and a
+  :class:`LaneView` per lane over the backend's occupancy columns.
 
 The executor holds no simulator: :mod:`repro.core.trace` runs the
 engine on a compiled job itself to rebuild exact Gantt timelines.
@@ -187,6 +188,44 @@ class ReportView(JobView):
         )
 
 
+class LaneView(Sequence):
+    """One lane's occupancy intervals in grant order, held as a start
+    and an end column and paired only when read.
+
+    Indexing returns a ``(start, end)`` tuple, a slice a tuple of them,
+    and iterating yields them one at a time; ``len`` counts the
+    occupancies.  A view equals a tuple of equal pairs from either
+    side, and another view column by column.  It holds plain data only,
+    so it pickles."""
+
+    __slots__ = ("ends", "starts")
+
+    def __init__(self, starts: Sequence[float], ends: Sequence[float]):
+        self.starts = starts
+        self.ends = ends
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return tuple(zip(self.starts[position], self.ends[position]))
+        return self.starts[position], self.ends[position]
+
+    def __iter__(self):
+        return zip(self.starts, self.ends)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LaneView):
+            return self.starts == other.starts and self.ends == other.ends
+        if isinstance(other, tuple):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}: {len(self)} occupancies>"
+
+
 @dataclass(frozen=True, slots=True)
 class ShardTiming:
     """Wall-clock accounting for one simulated batch.
@@ -224,10 +263,11 @@ class BatchExecutionReport:
     simulation backend (:mod:`repro.core.backends`) timed.
 
     ``lane_occupancy`` is the per-resource busy accounting every
-    backend records while simulating: for each device or wire lane
-    (named as in :func:`lane_name`), the ``(start, end)`` occupancy
-    intervals in grant order.  The intervals are bit-identical
-    whichever backend simulated (property-tested in
+    backend records while simulating: for each occupied device or wire
+    lane (named as in :func:`lane_name`), a :class:`LaneView` over the
+    backend's start and end columns, which yields the ``(start, end)``
+    occupancy intervals in grant order only when read.  The intervals
+    are bit-identical whichever backend simulated (property-tested in
     ``tests/core/test_dag_replay.py``), which makes the derived
     :attr:`lane_busy_seconds`/:attr:`lane_utilization` safe to trend
     across backend selections.
@@ -238,9 +278,7 @@ class BatchExecutionReport:
     arrivals: tuple[float, ...] | None = None
     n_superjobs: int = 0
     #: Occupancy intervals per lane, in grant order (see class docs).
-    lane_occupancy: dict[str, tuple[tuple[float, float], ...]] = field(
-        default_factory=dict
-    )
+    lane_occupancy: dict[str, LaneView] = field(default_factory=dict)
     #: The batch's wall time and size, one row per simulated batch (a
     #: faulted ``run_many`` simulates one batch per retry round) — the
     #: raw observability ``serve-bench``'s per-backend breakdown reads.
@@ -304,11 +342,12 @@ class BatchExecutionReport:
 
     @property
     def lane_busy_seconds(self) -> dict[str, float]:
-        """Busy (occupied) seconds per device/wire lane, summed over
-        the occupancy intervals in grant order."""
+        """Busy (occupied) seconds per device/wire lane: each
+        interval's ``end - start``, summed in grant order from the
+        lane's columns."""
         return {
-            lane: sum(end - start for start, end in intervals)
-            for lane, intervals in self.lane_occupancy.items()
+            lane: sum(map(operator.sub, view.ends, view.starts))
+            for lane, view in self.lane_occupancy.items()
         }
 
     @property
@@ -513,8 +552,9 @@ class PipelineExecutor:
         one column beside one template per super-job (a job's
         :class:`ExecutionReport` is built only when a caller reads
         :attr:`BatchExecutionReport.job_reports`), and each resource's
-        occupancy, which it files under the batch's lane names.  Backends that
-        declined the batch on the way land in
+        occupancy as start and end columns, which it files under the
+        batch's lane names as one :class:`LaneView` per occupied lane.
+        Backends that declined the batch on the way land in
         :attr:`BatchExecutionReport.declines` with their reasons.
 
         ``backend`` names one registered backend to force (the serving
@@ -574,9 +614,9 @@ class PipelineExecutor:
             arrivals=None if arrivals is None else tuple(arrivals),
             n_superjobs=n_superjobs,
             lane_occupancy={
-                lane: tuple(intervals)
-                for lane, intervals in zip(batch.lanes, occupancy)
-                if intervals
+                lane: LaneView(starts, ends)
+                for lane, (starts, ends) in zip(batch.lanes, occupancy)
+                if starts
             },
             backend_timings=(timing,),
             failures=self._run_failures(batch, failed),
@@ -608,9 +648,9 @@ class PipelineExecutor:
         raises, naming its ``unsupported_reason`` for the compiled
         batch, when it declines.  Returns the chosen backend's name; its
         result (completion times in batch order, the makespan, each
-        resource's occupancy and the failure rows); and the ``(name,
-        unsupported_reason)`` of each backend that declined first (a
-        reason is asked for only after a decline).
+        resource's start and end columns and the failure rows); and the
+        ``(name, unsupported_reason)`` of each backend that declined
+        first (a reason is asked for only after a decline).
         """
         if forced is not None:
             candidates: tuple = (forced,)

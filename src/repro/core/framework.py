@@ -1162,6 +1162,10 @@ class NdftFramework:
         exact DP with every dead-at-release target excluded
         (:meth:`_record_for` with ``exclude=``), reusing the degraded
         record across runs via its ``(signature, exclusion)`` store key.
+        A run's resolution depends only on its ``(job, attempt, release,
+        frontier)`` tuple, so each is resolved once per call: a later
+        round resolves only its new retries, and a degraded record is
+        looked up in the store once per call.
 
         Under ``retry.checkpoint`` a failed run's completed-stage
         frontier rides along with its retry, which re-enters as the
@@ -1245,11 +1249,19 @@ class NdftFramework:
         report = None
         run_meta: list = []
         failed_runs: dict[int, object] = {}
+        # This call's resolutions by run tuple: every round repeats the
+        # base runs.
+        resolutions: dict[tuple, tuple] = {}
         for _round in range(max_rounds):
             sim_jobs = []
             run_meta = []
-            for job_index, _attempt, release, frontier in runs:
-                resolved = resolve_run(job_index, release, frontier)
+            for run in runs:
+                resolved = resolutions.get(run)
+                if resolved is None:
+                    job_index, _attempt, release, frontier = run
+                    resolved = resolutions[run] = resolve_run(
+                        job_index, release, frontier
+                    )
                 sim_jobs.append(resolved[0])
                 run_meta.append(resolved)
             # The base round of a closed batch must be the exact no-plan

@@ -243,8 +243,10 @@ def compare_serving_reports(
                     f"({after / before - 1.0:+.1%}, "
                     f"tolerance -{max_regression:.0%})"
                 )
-        p99_pair = _comparable_p99(point_before, point_after)
-        if p99_pair is not None:
+        p99_pair = _comparable_arrival(
+            point_before, point_after, "p99_latency_seconds"
+        )
+        if p99_pair is not None and p99_pair[0] > 0:
             p99_before, p99_after = p99_pair
             if p99_after > p99_before * (1.0 + max_regression):
                 failures.append(
@@ -253,7 +255,9 @@ def compare_serving_reports(
                     f"({p99_after / p99_before - 1.0:+.1%}, "
                     f"tolerance +{max_regression:.0%})"
                 )
-        resilience_pair = _comparable_resilience(point_before, point_after)
+        resilience_pair = _comparable_arrival(
+            point_before, point_after, "resilience"
+        )
         if resilience_pair is not None:
             res_before, res_after = resilience_pair
             for metric, label, unit in (
@@ -314,38 +318,19 @@ def _comparable_knee_lanes(
     return before, after
 
 
-def _comparable_p99(
-    point_before: dict, point_after: dict
-) -> tuple[float, float] | None:
-    """The two points' p99 latencies, when their open-queue measurements
-    can be trended against each other: both present, positive baseline,
-    and the same offered load and arrival seed (a changed rate or seed
-    is a different experiment)."""
-    arrival_before = point_before.get("arrival") or {}
-    arrival_after = point_after.get("arrival") or {}
-    before = arrival_before.get("p99_latency_seconds")
-    after = arrival_after.get("p99_latency_seconds")
-    if before is None or after is None or before <= 0:
-        return None
-    if arrival_before.get("rate_jobs_per_second") != arrival_after.get(
-        "rate_jobs_per_second"
-    ) or arrival_before.get("seed") != arrival_after.get("seed"):
-        return None
-    return before, after
-
-
-def _comparable_resilience(
-    point_before: dict, point_after: dict
-) -> tuple[dict, dict] | None:
-    """The two points' resilience blocks, when their fault-injected
+def _comparable_arrival(point_before: dict, point_after: dict, key: str):
+    """Both points' values of one key of their open-queue ``arrival``
+    blocks (``p99_latency_seconds``, ``resilience``), when the two
     measurements can be trended against each other: both present and
-    the same offered load and arrival seed.  The top-level fault
+    the same offered load and arrival seed (a changed rate or seed is a
+    different experiment); ``None`` otherwise.  The top-level fault
     descriptor already matched (a mismatch refuses the whole
-    comparison), so the two blocks measure the same fault plan."""
+    comparison), so two resilience blocks measure the same fault
+    plan."""
     arrival_before = point_before.get("arrival") or {}
     arrival_after = point_after.get("arrival") or {}
-    before = arrival_before.get("resilience")
-    after = arrival_after.get("resilience")
+    before = arrival_before.get(key)
+    after = arrival_after.get(key)
     if before is None or after is None:
         return None
     if arrival_before.get("rate_jobs_per_second") != arrival_after.get(
@@ -386,17 +371,21 @@ def format_comparison(
                 speedups = (
                     f", speedup {speedup_before:.2f}x -> {speedup_after:.2f}x"
                 )
-            p99_pair = _comparable_p99(
-                committed_points[batch_size], fresh_points[batch_size]
+            p99_pair = _comparable_arrival(
+                committed_points[batch_size],
+                fresh_points[batch_size],
+                "p99_latency_seconds",
             )
             p99_note = ""
-            if p99_pair is not None:
+            if p99_pair is not None and p99_pair[0] > 0:
                 p99_note = (
                     f", p99 {p99_pair[0]:.4f} -> {p99_pair[1]:.4f} s"
                 )
             resilience_note = ""
-            resilience_pair = _comparable_resilience(
-                committed_points[batch_size], fresh_points[batch_size]
+            resilience_pair = _comparable_arrival(
+                committed_points[batch_size],
+                fresh_points[batch_size],
+                "resilience",
             )
             if resilience_pair is not None:
                 res_before, res_after = resilience_pair

@@ -5,8 +5,8 @@ take ``(programs, job_program, arrivals, n_resources, faults)`` — one
 ``(stage_tasks, stage_preds)`` program per super-job, each job's
 program, release offsets, the resource count and optional per-lane
 fault timelines — and return per-job completions, the makespan, each
-resource's occupancy in grant order and the failure rows, bit-identical
-to each other:
+resource's occupancy as ``(starts, ends)`` float columns in grant order
+and the failure rows, bit-identical to each other:
 
 - :func:`run_engine_batch` spawns one :class:`Engine` process per stage
   of every job: the reference the replays are verified against, and the
@@ -271,9 +271,11 @@ def run_engine_batch(
     n_resources: int,
     faults: "list | None" = None,
     observer: OccupancyObserver | None = None,
-) -> tuple[list[float], float, list[list[tuple[float, float]]], list[tuple]]:
+) -> tuple[list[float], float, list[tuple[list[float], list[float]]], list[tuple]]:
     """A batch on one shared :class:`Engine`, one process per stage of
-    every job, with :func:`replay_dag_batch`'s inputs and outputs.
+    every job, with :func:`replay_dag_batch`'s inputs and outputs: the
+    occupancy comes back as one ``(starts, ends)`` pair of float
+    columns per resource, appended as each occupancy ends.
 
     Stages are spawned job by job in topological order, so every
     predecessor process exists before its dependents.  A stage waits on
@@ -297,13 +299,15 @@ def run_engine_batch(
     engine = Engine()
     timeout = engine.timeout
     lanes = [engine.resource(1, f"resource {r}") for r in range(n_resources)]
-    occupancy: list[list[tuple[float, float]]] = [[] for _ in range(n_resources)]
+    occupancy = [([], []) for _ in range(n_resources)]
     n = len(job_program)
     failed: list | None = None if faults is None else [None] * n
     completed = [] if failed is None else [[] for _ in range(n)]
 
     def record(resource, job, stage, task, start, end) -> None:
-        occupancy[resource].append((start, end))
+        starts, ends = occupancy[resource]
+        starts.append(start)
+        ends.append(end)
         if observer is not None:
             observer(resource, job, stage, task, start, end)
 
@@ -497,7 +501,7 @@ def replay_dag_batch(
     arrivals: "list[float]",
     n_resources: int,
     faults: "list | None" = None,
-) -> tuple[list[float], float, list[list[tuple[float, float]]], list[tuple]]:
+) -> tuple[list[float], float, list[tuple[list[float], list[float]]], list[tuple]]:
     """FIFO replay of a batch of DAG-shaped jobs on shared resources.
 
     Job ``j`` runs ``programs[job_program[j]]``, released at
@@ -512,12 +516,13 @@ def replay_dag_batch(
     duration must be positive (the caller guarantees it).  Returns
     per-job completion times, the makespan (the last completion),
     per-resource occupancy intervals — ``occupancy[r]`` is resource
-    ``r``'s ``(start, end)`` list in grant order, where ``end`` is the
-    exact float pushed as the completion event (``start + duration``)
-    — and the failures (empty without ``faults``), all bit-identical to
+    ``r``'s ``(starts, ends)`` pair of float columns in grant order,
+    where each end is the exact float pushed as the completion event
+    (``start + duration``); the replay keeps no tuple per occupancy —
+    and the failures (empty without ``faults``), all bit-identical to
     spawning one engine process per stage (on a capacity-1 resource the
-    grant order *is* the completion order, so the interval lists line
-    up with the engine's occupancy stream entry for entry).
+    grant order *is* the completion order, so the columns line up with
+    the engine's occupancy stream entry for entry).
 
     ``faults`` (``None``: a healthy machine) holds one entry per
     resource: ``None`` for a lane without fault events, else its
@@ -588,8 +593,10 @@ def replay_dag_batch(
     # per-replica arrays are concatenations of per-program data, built
     # at C speed; at t=0 every non-entry head parks on its *first*
     # predecessor, so the initial watcher lists come from the programs.
-    # Entry releases are sorted by (arrival, rs): rs order is the spawn
-    # order the engine allocates the release timeouts' seqs in.
+    # Entry releases are ordered by (arrival, rs): rs order is the spawn
+    # order the engine allocates the release timeouts' seqs in.  They
+    # are laid out as columns in rs order and stably sorted by release,
+    # so ties keep rs order and no tuple is built per entry.
     # ------------------------------------------------------------------
     compiled = [_segments(program, faults is not None) for program in programs]
     tasks_of, preds_of, watchers_of, heads_of, stages_of = (
@@ -603,16 +610,15 @@ def replay_dag_batch(
     )
     remaining = list(map(len, job_tasks))  # unfinished segments per job
     rs_job = list(chain.from_iterable(map(repeat, range(n), remaining)))
-    entry_events = [
-        (release, base + head)
-        for release, base, heads in zip(
-            arrivals,
-            accumulate(remaining, initial=0),
-            map(heads_of.__getitem__, job_program),
-        )
+    job_heads = list(map(heads_of.__getitem__, job_program))
+    entry_rs = [
+        base + head
+        for base, heads in zip(accumulate(remaining, initial=0), job_heads)
         for head in heads
     ]
-    entry_events.sort()
+    entry_release = [
+        release for release, heads in zip(arrivals, job_heads) for _head in heads
+    ]
     total = len(rs_tasks)
     cursor = [0] * total  # index of the segment's requested/running task
     wait_index = [0] * total  # predecessor currently being waited on
@@ -620,9 +626,9 @@ def replay_dag_batch(
     stage_done = [False] * total
     busy = [False] * n_resources
     waiters: list[deque[int]] = [deque() for _ in range(n_resources)]
-    occupancy: list[list[tuple[float, float]]] = [
-        [] for _ in range(n_resources)
-    ]
+    # Each resource's occupancy as start and end columns, in grant order.
+    occ_starts: list[list[float]] = [[] for _ in range(n_resources)]
+    occ_ends: list[list[float]] = [[] for _ in range(n_resources)]
     completions = [0.0] * n
     makespan = 0.0
 
@@ -667,8 +673,9 @@ def replay_dag_batch(
     # event: the heap top goes first only when strictly earlier.
     # ``releases`` ends in an infinite sentinel, bound once, so reading
     # the next release never runs off the list.
-    release_rs = [rs for _release, rs in entry_events]
-    releases = [release for release, _rs in entry_events]
+    entry_order = sorted(range(len(entry_rs)), key=entry_release.__getitem__)
+    release_rs = list(map(entry_rs.__getitem__, entry_order))
+    releases = list(map(entry_release.__getitem__, entry_order))
     n_releases = len(releases)
     releases.append(float("inf"))
     next_release = releases[0]
@@ -711,7 +718,8 @@ def replay_dag_batch(
                 if queue:
                     waiter = queue.popleft()
                     end = time + rs_tasks[waiter][cursor[waiter]][1]
-                    occupancy[resource].append((time, end))
+                    occ_starts[resource].append(time)
+                    occ_ends[resource].append(end)
                     push(heap, (end, seq, waiter))
                     seq += 1
                 else:
@@ -725,7 +733,8 @@ def replay_dag_batch(
                     else:
                         busy[resource] = True
                         end = time + tasks[index][1]
-                        occupancy[resource].append((time, end))
+                        occ_starts[resource].append(time)
+                        occ_ends[resource].append(end)
                         push(heap, (end, seq, rs))
                         seq += 1
                     continue
@@ -749,7 +758,8 @@ def replay_dag_batch(
                 else:
                     busy[resource] = True
                     end = time + tasks[0][1]
-                    occupancy[resource].append((time, end))
+                    occ_starts[resource].append(time)
+                    occ_ends[resource].append(end)
                     push(heap, (end, seq, rs))
                     seq += 1
                 continue
@@ -780,12 +790,14 @@ def replay_dag_batch(
                     resource = rs_tasks[rs][index][0]
                     if kind is None:
                         end = time + wall
-                        occupancy[resource].append((time, end))
+                        occ_starts[resource].append(time)
+                        occ_ends[resource].append(end)
                         push(heap, (end, seq, rs))
                         seq += 1
                         continue
                     if time > service:
-                        occupancy[resource].append((service, time))
+                        occ_starts[resource].append(service)
+                        occ_ends[resource].append(time)
                     job = rs_job[rs]
                     if failed[job] is None:
                         failed[job] = (time, resource, kind)
@@ -825,7 +837,8 @@ def replay_dag_batch(
                 if code == _A_START:
                     resource, duration, _hop = rs_tasks[rs][cursor[rs]]
                     end = time + duration
-                    occupancy[resource].append((time, end))
+                    occ_starts[resource].append(time)
+                    occ_ends[resource].append(end)
                     push(heap, (end, seq, rs))
                     seq += 1
                 elif code == _A_ACQUIRE:
@@ -894,7 +907,8 @@ def replay_dag_batch(
                                 push(heap, (time + (service - time), seq, ~rs))
                             else:
                                 end = time + wall
-                                occupancy[resource].append((time, end))
+                                occ_starts[resource].append(time)
+                                occ_ends[resource].append(end)
                                 push(heap, (end, seq, rs))
                             seq += 1
                             continue
@@ -921,7 +935,7 @@ def replay_dag_batch(
                 completed.extend(stage for stage, end in stages if end <= cutoff)
                 rs += 1
             failures.append((job, *failure, tuple(sorted(completed))))
-    return completions, makespan, occupancy, failures
+    return completions, makespan, list(zip(occ_starts, occ_ends)), failures
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,7 @@ def replay_vector_batch(
     program: "tuple",
     arrivals: "list[float]",
     n_resources: int,
-) -> tuple[list[float], float, list[list[tuple[float, float]]]] | None:
+) -> tuple[list[float], float, list[tuple[list[float], list[float]]]] | None:
     """Wave-replay a batch of identical replicas of one DAG program.
 
     ``program`` is the coalesced template in
@@ -317,7 +317,9 @@ def replay_vector_batch(
     every duration positive — shared by *all* ``len(arrivals)``
     replicas; ``arrivals[j]`` is replica ``j``'s release time.
     Returns the same ``(completions, makespan, occupancy)`` triple as
-    the event-driven replays, bit-identical to the generator engine,
+    the event-driven replays — each resource's occupancy as a
+    ``(starts, ends)`` pair of float columns in grant order, extended
+    one wave group at a time — bit-identical to the generator engine,
     or ``None`` to decline a batch whose grant order is not provably
     the wave order (see the module docstring) — a declined call has no
     side effects.
@@ -355,9 +357,7 @@ def replay_vector_batch(
     carry = [_NEG_INF] * n_resources
     seen = [False] * n_resources
     last_request = [0.0] * n_resources
-    occupancy: list[list[tuple[float, float]]] = [
-        [] for _ in range(n_resources)
-    ]
+    occupancy = [([], []) for _ in range(n_resources)]
 
     def sources_of(occ: int) -> tuple[tuple, list[int] | None]:
         """The occupancy's ready sources: its tie signature plus the
@@ -373,11 +373,14 @@ def replay_vector_batch(
         return source, list(source)
 
     def commit(closing: _WaveGroup, computed: tuple) -> None:
-        """Finalize a verified group: file its grant-order intervals
-        and per-occupancy end vectors, advance the resource state."""
+        """Finalize a verified group: extend its resource's start and
+        end columns in grant order, file the per-occupancy end vectors,
+        advance the resource state."""
         resource = closing.resource
         starts, seq_ends, end_matrix, last_req = computed
-        occupancy[resource].extend(zip(starts.tolist(), seq_ends.tolist()))
+        start_column, end_column = occupancy[resource]
+        start_column.extend(starts.tolist())
+        end_column.extend(seq_ends.tolist())
         for slot, occ in enumerate(closing.occs):
             ends[occ] = end_matrix[:, slot]
         carry[resource] = float(seq_ends[-1])

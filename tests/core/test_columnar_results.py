@@ -5,15 +5,17 @@
 read-only views over columns (one completion time per job, one row per
 template, each job's template index); a job's ``NdftRunResult`` or
 ``ExecutionReport`` is built only when a caller reads it.  The guards
-here count constructions through a patched ``__init__`` rather than
-timing anything: a warm ``run_many`` builds one report template per
-super-job and no per-job object on any path, and every aggregate reads
-the columns.  The view tests pin the sequence protocol the callers
-rely on, and the invariant tests trigger each of
-``check_invariants``' rules on a hand-built bad result.
+here count constructions through a patched ``__init__``, and objects
+the collector tracks through ``gc.get_count()``, rather than timing
+anything: a warm ``run_many`` builds one report template per super-job
+and no per-job object on any path, keeps no object per lane occupancy,
+and every aggregate reads the columns.  The view tests pin the
+sequence protocol the callers rely on, and the invariant tests trigger
+each of ``check_invariants``' rules on a hand-built bad result.
 """
 
 import dataclasses
+import gc
 import math
 import pickle
 from collections import Counter
@@ -21,10 +23,12 @@ from collections import Counter
 import pytest
 
 from repro.core.arrivals import AdmissionPolicy, poisson_arrivals
-from repro.core.executor import ExecutionReport, PipelineExecutor
+from repro.core.backends import backend_names, get_backend
+from repro.core.executor import ExecutionReport, LaneView, PipelineExecutor
 from repro.core.faults import AttemptRecord, RetryPolicy, poisson_fault_plan
 from repro.core.framework import NdftFramework, NdftRunResult, check_invariants
-from repro.core.pipeline import build_kpoint_pipeline
+from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
+from repro.dft.workload import problem_size
 from repro.errors import SimulationError
 from repro.experiments.scale_serving import job_mix
 
@@ -98,7 +102,20 @@ class TestAllocationGuard:
         framework = NdftFramework()
         serve(framework)  # warm: placements, solo reports, SCA verdicts
         constructions.clear()
-        result = serve(framework)
+        # With the collector off, generation 0's count rises by the
+        # tracked objects the call allocates and does not free: the
+        # lanes keep float columns, so it stays below one per occupancy
+        # (a tuple per interval would exceed it).
+        gc.collect()
+        gc.disable()
+        try:
+            tracked = gc.get_count()[0]
+            result = serve(framework)
+            tracked = gc.get_count()[0] - tracked
+        finally:
+            gc.enable()
+        occupancies = sum(map(len, result.batch_report.lane_occupancy.values()))
+        assert tracked < occupancies
         assert result.n_jobs > constructions["superjobs"] > 0
         assert constructions["ExecutionReport"] <= constructions["superjobs"]
         assert constructions["NdftRunResult"] == 0
@@ -228,6 +245,112 @@ class TestViewSemantics:
         assert spliced.p99_latency == result.p99_latency
 
 
+def _executor_jobs(framework, sizes, builder):
+    """(pipeline, schedule) pairs through the framework's caches, so
+    duplicate sizes share objects and coalesce into one super-job."""
+    jobs = []
+    for n_atoms in sizes:
+        pipeline = framework._build_pipeline(problem_size(n_atoms), builder)
+        record = framework._record_for(pipeline, framework.job_signature(pipeline))
+        jobs.append((pipeline, record.schedule))
+    return jobs
+
+
+def _chain_mix(framework):
+    return _executor_jobs(framework, job_mix(48), build_pipeline), None, None
+
+
+def _kpoint_replicas(framework):
+    return _executor_jobs(framework, [64] * 128, build_kpoint_pipeline), None, None
+
+
+def _faulted_chain_mix(framework):
+    sizes = job_mix(16)
+    arrivals = [i * 0.5 for i in range(len(sizes))]
+    plan = poisson_fault_plan(["ndp"], mtbf=1.0, mttr=0.2, horizon=8.0, seed=1)
+    return _executor_jobs(framework, sizes, build_pipeline), arrivals, plan
+
+
+class TestLaneView:
+    """Every backend returns each resource's occupancy as a ``(starts,
+    ends)`` pair of float columns, and the batch report files them as
+    one :class:`LaneView` per occupied lane, which behaves like the
+    tuple of its ``(start, end)`` pairs."""
+
+    @pytest.mark.parametrize(
+        "batch_of, forced",
+        [
+            (_chain_mix, "dag_replay"),
+            (_kpoint_replicas, "vector_replay"),
+            (_chain_mix, "engine"),
+            (_faulted_chain_mix, "dag_replay"),
+        ],
+        ids=["chain-mix", "kpoint-replicas", "chain-mix-engine", "faulted"],
+    )
+    def test_column_contract(self, batch_of, forced):
+        """Each case's raw columns from every accepting backend, the
+        views the report files, and the view's sequence protocol."""
+        framework = NdftFramework()
+        jobs, arrivals, plan = batch_of(framework)
+        executor = framework.executor
+        batch = executor.compile_batch(jobs, plan)
+        assert (batch.faults is not None) == (plan is not None)
+        reports = {}
+        for backend in backend_names():
+            raw = get_backend(backend).simulate(batch, arrivals)
+            if raw is None:  # declined
+                continue
+            occupancy = raw[2]
+            assert len(occupancy) == len(batch.lanes)
+            for starts, ends in occupancy:
+                assert type(starts) is list and type(ends) is list
+                assert len(starts) == len(ends)
+                assert all(type(value) is float for value in starts + ends)
+            report = executor.execute_many(
+                jobs, arrivals=arrivals, backend=backend, faults=plan
+            )
+            # Lanes with no occupancy are dropped.
+            filed = {
+                lane: (starts, ends)
+                for lane, (starts, ends) in zip(batch.lanes, occupancy)
+                if starts
+            }
+            assert report.lane_occupancy.keys() == filed.keys()
+            for lane, (starts, ends) in filed.items():
+                view = report.lane_occupancy[lane]
+                assert view.starts == starts and view.ends == ends
+            reports[backend] = report
+        assert forced in reports and len(reports) >= 2
+        report = reports[forced]
+        assert report.backend_jobs == {forced: len(jobs)}
+        if plan is not None:
+            assert report.failures
+        assert report.lane_occupancy
+        for lane, view in report.lane_occupancy.items():
+            assert type(view) is LaneView
+            eager = tuple(view)
+            assert view == eager and eager == view
+            assert not (view != eager) and not (eager != view)
+            for other in reports.values():
+                assert other.lane_occupancy[lane] == view
+                assert eager == other.lane_occupancy[lane]
+            assert view != eager[:-1] and eager[:-1] != view
+            assert view != LaneView(view.starts, [end * 2.0 for end in view.ends])
+            assert view != list(eager)  # a list is not a tuple
+            assert len(view) == len(eager) > 0
+            for position in (0, len(eager) // 2, -1):
+                assert type(view[position]) is tuple
+                assert view[position] == eager[position]
+            for part in (slice(1, 4), slice(None, None, -1), slice(-3, None, 2)):
+                assert type(view[part]) is tuple
+                assert view[part] == eager[part]
+            copy = pickle.loads(pickle.dumps(view))
+            assert type(copy) is LaneView and copy == view and copy == eager
+            assert report.lane_busy_seconds[lane] == sum(
+                end - start for start, end in view
+            )
+
+
 @pytest.fixture(scope="module")
 def open_result():
     sizes = job_mix(16)
@@ -303,7 +426,7 @@ class TestCheckInvariants:
     def test_lane_utilization_above_one(self, open_result):
         report = open_result.batch_report
         occupancy = dict(report.lane_occupancy)
-        occupancy["cpu"] = ((0.0, 2.0 * report.makespan),)
+        occupancy["cpu"] = LaneView([0.0], [2.0 * report.makespan])
         bad = dataclasses.replace(
             open_result,
             batch_report=dataclasses.replace(report, lane_occupancy=occupancy),

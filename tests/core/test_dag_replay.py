@@ -367,9 +367,10 @@ def _assert_backends_agree(executor, jobs, arrivals, plan=None):
 def _assert_simulators_agree(executor, jobs, arrivals, plan=None):
     """``run_engine_batch`` and ``replay_dag_batch`` on the executor's
     compiled batch return equal raw four-tuples, and the engine's
-    observer sees exactly the occupancy it returns, in grant order per
-    resource, each occupancy named by the job, stage and task that
-    compiled onto that resource."""
+    observer sees exactly the occupancy it returns — each resource's
+    start and end columns, paired — in grant order per resource, each
+    occupancy named by the job, stage and task that compiled onto that
+    resource."""
     batch = executor.compile_batch(jobs, plan)
     timelines = _fault_timelines(batch)
     seen = [[] for _ in batch.lanes]
@@ -395,7 +396,7 @@ def _assert_simulators_agree(executor, jobs, arrivals, plan=None):
         timelines,
     )
     assert engine == replay
-    assert seen == engine[2]
+    assert seen == [list(zip(starts, ends)) for starts, ends in engine[2]]
 
 
 class TestCompactedSegmentTieStorms:
@@ -593,7 +594,9 @@ class TestReleaseEdges:
             # The first wave alone ends occupancies at these instants;
             # the second wave is released on them, so at least the
             # earliest collides with a completion in the joint batch.
-            ends = sorted({end for lane in occupancy for _start, end in lane})
+            ends = sorted(
+                {end for _starts, lane_ends in occupancy for end in lane_ends}
+            )
             second = [ends[i % len(ends)] for i in range(len(wave))]
             report = _assert_backends_agree(
                 executor, wave + wave, [0.0] * len(wave) + second, plan
@@ -626,7 +629,7 @@ class TestReleaseEdges:
             )
 
     def test_empty_batch(self):
-        empty = ([], 0.0, [[], [], []], [])
+        empty = ([], 0.0, [([], [])] * 3, [])
         assert run_engine_batch([], [], [], 3) == empty
         assert replay_dag_batch([], [], [], 3) == empty
         assert replay_dag_batch([], [], [], 3, [None] * 3) == empty
