@@ -276,7 +276,6 @@ def _batch(args, framework) -> str:
         flag
         for flag, given in (
             ("--batch-sizes", args.batch_sizes is not None),
-            ("--no-cache", args.no_cache),
             ("--arrival-sweep", args.arrival_sweep is not None),
             ("--backend", args.backend is not None),
             ("--mtbf", args.mtbf is not None),
@@ -343,7 +342,6 @@ def _serve_bench(args, framework) -> str:
         incompatible = [
             flag
             for flag, given in (
-                ("--no-cache", args.no_cache),
                 ("--arrival-sweep", arrival_sweep_rates is not None),
                 ("--slo-p99/--max-queue-depth", _admission_policy(args)),
                 ("fault injection", faults is not None or args.checkpoint),
@@ -369,7 +367,6 @@ def _serve_bench(args, framework) -> str:
             batch_sizes=batch_sizes,
             mix=mix,
             repeats=args.repeats,
-            cached=not args.no_cache,
             arrival_rate=arrival_rate,
             arrival_seed=args.arrival_seed,
             backend=args.backend,
@@ -441,14 +438,6 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "serve-bench: batch sizes to sweep "
             "(default: 16 64 256 1024 4096 16384 65536)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help=(
-            "serve-bench: measure only the memoization-free baseline "
-            "(the 'before' path) instead of fast-path-vs-baseline"
         ),
     )
     parser.add_argument(
@@ -622,8 +611,7 @@ def main(argv: list[str] | None = None) -> int:
             "serve-bench: serve each batch with a fleet of this many "
             "worker-process replicas behind the backlog-aware router "
             "(shared warm snapshot, sustained over several rounds); "
-            "incompatible with --no-cache, --arrival-sweep, admission "
-            "and fault flags"
+            "incompatible with --arrival-sweep, admission and fault flags"
         ),
     )
     parser.add_argument(

@@ -99,10 +99,18 @@ def poisson_arrivals(
     Twister stream and the exponential transform applies libm's log to
     each draw, exactly as ``Random.expovariate`` does.
     """
-    if n_jobs < 1:
-        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
-    if not (math.isfinite(rate) and rate > 0):
-        raise ConfigError(f"arrival rate must be finite and > 0, got {rate}")
+    if (
+        isinstance(n_jobs, bool)
+        or not isinstance(n_jobs, numbers.Integral)
+        or n_jobs < 1
+    ):
+        raise ConfigError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
+    if (
+        isinstance(rate, bool)
+        or not isinstance(rate, numbers.Real)
+        or not (math.isfinite(rate) and rate > 0)
+    ):
+        raise ConfigError(f"arrival rate must be finite and > 0, got {rate!r}")
     uniforms = np.random.RandomState(_mt_seed_key(seed)).random_sample(n_jobs)
     np.subtract(1.0, uniforms, out=uniforms)
     # math.log, not np.log: the SIMD log differs from libm by one ulp on

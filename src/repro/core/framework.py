@@ -90,10 +90,6 @@ from repro.core.signature import (
     job_signature,
     target_registry_fingerprint,
 )
-
-# Never called here: perfbench/spans.py patches this module attribute to
-# time the signature layer, so the name stays until that patch goes.
-from repro.core.signature import structure_signature  # noqa: F401
 from repro.errors import ConfigError, SimulationError
 from repro.dft.workload import ProblemSize, problem_size
 from repro.hw.config import SystemConfig, gpu_baseline_config, ndft_system_config
@@ -109,6 +105,10 @@ from repro.shmem.footprint import (
     footprint_ndft,
     footprint_replicated,
 )
+
+# Never called here: perfbench/spans.py patches this module attribute to
+# time the signature layer, so the name stays until that patch goes.
+structure_signature = job_signature
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,9 @@ class _Record:
 
 @dataclass(slots=True)
 class _Entry:
-    """One distinct batch entry, resolved once per call for all its jobs."""
+    """One distinct batch entry, resolved once per call for all its jobs,
+    or a faulted call's residual pipeline or degraded placement of one,
+    resolved once per call for all its retry runs."""
 
     problem: ProblemSize
     pipeline: Pipeline
@@ -1157,15 +1159,11 @@ class NdftFramework:
         :class:`ResilienceReport` keeps the final round's run lists as its
         columns and builds no per-attempt object.
 
-        Runs released at-or-after a lane's permanent death whose base
+        Runs released at-or-after a lane's permanent death whose
         placement touches the dead target are re-placed through the
         exact DP with every dead-at-release target excluded
-        (:meth:`_record_for` with ``exclude=``), reusing the degraded
-        record across runs via its ``(signature, exclusion)`` store key.
-        A run's resolution depends only on its ``(job, attempt, release,
-        frontier)`` tuple, so each is resolved once per call: a later
-        round resolves only its new retries, and a degraded record is
-        looked up in the store once per call.
+        (:meth:`_record_for` with ``exclude=``), under a ``(signature,
+        exclusion)`` store key.
 
         Under ``retry.checkpoint`` a failed run's completed-stage
         frontier rides along with its retry, which re-enters as the
@@ -1176,6 +1174,15 @@ class NdftFramework:
         and each resumed attempt's skipped work — valued at the base
         schedule's stage times — surfaces as
         :attr:`ResilienceReport.work_saved_seconds`.
+
+        A run is an index into the call's entry table, as a job is.
+        Each distinct residual pipeline, keyed by its base entry and
+        frontier, and each distinct degraded placement, keyed by its
+        entry and excluded targets, joins the table as a derived entry,
+        resolved once per call.  A run's position depends only on its
+        ``(job, attempt, release, frontier)`` tuple, so a later round
+        resolves only its new retries; every round's simulation and the
+        result are built from the table, as a healthy call's are.
         """
         n = len(index)
         releases0 = [0.0] * n if arrivals is None else list(arrivals)
@@ -1194,54 +1201,46 @@ class NdftFramework:
         # round order.
         timings: tuple = ()
         declines: tuple = ()
-        # Residual (pipeline, signature, record) per checkpoint frontier,
-        # built once per (job, frontier) within this call; the residual's
-        # record persists across calls in the store under its own
-        # content-derived signature.
-        residuals: dict[tuple[int, tuple[str, ...]], tuple] = {}
-        # One shared (pipeline, schedule) pair per entry: plain runs hand
-        # it over, so the executor groups them at C speed.
-        pairs = [(e.pipeline, e.record.schedule) for e in entries]
+        # The call's entry table, grown by one derived entry per
+        # distinct residual pipeline, keyed (position, frontier), and
+        # per distinct degraded placement, keyed (position, excluded
+        # targets).  A frontier is a tuple and an exclusion a frozenset,
+        # so the two kinds of key never collide.
+        table = list(entries)
+        derived: dict[tuple, int] = {}
 
         def resolve_run(job_index: int, release: float, frontier: tuple):
-            """The ((pipeline, schedule), signature, record, degraded?,
-            work_saved) for one run.  A non-empty ``frontier`` swaps in
-            the residual pipeline past the checkpointed stages;
-            dead-at-release targets are excluded iff the run's placement
-            touches one (a placement clear of every dead lane cannot
-            suffer a permanent failure, so re-solving would change
-            nothing)."""
-            entry = entries[index[job_index]]
-            job = pairs[index[job_index]]
-            pipeline, signature, record = entry.pipeline, entry.signature, entry.record
+            """The (table position, degraded?, work_saved) of one run.
+            A non-empty ``frontier`` swaps in the residual pipeline past
+            the checkpointed stages; dead-at-release targets are
+            excluded iff the run's placement touches one (a placement
+            clear of every dead lane cannot suffer a permanent failure,
+            so re-solving would change nothing)."""
+            position = index[job_index]
             work_saved = 0.0
             if frontier:
-                base_times = record.schedule.stage_times
-                work_saved = sum(
-                    base_times[name].total for name in frontier
-                )
-                key = (job_index, frontier)
-                cached = residuals.get(key)
-                if cached is None:
-                    residual = pipeline.residual(frontier)
-                    r_signature = (
-                        self.job_signature(residual) if self.memoize else None
-                    )
-                    cached = (
-                        residual,
-                        r_signature,
-                        self._record_for(residual, r_signature),
-                    )
-                    residuals[key] = cached
-                pipeline, signature, record = cached
-                job = (pipeline, record.schedule)
+                entry = entries[position]
+                base_times = entry.record.schedule.stage_times
+                work_saved = sum(base_times[name].total for name in frontier)
+                key = (position, frontier)
+                position = derived.get(key)
+                if position is None:
+                    position = derived[key] = len(table)
+                    residual = entry.pipeline.residual(frontier)
+                    table.append(self._entry(entry.problem, residual))
+            entry = table[position]
             excl = frozenset(
                 p for p, death in dead_at.items() if death <= release
             )
-            if not excl or not (excl & set(record.schedule.assignments.values())):
-                return job, signature, record, False, work_saved
-            record = self._record_for(pipeline, signature, exclude=excl)
-            return (pipeline, record.schedule), signature, record, True, work_saved
+            if not excl or not (excl & set(entry.record.schedule.assignments.values())):
+                return position, False, work_saved
+            key = (position, excl)
+            position = derived.get(key)
+            if position is None:
+                position = derived[key] = len(table)
+                record = self._record_for(entry.pipeline, entry.signature, exclude=excl)
+                table.append(replace(entry, record=record))
+            return position, True, work_saved
 
         base_runs = [(i, 1, releases0[i], ()) for i in range(n)]
         runs = base_runs
@@ -1253,7 +1252,6 @@ class NdftFramework:
         # base runs.
         resolutions: dict[tuple, tuple] = {}
         for _round in range(max_rounds):
-            sim_jobs = []
             run_meta = []
             for run in runs:
                 resolved = resolutions.get(run)
@@ -1262,7 +1260,6 @@ class NdftFramework:
                     resolved = resolutions[run] = resolve_run(
                         job_index, release, frontier
                     )
-                sim_jobs.append(resolved[0])
                 run_meta.append(resolved)
             # The base round of a closed batch must be the exact no-plan
             # submission (arrivals=None, not explicit zeros): the empty-
@@ -1274,7 +1271,10 @@ class NdftFramework:
                 else [release for _job, _attempt, release, _f in runs]
             )
             report = self.executor.execute_many(
-                sim_jobs,
+                _per_job(
+                    [(e.pipeline, e.record.schedule) for e in table],
+                    [position for position, _degraded, _saved in run_meta],
+                ),
                 arrivals=sim_arrivals,
                 backend=backend,
                 faults=faults,
@@ -1321,12 +1321,12 @@ class NdftFramework:
         # Outcomes: each job has at most one non-failed run (its last
         # attempt).  The converged round's runs are the report's columns.
         job_indices, attempt_numbers, releases, frontiers = zip(*runs)
-        _jobs, _signatures, _records, degraded, work_saved = zip(*run_meta)
+        positions, degraded, work_saved = zip(*run_meta)
         failures = tuple(map(failed_runs.get, range(len(runs))))
         completed = {
-            job_index: position
-            for position, job_index in enumerate(job_indices)
-            if failures[position] is None
+            job_index: run
+            for run, job_index in enumerate(job_indices)
+            if failures[run] is None
         }
         abandoned = tuple(
             job_index for job_index in range(n) if job_index not in completed
@@ -1361,36 +1361,25 @@ class NdftFramework:
         # its busy span starts at the round's first release; its backend
         # rows, job counts and declines cover every round.
         kept = sorted(completed)
-        positions = [completed[i] for i in kept]
+        kept_runs = [completed[i] for i in kept]
         batch_report = replace(
             report,
-            completion_times=tuple(map(finish.__getitem__, positions)),
-            template_index=tuple(map(report.template_index.__getitem__, positions)),
+            completion_times=_per_job(finish, kept_runs),
+            template_index=_per_job(report.template_index, kept_runs),
             arrivals=(
                 None
                 if arrivals is None and runs == base_runs
-                else tuple(map(releases.__getitem__, positions))
+                else _per_job(releases, kept_runs)
             ),
             backend_timings=timings,
             declines=declines,
             span_start=report.first_release,
         )
         self._record_backends(batch_report)
-        # A degraded or resumed run ran its own record, so it assembles
-        # from a one-run entry of its own.
-        run_entries = list(entries)
-        run_index = []
-        for job_index in kept:
-            entry = entries[index[job_index]]
-            job, signature, record, _degraded, _saved = run_meta[
-                completed[job_index]
-            ]
-            if record is entry.record:
-                run_index.append(index[job_index])
-                continue
-            run_index.append(len(run_entries))
-            run_entries.append(_Entry(entry.problem, job[0], signature, record))
-        self._fill_solo(run_entries[len(entries):])
+        # Every derived entry prices solo, as a base one does, even one
+        # only failed runs used.
+        self._fill_solo(table[len(entries) :])
+        kept_index = _per_job(positions, kept_runs)
         if admission_result is not None and abandoned:
             # Abandoned jobs shift the surviving jobs' positions; the
             # admitted-only percentile indices must follow them.
@@ -1404,9 +1393,9 @@ class NdftFramework:
                 ),
             )
         return NdftBatchResult(
-            jobs=self._assemble(run_entries, run_index, batch_report.job_reports),
+            jobs=self._assemble(table, kept_index, batch_report.job_reports),
             batch_report=batch_report,
-            solo_times=_solo_times(run_entries, run_index),
+            solo_times=_solo_times(table, kept_index),
             admission=admission_result,
             resilience=resilience,
         )

@@ -16,9 +16,7 @@ so a frozen :class:`JobSignature` over exactly those four inputs is a
 sound memoization key: two jobs with equal signatures provably produce
 identical schedules, reports and solo makespans.  The framework
 (:class:`repro.core.framework.NdftFramework`) keys its entry store on it
-and drops it whenever a target is (re)registered.  The size-blind
-:func:`structure_signature` is called by nothing in the package (see its
-docstring for why it stays).
+and drops it whenever a target is (re)registered.
 """
 
 from __future__ import annotations
@@ -105,43 +103,4 @@ def job_signature(
         policy=policy,
         registry_fingerprint=registry_fp,
         cost_model_fingerprint=cost_fp,
-    )
-
-
-def structure_signature(
-    pipeline: Pipeline,
-    policy: SchedulingPolicy,
-    scheduler: CostAwareScheduler,
-    cost_model: OffloadCostModel,
-    *,
-    registry_fp: tuple | None = None,
-    cost_fp: tuple | None = None,
-) -> tuple:
-    """The size-blind sibling of :func:`job_signature`: the pipeline's
-    shape (stage count and edge topology, stages identified by
-    topological position, not by name) plus everything else a placement
-    depends on.
-
-    Nothing in the package calls it.  It is kept only because the
-    benchmark's layer trace (``perfbench/spans.py``) patches
-    ``repro.core.framework.structure_signature`` to time the signature
-    layer; it goes when that patch does.
-    """
-    position = {
-        name: index
-        for index, name in enumerate(pipeline.topological_order)
-    }
-    if registry_fp is None:
-        registry_fp = target_registry_fingerprint(scheduler)
-    if cost_fp is None:
-        cost_fp = cost_model_fingerprint(cost_model)
-    return (
-        len(position),
-        tuple(
-            (position[edge.src], position[edge.dst])
-            for edge in pipeline.edges
-        ),
-        policy,
-        registry_fp,
-        cost_fp,
     )

@@ -51,21 +51,20 @@ point whose uncached comparison was skipped past
 ``UNCACHED_COMPARE_MAX``, leaving ``wall_speedup`` ``null``) simply
 skips that gate rather than failing — absent is never a regression.
 
-Structural problems — a baseline-only (``--no-cache``) file, no shared
-batch sizes, files measured under *different admission policies* or
-*different fault plans* (shed rates, post-shed latencies, availability
-and retry-inflated latencies from one regime cannot be trended against
-another's, mirroring the forced-backend refusal; a missing ``faults``
-key reads as faults-off), or files measured with *different fleet
-sizes* (``--replicas``: a 4-replica aggregate is legitimately several
-times the single-process throughput, so trending the two against each
-other produces spurious verdicts in both directions; a missing
-``replicas`` key reads as 1) — are refused outright regardless of host
-metadata.  When both files carry the *same* replica count, the fleet
-aggregate throughput rides the ordinary ``jobs_per_second_cached``
-host-class gate.  The comparison is deliberately
-coarse (default: 30 % regression, on best-of-N minima) and the verdict
-prints both files' host metadata.
+Structural problems — no shared batch sizes, files measured under
+*different admission policies* or *different fault plans* (shed rates,
+post-shed latencies, availability and retry-inflated latencies from one
+regime cannot be trended against another's, mirroring the
+forced-backend refusal; a missing ``faults`` key reads as faults-off),
+or files measured with *different fleet sizes* (``--replicas``: a
+4-replica aggregate is legitimately several times the single-process
+throughput, so trending the two against each other produces spurious
+verdicts in both directions; a missing ``replicas`` key reads as 1) —
+are refused outright regardless of host metadata.  When both files
+carry the *same* replica count, the fleet aggregate throughput rides
+the ordinary ``jobs_per_second_cached`` host-class gate.  The
+comparison is deliberately coarse (default: 30 % regression, on
+best-of-N minima) and the verdict prints both files' host metadata.
 
 Usage::
 
@@ -161,21 +160,14 @@ def compare_serving_reports(
     subset of the committed sizes).  ``wall_speedup`` — host-relative —
     is gated unconditionally; absolute cached throughput is gated only
     when ``hosts_match`` (default: derived via :func:`hosts_comparable`).
-    A baseline-only (``--no-cache``) file or a sweep with no shared
-    sizes is always a failure: the gate is misconfigured, not passing."""
+    A sweep with no shared sizes is always a failure: the gate is
+    misconfigured, not passing."""
     if not 0.0 <= max_regression < 1.0:
         raise ConfigError(
             f"max_regression must be in [0, 1), got {max_regression}"
         )
     if hosts_match is None:
         hosts_match = hosts_comparable(committed, fresh)
-    for name, report in (("committed", committed), ("fresh", fresh)):
-        if report.get("fast_path") is False:
-            return [
-                f"{name} report was measured with --no-cache (baseline "
-                "only); its throughput columns hold baseline numbers and "
-                "cannot be trended"
-            ]
     for key, what, default in _EXPERIMENT_SETTINGS:
         before = committed.get(key) or default
         after = fresh.get(key) or default

@@ -25,9 +25,8 @@ object, so every key is written in one place, and
 :func:`format_serve_bench` reads the same dicts ``bench_compare`` reads.
 The schema (``null`` where a measurement is off or skipped):
 
-- report (:func:`serve_report`): ``benchmark``, ``unit``, ``fast_path``
-  (false for ``--no-cache``, whose cached columns then hold the
-  baseline), ``replicas``, ``backend`` (the forced one), ``admission``
+- report (:func:`serve_report`): ``benchmark``, ``unit``,
+  ``replicas``, ``backend`` (the forced one), ``admission``
   (the policy), ``faults`` (``plan``: the fault descriptor, ``retry``:
   the retry policy), ``metadata`` (:func:`host_metadata`), ``mix``,
   ``repeats``, ``points``, ``arrival_sweep``;
@@ -306,7 +305,6 @@ def serve_report(
     mix: Sequence[int],
     repeats: int,
     points: list[dict],
-    fast_path: bool = True,
     replicas: int = 1,
     backend: str | None = None,
     admission: AdmissionPolicy | None = None,
@@ -320,7 +318,6 @@ def serve_report(
     return {
         "benchmark": "scale_serving",
         "unit": "wall-clock seconds per run_many call (best of repeats)",
-        "fast_path": fast_path,
         "replicas": replicas,
         "backend": backend,
         "admission": None if admission is None else admission.to_json_dict(),
@@ -380,14 +377,12 @@ def find_saturation_knee(
 
 
 def _open_point(
-    sizes: list[int], rate: float, seed: int, repeats: int, memoize: bool, **options
+    sizes: list[int], rate: float, seed: int, repeats: int, **options
 ) -> dict:
     """Measure ``sizes`` released by a seeded Poisson process at ``rate``
     (``options`` go to :func:`measure_run_many`)."""
     offsets = poisson_arrivals(len(sizes), rate, seed=seed)
-    wall, result = measure_run_many(
-        sizes, memoize, repeats, arrivals=offsets, **options
-    )
+    wall, result = measure_run_many(sizes, True, repeats, arrivals=offsets, **options)
     return arrival_point(rate, seed, wall, result)
 
 
@@ -397,7 +392,6 @@ def run_arrival_sweep(
     mix: tuple[int, ...] = DEFAULT_MIX,
     repeats: int = 3,
     seed: int = 0,
-    memoize: bool = True,
     backend: str | None = None,
     admission: AdmissionPolicy | None = None,
     faults: FaultPlan | None = None,
@@ -414,9 +408,7 @@ def run_arrival_sweep(
     rates = _sweep_rates(rates)
     sizes = job_mix(batch_size, mix)
     options = dict(backend=backend, admission=admission, faults=faults, retry=retry)
-    points = [
-        _open_point(sizes, rate, seed, repeats, memoize, **options) for rate in rates
-    ]
+    points = [_open_point(sizes, rate, seed, repeats, **options) for rate in rates]
     knee = find_saturation_knee(points)
     return {
         "batch_size": batch_size,
@@ -435,7 +427,6 @@ def run_serve_bench(
     batch_sizes: tuple[int, ...] = DEFAULT_BATCH_SIZES,
     mix: tuple[int, ...] = DEFAULT_MIX,
     repeats: int = 3,
-    cached: bool = True,
     arrival_rate: float | None = DEFAULT_ARRIVAL_RATE,
     arrival_seed: int = 0,
     backend: str | None = None,
@@ -446,13 +437,12 @@ def run_serve_bench(
 ) -> dict:
     """Run the sweep and return its report (:func:`serve_report`).
 
-    ``cached=False`` (CLI ``--no-cache``) measures only the
-    memoization-free baseline; otherwise each point up to
-    :data:`UNCACHED_COMPARE_MAX` jobs measures both paths and checks
-    their results are identical to the last float.  ``arrival_rate``
-    (``None`` or ``<= 0``: off) measures each point once more as an
-    open queue, and ``arrival_sweep_rates`` adds the latency-vs-load
-    sweep (:func:`run_arrival_sweep`).  ``backend`` forces one
+    Each point up to :data:`UNCACHED_COMPARE_MAX` jobs also measures
+    the memoization-free baseline and checks its results are identical
+    to the last float.  ``arrival_rate`` (``None`` or ``<= 0``: off)
+    measures each point once more as an open queue, and
+    ``arrival_sweep_rates`` adds the latency-vs-load sweep
+    (:func:`run_arrival_sweep`).  ``backend`` forces one
     simulation backend for every measurement.  ``admission`` and
     ``faults``/``retry`` apply to the open-queue measurements only (the
     closed t=0 points measure the healthy fast path), so without one
@@ -471,25 +461,22 @@ def run_serve_bench(
     points = []
     for sizes in batches:
         uncached_wall = uncached = identical = arrival = None
-        if not cached or len(sizes) <= UNCACHED_COMPARE_MAX:
+        if len(sizes) <= UNCACHED_COMPARE_MAX:
             uncached_wall, uncached = measure_run_many(
                 sizes, False, repeats, backend=backend
             )
-        if not cached:  # baseline only: report it as the main column
-            wall, reference, uncached_wall = uncached_wall, uncached, None
-        else:
-            wall, reference = measure_run_many(sizes, True, repeats, backend=backend)
-            if uncached is not None:
-                # Exact floats; the per-job views compare column by
-                # column, building no per-job object.
-                identical = (
-                    reference.makespan == uncached.makespan
-                    and reference.solo_times == uncached.solo_times
-                    and reference.jobs == uncached.jobs
-                )
+        wall, reference = measure_run_many(sizes, True, repeats, backend=backend)
+        if uncached is not None:
+            # Exact floats; the per-job views compare column by column,
+            # building no per-job object.
+            identical = (
+                reference.makespan == uncached.makespan
+                and reference.solo_times == uncached.solo_times
+                and reference.jobs == uncached.jobs
+            )
         if open_queue:
             arrival = _open_point(
-                sizes, arrival_rate, arrival_seed, repeats, cached, **options
+                sizes, arrival_rate, arrival_seed, repeats, **options
             )
         points.append(
             serve_point(sizes, wall, uncached_wall, reference, identical, arrival)
@@ -501,12 +488,9 @@ def run_serve_bench(
             mix=mix,
             repeats=repeats,
             seed=arrival_seed,
-            memoize=cached,
             **options,
         )
-    return serve_report(
-        mix, repeats, points, fast_path=cached, arrival_sweep=sweep, **options
-    )
+    return serve_report(mix, repeats, points, arrival_sweep=sweep, **options)
 
 
 def _measure_fleet(
@@ -594,9 +578,8 @@ def run_fleet_bench(
 
 def format_serve_bench(report: dict) -> str:
     """The console summary of a serve-bench report (the JSON dict)."""
-    mode = "fast path (memoized)" if report["fast_path"] else "baseline (--no-cache)"
     lines = [
-        f"Scale serving - wall-clock simulator throughput, {mode}",
+        "Scale serving - wall-clock simulator throughput, fast path (memoized)",
         f"job mix: {', '.join(f'Si_{n}' for n in report['mix'])} (round-robin), "
         f"best of {report['repeats']}",
     ]
@@ -612,7 +595,7 @@ def format_serve_bench(report: dict) -> str:
         )
     lines.append(
         f"{'batch':>6s} {'wall (s)':>10s} {'jobs/s':>10s} "
-        f"{'no-cache (s)':>13s} {'speedup':>8s} {'identical':>10s} "
+        f"{'uncached (s)':>13s} {'speedup':>8s} {'identical':>10s} "
         f"{'backends':>20s}"
     )
     for p in points:

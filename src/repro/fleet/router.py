@@ -22,6 +22,7 @@ the router runs entirely in the parent, before any worker exists.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,8 +80,14 @@ def route_jobs(
     the per-job estimates from
     :meth:`repro.core.framework.NdftFramework.job_estimates`.
     """
-    if n_replicas < 1:
-        raise ConfigError(f"n_replicas must be >= 1, got {n_replicas}")
+    if (
+        isinstance(n_replicas, bool)
+        or not isinstance(n_replicas, numbers.Integral)
+        or n_replicas < 1
+    ):
+        raise ConfigError(
+            f"n_replicas must be an integer >= 1, got {n_replicas!r}"
+        )
     n = len(solo_times)
     if arrivals is None:
         arrivals = [0.0] * n

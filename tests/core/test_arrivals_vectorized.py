@@ -14,6 +14,7 @@ stops being reproducible.  The retired loop survives as
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.arrivals import _poisson_arrivals_loop, poisson_arrivals
@@ -99,6 +100,22 @@ class TestContract:
         for rate in (float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="rate"):
                 poisson_arrivals(4, rate)
+
+    @pytest.mark.parametrize("n_jobs", [True, 2.5, 3.0, "3", None])
+    def test_refuses_a_bool_or_non_integer_count(self, n_jobs):
+        with pytest.raises(ConfigError, match="n_jobs"):
+            poisson_arrivals(n_jobs, 1.0)
+
+    @pytest.mark.parametrize("rate", [True, "2.0", None, 1 + 1j])
+    def test_refuses_a_bool_or_non_real_rate(self, rate):
+        with pytest.raises(ConfigError, match="rate"):
+            poisson_arrivals(3, rate)
+
+    def test_accepts_numpy_scalars(self):
+        assert poisson_arrivals(np.int64(4), np.float64(2.0), seed=1) == (
+            poisson_arrivals(4, 2.0, seed=1)
+        )
+        assert poisson_arrivals(4, 2, seed=1) == poisson_arrivals(4, 2.0, seed=1)
 
     def test_offsets_strictly_positive_and_increasing(self):
         offsets = poisson_arrivals(500, 5.0, seed=11)

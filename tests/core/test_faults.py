@@ -582,6 +582,11 @@ class TestGuards:
         with pytest.raises(ConfigError, match="faults="):
             framework.run_many([64], retry=RetryPolicy())
 
+    def test_permanent_failure_on_an_unknown_lane_refused(self):
+        plan = FaultPlan(permanent=(("tpu", 1.0),))
+        with pytest.raises(ConfigError, match="'tpu'"):
+            NdftFramework().run_many([64, 128], faults=plan)
+
     def test_forced_replay_backend_declines_faulted_shard(self, framework):
         jobs = _jobs(framework, [64] * 4)
         plan = FaultPlan(outages=(("ndp", 0.0, 1.0),))

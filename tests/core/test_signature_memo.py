@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.framework import NdftFramework
+from repro.core.arrivals import poisson_arrivals
+from repro.core.faults import FaultPlan, RetryPolicy
+from repro.core.framework import NdftFramework, check_invariants
 from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
 from repro.core.scheduler import Placement, SchedulingPolicy
 from repro.core.signature import job_signature
@@ -231,6 +233,40 @@ class TestFrameworkMemoization:
             relabelled.stage_names
         )
         assert batch.solo_times[0] == batch.solo_times[1]
+
+
+class TestFaultedCallLookups:
+    """A retry run is an index into the call's entry table, as a job
+    is: each base entry and each distinct degraded or residual record
+    is one store lookup per call, however many runs use it."""
+
+    SIZES = [64, 128, 512, 1024] * 8
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_warm_faulted_call_looks_up_each_record_once(self, checkpoint):
+        arrivals = poisson_arrivals(32, 2.0, seed=3)
+        outages = (
+            (
+                ("ndp", arrivals[5], arrivals[5] + 0.5),
+                ("ndp", arrivals[12], arrivals[12] + 0.5),
+            )
+            if checkpoint
+            else ()
+        )
+        plan = FaultPlan(outages=outages, permanent=(("ndp", arrivals[16]),))
+        retry = RetryPolicy(checkpoint=checkpoint)
+        framework = _fresh()
+        framework.run_many(self.SIZES, arrivals=arrivals, faults=plan, retry=retry)
+        before = framework.cache_stats["entry_hits"]
+        result = framework.run_many(
+            self.SIZES, arrivals=arrivals, faults=plan, retry=retry
+        )
+        check_invariants(result)
+        assert sum(result.resilience.degraded) == 17
+        # Permanent death: 4 base entries and 4 degraded records.  With
+        # checkpoints, also two residual pipelines, one of them degraded.
+        expected = 11 if checkpoint else 8
+        assert framework.cache_stats["entry_hits"] - before == expected
 
 
 class TestPolicyRespectedUnderMemoization:

@@ -13,10 +13,9 @@ from repro.experiments.bench_compare import (
 )
 
 
-def _report(points, metadata=None, fast_path=True, speedups=None, arrivals=None):
+def _report(points, metadata=None, speedups=None, arrivals=None):
     out = {
         "benchmark": "scale_serving",
-        "fast_path": fast_path,
         "points": [
             {"batch_size": size, "jobs_per_second_cached": jps}
             for size, jps in points
@@ -96,15 +95,6 @@ class TestCompareServingReports:
             point["wall_speedup"] = None
             point["backend_wall_seconds"] = None
         assert compare_serving_reports(committed, fresh) == []
-
-    def test_baseline_only_files_are_refused(self):
-        """--no-cache output holds baseline numbers under the cached
-        columns; trending against it would hide real regressions."""
-        good = _report([(16, 1000.0)])
-        baseline = _report([(16, 150.0)], fast_path=False)
-        for committed, fresh in ((baseline, good), (good, baseline)):
-            failures = compare_serving_reports(committed, fresh)
-            assert failures and "--no-cache" in failures[0]
 
     def test_hosts_comparable(self):
         same = {"python": "3.12.1", "machine": "x86_64", "cpu_count": 4}
@@ -545,12 +535,16 @@ class TestMain:
         # Same host: the identical regression fails.
         fresh.write_text(json.dumps(_report([(16, 900.0)], metadata=meta_a)))
         assert main([str(committed), str(fresh)]) == 1
-        # A baseline-only committed file fails even across hosts.
+        # Files from different forced backends fail even across hosts.
         committed.write_text(
             json.dumps(
-                _report([(16, 900.0)], metadata=meta_a, fast_path=False)
+                {**_report([(16, 900.0)], metadata=meta_a), "backend": "engine"}
             )
         )
-        fresh.write_text(json.dumps(_report([(16, 900.0)], metadata=meta_b)))
+        fresh.write_text(
+            json.dumps(
+                {**_report([(16, 900.0)], metadata=meta_b), "backend": "dag_replay"}
+            )
+        )
         assert main([str(committed), str(fresh)]) == 1
         capsys.readouterr()

@@ -236,7 +236,6 @@ class TestCli:
             ["--arrival-rate", "2", "--admission-mode", "deprioritize"],
             ["--admission-mode", "shed"],
             ["--batch-sizes", "16"],
-            ["--no-cache"],
             ["--arrival-sweep"],
             ["--backend", "engine"],
             ["--arrival-rate", "2", "--mtbf", "10"],
@@ -274,22 +273,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "jobs/s" in out and "speedup" in out
         assert json_path.exists()
-
-    def test_serve_bench_no_cache(self, capsys, tmp_path):
-        json_path = tmp_path / "BENCH_serving.json"
-        assert (
-            main(
-                [
-                    "serve-bench",
-                    "--batch-sizes", "4",
-                    "--repeats", "1",
-                    "--no-cache",
-                    "--json", str(json_path),
-                ]
-            )
-            == 0
-        )
-        assert "baseline (--no-cache)" in capsys.readouterr().out
 
     def test_serve_bench_backend_and_arrival_sweep(self, capsys, tmp_path):
         import json

@@ -5,6 +5,7 @@ same solo estimates => same job->replica assignment, every time, on any
 machine — worker processes only execute the plan, never influence it.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.arrivals import poisson_arrivals
@@ -128,6 +129,18 @@ class TestRouteJobsValidation:
         solo_times, lanes = estimates
         with pytest.raises(ConfigError, match="n_replicas"):
             route_jobs(0, None, solo_times, lanes)
+
+    @pytest.mark.parametrize("n_replicas", [True, 2.5, 2.0, "2", None])
+    def test_rejects_bool_or_non_integer_replicas(self, estimates, n_replicas):
+        solo_times, lanes = estimates
+        with pytest.raises(ConfigError, match="n_replicas"):
+            route_jobs(n_replicas, None, solo_times, lanes)
+
+    def test_accepts_numpy_integer_replicas(self, estimates):
+        solo_times, lanes = estimates
+        assert route_jobs(np.int64(2), None, solo_times, lanes) == route_jobs(
+            2, None, solo_times, lanes
+        )
 
     def test_rejects_misaligned_inputs(self, estimates):
         solo_times, lanes = estimates
