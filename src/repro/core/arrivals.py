@@ -97,7 +97,9 @@ def poisson_arrivals(
     Vectorized, but bit-identical to :func:`_poisson_arrivals_loop` for
     every (seed, rate): the uniforms come from the same Mersenne
     Twister stream and the exponential transform applies libm's log to
-    each draw, exactly as ``Random.expovariate`` does.
+    each draw, exactly as ``Random.expovariate`` does.  ``seed`` must be
+    an integer (negative ones too; not a ``bool``): ``random.Random``
+    hashes any other seed into a stream of its own.
     """
     if (
         isinstance(n_jobs, bool)
@@ -111,6 +113,8 @@ def poisson_arrivals(
         or not (math.isfinite(rate) and rate > 0)
     ):
         raise ConfigError(f"arrival rate must be finite and > 0, got {rate!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"arrival seed must be an integer, got {seed!r}")
     uniforms = np.random.RandomState(_mt_seed_key(seed)).random_sample(n_jobs)
     np.subtract(1.0, uniforms, out=uniforms)
     # math.log, not np.log: the SIMD log differs from libm by one ulp on

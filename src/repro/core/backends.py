@@ -271,8 +271,10 @@ class DagReplayBackend:
     (a chain job is one segment) and per-replica join counters on the
     fan-in stages keep chains, branching pipelines (k-point DAGs) and
     super-job replicas on the one-event-per-occupancy loop.  Under a
-    fault plan each lane's timeline is looked up once per call and
-    every grant resolves against it."""
+    fault plan each lane's timeline is looked up once per call; a grant
+    resolves against it only when its service may reach the lane's
+    quiet horizon (the start of its first fault span not yet ended),
+    and a tie-free instant that can grant no ghost still runs inline."""
 
     name = "dag_replay"
 

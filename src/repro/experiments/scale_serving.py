@@ -54,6 +54,7 @@ The schema (``null`` where a measurement is off or skipped):
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import platform
 import time
@@ -126,6 +127,12 @@ def job_mix(batch_size: int, mix: tuple[int, ...] = DEFAULT_MIX) -> list[int]:
     return [mix[i % len(mix)] for i in range(batch_size)]
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is a ``bool``, not an integer, or below 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _sweep_rates(rates: Sequence[float]) -> list[float]:
     """An arrival sweep's offered loads, ascending.  Refuses an empty
     grid and any rate that is not finite and positive."""
@@ -187,8 +194,7 @@ def measure_run_many(
     inside the returned wall; it is checked with
     :func:`~repro.core.framework.check_invariants`, so a result that
     breaks one never reaches the JSON."""
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    _check_count("repeats", repeats)
     best = float("inf")
     result: NdftBatchResult | None = None
     for _ in range(repeats):
@@ -544,8 +550,7 @@ def run_fleet_bench(
     for name, value in (
         ("replicas", replicas), ("rounds", rounds), ("repeats", repeats)
     ):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+        _check_count(name, value)
     batches = _checked_batches(batch_sizes, mix, arrival_rate)
     points = []
     for sizes in batches:

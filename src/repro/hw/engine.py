@@ -422,10 +422,10 @@ def run_engine_batch(
 #            ``yield predecessor``): consume one predecessor per band,
 #            park on the first unfinished one, or fall through to the
 #            first task's acquire in the same band.
-# - RESOLVE: START under a fault plan: resolve the grant against the
-#            lane's fault timeline (as :func:`run_engine_batch`'s
-#            faulted occupancy does), or, for a job that already failed,
-#            pass the grant through as a ghost.
+# - RESOLVE: START under a fault plan: a service that may reach its
+#            lane's quiet horizon resolves against the lane's fault
+#            timeline (as :func:`run_engine_batch`'s faulted occupancy
+#            does); a grant to a failed job passes through as a ghost.
 _A_START = 0
 _A_ACQUIRE = 1
 _A_NOTIFY = 2
@@ -538,7 +538,14 @@ def replay_dag_batch(
     truncated occupancy ``(service, kill)`` if it is not empty, marks
     the job's first failure, releases the lane and ends the stage), and
     a kill at the grant is a ghost that also marks the failure.  A job
-    completes when its last stage ends, ghosts included.  Each failure
+    completes when its last stage ends, ghosts included.  Each lane
+    keeps a *quiet horizon*: the start of its first outage, slowdown or
+    death span not yet ended, as of its last slow grant.  A service
+    whose end (the float ``grant + duration``) is strictly below it
+    meets no fault and starts plainly; rounding is monotone, so every
+    comparison :func:`resolve_degraded_service` would make agrees.  Any
+    other grant is slow: it advances the lane's cursor and, if the
+    service still reaches the horizon, calls the resolver.  Each failure
     is ``(job, time, resource, kind, stages)`` in job order, where
     ``stages`` are the program stages (ascending) whose every task
     completed normally — stages that were in service elsewhere when the
@@ -571,9 +578,14 @@ def replay_dag_batch(
     band (the engine re-pushes the process per ``yield``).  Same-time
     completions therefore grant, wake and re-request in exactly the
     order the generator engine's monotonic seq would produce.  A
-    healthy batch resolves a tie-free instant inline; under ``faults``
-    every instant runs through the bands, because a ghost's in-band
-    release can cascade even from a single calendar event.
+    tie-free instant resolves inline.  Under ``faults`` it must also be
+    *ghost-free*, because a ghost's in-band release can cascade even
+    from a single calendar event: the event is an occupancy completion
+    or an entry release (not a wait-out or kill), its job has not
+    failed, nor has the job of the head waiter of the lane it frees,
+    and no lane it may grant is dead.  While no failed job has an
+    unfinished segment and no lane has died, that holds without a
+    look.
 
     Even a batch of *identical* replicas is not the textbook pipelined
     flow shop: when consecutive stages share a device, a replica's
@@ -632,37 +644,6 @@ def replay_dag_batch(
     completions = [0.0] * n
     makespan = 0.0
 
-    healthy = faults is None
-    if healthy:
-        start = _A_START
-    else:
-        # Every grant resolves against the fault plan, and every
-        # instant goes through the hop bands.
-        start = _A_RESOLVE
-        job_base = list(accumulate(map(len, job_tasks), initial=0))
-        failed: list = [None] * n  # job -> (time, resource, kind)
-        deferred: dict[int, tuple] = {}  # rs -> its pending fault event
-        aborted: dict[int, int] = {}  # rs -> its first ghost/kill index
-
-        def abort(rs: int, index: int, resource: int, nxt: list) -> None:
-            """A ghost or a kill ends ``rs``'s stage at task ``index``:
-            the lane is released in this band (its longest waiter is
-            granted next band), and the stage process returns next band
-            — the segment's next stage then requests its first task, or
-            the segment ends."""
-            aborted.setdefault(rs, index)
-            queue = waiters[resource]
-            if queue:
-                nxt.append((queue.popleft() << 3) | _A_RESOLVE)
-            else:
-                busy[resource] = False
-            job = rs_job[rs]
-            for _stage, end in stages_of[job_program[job]][rs - job_base[job]]:
-                if end > index:
-                    cursor[rs] = end
-                    break
-            nxt.append((rs << 3) | _A_NOTIFY)
-
     # The calendar: the sorted entry releases, read by a cursor, merged
     # with a heap of (time, seq, rs) triples for the in-flight events —
     # one occupancy, outage wait-out or kill (``~rs``) per busy lane, so
@@ -685,6 +666,103 @@ def replay_dag_batch(
     pop = heapq.heappop
     push = heapq.heappush
 
+    healthy = faults is None
+    if healthy:
+        start = _A_START
+    else:
+        start = _A_RESOLVE
+        job_base = list(accumulate(map(len, job_tasks), initial=0))
+        failed: list = [None] * n  # job -> (time, resource, kind)
+        doomed = 0  # failed jobs with unfinished segments
+        deferred: dict[int, tuple] = {}  # rs -> its pending fault event
+        aborted: dict[int, int] = {}  # rs -> its first ghost/kill index
+        # Per lane, its fault spans sorted by start, the never-ending
+        # ``[dead_at, inf)`` among them, a cursor on the first one not
+        # yet ended, and that span's start: the quiet horizon.
+        inf = float("inf")
+        spans: list[list[tuple[float, float]]] = []
+        death: list[float] = []
+        for windows, slowdowns, dead_at in (t or ((), (), None) for t in faults):
+            death.append(inf if dead_at is None else dead_at)
+            spans.append(
+                sorted([*windows, *(s[:2] for s in slowdowns), (death[-1], inf)])
+            )
+        span_at = [0] * n_resources
+        quiet = [lane[0][0] for lane in spans]
+        first_death = min(death, default=inf)
+
+        # The hot loop's own lists are bound as defaults: a closure over
+        # them would turn every access in the loop into a cell lookup.
+        def serve(
+            rs: int, time: float, seq: int, rs_tasks=rs_tasks, quiet=quiet,
+            heap=heap, occ_starts=occ_starts, occ_ends=occ_ends,
+        ) -> str | None:
+            """Grant ``rs`` its current task's lane at ``time`` past the
+            quiet horizon test: advance the lane's cursor, and resolve
+            the service against the timeline only if it still reaches
+            the horizon.  Pushes the completion, or the outage wait-out
+            or kill as ``~rs``, at ``seq`` and returns ``None``; a kill
+            at the grant pushes nothing and returns its kind."""
+            resource, duration, _hop = rs_tasks[rs][cursor[rs]]
+            end = time + duration
+            lane = spans[resource]
+            at = span_at[resource]
+            while lane[at][1] <= time:
+                at += 1
+            span_at[resource] = at
+            quiet[resource] = lane[at][0]
+            if end >= quiet[resource]:
+                service, wall, fail_time, kind = resolve_degraded_service(
+                    *faults[resource], time, duration
+                )
+                due = service if fail_time is None else fail_time
+                if due > time:
+                    deferred[rs] = (service, wall, kind)
+                    heapq.heappush(heap, (time + (due - time), seq, ~rs))
+                    return None
+                if kind is not None:
+                    return kind
+                end = time + wall
+            occ_starts[resource].append(time)
+            occ_ends[resource].append(end)
+            heapq.heappush(heap, (end, seq, rs))
+            return None
+
+        def ghost_free(rs: int, time: float, rs_tasks=rs_tasks) -> bool:
+            """Whether the instant of ``rs``'s event surely grants no
+            ghost: neither its job nor that of the head waiter of the
+            lane it frees has failed, and neither lane it may grant is
+            dead."""
+            tasks = rs_tasks[rs]
+            index = cursor[rs]
+            resource = tasks[index][0]
+            queue = waiters[resource]
+            return (
+                failed[rs_job[rs]] is None
+                and not (queue and failed[rs_job[queue[0]]] is not None)
+                and death[resource] > time
+                and (index + 1 == len(tasks) or death[tasks[index + 1][0]] > time)
+            )
+
+        def abort(rs: int, index: int, resource: int, nxt: list) -> None:
+            """A ghost or a kill ends ``rs``'s stage at task ``index``:
+            the lane is released in this band (its longest waiter is
+            granted next band), and the stage process returns next band
+            — the segment's next stage then requests its first task, or
+            the segment ends."""
+            aborted.setdefault(rs, index)
+            queue = waiters[resource]
+            if queue:
+                nxt.append((queue.popleft() << 3) | _A_RESOLVE)
+            else:
+                busy[resource] = False
+            job = rs_job[rs]
+            for _stage, end in stages_of[job_program[job]][rs - job_base[job]]:
+                if end > index:
+                    cursor[rs] = end
+                    break
+            nxt.append((rs << 3) | _A_NOTIFY)
+
     while True:
         if heap and heap[0][0] < next_release:
             time, _seq, rs = pop(heap)
@@ -696,20 +774,26 @@ def replay_dag_batch(
         else:
             break
         if (
-            healthy
-            and next_release != time
+            next_release != time
             and (not heap or heap[0][0] != time)
+            and (
+                healthy
+                or rs >= 0
+                and (not doomed and time < first_death or ghost_free(rs, time))
+            )
         ):
-            # Tie-free instant — the overwhelmingly common case with
-            # real (float) durations.  No other event shares the
-            # cascade, so grant, cursor advance and next-request resolve
-            # inline, whatever the hop; the push order (grant's
-            # occupancy first, then this segment's next, if any)
-            # matches the banded cascade's seq allocation exactly.  Only
-            # a segment end with parked watchers enters the hop bands:
-            # the relative order in which same-instant watchers reach
-            # their acquires depends on how many finished predecessors
-            # each skips, which is precisely what the bands emulate.
+            # Tie-free (and, under faults, ghost-free) instant — the
+            # overwhelmingly common case with real (float) durations.
+            # No other event shares the cascade, so grant, cursor
+            # advance and next-request resolve inline, whatever the hop;
+            # the push order (grant's event first, then this segment's
+            # next, if any) matches the banded cascade's seq allocation
+            # exactly.  A grant whose service may reach its lane's quiet
+            # horizon takes the slow path, ``serve``.  Only a segment
+            # end with parked watchers enters the hop bands: the
+            # relative order in which same-instant watchers reach their
+            # acquires depends on how many finished predecessors each
+            # skips, which is precisely what the bands emulate.
             tasks = rs_tasks[rs]
             if started[rs]:
                 index = cursor[rs]
@@ -718,9 +802,12 @@ def replay_dag_batch(
                 if queue:
                     waiter = queue.popleft()
                     end = time + rs_tasks[waiter][cursor[waiter]][1]
-                    occ_starts[resource].append(time)
-                    occ_ends[resource].append(end)
-                    push(heap, (end, seq, waiter))
+                    if healthy or end < quiet[resource]:
+                        occ_starts[resource].append(time)
+                        occ_ends[resource].append(end)
+                        push(heap, (end, seq, waiter))
+                    else:
+                        serve(waiter, time, seq)
                     seq += 1
                 else:
                     busy[resource] = False
@@ -733,9 +820,12 @@ def replay_dag_batch(
                     else:
                         busy[resource] = True
                         end = time + tasks[index][1]
-                        occ_starts[resource].append(time)
-                        occ_ends[resource].append(end)
-                        push(heap, (end, seq, rs))
+                        if healthy or end < quiet[resource]:
+                            occ_starts[resource].append(time)
+                            occ_ends[resource].append(end)
+                            push(heap, (end, seq, rs))
+                        else:
+                            serve(rs, time, seq)
                         seq += 1
                     continue
                 stage_done[rs] = True
@@ -749,7 +839,10 @@ def replay_dag_batch(
                 if not parked:
                     continue
                 watchers[rs] = ()
-                cur = [((rs + offset) << 3) | _A_WAIT for offset in parked]
+                # A loop: a comprehension would make ``rs`` a cell.
+                cur = []
+                for offset in parked:
+                    cur.append(((rs + offset) << 3) | _A_WAIT)
             else:
                 started[rs] = True
                 resource = tasks[0][0]
@@ -758,14 +851,17 @@ def replay_dag_batch(
                 else:
                     busy[resource] = True
                     end = time + tasks[0][1]
-                    occ_starts[resource].append(time)
-                    occ_ends[resource].append(end)
-                    push(heap, (end, seq, rs))
+                    if healthy or end < quiet[resource]:
+                        occ_starts[resource].append(time)
+                        occ_ends[resource].append(end)
+                        push(heap, (end, seq, rs))
+                    else:
+                        serve(rs, time, seq)
                     seq += 1
                 continue
         else:
-            # Same-instant collision (or a faulted batch): full banded
-            # cascade emulation.
+            # Same-instant collision, a fault event or a possible ghost:
+            # full banded cascade emulation.
             band = [rs]
             while next_release == time:
                 band.append(release_rs[released])
@@ -801,6 +897,7 @@ def replay_dag_batch(
                     job = rs_job[rs]
                     if failed[job] is None:
                         failed[job] = (time, resource, kind)
+                        doomed += 1
                     abort(rs, index, resource, nxt)
                     continue
                 tasks = rs_tasks[rs]
@@ -860,6 +957,8 @@ def replay_dag_batch(
                         completions[job] = time
                         if time > makespan:
                             makespan = time
+                        if not healthy and failed[job] is not None:
+                            doomed -= 1
                     parked = watchers[rs]
                     if parked:
                         for offset in parked:
@@ -888,37 +987,16 @@ def replay_dag_batch(
                             nxt.append((rs << 3) | start)
                 else:  # _A_RESOLVE: a grant under the fault plan
                     index = cursor[rs]
-                    resource, duration, _hop = rs_tasks[rs][index]
+                    resource = rs_tasks[rs][index][0]
                     job = rs_job[rs]
                     if failed[job] is None:
-                        timeline = faults[resource]
-                        if timeline is None:
-                            service, wall, fail_time = time, duration, None
-                        else:
-                            service, wall, fail_time, kind = (
-                                resolve_degraded_service(
-                                    *timeline, time, duration
-                                )
-                            )
-                        if fail_time is None:
-                            if service > time:
-                                # Granted inside an outage: wait it out.
-                                deferred[rs] = (service, wall, None)
-                                push(heap, (time + (service - time), seq, ~rs))
-                            else:
-                                end = time + wall
-                                occ_starts[resource].append(time)
-                                occ_ends[resource].append(end)
-                                push(heap, (end, seq, rs))
-                            seq += 1
-                            continue
-                        if fail_time > time:
-                            deferred[rs] = (service, wall, kind)
-                            push(heap, (time + (fail_time - time), seq, ~rs))
+                        kind = serve(rs, time, seq)
+                        if kind is None:
                             seq += 1
                             continue
                         # A death before the grant: the kill is a ghost.
                         failed[job] = (time, resource, kind)
+                        doomed += 1
                     abort(rs, index, resource, nxt)
             cur = nxt
     failures: list[tuple] = []

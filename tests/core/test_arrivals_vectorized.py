@@ -111,11 +111,23 @@ class TestContract:
         with pytest.raises(ConfigError, match="rate"):
             poisson_arrivals(3, rate)
 
+    @pytest.mark.parametrize("seed", [True, False, 2.5, 2.0, "7", None])
+    def test_refuses_a_bool_or_non_integer_seed(self, seed):
+        """``random.Random(2.5)`` draws its own stream, which truncating
+        the seed to 2 would not reproduce, and ``"7"`` or ``True`` are
+        no seed 7 or 1 either."""
+        with pytest.raises(ConfigError, match="seed"):
+            poisson_arrivals(3, 1.0, seed=seed)
+
     def test_accepts_numpy_scalars(self):
         assert poisson_arrivals(np.int64(4), np.float64(2.0), seed=1) == (
             poisson_arrivals(4, 2.0, seed=1)
         )
         assert poisson_arrivals(4, 2, seed=1) == poisson_arrivals(4, 2.0, seed=1)
+        for seed in (np.int64(-13), np.uint32(7)):
+            assert poisson_arrivals(5, 2.0, seed=seed) == _poisson_arrivals_loop(
+                5, 2.0, seed=int(seed)
+            )
 
     def test_offsets_strictly_positive_and_increasing(self):
         offsets = poisson_arrivals(500, 5.0, seed=11)

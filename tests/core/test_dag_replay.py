@@ -15,6 +15,7 @@ backends, the zero-duration fallback, and the framework's
 
 import heapq
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,12 @@ from repro.core.arrivals import poisson_arrivals
 from repro.core.backends import backend_names, get_backend
 from repro.core.cost_model import OffloadCostModel
 from repro.core.executor import PipelineExecutor
-from repro.core.faults import FaultPlan
+from repro.core.faults import (
+    FaultPlan,
+    poisson_fault_plan,
+    shock_fault_plan,
+    slowdown_fault_plan,
+)
 from repro.core.framework import NdftFramework
 from repro.core.ir import function_from_workload
 from repro.core.pipeline import Edge, Pipeline, Stage, build_kpoint_pipeline, build_pipeline
@@ -563,6 +569,125 @@ class TestCalendarBound:
         )
         arrivals = poisson_arrivals(len(sizes), 2.0, seed=0)
         peak = self._peak(monkeypatch, batch, arrivals)
+        assert 0 < peak <= len(batch.lanes)
+
+
+def _faults_retry_plan(seed, horizon):
+    """A plan shaped like the faults-retry benchmark's, scaled to
+    ``horizon`` so a short batch meets every kind of fault: Poisson
+    outages on the NDP and its wire with a permanent NDP death past
+    80 % of the horizon, shocks on cpu+ndp and factor-2 CPU slowdowns."""
+    outage_seed, shock_seed, slow_seed = random.Random(seed).sample(range(2**32), 3)
+    outages = poisson_fault_plan(
+        ["ndp", "link:cpu-ndp"],
+        mtbf=horizon / 8,
+        mttr=horizon / 100,
+        horizon=horizon,
+        seed=outage_seed,
+        permanent_after=0.8 * horizon,
+    )
+    shocks = shock_fault_plan(
+        [("cpu", "ndp")], rate=8 / horizon, mttr=horizon / 100,
+        horizon=horizon, seed=shock_seed,
+    )
+    slowdowns = slowdown_fault_plan(
+        ["cpu"], mtbf=horizon / 4, mttr=horizon / 20, horizon=horizon,
+        factor=2.0, seed=slow_seed,
+    )
+    return outages.merge(shocks).merge(slowdowns)
+
+
+class TestTieFreeFaultedBatches:
+    """Real-float chain and k-point mixes under faults-retry-shaped
+    plans: almost every instant is tie-free, so the replay resolves it
+    inline — past each lane's quiet horizon only through the resolver,
+    and after a failure or a death only when it grants no ghost — and
+    must still match the engine bit for bit."""
+
+    @staticmethod
+    def _mix(framework, seed, n_jobs, rate):
+        rng = random.Random(seed)
+        entries = [
+            (
+                rng.choice(SIZES),
+                build_pipeline
+                if rng.random() < 0.7
+                else _kpoint_builder(rng.choice((2, 3, 4))),
+            )
+            for _ in range(n_jobs)
+        ]
+        return _jobs(framework, entries), poisson_arrivals(n_jobs, rate, seed=seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixes_match_engine(self, framework, seed):
+        kinds = Counter()
+        for k, rate in enumerate((2.0, 10.0)):
+            jobs, arrivals = self._mix(framework, seed, 128, rate)
+            for draw in (4 * seed + 2 * k, 4 * seed + 2 * k + 1):
+                plan = _faults_retry_plan(draw, arrivals[-1])
+                dead = plan.dead_lanes()
+                parts = (
+                    plan,
+                    FaultPlan(outages=plan.outages, permanent=plan.permanent),
+                    FaultPlan(slowdowns=plan.slowdowns),
+                )
+                for part in parts:
+                    report = _assert_backends_agree(
+                        framework.executor, jobs, arrivals, part
+                    )
+                    for failure in report.failures:
+                        dead_at = dead.get(failure.lane)
+                        at_grant = dead_at is not None and failure.time > dead_at
+                        kinds["at grant" if at_grant else failure.kind] += 1
+        # Outage kills, permanent kills mid-service and kills at the grant.
+        assert kinds["outage"] and kinds["permanent"] and kinds["at grant"]
+
+    def test_faults_starting_at_a_grant_end(self, framework):
+        """An outage, a slowdown or a death starting exactly at a healthy
+        grant's end float.  ``grant + duration`` can round down onto the
+        span's start while ``start - grant`` rounds below the duration,
+        so a slowdown there inflates the grant: the horizon test is
+        strict, and the resolver decides every such boundary."""
+        jobs, arrivals = self._mix(framework, 7, 64, 4.0)
+        batch = framework.executor.compile_batch(jobs)
+        lanes = batch.lanes
+        healthy = replay_dag_batch(
+            batch.programs, batch.member_group, arrivals, len(lanes)
+        )[2]
+        grants = [
+            (resource, k)
+            for resource, (starts, _ends) in enumerate(healthy)
+            for k in range(len(starts))
+        ]
+        inflated = 0
+        for resource, k in random.Random(7).sample(grants, 40):
+            lane, end = lanes[resource], healthy[resource][1][k]
+            plans = [
+                FaultPlan(outages=((lane, end, end + 1.0),)),
+                FaultPlan(slowdowns=((lane, end, end + 1.0, 64.0),)),
+            ]
+            if not lane.startswith("link:"):
+                plans.append(FaultPlan(permanent=((lane, end),)))
+            for plan in plans:
+                args = (
+                    batch.programs,
+                    batch.member_group,
+                    arrivals,
+                    len(lanes),
+                    [plan.timeline(name) for name in lanes],
+                )
+                replay = replay_dag_batch(*args)
+                assert replay == run_engine_batch(*args)
+                inflated += replay[2][resource][1][k] != end
+        # Some boundary slowdowns do inflate the grant ending at them.
+        assert inflated
+
+    def test_heap_holds_one_event_per_lane(self, monkeypatch, framework):
+        jobs, arrivals = self._mix(framework, 0, 256, 10.0)
+        plan = _faults_retry_plan(0, arrivals[-1])
+        batch = framework.executor.compile_batch(jobs, plan)
+        assert batch.faults is not None
+        peak = TestCalendarBound._peak(monkeypatch, batch, arrivals)
         assert 0 < peak <= len(batch.lanes)
 
 

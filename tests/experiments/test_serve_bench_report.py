@@ -112,6 +112,31 @@ def test_fleet_bench_checks_inputs_first(no_measurement, kwargs):
         scale_serving.run_fleet_bench(**{"batch_sizes": (16,), **kwargs})
 
 
+@pytest.mark.parametrize("repeats", [True, 1.5, 2.0, "3", None])
+def test_repeats_must_be_an_integer(monkeypatch, repeats):
+    """``repeats=True`` would measure once and write ``"repeats": true``
+    into the report, and ``1.5`` would end in ``range``'s TypeError:
+    both sweeps refuse them before building a framework or a pool."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("measured before checking its inputs")
+
+    monkeypatch.setattr(scale_serving, "NdftFramework", refuse)
+    monkeypatch.setattr(scale_serving, "WorkerPool", refuse)
+    with pytest.raises(ConfigError, match="repeats"):
+        scale_serving.run_serve_bench(
+            batch_sizes=(4,), repeats=repeats, arrival_rate=0
+        )
+    with pytest.raises(ConfigError, match="repeats"):
+        scale_serving.run_fleet_bench(batch_sizes=(4,), repeats=repeats)
+
+
+@pytest.mark.parametrize("name", ["replicas", "rounds"])
+def test_fleet_counts_must_be_integers(no_measurement, name):
+    with pytest.raises(ConfigError, match=name):
+        scale_serving.run_fleet_bench(batch_sizes=(4,), **{name: True})
+
+
 def test_measure_run_many_returns_the_fastest_repeats_result(monkeypatch):
     """The published wall and the published backend breakdown come from
     the same repeat: with the middle of three repeats scripted to be the
